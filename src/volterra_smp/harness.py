@@ -489,9 +489,6 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     P0 = adj.first.P0[:, :, 0]
     G0 = adj.first.G0[:, :, 0]
     resid = P0[:-1] - dec[None, :] * P0[1:] - om[None, :] * G0[:-1]
-    if adj.first.P1 is not None:
-        P1 = adj.first.P1[:, :, 0]
-        resid = resid + 0.0 * P1[:-1]  # deterministic part only; Z part checked in tests
     node_res = float(np.max(np.abs(resid)))
     checks.append(("node_recursion_residual", node_res <= 1e-10, f"max {node_res:.3e}"))
 
@@ -522,7 +519,8 @@ def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> Exp
     prov = _provenance(config)
     kern, coeffs, grid, ens, u_hat, x_hat = _adjoint_inputs(config)
     xi = config.solver["xi"]
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"])
+    lsmc = config.solver["lsmc"]
+    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"], lsmc=lsmc)
     eps = config.spike["eps_list"][min(1, len(config.spike["eps_list"]) - 1)]
     spike = SpikeSpec(tau=config.spike["tau"], eps=eps,
                       v=ControlPath.constant(config.spike["v"], grid, du=coeffs.du))
@@ -545,7 +543,7 @@ def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> Exp
     for n_paths in path_sweep:
         e = sample_brownian(grid, n_paths, config.seed)
         xh = simulate_sve(coeffs, u_hat, kern, xi, e, self_test=False)
-        a = assemble_adjoints(coeffs, u_hat, xh, kern, e, tol=config.solver["tol"])
+        a = assemble_adjoints(coeffs, u_hat, xh, kern, e, tol=config.solver["tol"], lsmc=lsmc)
         rr = duality_residual_first(coeffs, spike, a, e, xh, xi=xi)
         ses.append(rr["display_se"])
         rows.append(("first_sweep", f"display@{n_paths}", rr["display_mean"], rr["display_se"]))
@@ -675,8 +673,11 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
     tags_det = prob in ("lq_linear_cost", "zero")
     if name == "mp-check" and not tags_det:
         return False, "needs a problem with deterministic, control-independent adjoint data"
-    if name in ("adjoint", "duality") and prob == "bilinear_lq" and not config.solver["lsmc"]:
+    if name == "adjoint" and prob == "bilinear_lq" and not config.solver["lsmc"]:
         return False, "problem needs the regression solve path (solver.lsmc)"
+    if name == "duality" and prob == "bilinear_lq":
+        return False, ("exact duality needs a closed-form first-order field; the "
+                       "regression solve path only estimates it")
     if name == "bsvie-check":
         if config.kernel["family"] == "fractional" and config.kernel["alpha"] > 0:
             return False, "Volterra bridge assumes a regular kernel"

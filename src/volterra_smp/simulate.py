@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .coefficients import CoefficientSet, ControlPath
 from .grids import TimeGrid
@@ -42,8 +43,8 @@ class BrownianEnsemble:
 
 def sample_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemble:
     """Counter-based Brownian increments, reproducible per (seed, path, step)."""
-    z = normal_matrix(seed, n_paths, grid.n_steps)
-    dW = z * np.sqrt(grid.dt)
+    dW = normal_matrix(seed, n_paths, grid.n_steps)
+    dW *= np.sqrt(grid.dt)  # in place: one (paths, n_steps) table at a time
     agg = abs(float(np.mean(dW))) * np.sqrt(n_paths * grid.n_steps / grid.dt)
     if agg > 5.0:
         raise RuntimeError(f"increment sanity check failed: aggregate mean {agg:.2f} sigma")
@@ -119,69 +120,74 @@ def _xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
     return xi
 
 
-def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
-             forcing: Callable, xi: np.ndarray,
-             consumer: Callable | None = None,
-             store_lift: bool = False):
-    """Core lift recursion.
+LIFT_BLOCK = 4096  # columns per cache-resident pass of a lift step
 
-    forcing(m, X_m) -> (Fb, Fs), each (paths, n).  Returns the state table
-    X (paths, N+1, n) and, when requested, the lift table Y
-    (paths, N+1, K, n).  ``consumer(m, X_m, Y_m, Fb, Fs)`` is invoked at
-    every step with the pre-step values (at index m), then once more at the
-    final index with forcing None.
+
+@dataclass(frozen=True)
+class LiftStep:
+    """The lift step, applied in place to a block Y of lift states.
+
+    Y is (K n, R) in Fortran order; column r holds the coordinates Y[k n + i]
+    (node k, component i) of path r mod n_paths of one co-simulated process.
+    A step is one rank-2n dgemm update and a row scaling,
+    Y <- diag(e^{-theta dt}) (Y + [M_b | M_s] [F_b dt ; F_s dW]); it returns
+    X = sum_k w_k Y_k, (R, n), by a fixed-order einsum reduction.  No
+    column's bits depend on the block's width.  A non-finite X raises
+    FloatingPointError naming the step and the first bad paths.
+    """
+
+    ops: np.ndarray      # (K n, 2n) Fortran order, [M_b | M_s]
+    decay: np.ndarray    # (K n, 1)
+    weights: np.ndarray  # (K,)
+    dt: float
+    n_paths: int
+
+    @classmethod
+    def of(cls, kernel: DiscreteLaplaceKernel, dt: float, n_paths: int) -> "LiftStep":
+        K, n = kernel.n_nodes, kernel.dim
+        ops = np.concatenate([kernel.mb.reshape(K * n, n), kernel.msigma.reshape(K * n, n)], 1)
+        decay = np.repeat(np.exp(-kernel.nodes * dt), n)[:, None]
+        return cls(np.asfortranarray(ops), decay, kernel.weights, dt, n_paths)
+
+    def __call__(self, Y: np.ndarray, Fb, Fs, dW: np.ndarray, step: int) -> np.ndarray:
+        """Advance Y in place; Fb, Fs are (R, n) forcings, dW the (n_paths,) increments."""
+        K, R = self.weights.size, Y.shape[1]
+        n = Y.shape[0] // K
+        drive = np.empty((R, 2 * n))
+        drive[:, :n] = Fb * self.dt
+        drive[:, n:] = (np.reshape(Fs, (-1, self.n_paths, n)) * dW[:, None]).reshape(R, n)
+        X = np.empty((R, n))
+        for lo in range(0, R, LIFT_BLOCK):
+            c = Y[:, lo:lo + LIFT_BLOCK]
+            dgemm(1.0, self.ops, drive[lo:lo + LIFT_BLOCK].T, beta=1.0, c=c, overwrite_c=True)
+            c *= self.decay
+            np.einsum("k,kir->ri", self.weights, c.reshape(K, n, -1), out=X[lo:lo + LIFT_BLOCK])
+        if not np.isfinite(X).all():
+            bad = np.unique(np.flatnonzero(~np.isfinite(X).all(axis=1)) % self.n_paths)
+            raise FloatingPointError(
+                f"non-finite state at step {step}; first bad paths {bad[:5].tolist()}")
+        return X
+
+
+def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
+             forcing: Callable, xi: np.ndarray, store_lift: bool = False):
+    """Core lift recursion: forcing(m, X_m) -> (Fb, Fs), each (paths, n).
+
+    Returns the state table X (paths, N+1, n) and the lift table Y
+    (paths, N+1, K, n) when requested, else None.
     """
     paths = dW.shape[0]
-    N = grid.n_steps
-    K = kernel.n_nodes
-    n = kernel.dim
-    decay = np.exp(-kernel.nodes * grid.dt)  # (K,)
-    mb, ms = kernel.mb, kernel.msigma        # (K, n, n)
-    w = kernel.weights
+    N, K, n = grid.n_steps, kernel.n_nodes, kernel.dim
+    step = LiftStep.of(kernel, grid.dt, paths)
+    Y = np.zeros((K * n, paths), order="F")
     X = np.empty((paths, N + 1, n))
     Ytab = np.zeros((paths, N + 1, K, n)) if store_lift else None
     X[:, 0] = xi[0]
-
-    if n == 1:
-        # scalar fast path: Y kept as (paths, K)
-        mb1 = mb[:, 0, 0] * grid.dt
-        ms1 = ms[:, 0, 0]
-        Y = np.zeros((paths, K))
-        for m in range(N):
-            Fb, Fs = forcing(m, X[:, m])
-            if consumer is not None:
-                consumer(m, X[:, m], Y[:, :, None], Fb, Fs)
-            Y += Fb[:, 0, None] * mb1[None, :]
-            Y += (Fs[:, 0] * dW[:, m])[:, None] * ms1[None, :]
-            Y *= decay[None, :]
-            X[:, m + 1, 0] = xi[m + 1, 0] + Y @ w
-            if store_lift:
-                Ytab[:, m + 1, :, 0] = Y
-            if not np.all(np.isfinite(X[:, m + 1])):
-                raise FloatingPointError(f"non-finite state at step {m + 1}")
-        if consumer is not None:
-            consumer(N, X[:, N], Y[:, :, None], None, None)
-        return (X, Ytab) if store_lift else (X, None)
-
-    Y = np.zeros((paths, K, n))
     for m in range(N):
-        Fb, Fs = forcing(m, X[:, m])
-        if consumer is not None:
-            consumer(m, X[:, m], Y, Fb, Fs)
-        drift = np.einsum("kij,pj->pki", mb, Fb) * grid.dt
-        diff = np.einsum("kij,pj->pki", ms, Fs) * dW[:, m, None, None]
-        Y = decay[None, :, None] * (Y + drift + diff)
-        X[:, m + 1] = xi[m + 1] + np.einsum("k,pki->pi", w, Y)
+        X[:, m + 1] = xi[m + 1] + step(Y, *forcing(m, X[:, m]), dW[:, m], m + 1)
         if store_lift:
-            Ytab[:, m + 1] = Y
-        if not np.all(np.isfinite(X[:, m + 1])):
-            bad = np.where(~np.isfinite(X[:, m + 1]).all(axis=1))[0]
-            raise FloatingPointError(
-                f"non-finite state at step {m + 1}; first bad paths {bad[:5].tolist()}"
-            )
-    if consumer is not None:
-        consumer(N, X[:, N], Y, None, None)
-    return (X, Ytab) if store_lift else (X, None)
+            Ytab[:, m + 1] = Y.T.reshape(paths, K, n)
+    return X, Ytab
 
 
 def run_direct(kernel, which_pair: tuple[str, str], grid: TimeGrid, dW: np.ndarray,

@@ -24,7 +24,7 @@ import numpy as np
 from .coefficients import CoefficientSet, ControlPath
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, knorm_eps
-from .simulate import BrownianEnsemble, simulate_sve
+from .simulate import BrownianEnsemble, LiftStep, _xi_table
 from .stats import fit_loglog, mc_mean_se
 
 NORM_KEYS = ("dX", "X1", "dX1", "X2", "dX12")
@@ -91,14 +91,125 @@ class VariationBundle:
         return mc_mean_se(self.cost_increment - self.j12_terms)
 
 
-def _coeff_eval(coeffs, m, grid, u, x):
-    t = m * grid.dt
-    return {
-        "b": coeffs.b(t, u, x), "s": coeffs.sigma(t, u, x),
-        "bx": coeffs.b_x(t, u, x), "sx": coeffs.sigma_x(t, u, x),
-        "bxx": coeffs.b_xx(t, u, x), "sxx": coeffs.sigma_xx(t, u, x),
-        "f": coeffs.f(t, u, x), "fx": coeffs.f_x(t, u, x), "fxx": coeffs.f_xx(t, u, x),
-    }
+def _coeff_eval(coeffs, t, u, x, names="b sigma b_x sigma_x b_xx sigma_xx f f_x f_xx"):
+    return {name: getattr(coeffs, name)(t, u, x) for name in names.split()}
+
+
+def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
+                        store=False, observer=None) -> list:
+    """Co-simulate X_hat and, per spike, (X^eps, X1, X2) in one lift block.
+
+    The block holds 1 + 3S row groups of ``paths`` columns: X_hat, then the
+    S spiked states, then the S first- and the S second-order processes.
+    Before the earliest spike index only X_hat advances: there X1 = X2 = 0
+    and X^eps = X_hat exactly, so the spiked lifts start at that index as
+    copies of the reference lift.  The reference derivatives are evaluated
+    once per step for all spikes.  The spikes share one value ``v``; an
+    observer sees the first spike.
+    """
+    if coeffs.dim != 1 or kernel.dim != 1:
+        raise NotImplementedError("the fused variational loop is scalar-state")
+    v = spikes[0].v
+    if any(sp.v is not v for sp in spikes):
+        raise ValueError("the spikes of one co-simulation must share their value v")
+    grid = ens.grid
+    N, dt, P, S = grid.n_steps, grid.dt, ens.n_paths, len(spikes)
+    if u_hat.n_steps != N or v.n_steps != N:
+        raise ValueError("control tables must live on the simulation grid")
+    win = np.array([sp.window(grid) for sp in spikes])  # (S, 2)
+    j_start = int(win[:, 0].min())
+    xi_tab = _xi_table(xi, grid, 1)[:, 0]
+    du = v.values.shape[-1]
+
+    step = LiftStep.of(kernel, dt, P)
+    Y = np.zeros((kernel.n_nodes, (1 + 3 * S) * P), order="F")
+    X, Fb, Fs = (np.zeros((1 + 3 * S, P)) for _ in range(3))
+    X[0] = xi_tab[0]
+    xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
+    F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
+
+    sup_mom = {k: np.zeros(S) for k in NORM_KEYS}
+    j12_run = np.zeros((S, P))   # running f-expansion integral
+    dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
+    delta_f = np.zeros((S, P))   # running spike integral of delta f
+    tables = {k: np.zeros((S, P, N + 1)) for k in NORM_KEYS} if store else {}
+
+    def frame(cv, forcings=(F1b, F1s, F2b, F2s)):
+        return {"Y1": Y[:, (1 + S) * P:(1 + 2 * S) * P].T, "Y2": Y[:, (1 + 2 * S) * P:].T,
+                "X1": X1[0], "X2": X2[0], "db": cv.get("db"), "ds": cv.get("ds"),
+                "df": cv.get("df"), "in_spike": bool(cv),
+                **{k: f if f is None else f[0]
+                   for k, f in zip(("Fb1", "Fs1", "Fb2", "Fs2"), forcings)}}
+
+    for m in range(j_start):
+        ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
+        if observer is not None:
+            observer(m, frame({}))
+        xh[:] = xi_tab[m + 1] + step(Y[:, :P], ch["b"], ch["sigma"], ens.dW[:, m], m + 1)[:, 0]
+    Y[:, P:(1 + S) * P] = np.tile(Y[:, :P], (1, S))
+    Xe[:] = xh
+
+    for m in range(j_start, N):
+        t, u_h = m * dt, u_hat.at(m)
+        active = (win[:, 0] <= m) & (m < win[:, 1])
+        ch = _coeff_eval(coeffs, t, u_h, xh[:, None])
+        bxh, sxh = ch["b_x"][:, 0, 0], ch["sigma_x"][:, 0, 0]
+        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+
+        # spiked state forcing (full nonlinear coefficients at X^eps)
+        ue = np.where(active[:, None, None], np.broadcast_to(v.at(m), (P, du)),
+                      np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
+        xe_col = Xe.reshape(S * P, 1)
+        Fb[1:1 + S] = coeffs.b(t, ue, xe_col).reshape(S, P)
+        Fs[1:1 + S] = coeffs.sigma(t, ue, xe_col).reshape(S, P)
+
+        # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
+        F1b[:], F1s[:] = bxh * X1, sxh * X1
+        F2b[:] = bxh * X2 + 0.5 * ch["b_xx"][:, 0, 0, 0] * X1 * X1
+        F2s[:] = sxh * X2 + 0.5 * ch["sigma_xx"][:, 0, 0, 0] * X1 * X1
+        cv = {}
+        if active.any():
+            cv = _coeff_eval(coeffs, t, v.at(m), xh[:, None], "b sigma b_x sigma_x f")
+            cv = {"db": cv["b"][:, 0] - Fb[0], "ds": cv["sigma"][:, 0] - Fs[0],
+                  "dbx": cv["b_x"][:, 0, 0] - bxh, "dsx": cv["sigma_x"][:, 0, 0] - sxh,
+                  "df": cv["f"] - ch["f"]}
+            F1b[active] += cv["db"]
+            F1s[active] += cv["ds"]
+            F2b[active] += cv["dbx"] * X1[active]
+            F2s[active] += cv["dsx"] * X1[active]
+            delta_f[active] += cv["df"] * dt
+        if observer is not None:
+            observer(m, frame(cv if active[0] else {}))
+
+        # running cost pieces (left-point rule)
+        j12_run += (ch["f_x"][:, 0] * (X1 + X2) + 0.5 * ch["f_xx"][:, 0, 0] * X1 * X1) * dt
+        dcost_f += (coeffs.f(t, ue, xe_col).reshape(S, P) - ch["f"]) * dt
+
+        agg = step(Y, Fb.reshape(-1, 1), Fs.reshape(-1, 1), ens.dW[:, m], m + 1)
+        X[:] = agg.reshape(1 + 3 * S, P)
+        X[:1 + S] += xi_tab[m + 1]
+        dX = Xe - xh
+        for k, val in (("dX", dX), ("X1", X1), ("dX1", dX - X1), ("X2", X2),
+                       ("dX12", dX - X1 - X2)):
+            np.maximum(sup_mom[k], np.mean(np.abs(val) ** p_norm, axis=1), out=sup_mom[k])
+            if store:
+                tables[k][:, :, m + 1] = val
+    if observer is not None:
+        observer(N, frame({}, (None,) * 4))
+
+    xT = xh[:, None]
+    hx = coeffs.h_x(xT)[:, 0]
+    hxx = coeffs.h_xx(xT)[:, 0, 0]
+    j12_terms = hx * (X1 + X2) + 0.5 * hxx * X1 * X1 + j12_run + delta_f
+    cost_inc = coeffs.h(Xe.reshape(S * P, 1)).reshape(S, P) - coeffs.h(xT) + dcost_f
+    return [VariationBundle(
+        spike=sp, eps_snapped=(j1 - j0) * dt, p_norm=p_norm,
+        norms={k: float(sup_mom[k][s]) ** (1.0 / p_norm) for k in NORM_KEYS},
+        j12_terms=j12_terms[s], cost_increment=cost_inc[s], delta_f_integral=delta_f[s],
+        terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xe_T": Xe[s].copy(),
+                  "dX_T": Xe[s] - xh, "Xhat_T": xh.copy()},
+        tables={k: tab[s] for k, tab in tables.items()},
+    ) for s, (sp, (j0, j1)) in enumerate(zip(spikes, win))]
 
 
 def simulate_variation_bundle(
@@ -113,135 +224,25 @@ def simulate_variation_bundle(
     store: bool = False,
     observer=None,
 ) -> VariationBundle:
-    """Co-simulate (X^eps, X1, X2) on shared increments and accumulate stats.
+    """Co-simulate (X_hat, X^eps, X1, X2) on shared increments and accumulate stats.
+
+    The reference state X_hat is co-simulated on the lift step of
+    ``simulate_sve``.  A caller that already holds it may pass it as
+    ``x_hat``; it must then agree with the co-simulated one (1e-10).
 
     ``observer(m, frame)`` is called once per step with the pre-step lift
     fields and forcings (and once at the final index with forcings None);
     ``frame`` is a dict with keys Y1, Y2 (paths, K), X1, X2 (paths,),
-    Fb1, Fs1, Fb2, Fs2, db, ds, in_spike.
+    Fb1, Fs1, Fb2, Fs2, db, ds, df, in_spike.  Its arrays are views of the
+    live state: copy what must outlive the call.
     """
-    if coeffs.dim != 1 or kernel.dim != 1:
-        raise NotImplementedError("the fused variational loop is scalar-state")
-    grid = ens.grid
-    N, dt = grid.n_steps, grid.dt
-    paths = ens.n_paths
-    j0, j1 = spike.window(grid)
-    eps_snapped = (j1 - j0) * dt
-
     if x_hat is None:
-        x_hat = simulate_sve(coeffs, u_hat, kernel, xi, ens, mode="lift")
-    Xh = x_hat[:, :, 0]  # (paths, N+1)
-
-    xi_tab = np.broadcast_to(np.atleast_1d(np.asarray(xi, dtype=float)), (N + 1,)) \
-        if np.asarray(xi).ndim <= 1 and np.asarray(xi).size == 1 else np.asarray(xi, dtype=float).reshape(-1)
-    u_spiked = apply_spike(u_hat, spike, grid)
-
-    theta, w = kernel.nodes, kernel.weights
-    decay = np.exp(-theta * dt)
-    mb1 = kernel.mb[:, 0, 0]
-    ms1 = kernel.msigma[:, 0, 0]
-
-    Ye = np.zeros((paths, theta.size))
-    Y1 = np.zeros((paths, theta.size))
-    Y2 = np.zeros((paths, theta.size))
-
-    sup_mom = {k: 0.0 for k in NORM_KEYS}
-    j12_run = np.zeros(paths)   # running f-expansion integral
-    dcost_f = np.zeros(paths)   # running f(u^eps, X^eps) - f(u_hat, X_hat)
-    delta_f = np.zeros(paths)   # running spike integral of delta f
-    tables = {k: np.zeros((paths, N + 1)) for k in NORM_KEYS} if store else {}
-
-    Xe = Xh[:, 0].copy()
-    X1 = np.zeros(paths)
-    X2 = np.zeros(paths)
-
-    def record(m, Xe_m, X1_m, X2_m):
-        dX = Xe_m - Xh[:, m]
-        vals = {"dX": dX, "X1": X1_m, "dX1": dX - X1_m, "X2": X2_m,
-                "dX12": dX - X1_m - X2_m}
-        for k, v in vals.items():
-            sup_mom[k] = max(sup_mom[k], float(np.mean(np.abs(v) ** p_norm)))
-            if store:
-                tables[k][:, m] = v
-
-    record(0, Xe, X1, X2)
-    for m in range(N):
-        x_h = Xh[:, m][:, None]
-        u_h = u_hat.at(m)
-        u_e = u_spiked.at(m)
-        in_spike = j0 <= m < j1
-
-        ch = _coeff_eval(coeffs, m, grid, u_h, x_h)
-        bxh = ch["bx"][:, 0, 0]
-        sxh = ch["sx"][:, 0, 0]
-        bxxh = ch["bxx"][:, 0, 0, 0]
-        sxxh = ch["sxx"][:, 0, 0, 0]
-
-        # spiked state forcing (full nonlinear coefficients at X^eps)
-        te = m * dt
-        xe_col = Xe[:, None]
-        Fb_e = coeffs.b(te, u_e, xe_col)[:, 0]
-        Fs_e = coeffs.sigma(te, u_e, xe_col)[:, 0]
-
-        # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
-        Fb_1 = bxh * X1
-        Fs_1 = sxh * X1
-        Fb_2 = bxh * X2 + 0.5 * bxxh * X1 * X1
-        Fs_2 = sxh * X2 + 0.5 * sxxh * X1 * X1
-        db = ds = None
-        if in_spike:
-            cv = _coeff_eval(coeffs, m, grid, u_e, x_h)
-            db = cv["b"][:, 0] - ch["b"][:, 0]
-            ds = cv["s"][:, 0] - ch["s"][:, 0]
-            dbx = cv["bx"][:, 0, 0] - bxh
-            dsx = cv["sx"][:, 0, 0] - sxh
-            Fb_1 = Fb_1 + db
-            Fs_1 = Fs_1 + ds
-            Fb_2 = Fb_2 + dbx * X1
-            Fs_2 = Fs_2 + dsx * X1
-            delta_f += (cv["f"] - ch["f"]) * dt
-        if observer is not None:
-            observer(m, {"Y1": Y1, "Y2": Y2, "X1": X1, "X2": X2,
-                         "Fb1": Fb_1, "Fs1": Fs_1, "Fb2": Fb_2, "Fs2": Fs_2,
-                         "db": db, "ds": ds,
-                         "df": (cv["f"] - ch["f"]) if in_spike else None,
-                         "in_spike": in_spike})
-
-        # running cost pieces (left-point rule)
-        j12_run += (ch["fx"][:, 0] * (X1 + X2) + 0.5 * ch["fxx"][:, 0, 0] * X1 * X1) * dt
-        fe = coeffs.f(te, u_e, xe_col)
-        dcost_f += (fe - ch["f"]) * dt
-
-        dwm = ens.dW[:, m]
-        Ye = decay[None, :] * (Ye + Fb_e[:, None] * mb1[None, :] * dt
-                               + (Fs_e * dwm)[:, None] * ms1[None, :])
-        Y1 = decay[None, :] * (Y1 + Fb_1[:, None] * mb1[None, :] * dt
-                               + (Fs_1 * dwm)[:, None] * ms1[None, :])
-        Y2 = decay[None, :] * (Y2 + Fb_2[:, None] * mb1[None, :] * dt
-                               + (Fs_2 * dwm)[:, None] * ms1[None, :])
-        Xe = xi_tab[m + 1] + Ye @ w
-        X1 = Y1 @ w
-        X2 = Y2 @ w
-        record(m + 1, Xe, X1, X2)
-    if observer is not None:
-        observer(N, {"Y1": Y1, "Y2": Y2, "X1": X1, "X2": X2,
-                     "Fb1": None, "Fs1": None, "Fb2": None, "Fs2": None,
-                     "db": None, "ds": None, "df": None, "in_spike": False})
-
-    xT = Xh[:, N][:, None]
-    hx = coeffs.h_x(xT)[:, 0]
-    hxx = coeffs.h_xx(xT)[:, 0, 0]
-    j12_terms = hx * (X1 + X2) + 0.5 * hxx * X1 * X1 + j12_run + delta_f
-    cost_inc = coeffs.h(Xe[:, None]) - coeffs.h(xT) + dcost_f
-
-    norms = {k: sup_mom[k] ** (1.0 / p_norm) for k in NORM_KEYS}
-    bundle = VariationBundle(
-        spike=spike, eps_snapped=eps_snapped, p_norm=p_norm, norms=norms,
-        j12_terms=j12_terms, cost_increment=cost_inc, delta_f_integral=delta_f,
-        terminal={"X1_T": X1.copy(), "X12_T": (X1 + X2).copy(), "Xe_T": Xe.copy(),
-                  "dX_T": Xe - Xh[:, N]},
-        tables=tables,
-    )
+        coeffs.self_test()
+    bundle = _spike_cosimulation(coeffs, kernel, u_hat, [spike], xi, ens, p_norm,
+                                 store, observer)[0]
+    xT = bundle.terminal["Xhat_T"]
+    if x_hat is not None and not np.allclose(np.asarray(x_hat)[:, -1, 0], xT, rtol=0, atol=1e-10):
+        raise ValueError("x_hat is not the reference state of these inputs")
     return bundle
 
 
@@ -269,11 +270,6 @@ def compute_j12(coeffs: CoefficientSet, bundle: VariationBundle, spike: SpikeSpe
     }
 
 
-def knorm_combo(kernel: DiscreteLaplaceKernel, eps: float) -> float:
-    """||K_b||_{1,eps} + ||K_sigma||_{2,eps}, closed form when available."""
-    return knorm_eps(kernel, "b", 1.0, eps) + knorm_eps(kernel, "sigma", 2.0, eps)
-
-
 def remainder_rates(
     coeffs: CoefficientSet,
     kernel: DiscreteLaplaceKernel,
@@ -288,9 +284,10 @@ def remainder_rates(
 ) -> dict:
     """Fit the eps-decay of the expansion norms across a spike-size sweep.
 
-    Common random numbers: every eps reuses the same ensemble and the same
-    reference state.  Returns per-eps rows plus per-quantity slope fits
-    against eps and against the combined kernel-window norm.
+    Common random numbers: one co-simulation serves every eps, on the same
+    ensemble and the same reference state.  Returns per-eps rows, the per-eps
+    bundles, and per-quantity slope fits against eps and against the
+    combined kernel-window norm.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 4:
@@ -301,23 +298,20 @@ def remainder_rates(
             "every spike width must span at least 4 grid steps; refine the "
             "time grid or drop the smallest eps values"
         )
-    x_hat = simulate_sve(coeffs, u_hat, kernel, xi, ens, mode="lift")
+    coeffs.self_test()
+    spikes = [SpikeSpec(tau=tau, eps=float(eps), v=v) for eps in eps_arr]
+    bundles = _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm)
 
-    kn = []
-    for eps in eps_arr:
-        if use_analytic_knorm and kernel.analytic_b is not None:
-            kn.append(knorm_eps(kernel.analytic_b, "b", 1.0, float(eps))
-                      + knorm_eps(kernel.analytic_sigma, "sigma", 2.0, float(eps)))
-        else:
-            kn.append(knorm_combo(kernel, float(eps)))
+    # ||K_b||_{1,eps} + ||K_sigma||_{2,eps}, closed form when available
+    analytic = use_analytic_knorm and kernel.analytic_b is not None
+    kb, ks = (kernel.analytic_b, kernel.analytic_sigma) if analytic else (kernel, kernel)
+    kn = [knorm_eps(kb, "b", 1.0, float(eps)) + knorm_eps(ks, "sigma", 2.0, float(eps))
+          for eps in eps_arr]
 
     rows = []
     norms = {k: [] for k in NORM_KEYS}
     dj_rows = []
-    for eps, k_eps in zip(eps_arr, kn):
-        spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
-        bundle = simulate_variation_bundle(coeffs, kernel, u_hat, spike, xi, ens,
-                                           x_hat=x_hat, p_norm=p_norm)
+    for bundle, k_eps in zip(bundles, kn):
         dj, dj_se = bundle.delta_j12()
         dj_rows.append((bundle.eps_snapped, dj, dj_se))
         for k in NORM_KEYS:
@@ -344,4 +338,4 @@ def remainder_rates(
         dj_fit = {"eps_slope": f["slope"], "r2": f["r2"], "se_slope": f["se_slope"]}
 
     return {"rows": rows, "fits": fits, "eps": eps_arr, "knorm": np.asarray(kn),
-            "delta_j12": dj_rows, "delta_j12_fit": dj_fit}
+            "delta_j12": dj_rows, "delta_j12_fit": dj_fit, "bundles": bundles}

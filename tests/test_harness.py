@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from volterra_smp.harness import (ConfigError, read_result_table, resolve_config,
+from volterra_smp.harness import (ConfigError, _applies, read_result_table, resolve_config,
                                   run_experiment, write_results)
 
 SMALL = {
@@ -126,3 +126,19 @@ def test_cli_rejects_bad_config(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_cli_duality_on_regression_path_fails_closed(tmp_path):
+    raw = {"grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
+           "problem": {"name": "bilinear_lq"}, "solver": {"lsmc": True}}
+    ok, why = _applies("duality", resolve_config(raw))
+    assert not ok and "regression" in why
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_smp.cli", "duality",
+         "--config", str(cfg_file), "--out", str(tmp_path / "res")],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "duality/" in proc.stdout

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from volterra_smp.coefficients import ControlPath, StructuralTags, _scalar_problem
+from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
+                                      StructuralTags, _scalar_problem)
 from volterra_smp.grids import TimeGrid
-from volterra_smp.kernels import AnalyticKernel, build_fractional_lift, constant_kernel
+from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
+                                  constant_kernel)
 from volterra_smp.simulate import (cnorm, euler_maruyama, sample_brownian,
                                    simulate_lift, simulate_sve, volterra_convolve)
 
@@ -159,3 +161,41 @@ def test_moment_stability_across_refinement(bilinear, frac_kernel):
         vals.append(cnorm(X, 2))
     assert max(vals) < 5.0 * (0.3 + 1.0)  # no blow-up across step refinement
     assert max(vals) / min(vals) < 1.5
+
+
+def test_vector_lift_matches_direct(grid):
+    # n = 2 atoms with non-diagonal factors: the aggregated lift equals the
+    # direct recursion for every state component
+    rng = np.random.default_rng(3)
+    kern = DiscreteLaplaceKernel(nodes=[0.0, 0.5, 4.0, 30.0], weights=[0.2, 0.3, 0.5, 0.4],
+                                 mb=rng.normal(size=(4, 2, 2)),
+                                 msigma=rng.normal(size=(4, 2, 2)))
+    A = np.array([[-0.5, 0.3], [0.2, -0.8]])
+    none = lambda *a: None
+    coeffs = CoefficientSet(
+        dim=2, du=1,
+        b=lambda t, u, x: x @ A.T + 0.2 * np.sin(x) + u,
+        sigma=lambda t, u, x: 0.3 + 0.1 * np.cos(x[:, ::-1]),
+        f=none, h=none, b_x=none, sigma_x=none, f_x=none, h_x=none,
+        b_xx=none, sigma_xx=none, f_xx=none, h_xx=none,
+        control_domain=ControlDomain(np.zeros((1, 1))))
+    e = sample_brownian(grid, 32, 8)
+    u = ControlPath.constant(0.1, grid)
+    xi = np.array([0.4, -0.2])
+    Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
+    Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
+    assert Xl.shape == (32, grid.n_steps + 1, 2)
+    assert np.max(np.abs(Xl - Xd)) <= 1e-10
+    Y, X = simulate_lift(coeffs, u, kern, xi, e, self_test=False)
+    assert np.array_equal(X, Xl)
+    assert np.allclose(np.einsum("k,pmki->pmi", kern.weights, Y) + xi, Xl, rtol=0, atol=1e-14)
+
+
+def test_lift_guard_names_step_and_paths(grid, delta_kernel):
+    pr = autonomous(lambda t, u, x: 1e3 * x * x, lambda t, u, x: 0.0 * x,
+                    bx=lambda t, u, x: 2e3 * x)
+    e = sample_brownian(grid, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite state at step \d+; first bad paths \[0, 1, 2, 3\]"):
+            simulate_sve(pr, ControlPath.constant(0.0, grid), delta_kernel, 1.0, e, mode="lift")

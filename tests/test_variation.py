@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from volterra_smp.coefficients import ControlPath, make_problem
+from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_problem,
+                                      make_problem)
+from volterra_smp.kernels import build_fractional_lift
 from volterra_smp.simulate import sample_brownian, simulate_sve, volterra_convolve
-from volterra_smp.variation import (SpikeSpec, apply_spike, compute_j12,
+from volterra_smp.variation import (NORM_KEYS, SpikeSpec, apply_spike, compute_j12,
                                     remainder_rates, simulate_variation_bundle,
                                     simulate_variational)
 
@@ -128,3 +130,78 @@ def test_rates_zero_case_reported(grid, bilinear, frac_kernel):
     res = remainder_rates(bilinear, frac_kernel, u, u, 0.25,
                           [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5], 0.3, e)
     assert all(res["fits"][q]["exact_zero"] for q in res["fits"])
+
+
+def _kernel(name, delta_kernel):
+    if name == "K1":
+        return delta_kernel
+    return build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32, alpha=1 / 3)
+
+
+def _rel(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+
+
+@pytest.mark.parametrize("nodes", ["K1", "K32"])
+def test_sweep_matches_per_eps_bundles(grid, bilinear, delta_kernel, nodes):
+    kern = _kernel(nodes, delta_kernel)
+    e = sample_brownian(grid, 200, 21)
+    u = ControlPath.constant(0.1, grid)
+    v = ControlPath.constant(1.0, grid)
+    res = remainder_rates(bilinear, kern, u, v, 0.25, [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5],
+                          0.3, e)
+    assert len(res["bundles"]) == 4
+    for b in res["bundles"]:
+        one = simulate_variation_bundle(bilinear, kern, u, b.spike, 0.3, e)
+        assert b.eps_snapped == one.eps_snapped
+        for k in NORM_KEYS:
+            assert _rel(b.norms[k], one.norms[k]) <= 1e-13
+        assert _rel(b.j12_terms, one.j12_terms) <= 1e-13
+        assert _rel(b.cost_increment, one.cost_increment) <= 1e-13
+        assert b.terminal.keys() == one.terminal.keys()
+        for k in b.terminal:
+            assert _rel(b.terminal[k], one.terminal[k]) <= 1e-13
+
+
+@pytest.mark.parametrize("nodes", ["K1", "K32"])
+def test_store_tables_zero_before_spike(grid, bilinear, delta_kernel, nodes):
+    kern = _kernel(nodes, delta_kernel)
+    e = sample_brownian(grid, 50, 22)
+    u = ControlPath.constant(0.1, grid)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
+    j0, _ = spike.window(grid)
+    b = simulate_variation_bundle(bilinear, kern, u, spike, 0.3, e, store=True)
+    for k in ("dX", "X1", "X2"):
+        assert np.all(b.tables[k][:, :j0 + 1] == 0.0)
+        assert np.any(b.tables[k][:, j0 + 1:] != 0.0)
+    x_hat = simulate_sve(bilinear, u, kern, 0.3, e, mode="lift")
+    assert np.array_equal(b.terminal["Xhat_T"], x_hat[:, -1, 0])
+
+
+def test_bundle_rejects_foreign_reference_state(grid, bilinear, frac_kernel):
+    e = sample_brownian(grid, 16, 23)
+    u = ControlPath.constant(0.1, grid)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
+    x_other = simulate_sve(bilinear, u, frac_kernel, 0.5, e)
+    with pytest.raises(ValueError, match="reference state"):
+        simulate_variation_bundle(bilinear, frac_kernel, u, spike, 0.3, e, x_hat=x_other)
+
+
+def test_spike_cosimulation_guard_names_step(grid, delta_kernel):
+    # b = u x^2: the reference (u = 0) stays put, the spiked state blows up
+    zero = lambda *a: 0.0
+    pr = _scalar_problem("explode", lambda t, u, x: 1e3 * u * x * x, zero, zero,
+                         lambda x: 0.0 * x, lambda t, u, x: 2e3 * u * x, zero, zero,
+                         lambda x: 0.0, lambda t, u, x: 2e3 * u, zero, zero,
+                         lambda x: 0.0, (0.0, 1.0), StructuralTags(), 1.0)
+    e = sample_brownian(grid, 8, 24)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
+    j0, j1 = spike.window(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite state at step") as err:
+            simulate_variation_bundle(pr, delta_kernel, ControlPath.constant(0.0, grid),
+                                      spike, 1.0, e)
+    step = int(str(err.value).split("step ")[1].split(";")[0])
+    assert j0 < step <= j1
+    assert "first bad paths [0, 1, 2, 3, 4]" in str(err.value)
