@@ -19,14 +19,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc
 
 from .grids import TimeGrid
+from .kernels import step_decay_weight
 from .simulate import BrownianEnsemble
-
-
-def omega_weight(kappa: float, dt: float) -> float:
-    """(1 - exp(-kappa dt)) / kappa, with the theta = 0 limit dt."""
-    if kappa == 0.0:
-        return dt
-    return float(-np.expm1(-kappa * dt) / kappa)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ def solve_bsde_closedform(inst: BSDEInstance, ens: BrownianEnsemble | None = Non
     N, dt = grid.n_steps, grid.dt
     kappa = inst.kappa
     damp = np.exp(-kappa * (grid.T - grid.t))
-    om = omega_weight(kappa, dt)
+    om = float(step_decay_weight(kappa, dt))
     dec = np.exp(-kappa * dt)
     tail = np.zeros(N + 1)
     for m in range(N - 1, -1, -1):
@@ -109,7 +103,7 @@ def martingale_check(p: np.ndarray, q: np.ndarray, generator: np.ndarray,
     grid = ens.grid
     t = grid.t
     disc = np.exp(-kappa * t)
-    om = omega_weight(kappa, grid.dt)
+    om = float(step_decay_weight(kappa, grid.dt))
     if p.ndim == 1:
         p = np.broadcast_to(p, (ens.n_paths, p.size))
     if q.ndim == 1:
@@ -196,7 +190,7 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     if terminal is None:
         terminal = inst.terminal_values(ens)
     dec = float(np.exp(-inst.kappa * dt))
-    om = omega_weight(inst.kappa, dt)
+    om = float(step_decay_weight(inst.kappa, dt))
 
     p = np.empty((paths, N + 1))
     q = np.zeros((paths, N + 1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsee import AdjointSolution, _det_coeff_tables, contract_pair_right, theta_grid_from_kernel
+from .bsee import AdjointSolution, _det_coeff_tables, contract_pair_right
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, step_decay_weight
 from .simulate import BrownianEnsemble
@@ -87,6 +87,16 @@ def _kernel_scalar_tables(kernel: DiscreteLaplaceKernel, grid: TimeGrid, which: 
     return kpt, lint
 
 
+def _lag_sums(L: np.ndarray, g: np.ndarray, stop: int) -> np.ndarray:
+    """S[m] = sum_{k=m}^{stop-1} L[k-m] . g[k], m = 0..stop, for a lag table L and
+    a grid table g; "." contracts L's trailing axes with g's next ones.  One dot
+    per m, so scalar tables reproduce the per-point np.dot bit for bit."""
+    out = np.zeros((stop + 1,) + g.shape[L.ndim:])
+    for m in range(stop):
+        out[m] = np.tensordot(L[:stop - m], g[m:stop], axes=L.ndim)
+    return out
+
+
 def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
                          ens: BrownianEnsemble | None = None) -> dict:
     """Max-abs residuals of the two Volterra-form equations over the grid."""
@@ -98,33 +108,29 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
 
     if tuple_.deterministic:
-        res1 = 0.0
-        res2 = 0.0
-        for m in range(N + 1):
-            tail = float(np.dot(kb_int[:N - m], tuple_.p2_0[m:N])) if m < N else 0.0
-            rhs = (-fx[m] + bx[m] * kb_pt[N - m] * tuple_.p1_0[m]
-                   + sx[m] * ks_pt[N - m] * tuple_.q1[m] + bx[m] * tail)
-            res2 = max(res2, abs(tuple_.p2_0[m] - rhs))
-        return {"res_line1": res1, "res_line2": res2}
+        rhs = (-fx + bx * kb_pt[::-1] * tuple_.p1_0 + sx * ks_pt[::-1] * tuple_.q1
+               + bx * _lag_sums(kb_int, tuple_.p2_0, N))
+        return {"res_line1": 0.0, "res_line2": float(np.max(np.abs(tuple_.p2_0 - rhs)))}
 
     if ens is None:
         raise ValueError("affine residuals need the ensemble")
     Z = tuple_.Z.values
-    res1 = 0.0
-    res2 = 0.0
+    # the generator tail sum_{k>=m} of the affine field splits into three
+    # scalar lag sums: drift on E[p2], drift on the Z slope, diffusion on q2
+    tail0 = bx * _lag_sums(kb_int, tuple_.p2_0, N)
+    tail1 = bx * _lag_sums(kb_int, tuple_.p2_1, N)
+    tailq = sx * tuple_.q2_vol * _lag_sums(ks_int, tuple_.p2_1, N)
     terminal = tuple_.p1_0[N] + tuple_.p1_1[N] * Z[:, N]
-    for m in range(N + 1):
+    mart = np.zeros(ens.n_paths)  # sum_{k>=m} q1_k dW_k, accumulated backwards
+    res1 = res2 = 0.0
+    for m in range(N, -1, -1):
+        if m < N:
+            mart += tuple_.q1[m] * ens.dW[:, m]
         p1_m = tuple_.p1_0[m] + tuple_.p1_1[m] * Z[:, m]
-        mart = np.sum(tuple_.q1[None, m:N] * ens.dW[:, m:], axis=1) if m < N else 0.0
         res1 = max(res1, float(np.max(np.abs(p1_m - (terminal - mart)))))
         p2_m = tuple_.p2_0[m] + tuple_.p2_1[m] * Z[:, m]
-        tail = np.zeros(ens.n_paths)
-        for k in range(m, N):
-            e_p2 = tuple_.p2_0[k] + tuple_.p2_1[k] * Z[:, m]
-            q2 = tuple_.p2_1[k] * tuple_.q2_vol[m]
-            tail += bx[m] * kb_int[k - m] * e_p2 + sx[m] * ks_int[k - m] * q2
-        rhs = (-fx[m] + bx[m] * kb_pt[N - m] * p1_m
-               + sx[m] * ks_pt[N - m] * tuple_.q1[m] + tail)
+        rhs = (-fx[m] + bx[m] * kb_pt[N - m] * p1_m + sx[m] * ks_pt[N - m] * tuple_.q1[m]
+               + tail0[m] + tail1[m] * Z[:, m] + tailq[m])
         res2 = max(res2, float(np.max(np.abs(p2_m - rhs))))
     return {"res_line1": res1, "res_line2": res2}
 
@@ -133,17 +139,18 @@ def m_constraint_residual_first(tuple_: BSVIEFirstTuple, ens: BrownianEnsemble) 
     """Residual of p2(s) = E[p2(s)] + int_0^s q2(s, t) dW_t (and p1 likewise)."""
     if tuple_.deterministic:
         return 0.0
-    grid = tuple_.grid
-    N = grid.n_steps
+    N = tuple_.grid.n_steps
     Z = tuple_.Z.values
-    z0 = float(Z[0, 0])
+    lvl0 = np.stack([tuple_.p2_0, tuple_.p1_0])[:, :, None]  # (2, N+1, 1)
+    lvl1 = np.stack([tuple_.p2_1, tuple_.p1_1])[:, :, None]
+    mart = np.zeros(ens.n_paths)  # sum_{t<s} vol_t dW_t, accumulated forwards
     worst = 0.0
     for s in range(N + 1):
-        for lvl0, lvl1 in ((tuple_.p2_0, tuple_.p2_1), (tuple_.p1_0, tuple_.p1_1)):
-            val = lvl0[s] + lvl1[s] * Z[:, s]
-            mart = np.sum((lvl1[s] * tuple_.q2_vol[None, :s]) * ens.dW[:, :s], axis=1) \
-                if s > 0 else 0.0
-            worst = max(worst, float(np.max(np.abs(val - (lvl0[s] + lvl1[s] * z0) - mart))))
+        if s > 0:
+            mart += tuple_.q2_vol[s - 1] * ens.dW[:, s - 1]
+        val = lvl0[:, s] + lvl1[:, s] * Z[:, s]
+        dev = val - (lvl0[:, s] + lvl1[:, s] * Z[0, 0]) - lvl1[:, s] * mart
+        worst = max(worst, float(np.max(np.abs(dev))))
     return worst
 
 
@@ -151,17 +158,11 @@ def reconstruct_first_field(tuple_: BSVIEFirstTuple, kernel: DiscreteLaplaceKern
                             grid: TimeGrid) -> np.ndarray:
     """Rebuild the decay-grid field from the tuple (deterministic regime):
     p_rec_m(theta) = e^{-theta (T-t_m)} p1_m + sum_k omega e^{-theta (t_k-t_m)} p2_k."""
-    tg = theta_grid_from_kernel(kernel)
-    N, dt = grid.n_steps, grid.dt
-    th = tg.nodes
+    th, N, dt = kernel.nodes, grid.n_steps, grid.dt
     om = step_decay_weight(th, dt)
-    P = np.zeros((N + 1, tg.size))
-    for m in range(N + 1):
-        P[m] = np.exp(-th * (grid.T - grid.t[m])) * tuple_.p1_0[m]
-        if m < N:
-            offs = np.arange(N - m)
-            damp = np.exp(-np.outer(th, offs * dt))
-            P[m] += om * (damp @ tuple_.p2_0[m:N])
+    P = np.exp(-th[None, :] * (grid.T - grid.t)[:, None]) * tuple_.p1_0[:, None]
+    for m in range(N):
+        P[m] += om * (np.exp(-np.outer(th, np.arange(N - m) * dt)) @ tuple_.p2_0[m:N])
     return P
 
 
@@ -181,35 +182,41 @@ class BSVIESecondTuple:
     sP: dict                # r_index -> (N+1, K)
 
 
-def _solve_coupled_theta_field(kernel: DiscreteLaplaceKernel, grid: TimeGrid,
-                               phi: np.ndarray, bx: np.ndarray,
-                               stop_index: int | None = None):
-    """Backward scalar decay-grid field with generator g_m = bx_m mu[Mb p_m].
+def _solve_coupled_theta_fields(kernel: DiscreteLaplaceKernel, grid: TimeGrid,
+                                phi: np.ndarray, stops: np.ndarray, bx: np.ndarray):
+    """Backward scalar decay-grid fields with generator g_m = bx_m mu[Mb p_m].
 
-    The generator is theta-free, so the implicit left-point step reduces to
-    one scalar solve per step.  Returns (field (N+1, K), generator (N+1,)).
+    Row i runs from phi[i] at grid index stops[i] back to 0, all rows in one
+    sweep; the generator is theta-free, so the implicit left-point step is
+    one scalar solve per row.  Returns fields (R, N+1, K), generators (R, N+1).
     """
-    tg = theta_grid_from_kernel(kernel)
-    th = tg.nodes
-    wmb = tg.mu_weights * kernel.mb[:, 0, 0]
-    N = grid.n_steps if stop_index is None else int(stop_index)
-    dt = grid.dt
+    th = kernel.nodes
+    wmb = kernel.weights * kernel.mb[:, 0, 0]
+    N, dt = grid.n_steps, grid.dt
     dec = np.exp(-th * dt)
     om = step_decay_weight(th, dt)
     c1 = float(wmb @ om)
-    P = np.zeros((grid.n_steps + 1, tg.size))
-    G = np.zeros(grid.n_steps + 1)
-    P[N] = phi
-    G[N] = bx[N] * float(wmb @ P[N])  # terminal limit of the generator
-    for m in range(N - 1, -1, -1):
-        base = dec * P[m + 1]
-        denom = 1.0 - bx[m] * c1
-        if abs(denom) < 1e-12:
-            raise ZeroDivisionError("degenerate implicit step in decay-grid solve")
-        g = bx[m] * float(wmb @ base) / denom
-        P[m] = base + om * g
-        G[m] = g
+    P = np.zeros((len(stops), N + 1, th.size))
+    G = np.zeros((len(stops), N + 1))
+    for m in range(N, -1, -1):
+        start, live = stops == m, stops > m
+        P[start, m] = phi[start]
+        G[start, m] = bx[m] * (phi[start] @ wmb)  # terminal limit of the generator
+        if live.any():
+            denom = 1.0 - bx[m] * c1
+            if abs(denom) < 1e-12:
+                raise ZeroDivisionError("degenerate implicit step in decay-grid solve")
+            base = dec * P[live, m + 1]
+            G[live, m] = bx[m] * (base @ wmb) / denom
+            P[live, m] = base + om * G[live, m][:, None]
     return P, G
+
+
+def _r_terminals(kernel: DiscreteLaplaceKernel, adjoints: AdjointSolution,
+                 P3: np.ndarray, bx: np.ndarray, r_idx: np.ndarray) -> np.ndarray:
+    """Terminals phi_r = P3_r + mu[P_r(., theta) Mb] bx_r of the r-family solves: (R, K)."""
+    row = contract_pair_right(kernel, "b", adjoints.second.P[r_idx])[:, :, 0, 0]
+    return P3[r_idx, None] + row * bx[r_idx, None]
 
 
 def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
@@ -238,24 +245,42 @@ def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
     bx, sx, _, fxx = _det_coeff_tables(coeffs, adjoints.u_hat, grid)
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
-    tg = adjoints.tgrid
+    P3 = -fxx + sx * adjoints.Rss[:, 0, 0] * sx
+    # one sweep for the auxiliary field (terminal -h_xx at T) and the r-family
+    phi = np.vstack([np.full(kernel.n_nodes, -hxx), _r_terminals(kernel, adjoints, P3, bx, r_idx)])
+    fields, gens = _solve_coupled_theta_fields(kernel, grid, phi, np.r_[N, r_idx], bx)
+    keys = r_idx.tolist()
+    return BSVIESecondTuple(grid=grid, P1=np.full(N + 1, -hxx), P2=gens[0], P3=P3,
+                            r_indices=r_idx, P4=dict(zip(keys, gens[1:])), calP=fields[0],
+                            sP=dict(zip(keys, fields[1:])))
 
-    P1 = np.full(N + 1, -hxx)
-    calP, P2 = _solve_coupled_theta_field(kernel, grid, np.full(tg.size, -hxx), bx)
 
-    Rss = adjoints.Rss[:, 0, 0]
-    P3 = -fxx + sx * Rss * sx
+def _lag_decay(th: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """e^{-theta d dt} for the lags d = 0..n-1, shape (n, K)."""
+    return np.exp(-th[None, :] * np.arange(n)[:, None] * dt)
 
-    P4 = {}
-    sP = {}
-    for ri in (int(i) for i in r_idx):
-        row = contract_pair_right(kernel, "b", adjoints.second.P[ri])[:, 0, 0]  # (K,)
-        phi_r = P3[ri] + row * bx[ri]
-        sPr, Gr = _solve_coupled_theta_field(kernel, grid, phi_r, bx, stop_index=ri)
-        P4[ri] = Gr
-        sP[ri] = sPr
-    return BSVIESecondTuple(grid=grid, P1=P1, P2=P2, P3=P3, r_indices=r_idx,
-                            P4=P4, calP=calP, sP=sP)
+
+def _r_family_table(tuple2: BSVIESecondTuple) -> np.ndarray:
+    """Q[r, k] = P4(r, k) for k < r; rows off the r-family are zero."""
+    n = tuple2.grid.n_steps + 1
+    Q = np.zeros((n, n))
+    Q[tuple2.r_indices] = np.stack([tuple2.P4[int(r)] for r in tuple2.r_indices])
+    return np.tril(Q, -1)
+
+
+def _side_table(tuple2: BSVIESecondTuple, th: np.ndarray) -> np.ndarray:
+    """One-slot generator part of the pair field, (N+1, K): S_k = e^{-theta (T-t_k)} P2_k
+    + omega(theta) sum_{s>k} e^{-theta (t_s-t_k)} P4(s, k), the tail with the full r-family."""
+    grid = tuple2.grid
+    N, dt = grid.n_steps, grid.dt
+    side = np.exp(-th[None, :] * (grid.T - grid.t)[:, None]) * tuple2.P2[:, None]
+    if set(int(i) for i in tuple2.r_indices) == set(range(1, N + 1)):
+        Q = _r_family_table(tuple2)
+        # skew Q so that row j holds the lag-j diagonal: D[j, k] = Q[k + j, k]
+        s = np.arange(N + 1)[:, None] + np.arange(N + 1)[None, :]
+        D = np.where(s <= N, Q[np.minimum(s, N), np.arange(N + 1)], 0.0)
+        side = side + step_decay_weight(th, dt) * (D.T @ _lag_decay(th, dt, N + 1))
+    return side
 
 
 def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
@@ -275,54 +300,38 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
-    ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
-    tg = theta_grid_from_kernel(kernel)
-    th = tg.nodes
-    w = tg.mu_weights
-    mb = kernel.mb[:, 0, 0]
-    ms = kernel.msigma[:, 0, 0]
+    ks_pt, _ = _kernel_scalar_tables(kernel, grid, "sigma")
+    th = kernel.nodes
+    wmb = kernel.weights * kernel.mb[:, 0, 0]
+    wms = kernel.weights * kernel.msigma[:, 0, 0]
+    r_idx = tuple2.r_indices
 
     res1 = float(np.max(np.abs(tuple2.P1 + hxx)))
 
-    res2 = 0.0
-    for m in range(N + 1):
-        tail = float(np.dot(kb_int[:N - m], tuple2.P2[m:N])) if m < N else 0.0
-        rhs = bx[m] * (kb_pt[N - m] * tuple2.P1[m] + tail)
-        res2 = max(res2, abs(tuple2.P2[m] - rhs))
+    rhs2 = bx * (kb_pt[::-1] * tuple2.P1 + _lag_sums(kb_int, tuple2.P2, N))
+    res2 = float(np.max(np.abs(tuple2.P2 - rhs2)))
 
-    # eq4: the r-family generator against its terminal/tail expansion.
-    res4 = 0.0
-    for ri in (int(i) for i in tuple2.r_indices):
-        row = contract_pair_right(kernel, "b", adjoints.second.P[ri])[:, 0, 0]
-        for m in range(0, ri):
-            damp = np.exp(-th * (ri - m) * dt)
-            head = float((w * mb * damp) @ (tuple2.P3[ri] + row * bx[ri]))
-            tail = float(np.dot(kb_int[:ri - m], tuple2.P4[ri][m:ri]))
-            rhs = bx[m] * (head + tail)
-            res4 = max(res4, abs(tuple2.P4[ri][m] - rhs))
+    # eq4, m < r: P4(r, m) = bx_m (mu[Mb e^{-theta (r-m) dt}] phi_r + sum_{k<r} L_b(k-m) P4(r, k))
+    phi = _r_terminals(kernel, adjoints, tuple2.P3, bx, r_idx)
+    head = (_lag_decay(th, dt, N + 1) * wmb) @ phi.T               # (lag, R)
+    lag = r_idx[None, :] - np.arange(N + 1)[:, None]               # (m, R): r - m
+    live = lag > 0
+    P4 = _r_family_table(tuple2)[r_idx].T                          # (m, R)
+    rhs4 = bx[:, None] * (head[np.where(live, lag, 0), np.arange(r_idx.size)]
+                          + _lag_sums(kb_int, P4, N))
+    res4 = float(np.max(np.abs(P4 - rhs4), where=live, initial=0.0))
 
-    # eq3: risk-contraction expansion (exact when P2 = P4 = 0).
+    # eq3: risk-contraction expansion (exact when P2 = P4 = 0), with the lag tables
+    # U[d] = (omega(varpi) e^{-varpi d dt}) wms: acc_m = Ks(T-t_m)^2 P1_m
+    # + sum_{k>=m} ((wms.U[k-m]) P3_k + 2 (wms S_k).U[k-m]), S the one-slot part.
     varpi = th[:, None] + th[None, :]
     om2 = step_decay_weight(varpi.reshape(-1), dt).reshape(varpi.shape)
-    wms = w * ms
-    full = set(int(i) for i in tuple2.r_indices) == set(range(1, N + 1))
-    res3 = 0.0
-    eval_pts = sorted(set([0] + [int(i) for i in tuple2.r_indices if i < N]))
-    for m in eval_pts:
-        acc = ks_pt[N - m] ** 2 * tuple2.P1[m]
-        for k in range(m, N):
-            pair_w = float(wms @ (om2 * np.exp(-varpi * ((k - m) * dt))) @ wms)
-            mix_w = float((wms * np.exp(-th * (grid.T - grid.t[k])))
-                          @ (om2 * np.exp(-varpi * ((k - m) * dt))) @ wms)
-            acc += pair_w * tuple2.P3[k] + 2.0 * mix_w * tuple2.P2[k]
-            if full:
-                omth = step_decay_weight(th, dt)
-                for si in range(k + 1, N + 1):
-                    p4_w = float((wms * omth * np.exp(-th * (si - k) * dt))
-                                 @ (om2 * np.exp(-varpi * ((k - m) * dt))) @ wms)
-                    acc += 2.0 * p4_w * tuple2.P4[si][k]
-        rhs3 = -fxx[m] + sx[m] * acc * sx[m]
-        res3 = max(res3, abs(tuple2.P3[m] - rhs3))
+    U = (om2 * np.exp(-varpi * (np.arange(N) * dt)[:, None, None])) @ wms   # (N, K)
+    acc = (ks_pt[::-1] ** 2 * tuple2.P1 + _lag_sums(U @ wms, tuple2.P3, N)
+           + 2.0 * _lag_sums(U, wms * _side_table(tuple2, th), N))
+    rhs3 = -fxx + sx * acc * sx
+    eval_pts = np.union1d([0], r_idx[r_idx < N])
+    res3 = float(np.max(np.abs(tuple2.P3[eval_pts] - rhs3[eval_pts])))
 
     return {"res_eq1": res1, "res_eq2": res2, "res_eq3": res3, "res_eq4": res4}
 
@@ -330,31 +339,19 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
 def reconstruct_second_field(tuple2: BSVIESecondTuple, kernel: DiscreteLaplaceKernel) -> np.ndarray:
     """Rebuild the pair field from the tuple by recomposing its generator.
 
-    G^V_k(i, j) = P3_k + e^{-th_i (T-t_k)} P2_k + e^{-th_j (T-t_k)} P2_k
-                  + sum_{s>k} omega(th) e^{-th (t_s-t_k)} P4(s, k) (both slots);
+    G^V_k(i, j) = P3_k + S_k(th_i) + S_k(th_j) with the one-slot part
+    S_k = e^{-th (T-t_k)} P2_k + sum_{s>k} omega(th) e^{-th (t_s-t_k)} P4(s, k);
     exact when the couplings vanish (G^V = P3); needs the full r-family and
     holds at O(dt) otherwise.
     """
-    grid = tuple2.grid
-    N, dt = grid.n_steps, grid.dt
-    tg = theta_grid_from_kernel(kernel)
-    th = tg.nodes
-    K = tg.size
+    N, th = tuple2.grid.n_steps, kernel.nodes
     varpi = th[:, None] + th[None, :]
-    dec2 = np.exp(-varpi * dt)
-    om2 = step_decay_weight(varpi.reshape(-1), dt).reshape(varpi.shape)
-    omth = step_decay_weight(th, dt)
-    full = set(int(i) for i in tuple2.r_indices) == set(range(1, N + 1))
-    P = np.zeros((N + 1, K, K))
+    om2 = step_decay_weight(varpi.reshape(-1), tuple2.grid.dt).reshape(varpi.shape)
+    dec2 = np.exp(-varpi * tuple2.grid.dt)
+    side = _side_table(tuple2, th)
+    G = tuple2.P3[:, None, None] + side[:, :, None] + side[:, None, :]
+    P = np.zeros((N + 1,) + varpi.shape)
     P[N] = tuple2.P1[N]
     for m in range(N - 1, -1, -1):
-        eb = np.exp(-th * (grid.T - grid.t[m]))
-        Gm = np.full((K, K), tuple2.P3[m])
-        Gm += eb[:, None] * tuple2.P2[m] + eb[None, :] * tuple2.P2[m]
-        if full:
-            acc = np.zeros(K)
-            for si in range(m + 1, N + 1):
-                acc += omth * np.exp(-th * (si - m) * dt) * tuple2.P4[si][m]
-            Gm += acc[:, None] + acc[None, :]
-        P[m] = dec2 * P[m + 1] + om2 * Gm
+        P[m] = dec2 * P[m + 1] + om2 * G[m]
     return P

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bsde import (BSDEInstance, apriori_ratio, lsmc_relative_error,
                    martingale_check, solve_bsde_closedform)
-from .bsee import assemble_adjoints
+from .bsee import PicardError, assemble_adjoints
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
@@ -168,9 +168,18 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     from .coefficients import PROBLEMS
     if blocks["problem"]["name"] not in PROBLEMS:
         raise ConfigError(f"problem.name: bad enum value {blocks['problem']['name']!r}")
-    if blocks["grid"]["n_steps"] < 2 or blocks["grid"]["n_paths"] < 1:
-        raise ConfigError("grid.n_steps >= 2 and grid.n_paths >= 1 required")
-    return ExperimentConfig(seed=seed, **blocks)
+    for key, low in (("n_steps", 2), ("n_paths", 1)):
+        val = blocks["grid"][key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            raise ConfigError(f"grid.{key} must be an integer >= {low}, got {val!r}")
+    config = ExperimentConfig(seed=seed, **blocks)
+    try:
+        config.make_grid()
+        config.make_kernel()
+        config.make_problem()
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid grid, kernel or problem: {exc}") from exc
+    return config
 
 
 @dataclass
@@ -688,20 +697,25 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
     return True, ""
 
 
+def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> ExperimentResult:
+    """One experiment: skipped with the reason where it does not apply, and a
+    failed ``solver`` check when a solve does not contract or goes non-finite."""
+    ok, why = _applies(name, config)
+    if not ok:
+        return ExperimentResult(name, {}, [("skipped", True, why)])
+    try:
+        return RUNNERS[name](config, **runner_kwargs)
+    except (PicardError, FloatingPointError) as exc:
+        return ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
+
+
 def run_experiment(name: str, config: ExperimentConfig, **runner_kwargs) -> dict:
     """Run one experiment (or all applicable ones); returns name -> result."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     if name != "all":
-        return {name: RUNNERS[name](config, **runner_kwargs)}
-    results = {}
-    for exp in RUNNERS:
-        ok, why = _applies(exp, config)
-        if not ok:
-            results[exp] = ExperimentResult(exp, {}, [("skipped", True, why)])
-            continue
-        results[exp] = RUNNERS[exp](config)
-    return results
+        return {name: _run_one(name, config, **runner_kwargs)}
+    return {exp: _run_one(exp, config) for exp in RUNNERS}
 
 
 def write_results(results: dict, config: ExperimentConfig, out: Path) -> list:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bsvie_oracles as oracle
 from volterra_smp.bsee import assemble_adjoints
 from volterra_smp.bsvie import (BSVIEFirstTuple, bsee_to_bsvie_first, bsee_to_bsvie_second,
                                 bsvie_residual_first, bsvie_residual_second,
                                 m_constraint_residual_first, reconstruct_first_field,
                                 reconstruct_second_field)
 from volterra_smp.coefficients import ControlPath, make_problem
-from volterra_smp.kernels import constant_kernel, exponential_kernel
+from volterra_smp.grids import TimeGrid
+from volterra_smp.kernels import DiscreteLaplaceKernel, constant_kernel, exponential_kernel
 from volterra_smp.simulate import sample_brownian, simulate_sve
 
 
@@ -137,3 +140,48 @@ def test_second_bridge_zero_problem(grid, ens):
     assert np.max(np.abs(tup2.P3)) == 0.0
     res = bsvie_residual_second(tup2, pr, adj, k)
     assert max(res.values()) == 0.0
+
+
+PROPERTY_CASES = {
+    # problem -> (regression solve path, reference control, initial state)
+    "lq_linear_cost": (False, 0.3, 0.4),
+    "state_free_quadratic": (False, 0.2, 0.2),
+    "bilinear_lq": (True, 0.3, 0.4),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_nodes=st.integers(1, 6), n_steps=st.integers(4, 24),
+       name=st.sampled_from(sorted(PROPERTY_CASES)), r_subgrid=st.sampled_from(["full", 4, 6]),
+       zero_node=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_bridge_evaluators_match_loop_oracles(n_nodes, n_steps, name, r_subgrid, zero_node, seed):
+    # random regular atom kernels, with masses small enough for the adjoint
+    # Picard solves to contract on the coarsest grids: the lag-table
+    # contractions must reproduce the per-grid-point sums of the loop forms
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.uniform(0.2, 8.0, n_nodes))
+    if zero_node:
+        nodes -= nodes[0]
+    k = DiscreteLaplaceKernel(nodes=nodes, weights=rng.uniform(0.1, 1.0, n_nodes),
+                              mb=rng.uniform(0.1, 1.0, n_nodes),
+                              msigma=rng.uniform(0.1, 1.0, n_nodes))
+    lsmc, u_val, xi = PROPERTY_CASES[name]
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, 64, seed)
+    problem = make_problem(name)
+    uh, xh, adj = solve(problem, k, grid, e, u_val=u_val, xi=xi, lsmc=lsmc)
+
+    def close(new, ref):
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12)
+
+    tup = bsee_to_bsvie_first(adj, k)
+    new, ref = (f(tup, problem, uh, k, e) for f in (bsvie_residual_first,
+                                                     oracle.bsvie_residual_first))
+    close([new["res_line1"], new["res_line2"]], [ref["res_line1"], ref["res_line2"]])
+    close(m_constraint_residual_first(tup, e), oracle.m_constraint_residual_first(tup, e))
+
+    tup2 = bsee_to_bsvie_second(problem, adj, k, e, r_subgrid=r_subgrid)
+    new = bsvie_residual_second(tup2, problem, adj, k)
+    ref = oracle.bsvie_residual_second(tup2, problem, adj, k)
+    close([new[key] for key in sorted(ref)], [ref[key] for key in sorted(ref)])
+    close(reconstruct_second_field(tup2, k), oracle.reconstruct_second_field(tup2, k))

@@ -142,3 +142,38 @@ def test_cli_duality_on_regression_path_fails_closed(tmp_path):
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "duality/" in proc.stdout
+
+
+def _cli(tmp_path, experiment, raw):
+    from volterra_smp.cli import main
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    out = tmp_path / "res"
+    return main([experiment, "--config", str(cfg_file), "--out", str(out)]), out
+
+
+def test_cli_single_experiment_skips_inapplicable(tmp_path, capsys):
+    raw = {**SMALL, "grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
+           "problem": {"name": "bilinear_lq"}}
+    code, out = _cli(tmp_path, "adjoint", raw)
+    assert code == 0
+    assert "[PASS] adjoint/skipped: problem needs the regression solve path" in capsys.readouterr().out
+    check = json.loads((out / "summary.json").read_text())["adjoint"]["checks"][0]
+    assert check["name"] == "skipped" and "solver.lsmc" in check["detail"]
+
+
+@pytest.mark.parametrize("raw", [{"grid": {"T": -1}}, {"kernel": {"beta_b": 1.5}},
+                                 {"grid": {"n_paths": "10"}}],
+                         ids=["negative_horizon", "beta_b_out_of_range", "string_paths"])
+def test_cli_invalid_value_is_config_error(tmp_path, capsys, raw):
+    code, _ = _cli(tmp_path, "kernels", raw)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_solver_error_is_failed_check(tmp_path, capsys):
+    raw = {**SMALL, "grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
+           "solver": {"max_iter": 1}}
+    code, _ = _cli(tmp_path, "adjoint", raw)
+    assert code == 1
+    assert "[FAIL] adjoint/solver: PicardError: max_iter=1 exceeded" in capsys.readouterr().out
