@@ -10,6 +10,7 @@ first-order grid and varpi = theta_1 + theta_2 on the product grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +32,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n_steps
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        """Grid nodes, built once per grid and read-only."""
+        t = np.linspace(0.0, self.T, self.n_steps + 1)
+        t.flags.writeable = False
+        return t
 
     def index_of(self, time: float) -> int:
         j = int(round(time / self.dt))

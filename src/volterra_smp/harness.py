@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +32,7 @@ from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residual_first,
                            duality_residual_second, perturb_control)
-from .simulate import cnorm, sample_brownian, simulate_sve
+from .simulate import BrownianEnsemble, _xi_table, cnorm, sample_brownian, simulate_sve
 from .stats import fit_loglog
 from .variation import SpikeSpec, remainder_rates
 
@@ -126,8 +128,56 @@ class ExperimentConfig:
     def make_grid(self) -> TimeGrid:
         return TimeGrid(self.grid["T"], self.grid["n_steps"])
 
-    def make_ensemble(self, grid=None):
-        return sample_brownian(grid or self.make_grid(), self.grid["n_paths"], self.seed)
+    def make_ensemble(self) -> BrownianEnsemble:
+        """The config's Brownian ensemble.
+
+        Sampled on the first call and kept on this config object; every later
+        call returns the same ensemble, whose increments are read-only.
+        """
+        # the dataclass is frozen, so the memo goes straight into the instance dict
+        memo = self.__dict__.setdefault("_ensemble_memo", {"ens": None, "calls": 0})
+        if memo["ens"] is None:
+            ens = sample_brownian(self.make_grid(), self.grid["n_paths"], self.seed)
+            ens.dW.flags.writeable = False
+            memo["ens"] = ens
+        memo["calls"] += 1
+        return memo["ens"]
+
+    def ensemble_usage(self) -> tuple:
+        """(memoised ensemble or None, number of make_ensemble calls so far)."""
+        memo = self.__dict__.get("_ensemble_memo", {"ens": None, "calls": 0})
+        return memo["ens"], memo["calls"]
+
+
+def _integer(name: str, val, low: int, high: int | None = None) -> int:
+    if (isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer))
+            or val < low or (high is not None and val >= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ConfigError(f"{name} must be an integer {bound}, got {val!r}")
+    return int(val)
+
+
+def _is_real(val) -> bool:
+    """A finite number; a bool is not one here."""
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:      # an int beyond the float range
+        return False
+
+
+def _reals(val) -> bool:
+    """A finite number or a (nested) list of them."""
+    if isinstance(val, (list, tuple)):
+        return all(_reals(v) for v in val)
+    return _is_real(val)
+
+
+def _real(name: str, val, positive: bool = False) -> None:
+    if not _is_real(val) or (positive and val <= 0):
+        kind = "a positive" if positive else "a finite"
+        raise ConfigError(f"{name} must be {kind} number, got {val!r}")
 
 
 def resolve_config(source=None, **overrides) -> ExperimentConfig:
@@ -155,9 +205,11 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     blocks = {}
     for name in ("kernel", "problem", "grid", "spike", "solver"):
         blocks[name] = _merge_block(name, DEFAULTS[name], raw.get(name, {}))
-    seed = int(raw.get("seed", DEFAULTS["seed"]))
+    seed = raw.get("seed", DEFAULTS["seed"])
     if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
+        seed = overrides["seed"]
+    # seed + 1 seeds a second ensemble, and Philox keys are unsigned
+    seed = _integer("seed", seed, 0, 2 ** 63)
     if overrides.get("n_paths") is not None:
         blocks["grid"]["n_paths"] = int(overrides["n_paths"])
     if overrides.get("n_steps") is not None:
@@ -169,16 +221,34 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     if blocks["problem"]["name"] not in PROBLEMS:
         raise ConfigError(f"problem.name: bad enum value {blocks['problem']['name']!r}")
     for key, low in (("n_steps", 2), ("n_paths", 1)):
-        val = blocks["grid"][key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < low:
-            raise ConfigError(f"grid.{key} must be an integer >= {low}, got {val!r}")
+        _integer(f"grid.{key}", blocks["grid"][key], low)
+    spike, solver = blocks["spike"], blocks["solver"]
+    for key in ("tau", "u_hat", "v"):
+        _real(f"spike.{key}", spike[key])
+    eps_list = spike["eps_list"]
+    if not (isinstance(eps_list, (list, tuple)) and eps_list
+            and all(_is_real(e) and e > 0 for e in eps_list)):
+        raise ConfigError(f"spike.eps_list must be a non-empty list of positive numbers, "
+                          f"got {eps_list!r}")
+    _real("solver.tol", solver["tol"], positive=True)
+    _integer("solver.max_iter", solver["max_iter"], 1)
+    _integer("solver.basis_degree", solver["basis_degree"], 1)
+    if solver["r_subgrid"] != "full":
+        _integer("solver.r_subgrid", solver["r_subgrid"], 4)
+    if not isinstance(solver["lsmc"], bool):
+        raise ConfigError(f"solver.lsmc must be true or false, got {solver['lsmc']!r}")
+    if not _reals(solver["xi"]):
+        raise ConfigError(f"solver.xi must be a finite number or a list of them, "
+                          f"got {solver['xi']!r}")
     config = ExperimentConfig(seed=seed, **blocks)
     try:
-        config.make_grid()
+        grid = config.make_grid()
         config.make_kernel()
-        config.make_problem()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid grid, kernel or problem: {exc}") from exc
+        _xi_table(solver["xi"], grid, config.make_problem().dim)
+        for eps in eps_list:
+            SpikeSpec(tau=spike["tau"], eps=eps, v=None).window(grid)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid grid, kernel, problem, spike or solver.xi: {exc}") from exc
     return config
 
 
@@ -228,6 +298,10 @@ class ExperimentResult:
     tables: dict
     checks: list          # (check_name, passed: bool, detail: str)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # numpy comparisons give numpy.bool_, which JSON would write as 1.0
+        self.checks = [(name, bool(ok), detail) for name, ok, detail in self.checks]
 
     @property
     def passed(self) -> bool:
@@ -300,17 +374,15 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
 
 def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    t0 = time.time()
     kern = config.make_kernel()
     coeffs = config.make_problem()
     grid = config.make_grid()
-    ens = config.make_ensemble(grid)
+    ens = config.make_ensemble()
     u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
     xi = config.solver["xi"]
     X = simulate_sve(coeffs, u_hat, kern, xi, ens, mode="lift")
     checks = []
-    sub = min(ens.n_paths, 64)
-    ens_sub = sample_brownian(grid, sub, config.seed)
+    ens_sub = ens.first_paths(min(ens.n_paths, 64))
     Xl = simulate_sve(coeffs, u_hat, kern, xi, ens_sub, mode="lift", self_test=False)
     Xd = simulate_sve(coeffs, u_hat, kern, xi, ens_sub, mode="direct", self_test=False)
     dev = float(np.max(np.abs(Xl - Xd)))
@@ -324,10 +396,7 @@ def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     tables = {"states": ResultTable("states", ["path", "t", "X"], rows, prov)}
     summary = {"cnorm_p2": cnorm(X, 2.0), "cnorm_p4": cnorm(X, 4.0),
                "n_paths": ens.n_paths, "written_paths": cap}
-    # wall time goes to the timing sidecar, never into deterministic outputs
-    return ExperimentResult("simulate", tables, checks,
-                            extras={"summary": summary,
-                                    "timing": {"runtime_s": time.time() - t0}})
+    return ExperimentResult("simulate", tables, checks, extras={"summary": summary})
 
 
 def _rate_targets(config: ExperimentConfig, coeffs) -> dict:
@@ -351,7 +420,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     kern = config.make_kernel()
     coeffs = config.make_problem()
     grid = config.make_grid()
-    ens = config.make_ensemble(grid)
+    ens = config.make_ensemble()
     u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
     v = ControlPath.constant(config.spike["v"], grid, du=coeffs.du)
     eps_list = [e for e in config.spike["eps_list"] if round(e / grid.dt) >= 4]
@@ -410,7 +479,7 @@ def run_bsde_check(config: ExperimentConfig,
                    alpha: float | None = None) -> ExperimentResult:
     prov = _provenance(config)
     grid = config.make_grid()
-    ens = config.make_ensemble(grid)
+    ens = config.make_ensemble()
     rows = []
     checks = []
     instances = [
@@ -446,8 +515,9 @@ def run_bsde_check(config: ExperimentConfig,
     err = lsmc_relative_error(inst, ens, degree=config.solver["basis_degree"], mode="later")
     checks.append(("lsmc_affine_oracle", err <= 1e-3, f"relative error {err:.3e}"))
     rows_l = [("later", ens.n_paths, err)]
-    e_small = sample_brownian(grid, max(ens.n_paths // 4, 8), config.seed + 1)
-    e_big = sample_brownian(grid, ens.n_paths, config.seed + 1)
+    n_small = max(ens.n_paths // 4, 8)
+    e_all = sample_brownian(grid, max(ens.n_paths, n_small), config.seed + 1)
+    e_small, e_big = e_all.first_paths(n_small), e_all.first_paths(ens.n_paths)
     err_small = lsmc_relative_error(inst, e_small, degree=1, mode="now")
     err_big = lsmc_relative_error(inst, e_big, degree=1, mode="now")
     rows_l += [("now", e_small.n_paths, err_small), ("now", e_big.n_paths, err_big)]
@@ -463,7 +533,7 @@ def _adjoint_inputs(config: ExperimentConfig):
     kern = config.make_kernel()
     coeffs = config.make_problem()
     grid = config.make_grid()
-    ens = config.make_ensemble(grid)
+    ens = config.make_ensemble()
     u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
     x_hat = simulate_sve(coeffs, u_hat, kern, config.solver["xi"], ens)
     return kern, coeffs, grid, ens, u_hat, x_hat
@@ -549,8 +619,9 @@ def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> Exp
             ("second", "display", r2["display_mean"], r2["display_se"])]
 
     ses = []
+    e_all = sample_brownian(grid, max(path_sweep), config.seed)
     for n_paths in path_sweep:
-        e = sample_brownian(grid, n_paths, config.seed)
+        e = e_all.first_paths(n_paths)
         xh = simulate_sve(coeffs, u_hat, kern, xi, e, self_test=False)
         a = assemble_adjoints(coeffs, u_hat, xh, kern, e, tol=config.solver["tol"], lsmc=lsmc)
         rr = duality_residual_first(coeffs, spike, a, e, xh, xi=xi)
@@ -569,7 +640,7 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     kern = config.make_kernel()
     coeffs = config.make_problem()
     grid = config.make_grid()
-    ens = config.make_ensemble(grid)
+    ens = config.make_ensemble()
     xi = config.solver["xi"]
     checks = []
 
@@ -577,10 +648,12 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     x0 = simulate_sve(coeffs, u0, kern, xi, ens)
     adj0 = assemble_adjoints(coeffs, u0, x0, kern, ens, tol=1e-13)
     u_hat = construct_argmax_control(coeffs, adj0, grid)
+    del x0, adj0      # each adjoint is dropped once used: three alive at once set the RSS peak
     x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
     adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=1e-13)
     rep = check_variational_inequality(coeffs, u_hat, adj, coeffs.control_domain.points,
                                        ens, x_hat)
+    del adj
     checks.append(("argmax_control_passes", rep.passed,
                    f"min gap {rep.min_gap:.3e} at {rep.min_location}"))
     if coeffs.tags.sigma_control_free:
@@ -703,10 +776,19 @@ def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> Experiment
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
+    _, calls_before = config.ensemble_usage()
+    t0 = time.perf_counter()
     try:
-        return RUNNERS[name](config, **runner_kwargs)
+        res = RUNNERS[name](config, **runner_kwargs)
     except (PicardError, FloatingPointError) as exc:
-        return ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
+        res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
+    timing = res.extras.setdefault("timing", {})
+    timing["wall_s"] = time.perf_counter() - t0
+    ens, calls = config.ensemble_usage()
+    if calls > calls_before:
+        timing["ensemble"] = {"paths": ens.n_paths, "steps": ens.grid.n_steps,
+                              "from_memo": calls_before > 0}
+    return res
 
 
 def run_experiment(name: str, config: ExperimentConfig, **runner_kwargs) -> dict:

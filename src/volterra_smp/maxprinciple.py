@@ -26,7 +26,7 @@ from .coefficients import CoefficientSet, ControlPath
 from .grids import TimeGrid
 from .kernels import step_decay_weight
 from .simulate import BrownianEnsemble
-from .stats import fit_loglog, mc_mean_se
+from .stats import fit_loglog, mc_mean_se, mc_mean_se_rows
 from .variation import SpikeSpec, simulate_variation_bundle
 
 
@@ -316,6 +316,14 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
         u_pts = u_pts.T
+    n_v, paths = u_pts.shape[0], x_hat.shape[0]
+    v_rows = np.repeat(u_pts, paths, axis=0)
+
+    def stack(a):
+        """Per-path rows repeated for u_hat and each control point; shared rows as is."""
+        a = np.asarray(a, dtype=float)
+        return np.tile(a, (n_v + 1, 1)) if a.ndim == 2 else a
+
     rows = []
     min_gap = np.inf
     min_loc = (0.0, None)
@@ -324,23 +332,25 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     max_quad = 0.0
     for m in range(N):
         t = m * grid.dt
-        x_m = x_hat[:, m]
         Ab, Aq = adjoints.first_contractions_at(m)
         R = adjoints.risk_matrix_at(m)
-        u_h = u_hat.at(m)
-        h_hat = hamiltonian(coeffs, t, u_h, x_m, Ab, Aq)
-        sig_hat = coeffs.sigma(t, u_h, x_m)
-        for v in u_pts:
-            h_v = hamiltonian(coeffs, t, v, x_m, Ab, Aq)
-            gap_sigma = sig_hat - coeffs.sigma(t, v, x_m)
-            quad = 0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)
-            gaps = h_hat - h_v - quad
-            max_quad = max(max_quad, float(np.max(np.abs(quad))))
-            gmean, gse = mc_mean_se(gaps)
-            spread = max(spread, float(np.max(gaps) - np.min(gaps)))
-            rows.append((t, float(v[0]), gmean, gse, True))
+        # one evaluation for all controls, stacked along the path axis: block 0
+        # holds the paths at u_hat, block i + 1 those at control point i
+        u_rows = np.concatenate([np.broadcast_to(u_hat.at(m), (paths, u_pts.shape[1])),
+                                 v_rows])
+        x_rows = stack(x_hat[:, m])
+        h = hamiltonian(coeffs, t, u_rows, x_rows, stack(Ab), stack(Aq)).reshape(n_v + 1, paths)
+        sig = coeffs.sigma(t, u_rows, x_rows).reshape(n_v + 1, paths, -1)
+        gap_sigma = (sig[0] - sig[1:]).reshape(n_v * paths, -1)
+        quad = (0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)).reshape(n_v, paths)
+        gaps = h[0] - h[1:] - quad
+        max_quad = max(max_quad, float(np.max(np.abs(quad))))
+        spread = max(spread, float(np.max(np.max(gaps, axis=1) - np.min(gaps, axis=1))))
+        means, ses = mc_mean_se_rows(gaps)
+        for v, gmean, gse in zip(u_pts[:, 0].tolist(), means.tolist(), ses.tolist()):
+            rows.append((t, v, gmean, gse, True))
             if gmean < min_gap:
-                min_gap, min_loc, min_se = gmean, (t, float(v[0])), gse
+                min_gap, min_loc, min_se = gmean, (t, v), gse
     deterministic = spread < 1e-12
     margin = tol_margin if deterministic else se_margin * min_se
     passed = min_gap >= -margin

@@ -1,8 +1,10 @@
 """Counter-based random number generation and worker chunking.
 
 Every Brownian increment is a deterministic function of (seed, path index,
-step index): path p draws from ``Philox(key=seed).jumped(p)``, so ensembles
-are reproducible regardless of how paths are split across workers.
+step index): path p draws from ``Philox(key=seed)`` at counter
+``(0, 0, p, 0)`` (the stream ``jumped(p)``), so ensembles are reproducible
+regardless of how paths are split across workers, and the first rows of a
+larger ensemble are the smaller ensemble with the same seed.
 """
 
 from __future__ import annotations
@@ -33,16 +35,21 @@ def path_chunks(n_paths: int, n_chunks: int) -> list[tuple[int, int]]:
 def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard normal draws, one independent Philox stream per path.
 
-    Results are identical for any worker count: each worker fills disjoint
-    row blocks and row p always comes from stream ``jumped(p)``.
+    Row p is the stream ``Philox(key=seed).jumped(p)``, whose counter is
+    ``(0, 0, p, 0)``.  Each worker owns one generator and resets it to that
+    counter, with an empty output buffer, before every row, so results are
+    identical for any worker count.
     """
     out = np.empty((n_paths, n_steps))
-    root = np.random.Philox(key=seed)
 
     def fill(lo: int, hi: int) -> None:
+        bitgen = np.random.Philox(key=seed)
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state          # a fresh stream: counter 0, empty output buffer
         for p in range(lo, hi):
-            gen = np.random.Generator(root.jumped(p))
-            out[p] = gen.standard_normal(n_steps)
+            state["state"]["counter"][:] = (0, 0, p, 0)
+            bitgen.state = state
+            gen.standard_normal(n_steps, out=out[p])
 
     chunks = path_chunks(n_paths, worker_count())
     if len(chunks) == 1:

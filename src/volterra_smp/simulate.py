@@ -40,6 +40,14 @@ class BrownianEnsemble:
         np.cumsum(self.dW, axis=1, out=out[:, 1:])
         return out
 
+    def first_paths(self, n_paths: int) -> "BrownianEnsemble":
+        """The first ``n_paths`` paths as a view; path p is the same stream in
+        every ensemble with this seed, so this equals a fresh sample."""
+        if not 1 <= n_paths <= self.n_paths:
+            raise ValueError(f"need 1 <= n_paths <= {self.n_paths}, got {n_paths}")
+        return BrownianEnsemble(grid=self.grid, n_paths=n_paths, seed=self.seed,
+                                dW=self.dW[:n_paths])
+
 
 def sample_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemble:
     """Counter-based Brownian increments, reproducible per (seed, path, step)."""

@@ -14,6 +14,19 @@ def mc_mean_se(samples: np.ndarray) -> tuple[float, float]:
     return m, float(np.std(s, ddof=1) / np.sqrt(s.size))
 
 
+def mc_mean_se_rows(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mc_mean_se`` of every row of a (rows, paths) array at once.
+
+    Each row reduces as one contiguous run, so the values are bit for bit
+    those of ``mc_mean_se`` on the row.
+    """
+    s = np.ascontiguousarray(samples, dtype=float)
+    means = np.mean(s, axis=1)
+    if s.shape[1] < 2:
+        return means, np.zeros(s.shape[0])
+    return means, np.std(s, axis=1, ddof=1) / np.sqrt(s.shape[1])
+
+
 def fit_loglog(x, y) -> dict:
     """Least-squares slope of log y against log x.
 

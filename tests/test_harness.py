@@ -2,10 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from volterra_smp import harness
 from volterra_smp.harness import (ConfigError, _applies, read_result_table, resolve_config,
                                   run_experiment, write_results)
+from volterra_smp.simulate import sample_brownian
 
 SMALL = {
     "grid": {"n_paths": 200, "n_steps": 64},
@@ -177,3 +180,107 @@ def test_cli_solver_error_is_failed_check(tmp_path, capsys):
     code, _ = _cli(tmp_path, "adjoint", raw)
     assert code == 1
     assert "[FAIL] adjoint/solver: PicardError: max_iter=1 exceeded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", [
+    {"seed": "abc"}, {"seed": -1}, {"seed": 1.5},
+    {"spike": {"u_hat": "a"}}, {"spike": {"v": "a"}}, {"spike": {"tau": "a"}},
+    {"spike": {"tau": 0.99}}, {"spike": {"eps_list": []}},
+    {"solver": {"xi": [1, 2, 3]}}, {"solver": {"xi": "a"}}, {"solver": {"tol": "x"}},
+    {"solver": {"tol": 0}}, {"solver": {"max_iter": "x"}}, {"solver": {"basis_degree": 0}},
+    {"solver": {"r_subgrid": 2}}, {"solver": {"lsmc": "yes"}},
+], ids=["seed_string", "seed_negative", "seed_float", "u_hat_string", "v_string",
+        "tau_string", "spike_past_horizon", "eps_list_empty", "xi_wrong_length",
+        "xi_string", "tol_string", "tol_zero", "max_iter_string", "basis_degree_zero",
+        "r_subgrid_small", "lsmc_string"])
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, raw):
+    code, _ = _cli(tmp_path, "adjoint", {**SMALL, **raw})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+# regular kernel, so bsvie-check applies; 256 steps keep four spike widths for rates
+MEMO = {"grid": {"n_paths": 96, "n_steps": 256}, "kernel": {"family": "constant", "alpha": 0.0},
+        "seed": 5}
+
+
+def test_config_samples_its_ensemble_once(monkeypatch):
+    calls = []
+
+    def counting(grid, n_paths, seed):
+        calls.append((n_paths, seed))
+        return sample_brownian(grid, n_paths, seed)
+
+    monkeypatch.setattr(harness, "sample_brownian", counting)
+    cfg = resolve_config(MEMO)
+    for exp in ("simulate", "rates", "adjoint", "bsvie-check"):
+        assert run_experiment(exp, cfg)[exp].passed
+    assert calls == [(96, 5)]
+    ens = cfg.make_ensemble()
+    assert ens is cfg.make_ensemble()
+    with pytest.raises(ValueError):
+        ens.dW[0, 0] = 1.0
+
+
+def test_ensemble_memo_is_per_config_object():
+    a, b = resolve_config(MEMO, seed=1), resolve_config(MEMO, seed=2)
+    ea, eb = a.make_ensemble(), b.make_ensemble()
+    assert (ea.seed, eb.seed) == (1, 2)
+    assert not np.shares_memory(ea.dW, eb.dW) and not np.array_equal(ea.dW, eb.dW)
+    again = resolve_config(MEMO, seed=1).make_ensemble()
+    assert again is not ea and not np.shares_memory(again.dW, ea.dW)
+    assert again.dW.tobytes() == ea.dW.tobytes()
+
+
+def test_simulate_sub_ensemble_is_a_fresh_sample(monkeypatch):
+    seen = []
+    real = harness.simulate_sve
+
+    def recording(coeffs, control, kernel, xi, ens, **kw):
+        seen.append(ens)
+        return real(coeffs, control, kernel, xi, ens, **kw)
+
+    monkeypatch.setattr(harness, "simulate_sve", recording)
+    cfg = resolve_config(MEMO)
+    harness.RUNNERS["simulate"](cfg)
+    subs = [e for e in seen if e.n_paths == 64]
+    assert len(subs) == 2
+    fresh = sample_brownian(cfg.make_grid(), 64, cfg.seed)
+    for e in subs:
+        assert e.dW.tobytes() == fresh.dW.tobytes()
+
+
+def _json_flags(node):
+    if isinstance(node, dict):
+        for key, val in node.items():
+            if key == "passed":
+                yield val
+            else:
+                yield from _json_flags(val)
+    elif isinstance(node, list):
+        for val in node:
+            yield from _json_flags(val)
+
+
+def test_summary_flags_are_json_booleans_and_sidecar_records_timing(tmp_path):
+    cfg = resolve_config(SMALL)
+    write_results(run_experiment("all", cfg), cfg, tmp_path)
+    flags = list(_json_flags(json.loads((tmp_path / "summary.json").read_text())))
+    assert flags and all(isinstance(f, bool) for f in flags)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert timings["kernels"]["wall_s"] >= 0.0 and "ensemble" not in timings["kernels"]
+    assert timings["simulate"]["ensemble"] == {"paths": 200, "steps": 64, "from_memo": False}
+    assert timings["bsde-check"]["ensemble"]["from_memo"]
+
+
+def test_run_all_bytes_independent_of_worker_count_with_fresh_configs(tmp_path, monkeypatch):
+    blobs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("VOLTERRA_SMP_THREADS", workers)
+        cfg = resolve_config(SMALL)            # a fresh ensemble for each worker count
+        out = tmp_path / workers
+        write_results(run_experiment("all", cfg), cfg, out)
+        blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*"))
+                      if p.name != "timings.json"})
+    assert blobs[0] == blobs[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maxprinciple_oracles as mp_oracle
 from volterra_smp.bsee import assemble_adjoints
 from volterra_smp.coefficients import ControlPath, make_problem
 from volterra_smp.maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
@@ -10,6 +11,7 @@ from volterra_smp.maxprinciple import (check_variational_inequality, classical_a
                                        j12_adjoint_representation, j12_gap_sweep,
                                        perturb_control)
 from volterra_smp.simulate import sample_brownian, simulate_sve
+from volterra_smp.stats import mc_mean_se, mc_mean_se_rows
 from volterra_smp.variation import SpikeSpec
 
 
@@ -211,3 +213,45 @@ def test_duality_residual_bitwise_reproducible(grid, state_free, frac_kernel):
         r = duality_residual_first(state_free, spike, adj, e, xh, xi=0.2)
         vals.append(r["display_mean"])
     assert vals[0] == vals[1]
+
+
+def _assert_same_report(rep, ref):
+    assert rep.rows == ref.rows
+    for attr in ("min_gap", "min_location", "passed", "deterministic", "tol_margin",
+                 "max_quadratic_term"):
+        assert getattr(rep, attr) == getattr(ref, attr), attr
+
+
+def test_vi_check_matches_loop_oracle_on_bundled_lq(grid, lq, frac_kernel, ens):
+    # the mp-check sequence: argmax control, then a perturbation that must fail
+    u0 = ControlPath.constant(0.0, grid)
+    x0 = simulate_sve(lq, u0, frac_kernel, 0.3, ens)
+    adj0 = assemble_adjoints(lq, u0, x0, frac_kernel, ens, tol=1e-13)
+    uh = construct_argmax_control(lq, adj0, grid)
+    for u in (uh, perturb_control(uh, grid, 0.25, 0.375, 1.0)):
+        xh = simulate_sve(lq, u, frac_kernel, 0.3, ens)
+        adj = assemble_adjoints(lq, u, xh, frac_kernel, ens, tol=1e-13)
+        args = (lq, u, adj, lq.control_domain.points, ens, xh)
+        _assert_same_report(check_variational_inequality(*args),
+                            mp_oracle.check_variational_inequality(*args))
+
+
+def test_vi_check_matches_loop_oracle_on_per_path_adjoint(grid, state_free, frac_kernel, ens):
+    uh = ControlPath.constant(0.2, grid)
+    xh = simulate_sve(state_free, uh, frac_kernel, 0.2, ens)
+    adj = assemble_adjoints(state_free, uh, xh, frac_kernel, ens)
+    assert adj.first_contractions_at(3)[0].shape == (ens.n_paths, 1)   # affine field
+    args = (state_free, uh, adj, state_free.control_domain.points, ens, xh)
+    rep = check_variational_inequality(*args)
+    assert rep.max_quadratic_term > 0.0 and not rep.deterministic
+    _assert_same_report(rep, mp_oracle.check_variational_inequality(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 8), paths=st.integers(1, 9000), seed=st.integers(0, 10 ** 6),
+       scale=st.floats(-8.0, 8.0), offset=st.floats(-3.0, 3.0))
+def test_row_mean_se_bitwise_equals_per_row(n_rows, paths, seed, scale, offset):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n_rows, paths)) * 10.0 ** scale + 10.0 ** offset
+    means, ses = mc_mean_se_rows(s)
+    assert [(m, e) for m, e in zip(means.tolist(), ses.tolist())] == [mc_mean_se(r) for r in s]

@@ -1,12 +1,18 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
+import rng_oracles
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
                                       StructuralTags, _scalar_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
+from volterra_smp.rng import normal_matrix
 from volterra_smp.simulate import (cnorm, euler_maruyama, sample_brownian,
                                    simulate_lift, simulate_sve, volterra_convolve)
 
@@ -40,6 +46,33 @@ def test_brownian_independent_of_worker_count(grid, monkeypatch):
     monkeypatch.setenv("VOLTERRA_SMP_THREADS", "4")
     e2 = sample_brownian(grid, 64, 5)
     assert np.array_equal(e1.dW, e2.dW)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n_paths=st.integers(1, 300),
+       n_steps=st.integers(2, 64), workers=st.sampled_from(["1", "2", "4"]))
+def test_normal_matrix_matches_jumped_streams(seed, n_paths, n_steps, workers):
+    with mock.patch.dict(os.environ, {"VOLTERRA_SMP_THREADS": workers}):
+        out = normal_matrix(seed, n_paths, n_steps)
+    ref = rng_oracles.normal_matrix(seed, n_paths, n_steps)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_first_paths_is_a_fresh_smaller_sample(grid):
+    big = sample_brownian(grid, 100, 17)
+    head = big.first_paths(64)
+    assert head.n_paths == 64 and np.shares_memory(head.dW, big.dW)
+    assert head.dW.tobytes() == sample_brownian(grid, 64, 17).dW.tobytes()
+    with pytest.raises(ValueError):
+        big.first_paths(101)
+
+
+def test_time_grid_nodes_built_once_and_read_only():
+    g = TimeGrid(2.0, 8)
+    assert g.t is g.t
+    assert g.t.tobytes() == np.linspace(0.0, 2.0, 9).tobytes()
+    with pytest.raises(ValueError):
+        g.t[0] = 1.0
 
 
 def test_convolve_constant_kernel_recovers_time(grid, ens):
