@@ -215,8 +215,18 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     if overrides.get("n_steps") is not None:
         blocks["grid"]["n_steps"] = int(overrides["n_steps"])
 
-    if blocks["kernel"]["family"] not in ("fractional", "constant", "exponential"):
-        raise ConfigError(f"kernel.family: bad enum value {blocks['kernel']['family']!r}")
+    kernel = blocks["kernel"]
+    if kernel["family"] not in ("fractional", "constant", "exponential"):
+        raise ConfigError(f"kernel.family: bad enum value {kernel['family']!r}")
+    for key in ("beta_b", "beta_sigma", "alpha"):
+        _real(f"kernel.{key}", kernel[key])
+    for key in ("theta_min", "theta_max", "lam"):
+        _real(f"kernel.{key}", kernel[key], positive=True)
+    if kernel["gamma"] is not None:
+        _real("kernel.gamma", kernel["gamma"])
+    if not 0 <= kernel["alpha"] < 1:
+        raise ConfigError(f"kernel.alpha must lie in [0, 1), got {kernel['alpha']!r}")
+    _integer("kernel.n_nodes", kernel["n_nodes"], 2)
     from .coefficients import PROBLEMS
     if blocks["problem"]["name"] not in PROBLEMS:
         raise ConfigError(f"problem.name: bad enum value {blocks['problem']['name']!r}")
@@ -244,7 +254,8 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     try:
         grid = config.make_grid()
         config.make_kernel()
-        _xi_table(solver["xi"], grid, config.make_problem().dim)
+        if np.ndim(solver["xi"]):   # a scalar fits every problem; build no table for it
+            _xi_table(solver["xi"], grid, config.make_problem().dim)
         for eps in eps_list:
             SpikeSpec(tau=spike["tau"], eps=eps, v=None).window(grid)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -262,9 +273,26 @@ class ResultTable:
     def to_csv(self, path: Path) -> None:
         lines = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ValueError(f"table {self.name}: every row needs {len(self.columns)} values")
+        fmts = [_column_format(row[i] for row in self.rows) for i in range(len(self.columns))]
+        for lo in range(0, len(self.rows), 4096):   # formatted cells live one block at a time
+            cols = zip(fmts, zip(*self.rows[lo:lo + 4096]))
+            lines.extend(map(",".join, zip(*[list(map(f, col)) for f, col in cols])))
         Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _column_format(col):
+    """The formatter ``_fmt`` would apply to every value of a column, chosen
+    once per column; a column of mixed kinds goes value by value."""
+    kinds = set(map(type, col))
+    if all(issubclass(k, (bool, np.bool_)) for k in kinds):
+        return lambda v: "true" if v else "false"
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return "%.17g".__mod__      # the same digits as format(float(v), ".17g")
+    if not any(issubclass(k, (bool, np.bool_, float, np.floating)) for k in kinds):
+        return str
+    return _fmt
 
 
 def _fmt(v) -> str:
@@ -470,8 +498,10 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         ok = dj_fit["eps_slope"] - dj_fit["se_slope"] >= 1.0
         checks.append(("delta_j12_superlinear", ok or not order_regime,
                        f"slope {dj_fit['eps_slope']:.3f} (se {dj_fit['se_slope']:.3f})"))
-    return ExperimentResult("rates", tables, checks, extras={"fits": res["fits"],
-                                                             "delta_j12_fit": dj_fit})
+    lift = {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
+            "processes": 1 + 3 * len(res["bundles"])}
+    return ExperimentResult("rates", tables, checks, extras={
+        "fits": res["fits"], "delta_j12_fit": dj_fit, "timing": {"lift": lift}})
 
 
 def run_bsde_check(config: ExperimentConfig,
@@ -546,15 +576,13 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens,
                             tol=config.solver["tol"], max_iter=config.solver["max_iter"],
                             lsmc=config.solver["lsmc"])
-    d1 = adj.first.distances
+    d1, d2 = adj.first.distances, adj.second.distances
+    ratios, ratios2 = _contraction_ratios(d1), _contraction_ratios(d2)
     if adj.solve_path == "deterministic" and len(d1) >= 4:
-        ratios = [d1[i + 1] / d1[i] for i in range(2, len(d1) - 1) if d1[i] > 0]
         ok = all(r <= 0.9 for r in ratios) and len(d1) <= 50 and d1[-1] < config.solver["tol"]
         checks.append(("picard_geometric_first", ok,
                        f"{len(d1)} iterations, worst ratio from #3 "
                        f"{max(ratios) if ratios else 0.0:.3f}"))
-    d2 = adj.second.distances
-    ratios2 = [d2[i + 1] / d2[i] for i in range(2, len(d2) - 1) if d2[i] > 0]
     ok2 = all(r <= 0.9 for r in ratios2) and len(d2) <= 50
     checks.append(("picard_geometric_second", ok2,
                    f"{len(d2)} iterations, worst ratio from #3 "
@@ -591,7 +619,17 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
         "contractions": ResultTable("contractions", ["t", "mu_Mb_p", "mu_Ms_q", "risk"],
                                     rows_c, prov),
     }
-    return ExperimentResult("adjoint", tables, checks, extras={"adjoint": adj})
+    timing = {"solve_path": adj.solve_path,
+              "picard_iterations": {"first": adj.first.iterations,
+                                    "second": adj.second.iterations},
+              "worst_contraction_ratio": max(ratios + ratios2, default=0.0)}
+    return ExperimentResult("adjoint", tables, checks,
+                            extras={"adjoint": adj, "timing": timing})
+
+
+def _contraction_ratios(d) -> list:
+    """Successive Picard distance ratios from the third iteration on."""
+    return [d[i + 1] / d[i] for i in range(2, len(d) - 1) if d[i] > 0]
 
 
 def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> ExperimentResult:
@@ -772,7 +810,8 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
 
 def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> ExperimentResult:
     """One experiment: skipped with the reason where it does not apply, and a
-    failed ``solver`` check when a solve does not contract or goes non-finite."""
+    failed ``solver`` check when a solve does not contract, goes non-finite or
+    cannot allocate its arrays."""
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
@@ -780,7 +819,7 @@ def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> Experiment
     t0 = time.perf_counter()
     try:
         res = RUNNERS[name](config, **runner_kwargs)
-    except (PicardError, FloatingPointError) as exc:
+    except (PicardError, FloatingPointError, MemoryError) as exc:
         res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
     timing = res.extras.setdefault("timing", {})
     timing["wall_s"] = time.perf_counter() - t0

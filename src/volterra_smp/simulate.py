@@ -128,50 +128,45 @@ def _xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
     return xi
 
 
-LIFT_BLOCK = 4096  # columns per cache-resident pass of a lift step
-
-
 @dataclass(frozen=True)
 class LiftStep:
-    """The lift step, applied in place to a block Y of lift states.
+    """The lift step, applied in place to a stack Y of lift states.
 
-    Y is (K n, R) in Fortran order; column r holds the coordinates Y[k n + i]
-    (node k, component i) of path r mod n_paths of one co-simulated process.
-    A step is one rank-2n dgemm update and a row scaling,
-    Y <- diag(e^{-theta dt}) (Y + [M_b | M_s] [F_b dt ; F_s dW]); it returns
-    X = sum_k w_k Y_k, (R, n), by a fixed-order einsum reduction.  No
-    column's bits depend on the block's width.  A non-finite X raises
-    FloatingPointError naming the step and the first bad paths.
+    Y is (G, K n, P) in C order: one contiguous slab per co-simulated process,
+    row k n + i holding coordinate i at node k over the P paths.  Each slab in
+    turn gets one in-place rank-2n dgemm on its (P, K n) Fortran view, a row
+    scaling, Y_g <- diag(e^{-theta dt}) (Y_g + [M_b | M_s] [F_b dt ; F_s dW]),
+    and the fixed-order einsum reduction X_g = sum_k w_k Y_{g,k}, so no slab's
+    bits depend on how many are stacked.  Returns X, (G, n, P).  A non-finite
+    X raises FloatingPointError naming the step and the first bad paths.
     """
 
-    ops: np.ndarray      # (K n, 2n) Fortran order, [M_b | M_s]
+    ops: np.ndarray      # (2n, K n) Fortran order, [M_b | M_s]^T
     decay: np.ndarray    # (K n, 1)
     weights: np.ndarray  # (K,)
     dt: float
-    n_paths: int
 
     @classmethod
-    def of(cls, kernel: DiscreteLaplaceKernel, dt: float, n_paths: int) -> "LiftStep":
+    def of(cls, kernel: DiscreteLaplaceKernel, dt: float) -> "LiftStep":
         K, n = kernel.n_nodes, kernel.dim
         ops = np.concatenate([kernel.mb.reshape(K * n, n), kernel.msigma.reshape(K * n, n)], 1)
         decay = np.repeat(np.exp(-kernel.nodes * dt), n)[:, None]
-        return cls(np.asfortranarray(ops), decay, kernel.weights, dt, n_paths)
+        return cls(np.asfortranarray(ops.T), decay, kernel.weights, dt)
 
     def __call__(self, Y: np.ndarray, Fb, Fs, dW: np.ndarray, step: int) -> np.ndarray:
-        """Advance Y in place; Fb, Fs are (R, n) forcings, dW the (n_paths,) increments."""
-        K, R = self.weights.size, Y.shape[1]
-        n = Y.shape[0] // K
-        drive = np.empty((R, 2 * n))
-        drive[:, :n] = Fb * self.dt
-        drive[:, n:] = (np.reshape(Fs, (-1, self.n_paths, n)) * dW[:, None]).reshape(R, n)
-        X = np.empty((R, n))
-        for lo in range(0, R, LIFT_BLOCK):
-            c = Y[:, lo:lo + LIFT_BLOCK]
-            dgemm(1.0, self.ops, drive[lo:lo + LIFT_BLOCK].T, beta=1.0, c=c, overwrite_c=True)
-            c *= self.decay
-            np.einsum("k,kir->ri", self.weights, c.reshape(K, n, -1), out=X[lo:lo + LIFT_BLOCK])
+        """Advance Y in place; Fb, Fs broadcast to (G, n, P), dW is the (P,) increments."""
+        (G, Kn, P), K = Y.shape, self.weights.size
+        n = Kn // K
+        drive = np.empty((G, 2 * n, P))
+        np.multiply(Fb, self.dt, out=drive[:, :n])
+        np.multiply(Fs, np.ascontiguousarray(dW), out=drive[:, n:])  # read the strided column once
+        X = np.empty((G, n, P))
+        for g in range(G):
+            dgemm(1.0, drive[g].T, self.ops, beta=1.0, c=Y[g].T, overwrite_c=True)
+            Y[g] *= self.decay
+            np.einsum("k,kip->ip", self.weights, Y[g].reshape(K, n, P), out=X[g])
         if not np.isfinite(X).all():
-            bad = np.unique(np.flatnonzero(~np.isfinite(X).all(axis=1)) % self.n_paths)
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=(0, 1)))
             raise FloatingPointError(
                 f"non-finite state at step {step}; first bad paths {bad[:5].tolist()}")
         return X
@@ -186,15 +181,16 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
     """
     paths = dW.shape[0]
     N, K, n = grid.n_steps, kernel.n_nodes, kernel.dim
-    step = LiftStep.of(kernel, grid.dt, paths)
-    Y = np.zeros((K * n, paths), order="F")
+    step = LiftStep.of(kernel, grid.dt)
+    Y = np.zeros((1, K * n, paths))
     X = np.empty((paths, N + 1, n))
     Ytab = np.zeros((paths, N + 1, K, n)) if store_lift else None
     X[:, 0] = xi[0]
     for m in range(N):
-        X[:, m + 1] = xi[m + 1] + step(Y, *forcing(m, X[:, m]), dW[:, m], m + 1)
+        Fb, Fs = forcing(m, X[:, m])
+        X[:, m + 1] = xi[m + 1] + step(Y, np.transpose(Fb), np.transpose(Fs), dW[:, m], m + 1)[0].T
         if store_lift:
-            Ytab[:, m + 1] = Y.T.reshape(paths, K, n)
+            Ytab[:, m + 1] = Y[0].T.reshape(paths, K, n)
     return X, Ytab
 
 

@@ -97,10 +97,10 @@ def _coeff_eval(coeffs, t, u, x, names="b sigma b_x sigma_x b_xx sigma_xx f f_x 
 
 def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
                         store=False, observer=None) -> list:
-    """Co-simulate X_hat and, per spike, (X^eps, X1, X2) in one lift block.
+    """Co-simulate X_hat and, per spike, (X^eps, X1, X2) in one lift stack.
 
-    The block holds 1 + 3S row groups of ``paths`` columns: X_hat, then the
-    S spiked states, then the S first- and the S second-order processes.
+    The stack holds 1 + 3S slabs: X_hat, then the S spiked states, then the
+    S first- and the S second-order processes.
     Before the earliest spike index only X_hat advances: there X1 = X2 = 0
     and X^eps = X_hat exactly, so the spiked lifts start at that index as
     copies of the reference lift.  The reference derivatives are evaluated
@@ -121,21 +121,23 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
     xi_tab = _xi_table(xi, grid, 1)[:, 0]
     du = v.values.shape[-1]
 
-    step = LiftStep.of(kernel, dt, P)
-    Y = np.zeros((kernel.n_nodes, (1 + 3 * S) * P), order="F")
+    step = LiftStep.of(kernel, dt)
+    Y = np.zeros((1 + 3 * S, kernel.n_nodes, P))
     X, Fb, Fs = (np.zeros((1 + 3 * S, P)) for _ in range(3))
     X[0] = xi_tab[0]
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
     F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
 
-    sup_mom = {k: np.zeros(S) for k in NORM_KEYS}
+    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, and their p-th moments
+    diffs, moments = np.empty((2, len(NORM_KEYS), S, P))
+    sup_mom = np.zeros((len(NORM_KEYS), S))
     j12_run = np.zeros((S, P))   # running f-expansion integral
     dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
     delta_f = np.zeros((S, P))   # running spike integral of delta f
-    tables = {k: np.zeros((S, P, N + 1)) for k in NORM_KEYS} if store else {}
+    tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
     def frame(cv, forcings=(F1b, F1s, F2b, F2s)):
-        return {"Y1": Y[:, (1 + S) * P:(1 + 2 * S) * P].T, "Y2": Y[:, (1 + 2 * S) * P:].T,
+        return {"Y1": Y[1 + S].T, "Y2": Y[1 + 2 * S].T,
                 "X1": X1[0], "X2": X2[0], "db": cv.get("db"), "ds": cv.get("ds"),
                 "df": cv.get("df"), "in_spike": bool(cv),
                 **{k: f if f is None else f[0]
@@ -145,8 +147,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
         ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
         if observer is not None:
             observer(m, frame({}))
-        xh[:] = xi_tab[m + 1] + step(Y[:, :P], ch["b"], ch["sigma"], ens.dW[:, m], m + 1)[:, 0]
-    Y[:, P:(1 + S) * P] = np.tile(Y[:, :P], (1, S))
+        xh[:] = xi_tab[m + 1] + step(Y[:1], ch["b"].T, ch["sigma"].T, ens.dW[:, m], m + 1)[0, 0]
+    Y[1:1 + S] = Y[0]
     Xe[:] = xh
 
     for m in range(j_start, N):
@@ -185,15 +187,17 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
         j12_run += (ch["f_x"][:, 0] * (X1 + X2) + 0.5 * ch["f_xx"][:, 0, 0] * X1 * X1) * dt
         dcost_f += (coeffs.f(t, ue, xe_col).reshape(S, P) - ch["f"]) * dt
 
-        agg = step(Y, Fb.reshape(-1, 1), Fs.reshape(-1, 1), ens.dW[:, m], m + 1)
-        X[:] = agg.reshape(1 + 3 * S, P)
+        X[:] = step(Y, Fb[:, None], Fs[:, None], ens.dW[:, m], m + 1)[:, 0]
         X[:1 + S] += xi_tab[m + 1]
-        dX = Xe - xh
-        for k, val in (("dX", dX), ("X1", X1), ("dX1", dX - X1), ("X2", X2),
-                       ("dX12", dX - X1 - X2)):
-            np.maximum(sup_mom[k], np.mean(np.abs(val) ** p_norm, axis=1), out=sup_mom[k])
-            if store:
-                tables[k][:, :, m + 1] = val
+        np.subtract(Xe, xh, out=diffs[0])
+        diffs[1], diffs[3] = X1, X2
+        np.subtract(diffs[0], X1, out=diffs[2])
+        np.subtract(diffs[2], X2, out=diffs[4])
+        np.abs(diffs, out=moments)
+        moments **= p_norm   # in place, no 1 MB temporary; p = 2 squares, as ** does
+        np.maximum(sup_mom, np.mean(moments, axis=2), out=sup_mom)
+        if store:
+            tables[..., m + 1] = diffs
     if observer is not None:
         observer(N, frame({}, (None,) * 4))
 
@@ -204,11 +208,11 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
     cost_inc = coeffs.h(Xe.reshape(S * P, 1)).reshape(S, P) - coeffs.h(xT) + dcost_f
     return [VariationBundle(
         spike=sp, eps_snapped=(j1 - j0) * dt, p_norm=p_norm,
-        norms={k: float(sup_mom[k][s]) ** (1.0 / p_norm) for k in NORM_KEYS},
+        norms={k: float(sup_mom[i, s]) ** (1.0 / p_norm) for i, k in enumerate(NORM_KEYS)},
         j12_terms=j12_terms[s], cost_increment=cost_inc[s], delta_f_integral=delta_f[s],
         terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xe_T": Xe[s].copy(),
                   "dX_T": Xe[s] - xh, "Xhat_T": xh.copy()},
-        tables={k: tab[s] for k, tab in tables.items()},
+        tables={} if tables is None else dict(zip(NORM_KEYS, tables[:, s])),
     ) for s, (sp, (j0, j1)) in enumerate(zip(spikes, win))]
 
 

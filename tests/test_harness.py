@@ -4,10 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import harness_oracles
 from volterra_smp import harness
-from volterra_smp.harness import (ConfigError, _applies, read_result_table, resolve_config,
-                                  run_experiment, write_results)
+from volterra_smp.harness import (ConfigError, ResultTable, _applies, read_result_table,
+                                  resolve_config, run_experiment, write_results)
 from volterra_smp.simulate import sample_brownian
 
 SMALL = {
@@ -284,3 +286,103 @@ def test_run_all_bytes_independent_of_worker_count_with_fresh_configs(tmp_path, 
         blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*"))
                       if p.name != "timings.json"})
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"kernel": {"alpha": "x"}}, "kernel.alpha"),
+    ({"kernel": {"alpha": 1.5}}, "kernel.alpha"),
+    ({"kernel": {"family": "fractional", "n_nodes": 2.5}}, "kernel.n_nodes"),
+    ({"kernel": {"n_nodes": 1}}, "kernel.n_nodes"),
+    ({"kernel": {"n_nodes": True}}, "kernel.n_nodes"),
+    ({"kernel": {"family": "exponential", "lam": "a"}}, "kernel.lam"),
+    ({"kernel": {"family": "exponential", "lam": 0}}, "kernel.lam"),
+    ({"kernel": {"beta_b": "x"}}, "kernel.beta_b"),
+    ({"kernel": {"beta_sigma": None}}, "kernel.beta_sigma"),
+    ({"kernel": {"gamma": "x"}}, "kernel.gamma"),
+    ({"kernel": {"theta_min": -1.0}}, "kernel.theta_min"),
+    ({"kernel": {"theta_max": [1e5]}}, "kernel.theta_max"),
+    ({"kernel": {"family": 3}}, "kernel.family"),
+], ids=["alpha_string", "alpha_range", "n_nodes_float", "n_nodes_one", "n_nodes_bool",
+        "lam_string", "lam_zero", "beta_b_string", "beta_sigma_null", "gamma_string",
+        "theta_min_negative", "theta_max_list", "family_number"])
+def test_cli_bad_kernel_value_names_the_key(tmp_path, capsys, raw, key):
+    code, _ = _cli(tmp_path, "kernels", {**SMALL, **raw})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+
+
+def test_cli_memory_error_is_failed_check(tmp_path, capsys, monkeypatch):
+    # the real sample would ask for n_paths x n_steps doubles (1.46 TiB); never allocate it
+    def refuse(grid, n_paths, seed):
+        raise MemoryError(f"Unable to allocate array with shape ({n_paths}, {grid.n_steps})")
+
+    monkeypatch.setattr(harness, "sample_brownian", refuse)
+    code, _ = _cli(tmp_path, "adjoint", {"grid": {"n_steps": 100000000}})
+    assert code == 1
+    assert ("[FAIL] adjoint/solver: MemoryError: Unable to allocate array with shape "
+            "(2000, 100000000)") in capsys.readouterr().out
+
+
+def test_sidecar_records_solve_path_and_lift_size(tmp_path):
+    raw = {"grid": {"n_paths": 64, "n_steps": 128}, "kernel": {"n_nodes": 4},
+           "spike": {"eps_list": [0.25, 0.125, 0.0625, 0.03125]}, "seed": 3}
+    cfg = resolve_config(raw)
+    results = run_experiment("all", cfg)
+    write_results(results, cfg, tmp_path)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    adj = timings["adjoint"]
+    fields = results["adjoint"].extras["adjoint"]
+    assert adj["solve_path"] == "deterministic" == fields.solve_path
+    assert adj["picard_iterations"] == {"first": len(fields.first.distances),
+                                        "second": len(fields.second.distances)}
+    assert adj["picard_iterations"]["first"] >= 4
+    assert 0.0 < adj["worst_contraction_ratio"] <= 0.9
+    assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13}
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_KINDS = [st.booleans(), st.booleans().map(np.bool_), st.integers(-10 ** 20, 10 ** 20),
+          st.integers(-5, 5).map(np.int64), _FLOATS, _FLOATS.map(np.float64),
+          st.floats(width=32).map(np.float32),
+          st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, np.float64(-0.0)]),
+          st.text(max_size=6)]
+
+
+@st.composite
+def _tables(draw):
+    width, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    # each column keeps one kind of cell or mixes every kind
+    kinds = [draw(st.sampled_from(_KINDS + [st.one_of(_KINDS)])) for _ in range(width)]
+    cols = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return ResultTable("t", [f"c{i}" for i in range(width)], list(zip(*cols)),
+                       {"seed": 1, "version": "x"})
+
+
+def _same_csv(table, folder) -> bool:
+    table.to_csv(folder / "new.csv")
+    harness_oracles.to_csv(table, folder / "old.csv")
+    return (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_to_csv_matches_per_value_oracle(tmp_path_factory, table):
+    assert _same_csv(table, tmp_path_factory.mktemp("csv"))
+
+
+def test_to_csv_formats_every_kind_as_the_oracle(tmp_path):
+    kinds = [True, np.bool_(False), 0.1, np.float64(1e300), 3, "x", float("nan"),
+             float("inf"), -float("inf"), -0.0, np.float64(-0.0), np.float32(0.1),
+             np.int64(-4)]
+    for v in kinds:
+        assert _same_csv(ResultTable("t", ["a", "b"], [(v, v), (v, 1.5)], {}), tmp_path)
+    assert _same_csv(ResultTable("t", ["c"], [(v,) for v in kinds], {"seed": 1}), tmp_path)
+    # more rows than one formatting block
+    rows = [(p, np.float64(p / 7), p % 3 == 0) for p in range(9001)]
+    assert _same_csv(ResultTable("t", ["i", "x", "b"], rows, {}), tmp_path)
+
+
+def test_to_csv_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError, match="every row needs 2 values"):
+        ResultTable("t", ["a", "b"], [(1, 2), (3,)], {}).to_csv(tmp_path / "t.csv")

@@ -8,13 +8,14 @@ from scipy.special import gamma as gamma_fn
 
 import rng_oracles
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
-                                      StructuralTags, _scalar_problem)
+                                      StructuralTags, _scalar_problem, make_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
 from volterra_smp.simulate import (cnorm, euler_maruyama, sample_brownian,
                                    simulate_lift, simulate_sve, volterra_convolve)
+from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
 def autonomous(b, s, bx=None, sx=None, name="tmp"):
@@ -196,6 +197,19 @@ def test_moment_stability_across_refinement(bilinear, frac_kernel):
     assert max(vals) / min(vals) < 1.5
 
 
+def _state_coeffs(n: int) -> CoefficientSet:
+    """A nonlinear n-dimensional state equation with a mixing drift."""
+    A = np.array([[-0.5, 0.3], [0.2, -0.8]])[:n, :n]
+    none = lambda *a: None
+    return CoefficientSet(
+        dim=n, du=1,
+        b=lambda t, u, x: x @ A.T + 0.2 * np.sin(x) + u,
+        sigma=lambda t, u, x: 0.3 + 0.1 * np.cos(x[:, ::-1]),
+        f=none, h=none, b_x=none, sigma_x=none, f_x=none, h_x=none,
+        b_xx=none, sigma_xx=none, f_xx=none, h_xx=none,
+        control_domain=ControlDomain(np.zeros((1, 1))))
+
+
 def test_vector_lift_matches_direct(grid):
     # n = 2 atoms with non-diagonal factors: the aggregated lift equals the
     # direct recursion for every state component
@@ -203,15 +217,7 @@ def test_vector_lift_matches_direct(grid):
     kern = DiscreteLaplaceKernel(nodes=[0.0, 0.5, 4.0, 30.0], weights=[0.2, 0.3, 0.5, 0.4],
                                  mb=rng.normal(size=(4, 2, 2)),
                                  msigma=rng.normal(size=(4, 2, 2)))
-    A = np.array([[-0.5, 0.3], [0.2, -0.8]])
-    none = lambda *a: None
-    coeffs = CoefficientSet(
-        dim=2, du=1,
-        b=lambda t, u, x: x @ A.T + 0.2 * np.sin(x) + u,
-        sigma=lambda t, u, x: 0.3 + 0.1 * np.cos(x[:, ::-1]),
-        f=none, h=none, b_x=none, sigma_x=none, f_x=none, h_x=none,
-        b_xx=none, sigma_xx=none, f_xx=none, h_xx=none,
-        control_domain=ControlDomain(np.zeros((1, 1))))
+    coeffs = _state_coeffs(2)
     e = sample_brownian(grid, 32, 8)
     u = ControlPath.constant(0.1, grid)
     xi = np.array([0.4, -0.2])
@@ -222,6 +228,60 @@ def test_vector_lift_matches_direct(grid):
     Y, X = simulate_lift(coeffs, u, kern, xi, e, self_test=False)
     assert np.array_equal(X, Xl)
     assert np.allclose(np.einsum("k,pmki->pmi", kern.weights, Y) + xi, Xl, rtol=0, atol=1e-14)
+
+
+@st.composite
+def atom_kernels(draw, dims=(1, 2)):
+    """Random valid atom kernels: K in [1, 8], optional zero node, weights in
+    [0.1, 1], factors in [-1, 1]."""
+    n_nodes, n = draw(st.integers(1, 8)), draw(st.sampled_from(dims))
+    decades = draw(st.lists(st.integers(-20, 40), min_size=n_nodes, max_size=n_nodes,
+                            unique=True))
+    nodes = 10.0 ** (np.sort(decades) / 10.0)
+    if draw(st.booleans()):
+        nodes[0] = 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return DiscreteLaplaceKernel(nodes=nodes, weights=rng.uniform(0.1, 1.0, n_nodes),
+                                 mb=rng.uniform(-1, 1, (n_nodes, n, n)),
+                                 msigma=rng.uniform(-1, 1, (n_nodes, n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kern=atom_kernels(), n_steps=st.integers(4, 32), seed=st.integers(0, 2 ** 31))
+def test_lift_equals_direct_on_random_atom_kernels(kern, n_steps, seed):
+    grid = TimeGrid(1.0, n_steps)
+    coeffs = _state_coeffs(kern.dim)
+    e = sample_brownian(grid, 8, seed)
+    u = ControlPath.constant(0.1, grid)
+    xi = np.linspace(0.4, -0.2, kern.dim)
+    Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
+    Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
+    assert np.max(np.abs(Xl - Xd)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(kern=atom_kernels(dims=(1,)), n_steps=st.integers(4, 32), seed=st.integers(0, 2 ** 31),
+       problem=st.sampled_from(["lq_linear_cost", "bilinear_lq", "state_free_quadratic"]),
+       data=st.data())
+def test_cosimulated_reference_is_the_lift_state_bit_for_bit(kern, n_steps, seed, problem,
+                                                             data):
+    # X_hat advances alone before the first spike and as slab 0 of 1 + 3S
+    # slabs after it; either way its bits are those of simulate_sve
+    grid = TimeGrid(1.0, n_steps)
+    v = ControlPath.constant(1.0, grid)
+    spikes = []
+    for _ in range(data.draw(st.integers(1, 4), label="spikes")):
+        j0 = data.draw(st.integers(0, n_steps - 1), label="j0")
+        width = data.draw(st.integers(1, n_steps - j0), label="width")
+        spikes.append(SpikeSpec(tau=j0 * grid.dt, eps=width * grid.dt, v=v))
+    coeffs = make_problem(problem)
+    u_hat = ControlPath.constant(0.1, grid)
+    e = sample_brownian(grid, 16, seed)
+    X = simulate_sve(coeffs, u_hat, kern, 0.3, e, mode="lift")
+    bundles = _spike_cosimulation(coeffs, kern, u_hat, spikes, 0.3, e)
+    assert len(bundles) == len(spikes)
+    for b in bundles:
+        assert b.terminal["Xhat_T"].tobytes() == X[:, -1, 0].tobytes()
 
 
 def test_lift_guard_names_step_and_paths(grid, delta_kernel):

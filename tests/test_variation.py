@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import volterra_smp
 from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_problem,
                                       make_problem)
 from volterra_smp.kernels import build_fractional_lift
@@ -205,3 +211,41 @@ def test_spike_cosimulation_guard_names_step(grid, delta_kernel):
     step = int(str(err.value).split("step ")[1].split(";")[0])
     assert j0 < step <= j1
     assert "first bad paths [0, 1, 2, 3, 4]" in str(err.value)
+
+
+_COSIM_DIGEST = """
+import hashlib
+from volterra_smp.coefficients import ControlPath, make_problem
+from volterra_smp.grids import TimeGrid
+from volterra_smp.kernels import build_fractional_lift
+from volterra_smp.simulate import sample_brownian
+from volterra_smp.variation import SpikeSpec, _spike_cosimulation
+grid = TimeGrid(1.0, 32)
+v = ControlPath.constant(1.0, grid)
+spikes = [SpikeSpec(tau=0.25, eps=eps, v=v) for eps in (0.5, 0.25)]
+bundles = _spike_cosimulation(make_problem("bilinear_lq"),
+                              build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32),
+                              ControlPath.constant(0.1, grid), spikes, 0.3,
+                              sample_brownian(grid, 5000, 7), store=True)
+h = hashlib.sha256()
+for b in bundles:
+    for table in (*b.tables.values(), *b.terminal.values(), b.j12_terms, b.cost_increment):
+        h.update(table.tobytes())
+    h.update(repr(sorted(b.norms.items())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_cosimulation_bytes_independent_of_blas_threads():
+    # 5000 paths x 32 nodes is large enough for OpenBLAS to split the dgemm
+    src = str(Path(volterra_smp.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _COSIM_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
