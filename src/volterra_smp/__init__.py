@@ -4,24 +4,3 @@ expansions, backward fields on weighted decay grids, and checks of the
 risk-adjusted Hamiltonian inequality."""
 
 __version__ = "0.1.0"
-
-from .coefficients import ControlPath, make_problem
-from .grids import ThetaGrid, TimeGrid, hnorm
-from .kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
-                      constant_kernel, exponential_kernel, kernel_eval, knorm_eps,
-                      quadrature_error)
-from .simulate import (BrownianEnsemble, cnorm, euler_maruyama, sample_brownian,
-                       simulate_lift, simulate_sve, volterra_convolve)
-from .variation import SpikeSpec, apply_spike, compute_j12, remainder_rates, simulate_variational
-from .bsde import (BSDEInstance, apriori_ratio, martingale_check,
-                   solve_bsde_closedform, solve_bsde_lsmc)
-from .bsee import (AdjointSolution, GaussianMartingale, PicardError,
-                   assemble_adjoints, assemble_first_adjoint, assemble_second_adjoint,
-                   picard_bsee_solve, theta_grid_from_kernel, trivial_bsee_solve)
-from .maxprinciple import (MPReport, check_variational_inequality, classical_adjoint_gaps,
-                           construct_argmax_control, duality_residual_first,
-                           duality_residual_second, hamiltonian, hfunction,
-                           j12_adjoint_representation)
-from .bsvie import (BSVIEFirstTuple, BSVIESecondTuple, bsee_to_bsvie_first,
-                    bsee_to_bsvie_second, bsvie_residual_first, bsvie_residual_second)
-from .harness import ExperimentConfig, resolve_config, run_experiment

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc
 
 from .grids import TimeGrid
-from .kernels import step_decay_weight
+from .kernels import discounted_sweep, step_decay_weight
 from .simulate import BrownianEnsemble
 
 
@@ -76,14 +76,9 @@ def solve_bsde_closedform(inst: BSDEInstance, ens: BrownianEnsemble | None = Non
     exactly.  q_t = a e^{-kappa (T-t)}.
     """
     grid = inst.grid
-    N, dt = grid.n_steps, grid.dt
     kappa = inst.kappa
     damp = np.exp(-kappa * (grid.T - grid.t))
-    om = float(step_decay_weight(kappa, dt))
-    dec = np.exp(-kappa * dt)
-    tail = np.zeros(N + 1)
-    for m in range(N - 1, -1, -1):
-        tail[m] = dec * tail[m + 1] + om * inst.generator[m]
+    tail = discounted_sweep(kappa, grid.dt, 0.0, inst.generator)
     det = damp * inst.terminal_const + tail
     wt = damp * inst.terminal_wt
     q = damp * inst.terminal_wt

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath
+from .coefficients import CoefficientSet, ControlPath, StructuralTags, coeff_tables
 from .grids import ThetaGrid, TimeGrid, hnorm1, hnorm2
-from .kernels import DiscreteLaplaceKernel, step_decay_weight
+from .kernels import DiscreteLaplaceKernel, discounted_sweep, step_decay_weight
 from .simulate import BrownianEnsemble
 
 
@@ -93,15 +93,6 @@ class FirstOrderField:
     def deterministic(self) -> bool:
         return self.P1 is None
 
-    def p_at(self, m: int) -> np.ndarray:
-        """Field at grid index m: (K, n) deterministic or (paths, K, n)."""
-        if self.deterministic:
-            return self.P0[m]
-        return self.P0[None, m] + self.P1[None, m] * self.Z.values[:, m, None, None]
-
-    def q_at(self, m: int) -> np.ndarray:
-        return self.Q0[m]
-
 
 @dataclass
 class SecondOrderField:
@@ -114,10 +105,6 @@ class SecondOrderField:
     asymmetry: float = 0.0
     iterations: int = 0
     distances: list = field(default_factory=list)
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.zeros_like(self.P)
 
 
 def trivial_bsee_solve(
@@ -135,50 +122,19 @@ def trivial_bsee_solve(
     For constant generators the result matches the exact discounted integral
     (1 - e^{-theta (T-t)}) / theta at every node, including theta = 0.
     """
-    K = tgrid.size
-    N, dt = grid.n_steps, grid.dt
-    n = phi0.shape[-1]
-    dec = np.exp(-tgrid.nodes * dt)[:, None]           # (K, 1)
-    om = step_decay_weight(tgrid.nodes, dt)[:, None]   # (K, 1)
-
-    P0 = np.zeros((N + 1, K, n))
-    P0[N] = phi0
-    for m in range(N - 1, -1, -1):
-        P0[m] = dec * P0[m + 1] + om * g0[m]
-
+    nodes, dt = tgrid.nodes, grid.dt
+    G0 = np.asarray(g0, dtype=float)
+    P0 = discounted_sweep(nodes, dt, phi0, G0)
     if phi1 is None and g1 is None:
-        return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0,
-                               Q0=np.zeros((N + 1, K, n)), G0=np.asarray(g0, dtype=float))
+        return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=np.zeros_like(P0), G0=G0)
 
     if Z is None:
         raise ValueError("affine terminal/generator data need the Gaussian factor Z")
-    P1 = np.zeros((N + 1, K, n))
-    P1[N] = 0.0 if phi1 is None else phi1
-    g1 = np.zeros((N + 1, K, n)) if g1 is None else g1
-    Q0 = np.zeros((N + 1, K, n))
-    for m in range(N - 1, -1, -1):
-        P1[m] = dec * P1[m + 1] + om * g1[m]
-        Q0[m] = dec * P1[m + 1] * Z.vol[m]
-    G0 = np.asarray(g0, dtype=float)
+    P1 = discounted_sweep(nodes, dt, 0.0 if phi1 is None else phi1,
+                          np.zeros_like(P0) if g1 is None else g1)
+    Q0 = np.zeros_like(P0)
+    Q0[:-1] = np.exp(-nodes * dt)[:, None] * P1[1:] * Z.vol[:-1, None, None]
     return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, P1=P1, Z=Z)
-
-
-def trivial_bsee_solve_pairs(tgrid: ThetaGrid, grid: TimeGrid,
-                             phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Deterministic node-pair solve with rate theta_i + theta_j.
-
-    phi: (K, K, n, n); g: (N+1, K, K, n, n).  Returns P (N+1, K, K, n, n).
-    """
-    K = tgrid.size
-    N, dt = grid.n_steps, grid.dt
-    varpi = tgrid.varpi2()
-    dec = np.exp(-varpi * dt)[:, :, None, None]
-    om = step_decay_weight(varpi.reshape(-1), dt).reshape(K, K)[:, :, None, None]
-    P = np.zeros((N + 1,) + phi.shape)
-    P[N] = phi
-    for m in range(N - 1, -1, -1):
-        P[m] = dec * P[m + 1] + om * g[m]
-    return P
 
 
 def s_norm_distance(grid: TimeGrid, tgrid: ThetaGrid, alpha: float,
@@ -207,48 +163,41 @@ def picard_bsee_solve(
 ):
     """Plain fixed-point iteration over deterministic table fields.
 
-    generator_map(P, Q) -> generator table of the same field shape; each
-    iterate solves the generator-frozen equation.  Stops when the weighted
+    generator_map(P) -> generator table of the same field shape; each iterate
+    is the discounted sweep of the generator-frozen equation, at the node
+    rates (order 1) or the node-pair rates (order 2).  A table field has
+    Q == 0 on every iterate, so only P is iterated.  Stops when the weighted
     space-time distance between successive iterates drops below tol; raises
     on iteration exhaustion or three consecutive non-contracting steps.
     Returns the solved field with its iteration distances attached.
     """
-    N = grid.n_steps
-    P = np.zeros((N + 1,) + phi.shape)
-    P[N] = phi
-    Q = np.zeros_like(P)
+    rates = tgrid.nodes if order == 1 else tgrid.varpi2()
+    P = np.zeros((grid.n_steps + 1,) + phi.shape)
+    P[-1] = phi
     distances = []
     asym_max = 0.0
     bad_ratio = 0
     for it in range(max_iter):
-        G = generator_map(P, Q)
-        if order == 1:
-            new = trivial_bsee_solve(tgrid, grid, phi, G)
-            P_new, Q_new = new.P0, new.Q0
-        else:
-            P_new = trivial_bsee_solve_pairs(tgrid, grid, phi, G)
-            Q_new = np.zeros_like(P_new)
+        P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P))
         if symmetrize:
             swapped = np.swapaxes(np.swapaxes(P_new, 1, 2), -2, -1)
             asym_max = max(asym_max, float(np.max(np.abs(P_new - swapped))))
             P_new = 0.5 * (P_new + swapped)
-        d = s_norm_distance(grid, tgrid, alpha, P_new - P, Q_new - Q, order)
+        d = s_norm_distance(grid, tgrid, alpha, P_new - P, None, order)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
             bad_ratio = bad_ratio + 1 if d / distances[-2] >= 1.0 else 0
             if bad_ratio >= 3 and d > tol:
                 raise PicardError(f"no contraction: distances {distances[-4:]}")
-        P, Q = P_new, Q_new
+        P = P_new
         if d < tol:
             if order == 1:
-                fld = FirstOrderField(grid=grid, tgrid=tgrid, P0=P, Q0=Q,
-                                      G0=generator_map(P, Q), iterations=it + 1,
-                                      distances=distances)
-            else:
-                fld = SecondOrderField(grid=grid, tgrid=tgrid, P=P,
-                                       G=generator_map(P, Q), asymmetry=asym_max,
-                                       iterations=it + 1, distances=distances)
-            return fld
+                return FirstOrderField(grid=grid, tgrid=tgrid, P0=P, Q0=np.zeros_like(P),
+                                       G0=generator_map(P), iterations=it + 1,
+                                       distances=distances)
+            return SecondOrderField(grid=grid, tgrid=tgrid, P=P, G=generator_map(P),
+                                    asymmetry=asym_max, iterations=it + 1,
+                                    distances=distances)
     raise PicardError(f"max_iter={max_iter} exceeded, last distance {distances[-1]:.3e}")
 
 
@@ -284,29 +233,22 @@ def contract_pair_right(kernel: DiscreteLaplaceKernel, which: str, P: np.ndarray
 # adjoint assembly
 # ---------------------------------------------------------------------------
 
-def _det_coeff_tables(coeffs: CoefficientSet, u_hat: ControlPath, grid: TimeGrid):
-    """Deterministic derivative tables along a deterministic control.
+def choose_solve_path(tags: StructuralTags, lsmc: bool, deterministic_control: bool):
+    """The first-order solve path: "deterministic", "affine", "lsmc" or None.
 
-    Valid when the tags say the state derivatives are x-free; evaluated at a
-    dummy state.
+      deterministic: linear terminal cost, x-free cost slope and x-free state
+          derivatives along a deterministic control; Picard over tables;
+      affine: state-free dynamics with terminal cost of degree <= 2 along a
+          deterministic control; closed form driven by Z = E_.[X_T];
+      lsmc: anything else, by least-squares Monte Carlo, when opted in.
     """
-    if not u_hat.deterministic:
-        raise ValueError("deterministic solve paths need a deterministic reference control")
-    n = coeffs.dim
-    x0 = np.zeros((1, n))
-    N = grid.n_steps
-    bx = np.empty((N + 1, n, n))
-    sx = np.empty((N + 1, n, n))
-    fx = np.empty((N + 1, n))
-    fxx = np.empty((N + 1, n, n))
-    for m in range(N + 1):
-        t = m * grid.dt
-        u = u_hat.at(m)
-        bx[m] = coeffs.b_x(t, u, x0)[0]
-        sx[m] = coeffs.sigma_x(t, u, x0)[0]
-        fx[m] = coeffs.f_x(t, u, x0)[0]
-        fxx[m] = coeffs.f_xx(t, u, x0)[0]
-    return bx, sx, fx, fxx
+    if deterministic_control and (tags.linear_in_state or tags.state_free) \
+            and tags.h_degree <= 1 and tags.f_state_degree <= 1:
+        return "deterministic"
+    if deterministic_control and tags.state_free and tags.f_state_degree <= 1 \
+            and tags.h_degree <= 2:
+        return "affine"
+    return "lsmc" if lsmc else None
 
 
 @dataclass
@@ -358,31 +300,21 @@ def assemble_first_adjoint(
     max_iter: int = 200,
     lsmc: bool = False,
 ) -> AdjointSolution:
-    """Build the first-order adjoint field for a reference control.
-
-    Solve paths:
-      (a) deterministic data (linear terminal cost, x-free cost slope,
-          x-free state derivatives): Picard over deterministic tables;
-      (b) state-free dynamics with terminal cost of degree <= 2: closed-form
-          affine solution driven by Z = E_.[X_T];
-      (c) otherwise least-squares Monte Carlo over the lift basis (opt-in).
-    """
+    """Build the first-order adjoint field for a reference control, on the
+    solve path that ``choose_solve_path`` picks from the tags."""
     grid = ens.grid
     tgrid = theta_grid_from_kernel(kernel)
     tags = coeffs.tags
     n = coeffs.dim
     K = tgrid.size
-    derivs_det = (tags.linear_in_state or tags.state_free) and u_hat.deterministic
+    path = choose_solve_path(tags, lsmc, u_hat.deterministic)
 
-    if derivs_det and tags.h_degree <= 1 and tags.f_state_degree <= 1:
-        bx, sx, fx, _ = _det_coeff_tables(coeffs, u_hat, grid)
+    if path == "deterministic":
+        bx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "f_x"))
         phi = np.broadcast_to(-coeffs.h_x(np.zeros((1, n)))[0], (K, n)).copy()
 
-        def gen_map(P, Q):
-            Ab = contract_first(kernel, "b", P)       # (N+1, n)
-            Aq = contract_first(kernel, "sigma", Q)
-            g = (np.einsum("tca,tc->ta", bx, Ab)
-                 + np.einsum("tca,tc->ta", sx, Aq) - fx)
+        def gen_map(P):
+            g = np.einsum("tca,tc->ta", bx, contract_first(kernel, "b", P)) - fx
             return np.broadcast_to(g[:, None, :], P.shape).copy()
 
         fld = picard_bsee_solve(tgrid, grid, phi, gen_map, kernel.alpha,
@@ -390,19 +322,14 @@ def assemble_first_adjoint(
         return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
                                u_hat=u_hat, solve_path="deterministic").finalize()
 
-    if tags.state_free and tags.f_state_degree <= 1 and tags.h_degree <= 2 and u_hat.deterministic:
+    if path == "affine":
         if n != 1:
             raise NotImplementedError("the affine closed-form path is scalar-state")
         if x_hat is None:
             raise ValueError("the affine path needs the simulated reference state")
         N = grid.n_steps
-        b_tab = np.empty(N + 1)
-        s_tab = np.empty(N + 1)
-        x0 = np.zeros((1, 1))
-        for m in range(N + 1):
-            t = m * grid.dt
-            b_tab[m] = coeffs.b(t, u_hat.at(m), x0)[0, 0]
-            s_tab[m] = coeffs.sigma(t, u_hat.at(m), x0)[0, 0]
+        b_tab, s_tab, fx = coeff_tables(coeffs, u_hat, grid, ("b", "sigma", "f_x"))
+        b_tab, s_tab = b_tab[:, 0], s_tab[:, 0]
         # Z_m = E_m[X_T]; the deterministic forcing offset is recovered from
         # the simulated terminal state, which must match Z_T pathwise.
         Z = GaussianMartingale.terminal_state_mean(kernel, grid, ens, b_tab, s_tab, 0.0)
@@ -414,7 +341,6 @@ def assemble_first_adjoint(
         # terminal: -h_x(X_T) = -(h1 + h2 X_T); slope from h_xx, level from h_x(0)
         h1 = coeffs.h_x(np.zeros((1, 1)))[0, 0]
         h2 = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
-        _, _, fx, _ = _det_coeff_tables(coeffs, u_hat, grid)
         phi0 = np.full((K, 1), -h1)
         phi1 = np.full((K, 1), -h2)
         g0 = np.broadcast_to(-fx[:, None, :], (N + 1, K, 1)).copy()
@@ -422,7 +348,7 @@ def assemble_first_adjoint(
         return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
                                u_hat=u_hat, solve_path="affine").finalize()
 
-    if lsmc:
+    if path == "lsmc":
         return _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens)
     raise ValueError(
         "unsupported coefficient structure for closed-form adjoints "
@@ -510,25 +436,20 @@ def assemble_second_adjoint(
     tgrid = first.tgrid
     n = coeffs.dim
     K = tgrid.size
-    bx, sx, _, fxx = _det_coeff_tables(coeffs, first.u_hat, grid)
+    bx, sx, fxx = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     hxx = coeffs.h_xx(np.zeros((1, n)))[0]
     phi = np.broadcast_to(-hxx, (K, K, n, n)).copy()
     # x-free second derivatives of b, sigma vanish under the supported tags,
     # so the Hessian block of the generator reduces to -f_xx.
     hess_term = -fxx  # (N+1, n, n)
 
-    def gen_map(P, Q):
+    def gen_map(P):
         left_b = contract_pair_left(kernel, "b", P)     # (N+1, K, n, n), theta2-indexed
         right_b = contract_pair_right(kernel, "b", P)   # (N+1, K, n, n), theta1-indexed
         mid = contract_pair_full(kernel, P)             # (N+1, n, n)
         g = np.zeros_like(P)
         g += np.einsum("tca,tjcb->tjab", bx, left_b)[:, None, :, :, :]
         g += np.einsum("tiac,tcb->tiab", right_b, bx)[:, :, None, :, :]
-        if np.any(Q):
-            left_s = contract_pair_left(kernel, "sigma", Q)
-            right_s = contract_pair_right(kernel, "sigma", Q)
-            g += np.einsum("tca,tjcb->tjab", sx, left_s)[:, None, :, :, :]
-            g += np.einsum("tiac,tcb->tiab", right_s, sx)[:, :, None, :, :]
         smid = np.einsum("tca,tcd,tdb->tab", sx, mid, sx)
         g += (smid + hess_term)[:, None, None, :, :]
         return g

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsee import AdjointSolution, _det_coeff_tables, contract_pair_right
+from .bsee import AdjointSolution, contract_pair_right
+from .coefficients import coeff_tables
 from .grids import TimeGrid
-from .kernels import DiscreteLaplaceKernel, step_decay_weight
+from .kernels import DiscreteLaplaceKernel, discounted_sweep, step_decay_weight
 from .simulate import BrownianEnsemble
 
 
@@ -102,7 +103,7 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
     """Max-abs residuals of the two Volterra-form equations over the grid."""
     grid = tuple_.grid
     N = grid.n_steps
-    bx, sx, fx, _ = _det_coeff_tables(coeffs, u_hat, grid)
+    bx, sx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
@@ -242,7 +243,7 @@ def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
         if int(r_subgrid) < 4:
             raise ValueError("r sub-grid needs at least 4 points")
         r_idx = np.unique(np.linspace(1, N, int(r_subgrid)).astype(int))
-    bx, sx, _, fxx = _det_coeff_tables(coeffs, adjoints.u_hat, grid)
+    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     P3 = -fxx + sx * adjoints.Rss[:, 0, 0] * sx
@@ -296,7 +297,7 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
     """
     grid = tuple2.grid
     N, dt = grid.n_steps, grid.dt
-    bx, sx, _, fxx = _det_coeff_tables(coeffs, adjoints.u_hat, grid)
+    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
@@ -325,7 +326,7 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
     # U[d] = (omega(varpi) e^{-varpi d dt}) wms: acc_m = Ks(T-t_m)^2 P1_m
     # + sum_{k>=m} ((wms.U[k-m]) P3_k + 2 (wms S_k).U[k-m]), S the one-slot part.
     varpi = th[:, None] + th[None, :]
-    om2 = step_decay_weight(varpi.reshape(-1), dt).reshape(varpi.shape)
+    om2 = step_decay_weight(varpi, dt)
     U = (om2 * np.exp(-varpi * (np.arange(N) * dt)[:, None, None])) @ wms   # (N, K)
     acc = (ks_pt[::-1] ** 2 * tuple2.P1 + _lag_sums(U @ wms, tuple2.P3, N)
            + 2.0 * _lag_sums(U, wms * _side_table(tuple2, th), N))
@@ -344,14 +345,7 @@ def reconstruct_second_field(tuple2: BSVIESecondTuple, kernel: DiscreteLaplaceKe
     exact when the couplings vanish (G^V = P3); needs the full r-family and
     holds at O(dt) otherwise.
     """
-    N, th = tuple2.grid.n_steps, kernel.nodes
-    varpi = th[:, None] + th[None, :]
-    om2 = step_decay_weight(varpi.reshape(-1), tuple2.grid.dt).reshape(varpi.shape)
-    dec2 = np.exp(-varpi * tuple2.grid.dt)
+    th = kernel.nodes
     side = _side_table(tuple2, th)
     G = tuple2.P3[:, None, None] + side[:, :, None] + side[:, None, :]
-    P = np.zeros((N + 1,) + varpi.shape)
-    P[N] = tuple2.P1[N]
-    for m in range(N - 1, -1, -1):
-        P[m] = dec2 * P[m + 1] + om2 * G[m]
-    return P
+    return discounted_sweep(th[:, None] + th[None, :], tuple2.grid.dt, tuple2.P1[-1], G)

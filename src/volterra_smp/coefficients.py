@@ -3,8 +3,9 @@
 A ``CoefficientSet`` packages the drift b, diffusion sigma, running cost f and
 terminal cost h together with their first and second state derivatives and a
 set of structural tags that the adjoint assemblers use to pick a solve path.
-All evaluators are vectorized over paths: ``t`` is a scalar grid time, ``u``
-has shape (du,) or (paths, du), ``x`` has shape (paths, n).
+All evaluators are vectorized over paths: ``t`` is a grid time, or one per
+row, ``u`` has shape (du,) or (paths, du), ``x`` has shape (paths, n).  A
+row need not be a path: ``coeff_tables`` stacks the grid times along it.
 
 Stacked Hessians follow the convention out[p, i, j, k] = d^2 phi^i / dx_j dx_k,
 so the quadratic form <phi_xx X, X> is einsum("pijk,pj,pk->pi").
@@ -150,6 +151,20 @@ class ControlPath:
     @property
     def n_steps(self) -> int:
         return (self.values.shape[0] if self.deterministic else self.values.shape[1]) - 1
+
+
+def coeff_tables(coeffs: CoefficientSet, u: ControlPath, grid: TimeGrid, names) -> tuple:
+    """Evaluator tables along a deterministic control, one per name in ``names``.
+
+    Row m holds the evaluator at (t_m, u_m) and a zero state, which is exact
+    where the tags make that evaluator state-free; each name is one call with
+    the N+1 grid times stacked along the path axis.
+    """
+    if not u.deterministic:
+        raise ValueError("deterministic solve paths need a deterministic reference control")
+    t = np.arange(grid.n_steps + 1) * grid.dt
+    x0 = np.zeros((grid.n_steps + 1, coeffs.dim))
+    return tuple(getattr(coeffs, name)(t, u.values, x0) for name in names)
 
 
 def _aspaths(arr, paths: int) -> np.ndarray:

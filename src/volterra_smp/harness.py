@@ -9,6 +9,7 @@ package version) so outputs are reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -21,11 +22,11 @@ import numpy as np
 from . import __version__
 from .bsde import (BSDEInstance, apriori_ratio, lsmc_relative_error,
                    martingale_check, solve_bsde_closedform)
-from .bsee import PicardError, assemble_adjoints
+from .bsee import PicardError, assemble_adjoints, choose_solve_path
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
-from .coefficients import ControlPath, make_problem
+from .coefficients import PROBLEMS, ControlPath, make_problem
 from .grids import TimeGrid
 from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel,
                       knorm_eps, quadrature_error)
@@ -180,6 +181,23 @@ def _real(name: str, val, positive: bool = False) -> None:
         raise ConfigError(f"{name} must be {kind} number, got {val!r}")
 
 
+def _check_params(problem: dict) -> None:
+    """Type ``problem.params`` from the builder's defaults: a number must be a
+    finite real, a tuple (the control grid) a non-empty list of them."""
+    defaults = {key: par.default for key, par in
+                inspect.signature(PROBLEMS[problem["name"]]).parameters.items()}
+    for key, val in problem["params"].items():
+        name = f"problem.params.{key}"
+        if key not in defaults:
+            raise ConfigError(f"unknown key {name}")
+        if isinstance(defaults[key], tuple):
+            if not (isinstance(val, (list, tuple)) and val and all(map(_is_real, val))):
+                raise ConfigError(f"{name} must be a non-empty list of finite numbers, "
+                                  f"got {val!r}")
+        else:
+            _real(name, val)
+
+
 def resolve_config(source=None, **overrides) -> ExperimentConfig:
     """Fill defaults, validate keys and enum values.
 
@@ -227,9 +245,9 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     if not 0 <= kernel["alpha"] < 1:
         raise ConfigError(f"kernel.alpha must lie in [0, 1), got {kernel['alpha']!r}")
     _integer("kernel.n_nodes", kernel["n_nodes"], 2)
-    from .coefficients import PROBLEMS
     if blocks["problem"]["name"] not in PROBLEMS:
         raise ConfigError(f"problem.name: bad enum value {blocks['problem']['name']!r}")
+    _check_params(blocks["problem"])
     for key, low in (("n_steps", 2), ("n_paths", 1)):
         _integer(f"grid.{key}", blocks["grid"][key], low)
     spike, solver = blocks["spike"], blocks["solver"]
@@ -254,8 +272,9 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     try:
         grid = config.make_grid()
         config.make_kernel()
+        coeffs = config.make_problem()
         if np.ndim(solver["xi"]):   # a scalar fits every problem; build no table for it
-            _xi_table(solver["xi"], grid, config.make_problem().dim)
+            _xi_table(solver["xi"], grid, coeffs.dim)
         for eps in eps_list:
             SpikeSpec(tau=spike["tau"], eps=eps, v=None).window(grid)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -789,21 +808,20 @@ RUNNERS = {
 
 
 def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
-    prob = config.problem["name"]
-    tags_det = prob in ("lq_linear_cost", "zero")
-    if name == "mp-check" and not tags_det:
+    # every reference control of the experiments is a deterministic table
+    path = choose_solve_path(config.make_problem().tags, config.solver["lsmc"], True)
+    if name == "mp-check" and path != "deterministic":
         return False, "needs a problem with deterministic, control-independent adjoint data"
-    if name == "adjoint" and prob == "bilinear_lq" and not config.solver["lsmc"]:
+    if name == "bsvie-check" and config.kernel["family"] == "fractional" \
+            and config.kernel["alpha"] > 0:
+        return False, "Volterra bridge assumes a regular kernel"
+    if name in ("adjoint", "bsvie-check") and path is None:
         return False, "problem needs the regression solve path (solver.lsmc)"
-    if name == "duality" and prob == "bilinear_lq":
+    if name == "duality" and path not in ("deterministic", "affine"):
         return False, ("exact duality needs a closed-form first-order field; the "
                        "regression solve path only estimates it")
-    if name == "bsvie-check":
-        if config.kernel["family"] == "fractional" and config.kernel["alpha"] > 0:
-            return False, "Volterra bridge assumes a regular kernel"
-        if prob == "bilinear_lq" and not config.solver["lsmc"]:
-            return False, "problem needs the regression solve path (solver.lsmc)"
-    if name == "duality" and prob == "zero":
+    # no tag says a problem is identically zero
+    if name == "duality" and config.problem["name"] == "zero":
         return False, "degenerate problem"
     return True, ""
 

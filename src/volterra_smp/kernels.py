@@ -177,6 +177,26 @@ def step_decay_weight(theta: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def discounted_sweep(rates, dt: float, terminal, gen: np.ndarray) -> np.ndarray:
+    """Backward table p_N = terminal, p_m = e^{-rate dt} p_{m+1} + omega(rate) gen_m.
+
+    ``rates`` is a scalar, the K nodes or the K x K node pairs; it indexes the
+    leading axes of a row, and any trailing (state) axes share its rate.
+    ``gen`` is the (N+1, ...) generator table (its last row is unused) and
+    ``terminal`` broadcasts to one row.  Returns the (N+1, ...) table.
+    """
+    rates = np.asarray(rates, dtype=float)
+    gen = np.asarray(gen, dtype=float)
+    tail = (1,) * (gen.ndim - 1 - rates.ndim)
+    dec = np.exp(-rates * dt).reshape(rates.shape + tail)
+    om = step_decay_weight(rates, dt).reshape(rates.shape + tail)
+    out = np.empty(gen.shape)
+    out[-1] = terminal
+    for m in range(gen.shape[0] - 2, -1, -1):
+        out[m] = dec * out[m + 1] + om * gen[m]
+    return out
+
+
 def constant_kernel(matrix=None, dim: int = 1, alpha: float = 0.0) -> DiscreteLaplaceKernel:
     """Single atom at theta = 0: K(t) = matrix for all t (classical case)."""
     m = np.eye(dim) if matrix is None else np.atleast_2d(np.asarray(matrix, dtype=float))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsee import AdjointSolution
-from .coefficients import CoefficientSet, ControlPath
+from .coefficients import CoefficientSet, ControlPath, coeff_tables
 from .grids import TimeGrid
 from .kernels import step_decay_weight
 from .simulate import BrownianEnsemble
@@ -183,7 +183,7 @@ class _SecondDualityAccumulator:
         dt = self.ens.grid.dt
         varpi = self.adj.tgrid.varpi2()
         self._dec2 = np.exp(-varpi * dt)
-        self._om2 = step_decay_weight(varpi.reshape(-1), dt).reshape(varpi.shape)
+        self._om2 = step_decay_weight(varpi, dt)
         self._w = k.weights
         self._mb = k.mb[:, 0, 0]
         self._ms = k.msigma[:, 0, 0]
@@ -374,20 +374,18 @@ def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,
     Valid when the control-dependent part of the Hamiltonian is state-free
     (the bundled linear-cost problem), so the maximizer is deterministic.
     """
+    if adjoints.Ab1 is not None:
+        raise ValueError("the argmax control needs deterministic adjoint contractions")
     u_pts = coeffs.control_domain.points
-    N = grid.n_steps
-    vals = np.empty((N + 1, coeffs.du))
-    x0 = np.zeros((1, coeffs.dim))
-    for m in range(N + 1):
-        t = m * grid.dt
-        Ab, Aq = adjoints.first_contractions_at(min(m, N - 1))
-        best, best_val = None, -np.inf
-        for v in u_pts:
-            hv = float(hamiltonian(coeffs, t, v, x0, Ab, Aq)[0])
-            if hv > best_val:
-                best, best_val = v, hv
-        vals[m] = best
-    return ControlPath(vals, deterministic=True)
+    N, n_v = grid.n_steps, u_pts.shape[0]
+    # one evaluation for every (step, control point), row m * n_v + i; the last
+    # step reuses the contractions of step N - 1
+    steps = np.repeat(np.minimum(np.arange(N + 1), N - 1), n_v)
+    h = hamiltonian(coeffs, np.repeat(np.arange(N + 1) * grid.dt, n_v),
+                    np.tile(u_pts, (N + 1, 1)), np.zeros((steps.size, coeffs.dim)),
+                    adjoints.Ab0[steps], adjoints.Aq0[steps])
+    # argmax takes the first of equal maxima, as the strict comparison did
+    return ControlPath(u_pts[np.argmax(h.reshape(N + 1, n_v), axis=1)], deterministic=True)
 
 
 def perturb_control(u: ControlPath, grid: TimeGrid, t_lo: float, t_hi: float,
@@ -416,17 +414,8 @@ def classical_adjoint_gaps(coeffs: CoefficientSet, u_hat: ControlPath,
         raise NotImplementedError("classical reference checker is scalar-state")
     N, dt = grid.n_steps, grid.dt
     x0 = np.zeros((1, 1))
-    bx = np.empty(N + 1)
-    sx = np.empty(N + 1)
-    fx = np.empty(N + 1)
-    fxx = np.empty(N + 1)
-    for m in range(N + 1):
-        t = m * grid.dt
-        u = u_hat.at(m)
-        bx[m] = coeffs.b_x(t, u, x0)[0, 0, 0]
-        sx[m] = coeffs.sigma_x(t, u, x0)[0, 0, 0]
-        fx[m] = coeffs.f_x(t, u, x0)[0, 0]
-        fxx[m] = coeffs.f_xx(t, u, x0)[0, 0, 0]
+    bx, sx, fx, fxx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x", "f_xx"))
+    bx, sx, fx, fxx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0], fxx[:, 0, 0]
     p = np.empty(N + 1)
     P = np.empty(N + 1)
     p[N] = -coeffs.h_x(x0)[0, 0]

@@ -8,15 +8,16 @@ lag-table contractions; the property tests compare the two.
 
 import numpy as np
 
-from volterra_smp.bsee import _det_coeff_tables, contract_pair_right, theta_grid_from_kernel
+from volterra_smp.bsee import contract_pair_right, theta_grid_from_kernel
 from volterra_smp.bsvie import _kernel_scalar_tables
+from volterra_smp.coefficients import coeff_tables
 from volterra_smp.kernels import step_decay_weight
 
 
 def bsvie_residual_first(tuple_, coeffs, u_hat, kernel, ens=None) -> dict:
     grid = tuple_.grid
     N = grid.n_steps
-    bx, sx, fx, _ = _det_coeff_tables(coeffs, u_hat, grid)
+    bx, sx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
@@ -70,7 +71,7 @@ def m_constraint_residual_first(tuple_, ens) -> float:
 def bsvie_residual_second(tuple2, coeffs, adjoints, kernel) -> dict:
     grid = tuple2.grid
     N, dt = grid.n_steps, grid.dt
-    bx, sx, _, fxx = _det_coeff_tables(coeffs, adjoints.u_hat, grid)
+    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")

@@ -1,12 +1,15 @@
-"""Reference loop form of the variational-inequality check (test-only oracle).
+"""Reference loop forms of the variational-inequality check and the argmax
+control (test-only oracles).
 
-One round of coefficient calls per (step, control point), as the check was
-first written.  ``maxprinciple.check_variational_inequality`` evaluates all
-control points of a step at once; the tests compare the two reports exactly.
+One round of coefficient calls per (step, control point), as both were first
+written.  ``maxprinciple.check_variational_inequality`` evaluates all control
+points of a step at once and ``maxprinciple.construct_argmax_control`` every
+(step, control point) pair at once; the tests compare the results exactly.
 """
 
 import numpy as np
 
+from volterra_smp.coefficients import ControlPath
 from volterra_smp.maxprinciple import MPReport, hamiltonian
 from volterra_smp.stats import mc_mean_se
 
@@ -54,3 +57,21 @@ def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
                     tol_margin=margin, alpha=alpha,
                     alpha_hypothesis=bool(abs(alpha - 1.0 / 3.0) < 1e-12),
                     max_quadratic_term=max_quad)
+
+
+def construct_argmax_control(coeffs, adjoints, grid) -> ControlPath:
+    """One Hamiltonian call per (step, control point); the first maximum wins."""
+    u_pts = coeffs.control_domain.points
+    N = grid.n_steps
+    vals = np.empty((N + 1, coeffs.du))
+    x0 = np.zeros((1, coeffs.dim))
+    for m in range(N + 1):
+        t = m * grid.dt
+        Ab, Aq = adjoints.first_contractions_at(min(m, N - 1))
+        best, best_val = None, -np.inf
+        for v in u_pts:
+            hv = float(hamiltonian(coeffs, t, v, x0, Ab, Aq)[0])
+            if hv > best_val:
+                best, best_val = v, hv
+        vals[m] = best
+    return ControlPath(vals, deterministic=True)

@@ -88,7 +88,7 @@ def test_picard_constant_generator_one_iteration(grid, frac_kernel):
     tg = theta_of(frac_kernel)
     phi = np.zeros((tg.size, 1))
 
-    def gen_map(P, Q):
+    def gen_map(P):
         return np.ones_like(P)
 
     fld = picard_bsee_solve(tg, grid, phi, gen_map, alpha=frac_kernel.alpha, order=1)
@@ -100,7 +100,7 @@ def test_picard_reports_non_contraction(grid, delta_kernel):
     tg = theta_of(delta_kernel)
     phi = np.ones((1, 1))
 
-    def expanding(P, Q):
+    def expanding(P):
         return 10.0 * P + 1.0
 
     with pytest.raises(PicardError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,35 @@ def test_cli_bad_kernel_value_names_the_key(tmp_path, capsys, raw, key):
     assert "config error" in err and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"foo": 1}, "problem.params.foo"),
+    ({"b1": "x"}, "problem.params.b1"),
+    ({"c1": True}, "problem.params.c1"),
+    ({"ch": None}, "problem.params.ch"),
+    ({"r": float("inf")}, "problem.params.r"),
+    ({"u_grid": []}, "problem.params.u_grid"),
+    ({"u_grid": 0.5}, "problem.params.u_grid"),
+    ({"u_grid": [0.0, "a"]}, "problem.params.u_grid"),
+    ({"u_grid": [0.0, float("nan")]}, "problem.params.u_grid"),
+    ({"u_grid": [[0.0, 1.0]]}, "problem.params.u_grid"),
+], ids=["unknown_key", "number_string", "number_bool", "number_null", "number_inf",
+        "u_grid_empty", "u_grid_scalar", "u_grid_string", "u_grid_nan", "u_grid_nested"])
+def test_cli_bad_problem_param_names_the_key(tmp_path, capsys, params, key):
+    raw = {**SMALL, "problem": {"name": "lq_linear_cost", "params": params}}
+    code, _ = _cli(tmp_path, "kernels", raw)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+
+
+def test_problem_params_typed_from_the_builder_defaults():
+    cfg = resolve_config({"problem": {"name": "bilinear_lq",
+                                      "params": {"b1": 1, "u_grid": [-1, 0.5]}}})
+    assert cfg.make_problem().control_domain.points.tolist() == [[-1.0], [0.5]]
+    with pytest.raises(ConfigError, match="unknown key problem.params.b1"):
+        resolve_config({"problem": {"name": "zero", "params": {"b1": 1.0}}})
+
+
 def test_cli_memory_error_is_failed_check(tmp_path, capsys, monkeypatch):
     # the real sample would ask for n_paths x n_steps doubles (1.46 TiB); never allocate it
     def refuse(grid, n_paths, seed):
@@ -386,3 +416,18 @@ def test_to_csv_formats_every_kind_as_the_oracle(tmp_path):
 def test_to_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="every row needs 2 values"):
         ResultTable("t", ["a", "b"], [(1, 2), (3,)], {}).to_csv(tmp_path / "t.csv")
+
+
+def test_output_digest_lists_every_output_but_the_timings(tmp_path):
+    import hashlib
+    (tmp_path / "cfg").mkdir()
+    files = {"b.csv": b"1,2\n", "a.json": b"{}\n", "cfg/c.csv": b"x\n"}
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    (tmp_path / "cfg" / "timings.json").write_text('{"wall_s": 1.0}')
+    script = Path(harness.__file__).resolve().parents[2] / "scripts" / "output_digest.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{hashlib.sha256(files[n]).hexdigest()}  {n}"
+                                        for n in sorted(files)]

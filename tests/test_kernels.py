@@ -5,8 +5,8 @@ from scipy.special import gamma as gamma_fn
 
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel,
                                   build_fractional_lift, constant_kernel,
-                                  exponential_kernel, kernel_eval, knorm_eps,
-                                  quadrature_error)
+                                  discounted_sweep, exponential_kernel, kernel_eval,
+                                  knorm_eps, quadrature_error, step_decay_weight)
 
 
 def test_delta_atom_is_constant_kernel():
@@ -132,3 +132,28 @@ def test_node_doubling_halves_error():
 def test_integrability_report_finite(frac_kernel):
     rep = frac_kernel.integrability_report()
     assert all(np.isfinite(v) and v > 0 for v in rep.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rate_axes=st.integers(0, 2), n_nodes=st.integers(1, 5), state_axes=st.integers(0, 2),
+       n_steps=st.integers(1, 30), zero_rate=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_discounted_sweep_equals_per_step_loop_bit_for_bit(rate_axes, n_nodes, state_axes,
+                                                           n_steps, zero_rate, seed):
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 1e3, (n_nodes,) * rate_axes)
+    if zero_rate:
+        rates.flat[0] = 0.0
+    row = rates.shape + (2,) * state_axes
+    terminal = rng.normal(size=row)
+    gen = rng.normal(size=(n_steps + 1,) + row)
+    dt = float(rng.uniform(1e-3, 0.5))
+    out = discounted_sweep(rates if rate_axes else float(rates), dt, terminal, gen)
+    # the recursion written out one step at a time, rates broadcast over state axes
+    tail = (1,) * state_axes
+    dec = np.exp(-rates * dt).reshape(rates.shape + tail)
+    om = step_decay_weight(rates, dt).reshape(rates.shape + tail)
+    ref = np.zeros((n_steps + 1,) + row)
+    ref[n_steps] = terminal
+    for m in range(n_steps - 1, -1, -1):
+        ref[m] = dec * ref[m + 1] + om * gen[m]
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()

@@ -255,3 +255,27 @@ def test_row_mean_se_bitwise_equals_per_row(n_rows, paths, seed, scale, offset):
     s = rng.normal(size=(n_rows, paths)) * 10.0 ** scale + 10.0 ** offset
     means, ses = mc_mean_se_rows(s)
     assert [(m, e) for m, e in zip(means.tolist(), ses.tolist())] == [mc_mean_se(r) for r in s]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), fractional=st.booleans())
+def test_argmax_control_matches_loop_oracle(seed, fractional, grid, ens, frac_kernel,
+                                            delta_kernel):
+    rng = np.random.default_rng(seed)
+    kernel = frac_kernel if fractional else delta_kernel
+    pr = make_problem("lq_linear_cost", b1=rng.uniform(-1, 1), b2=rng.uniform(-2, 2),
+                      s1=rng.uniform(-1, 1), c1=rng.uniform(-1, 1), r=rng.uniform(0.1, 3),
+                      ch=rng.uniform(-2, 2), u_grid=tuple(rng.uniform(-2, 2, rng.integers(1, 7))))
+    u0 = ControlPath(rng.uniform(-1, 1, (grid.n_steps + 1, 1)))
+    adj0 = assemble_adjoints(pr, u0, None, kernel, ens.first_paths(8))
+    uh = construct_argmax_control(pr, adj0, grid)
+    assert np.array_equal(uh.values, mp_oracle.construct_argmax_control(pr, adj0, grid).values)
+
+
+def test_argmax_control_first_control_point_wins_a_tie(grid, delta_kernel, ens):
+    # every Hamiltonian of the zero problem is 0, so each step is a three-way tie
+    pr = make_problem("zero", u_grid=(0.5, -1.0, 2.0))
+    adj = assemble_adjoints(pr, ControlPath.constant(0.0, grid), None, delta_kernel, ens)
+    uh = construct_argmax_control(pr, adj, grid)
+    assert np.array_equal(uh.values, mp_oracle.construct_argmax_control(pr, adj, grid).values)
+    assert np.all(uh.values == 0.5)
