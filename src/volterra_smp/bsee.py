@@ -279,14 +279,18 @@ class AdjointSolution:
             self.Rss = np.zeros((self.grid.n_steps + 1, k.dim, k.dim))
         return self
 
-    def first_contractions_at(self, m: int):
-        """(mu[Mb^T p_m], mu[Ms^T q_m]) as per-path rows (paths, n) or (n,)."""
+    def first_contractions_at(self, m):
+        """(mu[Mb^T p_m], mu[Ms^T q_m]) as per-path rows (paths, n) or (n,).
+
+        ``m`` may also be an array of grid indices, which become a leading axis.
+        """
         Ab = self.Ab0[m]
         if self.Ab1 is not None:
-            Ab = Ab[None, :] + self.Ab1[m][None, :] * self.first.Z.values[:, m, None]
+            z = self.first.Z.values[:, m].T
+            Ab = Ab[..., None, :] + self.Ab1[m][..., None, :] * z[..., None]
         return Ab, self.Aq0[m]
 
-    def risk_matrix_at(self, m: int) -> np.ndarray:
+    def risk_matrix_at(self, m) -> np.ndarray:
         return self.Rss[m]
 
 

@@ -108,14 +108,6 @@ class CoefficientSet:
             if err > rel_tol:
                 raise ValueError(f"derivative self-test failed for {label}: rel err {err:.3e}")
 
-    def delta(self, which: str, t: float, u_hat, v, x) -> np.ndarray:
-        """phi(t, v, x) - phi(t, u_hat, x) for phi in {b, sigma, f} and derivatives."""
-        fn = {
-            "b": self.b, "sigma": self.sigma, "f": self.f,
-            "b_x": self.b_x, "sigma_x": self.sigma_x, "f_x": self.f_x,
-        }[which]
-        return fn(t, v, x) - fn(t, u_hat, x)
-
 
 @dataclass(frozen=True)
 class ControlPath:
@@ -167,46 +159,36 @@ def coeff_tables(coeffs: CoefficientSet, u: ControlPath, grid: TimeGrid, names) 
     return tuple(getattr(coeffs, name)(t, u.values, x0) for name in names)
 
 
-def _aspaths(arr, paths: int) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(arr, dtype=float))
-    if out.ndim == 1:
-        out = np.broadcast_to(out, (paths, out.shape[0]))
-    return out
-
-
 def _scalar_problem(name, b, sigma, f, h, b_x, sigma_x, f_x, h_x, b_xx, sigma_xx,
                     f_xx, h_xx, u_grid, tags, kappa) -> CoefficientSet:
-    """Wrap scalar (n = du = 1) formulas into vectorized evaluators."""
+    """Wrap scalar (n = du = 1) formulas into vectorized evaluators.
 
-    def vec1(fn):
+    A formula sees x[:, 0] and u[..., 0] and broadcasts inside its own
+    arithmetic; only a result of another shape (a constant) is broadcast to
+    the rows, as a read-only view.  Results gain ``trailing`` unit axes.
+    """
+
+    def shaped(vals, x1, index):
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != x1.shape:
+            vals = np.broadcast_to(vals, x1.shape)
+        return vals[index]
+
+    def running(fn, trailing):
+        index = (slice(None),) + (None,) * trailing
+
         def wrapped(t, u, x):
             x1 = np.asarray(x, dtype=float)[:, 0]
-            u1 = _aspaths(u, x1.shape[0])[:, 0]
-            vals = np.broadcast_to(np.asarray(fn(t, u1, x1), dtype=float), x1.shape)
-            return vals[:, None]
+            u1 = np.asarray(u, dtype=float)
+            return shaped(fn(t, u1[..., 0] if u1.ndim else u1, x1), x1, index)
         return wrapped
 
-    def vec0(fn):
-        def wrapped(t, u, x):
-            x1 = np.asarray(x, dtype=float)[:, 0]
-            u1 = _aspaths(u, x1.shape[0])[:, 0]
-            return np.broadcast_to(np.asarray(fn(t, u1, x1), dtype=float), x1.shape).copy()
-        return wrapped
+    def terminal(fn, trailing):
+        index = (slice(None),) + (None,) * trailing
 
-    def mat(fn):
-        def wrapped(t, u, x):
+        def wrapped(x):
             x1 = np.asarray(x, dtype=float)[:, 0]
-            u1 = _aspaths(u, x1.shape[0])[:, 0]
-            vals = np.broadcast_to(np.asarray(fn(t, u1, x1), dtype=float), x1.shape)
-            return vals[:, None, None]
-        return wrapped
-
-    def hess(fn):
-        def wrapped(t, u, x):
-            x1 = np.asarray(x, dtype=float)[:, 0]
-            u1 = _aspaths(u, x1.shape[0])[:, 0]
-            vals = np.broadcast_to(np.asarray(fn(t, u1, x1), dtype=float), x1.shape)
-            return vals[:, None, None, None]
+            return shaped(fn(x1), x1, index)
         return wrapped
 
     def hterm(fn):
@@ -214,23 +196,12 @@ def _scalar_problem(name, b, sigma, f, h, b_x, sigma_x, f_x, h_x, b_xx, sigma_xx
             return np.asarray(fn(np.asarray(x, dtype=float)[:, 0]), dtype=float)
         return wrapped
 
-    def hterm_vec(fn):
-        def wrapped(x):
-            x1 = np.asarray(x, dtype=float)[:, 0]
-            return np.broadcast_to(np.asarray(fn(x1), dtype=float), x1.shape)[:, None]
-        return wrapped
-
-    def hterm_mat(fn):
-        def wrapped(x):
-            x1 = np.asarray(x, dtype=float)[:, 0]
-            return np.broadcast_to(np.asarray(fn(x1), dtype=float), x1.shape)[:, None, None]
-        return wrapped
-
     return CoefficientSet(
         dim=1, du=1,
-        b=vec1(b), sigma=vec1(sigma), f=vec0(f), h=hterm(h),
-        b_x=mat(b_x), sigma_x=mat(sigma_x), f_x=vec1(f_x), h_x=hterm_vec(h_x),
-        b_xx=hess(b_xx), sigma_xx=hess(sigma_xx), f_xx=mat(f_xx), h_xx=hterm_mat(h_xx),
+        b=running(b, 1), sigma=running(sigma, 1), f=running(f, 0), h=hterm(h),
+        b_x=running(b_x, 2), sigma_x=running(sigma_x, 2), f_x=running(f_x, 1),
+        h_x=terminal(h_x, 1), b_xx=running(b_xx, 3), sigma_xx=running(sigma_xx, 3),
+        f_xx=running(f_xx, 2), h_xx=terminal(h_xx, 2),
         control_domain=ControlDomain(np.asarray(u_grid, dtype=float)[:, None]),
         tags=tags, kappa=kappa, name=name,
     )

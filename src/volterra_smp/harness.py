@@ -282,36 +282,65 @@ def resolve_config(source=None, **overrides) -> ExperimentConfig:
     return config
 
 
-@dataclass
 class ResultTable:
-    name: str
-    columns: list
-    rows: list
-    provenance: dict = field(default_factory=dict)
+    """A result table, stored by column.
+
+    ``data[i]`` holds column i: a numpy array, or a Python sequence for a
+    column built value by value.  Tables are built from ``rows`` or, where the
+    values already sit in arrays, from ``data``.
+    """
+
+    def __init__(self, name: str, columns, rows=(), provenance=None, *, data=None):
+        if data is None:
+            rows = list(rows)
+            if any(len(row) != len(columns) for row in rows):
+                raise ValueError(f"table {name}: every row needs {len(columns)} values")
+            data = list(zip(*rows)) if rows else [()] * len(columns)
+        if len(data) != len(columns) or len({len(col) for col in data}) > 1:
+            raise ValueError(f"table {name}: needs {len(columns)} columns of one length")
+        self.name, self.columns, self.data = name, list(columns), list(data)
+        self.provenance = {} if provenance is None else provenance
+
+    @property
+    def rows(self) -> list:
+        return list(zip(*self.data))
 
     def to_csv(self, path: Path) -> None:
-        lines = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
-        lines.append(",".join(self.columns))
-        if any(len(row) != len(self.columns) for row in self.rows):
-            raise ValueError(f"table {self.name}: every row needs {len(self.columns)} values")
-        fmts = [_column_format(row[i] for row in self.rows) for i in range(len(self.columns))]
-        for lo in range(0, len(self.rows), 4096):   # formatted cells live one block at a time
-            cols = zip(fmts, zip(*self.rows[lo:lo + 4096]))
-            lines.extend(map(",".join, zip(*[list(map(f, col)) for f, col in cols])))
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
+        header.append(",".join(self.columns))
+        fmts = [_column_format(col) for col in self.data]
+        n_rows = len(self.data[0]) if self.data else 0
+        with Path(path).open("w") as fh:
+            fh.write("\n".join(header) + "\n")
+            for lo in range(0, n_rows, 4096):   # formatted cells live one block at a time
+                cells = [list(map(fmt, _values(col[lo:lo + 4096])))
+                         for fmt, col in zip(fmts, self.data)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _values(col):
+    """A column block as Python values: numpy scalars format slower."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
 
 
 def _column_format(col):
     """The formatter ``_fmt`` would apply to every value of a column, chosen
-    once per column; a column of mixed kinds goes value by value."""
-    kinds = set(map(type, col))
+    once per column: from the dtype of a numeric array, else from the kinds of
+    the values; a column of mixed kinds goes value by value."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+        return {"b": _bool, "i": str, "u": str, "f": "%.17g".__mod__}[col.dtype.kind]
+    kinds = set(map(type, _values(col)))
     if all(issubclass(k, (bool, np.bool_)) for k in kinds):
-        return lambda v: "true" if v else "false"
+        return _bool
     if all(issubclass(k, (float, np.floating)) for k in kinds):
         return "%.17g".__mod__      # the same digits as format(float(v), ".17g")
     if not any(issubclass(k, (bool, np.bool_, float, np.floating)) for k in kinds):
         return str
     return _fmt
+
+
+def _bool(v) -> str:
+    return "true" if v else "false"
 
 
 def _fmt(v) -> str:
@@ -367,6 +396,11 @@ def _provenance(config: ExperimentConfig) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
+def _kernel_table(rep: dict, prov: dict) -> ResultTable:
+    return ResultTable("kernels", ["t", "K_b_hat", "K_b_exact", "rel_err"], provenance=prov,
+                       data=[rep["t"], rep["khat"][:, 0, 0], rep["kexact"][:, 0, 0], rep["rel"]])
+
+
 def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     checks = []
@@ -377,19 +411,13 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
         rep = quadrature_error(kern, t_grid, "b")
         checks.append(("atom_representation_exact", rep["sup_rel"] < 1e-12,
                        f"sup rel err {rep['sup_rel']:.3e}"))
-        rows = [(t, kh[0, 0], ke[0, 0], r) for t, kh, ke, r in
-                zip(rep["t"], rep["khat"], rep["kexact"], rep["rel"])]
-        tables["kernels"] = ResultTable("kernels", ["t", "K_b_hat", "K_b_exact", "rel_err"],
-                                        rows, prov)
+        tables["kernels"] = _kernel_table(rep, prov)
         return ExperimentResult("kernels", tables, checks)
 
     kern = config.make_kernel()
     t_grid = np.geomspace(0.01, 1.0, 128)
     rep = quadrature_error(kern, t_grid, "b")
-    rows = [(t, kh[0, 0], ke[0, 0], r) for t, kh, ke, r in
-            zip(rep["t"], rep["khat"], rep["kexact"], rep["rel"])]
-    tables["kernels"] = ResultTable("kernels", ["t", "K_b_hat", "K_b_exact", "rel_err"],
-                                    rows, prov)
+    tables["kernels"] = _kernel_table(rep, prov)
     checks.append(("quadrature_sup_rel_1pc", rep["sup_rel"] <= 0.01,
                    f"sup rel err {rep['sup_rel']:.3e} on t in [0.01, 1]"))
 
@@ -435,12 +463,11 @@ def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     dev = float(np.max(np.abs(Xl - Xd)))
     checks.append(("lift_direct_identity", dev <= 1e-10, f"max deviation {dev:.3e}"))
 
-    rows = []
     cap = min(ens.n_paths, 256)
-    for p in range(cap):
-        for m in range(grid.n_steps + 1):
-            rows.append((p, grid.t[m], X[p, m, 0]))
-    tables = {"states": ResultTable("states", ["path", "t", "X"], rows, prov)}
+    states = [np.repeat(np.arange(cap), grid.n_steps + 1), np.tile(grid.t, cap),
+              X[:cap, :, 0].reshape(-1)]
+    tables = {"states": ResultTable("states", ["path", "t", "X"], provenance=prov,
+                                    data=states)}
     summary = {"cnorm_p2": cnorm(X, 2.0), "cnorm_p4": cnorm(X, 4.0),
                "n_paths": ens.n_paths, "written_paths": cap}
     return ExperimentResult("simulate", tables, checks, extras={"summary": summary})
@@ -618,25 +645,19 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     node_res = float(np.max(np.abs(resid)))
     checks.append(("node_recursion_residual", node_res <= 1e-10, f"max {node_res:.3e}"))
 
-    rows_p = []
-    for m in range(0, grid.n_steps + 1, max(1, grid.n_steps // 16)):
-        for i, theta in enumerate(th):
-            rows_p.append((grid.t[m], theta, adj.first.P0[m, i, 0]))
-    rows_P = []
-    step = max(1, grid.n_steps // 8)
-    for m in range(0, grid.n_steps + 1, step):
-        for i, t1 in enumerate(th):
-            for j, t2 in enumerate(th):
-                rows_P.append((grid.t[m], t1, t2, adj.second.P[m, i, j, 0, 0]))
-    rows_c = []
-    for m in range(grid.n_steps + 1):
-        Ab, Aq = adj.Ab0[m], adj.Aq0[m]
-        rows_c.append((grid.t[m], Ab[0], Aq[0], adj.Rss[m, 0, 0]))
+    K = th.size
+    m_p = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 16))
+    m_P = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))
     tables = {
-        "p": ResultTable("p", ["t", "theta", "p_det"], rows_p, prov),
-        "P": ResultTable("P", ["t", "theta1", "theta2", "P"], rows_P, prov),
+        "p": ResultTable("p", ["t", "theta", "p_det"], provenance=prov, data=[
+            np.repeat(grid.t[m_p], K), np.tile(th, m_p.size),
+            adj.first.P0[m_p, :, 0].reshape(-1)]),
+        "P": ResultTable("P", ["t", "theta1", "theta2", "P"], provenance=prov, data=[
+            np.repeat(grid.t[m_P], K * K), np.tile(np.repeat(th, K), m_P.size),
+            np.tile(th, m_P.size * K), adj.second.P[m_P, :, :, 0, 0].reshape(-1)]),
         "contractions": ResultTable("contractions", ["t", "mu_Mb_p", "mu_Ms_q", "risk"],
-                                    rows_c, prov),
+                                    provenance=prov, data=[grid.t, adj.Ab0[:, 0],
+                                                           adj.Aq0[:, 0], adj.Rss[:, 0, 0]]),
     }
     timing = {"solve_path": adj.solve_path,
               "picard_iterations": {"first": adj.first.iterations,
@@ -736,8 +757,7 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
                    f"violations on [{min(viol) if viol else float('nan'):.4f}, "
                    f"{max(viol) if viol else float('nan'):.4f}]"))
 
-    rows = [(t, v, g, s, ok) for (t, v, g, s, ok) in rep.rows]
-    tables = {"mp": ResultTable("mp", ["t", "v", "gap", "se", "pass"], rows, prov)}
+    tables = {"mp": ResultTable("mp", ["t", "v", "gap", "se", "pass"], rep.rows, prov)}
     extras = {"report": rep, "u_hat": u_hat}
 
     if kern.n_nodes == 1 and kern.nodes[0] == 0.0:
@@ -883,12 +903,14 @@ def write_results(results: dict, config: ExperimentConfig, out: Path) -> list:
     timings = {}
     prefix_tables = len(results) > 1
     for exp_name, res in results.items():
+        t0 = time.perf_counter()
         for tname, table in res.tables.items():
             fname = (f"{exp_name.replace('-', '_')}_{tname}.csv" if prefix_tables
                      else f"{tname}.csv")
             path = out / fname
             table.to_csv(path)
             written.append(path)
+        write_s = time.perf_counter() - t0
         summary[exp_name] = {
             "passed": res.passed,
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in res.checks],
@@ -896,7 +918,7 @@ def write_results(results: dict, config: ExperimentConfig, out: Path) -> list:
         if "summary" in res.extras:
             summary[exp_name]["summary"] = res.extras["summary"]
         if "timing" in res.extras:
-            timings[exp_name] = res.extras["timing"]
+            timings[exp_name] = {**res.extras["timing"], "write_s": write_s}
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True,
                                                  default=float) + "\n")
     (out / "resolved_config.json").write_text(

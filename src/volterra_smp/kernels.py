@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
@@ -369,6 +368,7 @@ def knorm_eps(kernel, which: str, q: float, eps: float, closed_form: bool = True
             lam = ana.lam
             return float(fnorm * (-np.expm1(-q * lam * eps) / (q * lam)) ** (1.0 / q))
 
+    from scipy.integrate import quad   # a slow import that only this branch needs
     val, _ = quad(lambda t: profile(np.asarray(t)) ** q, 0.0, eps, epsabs=0.0, epsrel=1e-10, limit=400)
     return float(val ** (1.0 / q))
 

@@ -35,9 +35,12 @@ def hamiltonian(coeffs: CoefficientSet, t: float, u, x, p, q) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = np.broadcast_to(np.asarray(p, dtype=float), x.shape)
     q = np.broadcast_to(np.asarray(q, dtype=float), x.shape)
-    return (np.sum(p * coeffs.b(t, u, x), axis=1)
-            + np.sum(q * coeffs.sigma(t, u, x), axis=1)
-            - coeffs.f(t, u, x))
+    return _hamiltonian_of(p, q, coeffs.b(t, u, x), coeffs.sigma(t, u, x), coeffs.f(t, u, x))
+
+
+def _hamiltonian_of(p, q, b, sigma, f) -> np.ndarray:
+    """<p, b> + <q, sigma> - f over the last axis, from evaluated coefficients."""
+    return np.sum(p * b, axis=-1) + np.sum(q * sigma, axis=-1) - f
 
 
 def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
@@ -316,46 +319,57 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
         u_pts = u_pts.T
-    n_v, paths = u_pts.shape[0], x_hat.shape[0]
-    v_rows = np.repeat(u_pts, paths, axis=0)
+    (n_v, du), (paths, n) = u_pts.shape, (x_hat.shape[0], x_hat.shape[-1])
+    # a block of steps is evaluated at once, each stacked array near 512 KB: larger
+    # arrays fall out of the cache and run slower than one step at a time
+    block = max(1, 2 ** 16 // ((n_v + 1) * paths * max(n, du)))
 
-    def stack(a):
-        """Per-path rows repeated for u_hat and each control point; shared rows as is."""
-        a = np.asarray(a, dtype=float)
-        return np.tile(a, (n_v + 1, 1)) if a.ndim == 2 else a
+    means, ses = [], []
+    spread = 0.0
+    max_quad = 0.0
+    for m0 in range(0, N, block):
+        ms = np.arange(m0, min(m0 + block, N))
+        B = ms.size
+        # one row per (step, control, path): per step, block 0 holds the paths at
+        # u_hat and block i + 1 those at control point i
+        shape = (B, n_v + 1, paths)
+        u_rows = np.empty(shape + (du,))
+        u_rows[:, 0] = (u_hat.values[ms][:, None] if u_hat.deterministic
+                        else u_hat.values[:, ms].swapaxes(0, 1))
+        u_rows[:, 1:] = u_pts[:, None, :]
+        u_rows = u_rows.reshape(-1, du)
+        t_rows = np.repeat(ms * grid.dt, (n_v + 1) * paths)
+        x_rows = np.broadcast_to(x_hat[:, ms].swapaxes(0, 1)[:, None], shape + (n,))
+        x_rows = x_rows.reshape(-1, n)
+        sig = coeffs.sigma(t_rows, u_rows, x_rows).reshape(shape + (n,))
+        Ab, Aq = adjoints.first_contractions_at(ms)   # (B, [paths,] n)
+        h = _hamiltonian_of(Ab.reshape(B, 1, -1, n), Aq.reshape(B, 1, -1, n),
+                            coeffs.b(t_rows, u_rows, x_rows).reshape(shape + (n,)), sig,
+                            coeffs.f(t_rows, u_rows, x_rows).reshape(shape))
+        gap_sigma = (sig[:, :1] - sig[:, 1:]).reshape(B, n_v * paths, n)
+        quad = 0.5 * np.einsum("spa,sab,spb->sp", gap_sigma, adjoints.risk_matrix_at(ms),
+                               gap_sigma)
+        gaps = h[:, :1] - h[:, 1:] - quad.reshape(B, n_v, paths)
+        max_quad = max(max_quad, float(np.max(np.abs(quad))))
+        spread = max(spread, float(np.max(np.max(gaps, axis=2) - np.min(gaps, axis=2))))
+        block_means, block_ses = mc_mean_se_rows(gaps.reshape(B * n_v, paths))
+        means.append(block_means)
+        ses.append(block_ses)
 
-    rows = []
+    rows = list(zip(np.repeat(np.arange(N) * grid.dt, n_v).tolist(),
+                    np.tile(u_pts[:, 0], N).tolist(),
+                    np.concatenate(means).tolist(), np.concatenate(ses).tolist()))
     min_gap = np.inf
     min_loc = (0.0, None)
     min_se = 0.0
-    spread = 0.0
-    max_quad = 0.0
-    for m in range(N):
-        t = m * grid.dt
-        Ab, Aq = adjoints.first_contractions_at(m)
-        R = adjoints.risk_matrix_at(m)
-        # one evaluation for all controls, stacked along the path axis: block 0
-        # holds the paths at u_hat, block i + 1 those at control point i
-        u_rows = np.concatenate([np.broadcast_to(u_hat.at(m), (paths, u_pts.shape[1])),
-                                 v_rows])
-        x_rows = stack(x_hat[:, m])
-        h = hamiltonian(coeffs, t, u_rows, x_rows, stack(Ab), stack(Aq)).reshape(n_v + 1, paths)
-        sig = coeffs.sigma(t, u_rows, x_rows).reshape(n_v + 1, paths, -1)
-        gap_sigma = (sig[0] - sig[1:]).reshape(n_v * paths, -1)
-        quad = (0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)).reshape(n_v, paths)
-        gaps = h[0] - h[1:] - quad
-        max_quad = max(max_quad, float(np.max(np.abs(quad))))
-        spread = max(spread, float(np.max(np.max(gaps, axis=1) - np.min(gaps, axis=1))))
-        means, ses = mc_mean_se_rows(gaps)
-        for v, gmean, gse in zip(u_pts[:, 0].tolist(), means.tolist(), ses.tolist()):
-            rows.append((t, v, gmean, gse, True))
-            if gmean < min_gap:
-                min_gap, min_loc, min_se = gmean, (t, v), gse
+    for t, v, gmean, gse in rows:
+        if gmean < min_gap:
+            min_gap, min_loc, min_se = gmean, (t, v), gse
     deterministic = spread < 1e-12
     margin = tol_margin if deterministic else se_margin * min_se
     passed = min_gap >= -margin
     rows = [(t, v, g, s, g >= -(tol_margin if deterministic else se_margin * max(s, 0.0)))
-            for (t, v, g, s, _) in rows]
+            for (t, v, g, s) in rows]
     alpha = adjoints.kernel.alpha
     return MPReport(rows=rows, min_gap=float(min_gap), min_location=min_loc,
                     passed=bool(passed), deterministic=deterministic,

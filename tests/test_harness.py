@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as npst
 
 import harness_oracles
 from volterra_smp import harness
@@ -413,6 +414,48 @@ def test_to_csv_formats_every_kind_as_the_oracle(tmp_path):
     assert _same_csv(ResultTable("t", ["i", "x", "b"], rows, {}), tmp_path)
 
 
+_SPECIALS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+
+
+def _column(dtype, n_rows):
+    dtype = np.dtype(dtype)
+    elements = npst.from_dtype(dtype)
+    if dtype.kind == "f":
+        elements = st.one_of(elements, _SPECIALS)
+    return npst.arrays(dtype, n_rows, elements=elements)
+
+
+@st.composite
+def _column_tables(draw):
+    """Tables stored by column: numpy columns of the dtypes runners hand over,
+    next to Python-sequence columns."""
+    width, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    data = []
+    for _ in range(width):
+        kind = draw(st.sampled_from([np.int64, np.float64, np.float32, np.bool_, list]))
+        data.append(draw(st.lists(draw(st.sampled_from(_KINDS)), min_size=n_rows,
+                                  max_size=n_rows) if kind is list else _column(kind, n_rows)))
+    return ResultTable("t", [f"c{i}" for i in range(width)], provenance={"seed": 2},
+                       data=data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_column_tables())
+def test_to_csv_of_numpy_columns_matches_per_value_oracle(tmp_path_factory, table):
+    assert _same_csv(table, tmp_path_factory.mktemp("csv"))
+
+
+def test_to_csv_of_numpy_columns_across_blocks(tmp_path):
+    i = np.arange(9001)
+    data = [i, i / 7, (i % 3 == 0), (i / 3).astype(np.float32),
+            np.where(i % 5 == 0, -0.0, np.where(i % 7 == 0, np.nan, -i * 1e300))]
+    table = ResultTable("t", ["i", "x", "b", "f32", "special"], provenance={}, data=data)
+    assert _same_csv(table, tmp_path)
+    rows_table = ResultTable("t", table.columns, table.rows, {})
+    rows_table.to_csv(tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
 def test_to_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="every row needs 2 values"):
         ResultTable("t", ["a", "b"], [(1, 2), (3,)], {}).to_csv(tmp_path / "t.csv")
@@ -431,3 +474,14 @@ def test_output_digest_lists_every_output_but_the_timings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{hashlib.sha256(files[n]).hexdigest()}  {n}"
                                         for n in sorted(files)]
+
+
+def test_sidecar_records_table_write_time(tmp_path):
+    cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 32}, "kernel": {"n_nodes": 4}})
+    results = run_experiment("all", cfg)
+    write_results(results, cfg, tmp_path)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) == {name for name, res in results.items() if "timing" in res.extras}
+    assert all(isinstance(r["write_s"], float) and r["write_s"] >= 0.0 for r in timings.values())
+    assert timings["simulate"]["write_s"] > 0.0       # it writes the states table
+    assert "write_s" not in results["simulate"].extras["timing"]

@@ -157,3 +157,12 @@ def test_discounted_sweep_equals_per_step_loop_bit_for_bit(rate_axes, n_nodes, s
     for m in range(n_steps - 1, -1, -1):
         ref[m] = dec * ref[m + 1] + om * gen[m]
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+def test_package_import_leaves_the_quadrature_module_unloaded():
+    # only knorm_eps's quadrature branch needs scipy.integrate, and it imports it there
+    import subprocess
+    import sys
+    code = "import sys, volterra_smp.harness; assert 'scipy.integrate' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

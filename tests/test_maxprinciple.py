@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import maxprinciple_oracles as mp_oracle
 from volterra_smp.bsee import assemble_adjoints
 from volterra_smp.coefficients import ControlPath, make_problem
+from volterra_smp.grids import TimeGrid
 from volterra_smp.maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                                        construct_argmax_control, duality_residual_first,
                                        duality_residual_second, hamiltonian, hfunction,
@@ -279,3 +280,21 @@ def test_argmax_control_first_control_point_wins_a_tie(grid, delta_kernel, ens):
     uh = construct_argmax_control(pr, adj, grid)
     assert np.array_equal(uh.values, mp_oracle.construct_argmax_control(pr, adj, grid).values)
     assert np.all(uh.values == 0.5)
+
+
+@pytest.mark.parametrize("n_steps, n_paths", [(13, 100), (37, 3000), (5, 11000)],
+                         ids=["one_partial_block", "blocks_of_3_and_a_rest", "blocks_of_1"])
+@pytest.mark.parametrize("name, u_val", [("lq_linear_cost", 0.5), ("state_free_quadratic", 0.2)],
+                         ids=["deterministic", "affine"])
+def test_blocked_vi_check_matches_loop_oracle(n_steps, n_paths, name, u_val, frac_kernel):
+    # a block holds 2**16 // (6 * paths) steps: 109, 3 and 1 here, against 13, 37 and 5 steps
+    pr = make_problem(name)
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, n_paths, 4242)
+    uh = perturb_control(ControlPath.constant(u_val, grid), grid, grid.t[n_steps // 3],
+                         grid.t[2 * n_steps // 3], -1.0)
+    xh = simulate_sve(pr, uh, frac_kernel, 0.3, e)
+    adj = assemble_adjoints(pr, uh, xh, frac_kernel, e, tol=1e-13)
+    args = (pr, uh, adj, pr.control_domain.points, e, xh)
+    _assert_same_report(check_variational_inequality(*args),
+                        mp_oracle.check_variational_inequality(*args))
