@@ -47,10 +47,6 @@ class GaussianMartingale:
     vol: np.ndarray     # (N+1,), last entry unused
 
     @classmethod
-    def brownian(cls, ens: BrownianEnsemble) -> "GaussianMartingale":
-        return cls(values=ens.W, vol=np.ones(ens.grid.n_steps + 1))
-
-    @classmethod
     def terminal_state_mean(cls, kernel: DiscreteLaplaceKernel, grid: TimeGrid,
                             ens: BrownianEnsemble, b_tab: np.ndarray,
                             s_tab: np.ndarray, xi_T: float) -> "GaussianMartingale":

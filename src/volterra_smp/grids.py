@@ -115,11 +115,3 @@ def hnorm2(values: np.ndarray, grid: ThetaGrid, beta: float) -> np.ndarray:
     w = (1.0 + grid.varpi2()) ** beta * grid.nu2()
     return np.sqrt(np.sum(sq * w, axis=(-2, -1)))
 
-
-def hnorm(values: np.ndarray, grid: ThetaGrid, beta: float, order: int = 1) -> np.ndarray:
-    """Dispatch to the first- or second-order weighted norm."""
-    if order == 1:
-        return hnorm1(values, grid, beta)
-    if order == 2:
-        return hnorm2(values, grid, beta)
-    raise ValueError("order must be 1 or 2")

@@ -1,9 +1,9 @@
 """Experiment configuration, registry, and deterministic result emission.
 
-One JSON config drives every experiment.  Unknown keys are rejected, every
-default is materialized into the resolved config that is written next to the
-results, and each CSV carries a provenance header (config hash, seed,
-package version) so outputs are reproducible byte for byte.
+One JSON config drives every experiment; ``SCHEMA`` gives each key its default
+and the rule its value must obey.  Every default is materialized into the
+resolved config written next to the results, and each CSV carries a provenance
+header (config hash, seed, package version), so outputs reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_fi
 from .coefficients import PROBLEMS, ControlPath, make_problem
 from .grids import TimeGrid
 from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel,
-                      knorm_eps, quadrature_error)
+                      knorm_eps, quadrature_error, step_decay_weight)
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residual_first,
                            duality_residual_second, perturb_control)
@@ -37,61 +38,101 @@ from .simulate import BrownianEnsemble, _xi_table, cnorm, sample_brownian, simul
 from .stats import fit_loglog
 from .variation import SpikeSpec, remainder_rates
 
-DEFAULTS = {
+
+_Rule = namedtuple("_Rule", "what ok")    # what a value must be, and the test it must pass
+
+
+def _finite(val) -> bool:
+    """A finite number; a bool is not one here."""
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:      # an int beyond the float range
+        return False
+
+
+def _reals(val) -> bool:
+    """A finite number or a (nested) list of them."""
+    return all(map(_reals, val)) if isinstance(val, (list, tuple)) else _finite(val)
+
+
+def _integer(low: int, high: int | None = None) -> _Rule:
+    return _Rule(f"an integer >= {low}" if high is None else f"an integer in [{low}, {high})",
+                 lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+                 and v >= low and (high is None or v < high))
+
+
+def _one_of(*choices) -> _Rule:
+    return _Rule(f"one of {', '.join(map(repr, choices))}",
+                 lambda v: isinstance(v, str) and v in choices)
+
+
+def _list_of(what: str, rule: _Rule) -> _Rule:
+    return _Rule(f"a non-empty list of {what}",
+                 lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(rule.ok, v)))
+
+
+_REAL = _Rule("a finite number", _finite)
+_POSITIVE = _Rule("a positive number", lambda v: _finite(v) and v > 0)
+
+# Every config key as (default, rule); a nested dict is a block of keys.  The
+# builders keep the constraints between keys (the beta ranges of a kernel family,
+# the spike window inside [0, T], the shape of a solver.xi table).
+SCHEMA = {
     "kernel": {
-        "family": "fractional",      # fractional | constant | exponential
-        "beta_b": 0.8,
-        "beta_sigma": 0.9,
-        "gamma": None,               # None -> midpoint of the admissible interval
-        "alpha": 1.0 / 3.0,
-        "theta_min": 1e-3,
-        "theta_max": 1e5,
-        "n_nodes": 32,
-        "lam": 2.0,                  # exponential family only
+        "family": ("fractional", _one_of("fractional", "constant", "exponential")),
+        "beta_b": (0.8, _REAL),
+        "beta_sigma": (0.9, _REAL),
+        # None -> midpoint of the admissible interval
+        "gamma": (None, _Rule("null or a finite number", lambda v: v is None or _finite(v))),
+        "alpha": (1.0 / 3.0, _Rule("a number in [0, 1)", lambda v: _finite(v) and 0 <= v < 1)),
+        "theta_min": (1e-3, _POSITIVE),
+        "theta_max": (1e5, _POSITIVE),
+        "n_nodes": (32, _integer(2)),
+        "lam": (2.0, _POSITIVE),             # exponential family only
     },
     "problem": {
-        "name": "lq_linear_cost",
-        "params": {},
+        "name": ("lq_linear_cost", _one_of(*PROBLEMS)),
+        "params": ({}, _Rule("an object", lambda v: isinstance(v, dict))),   # see _PARAMS
     },
     "grid": {
-        "T": 1.0,
-        "n_steps": 256,
-        "n_paths": 2000,
+        "T": (1.0, _POSITIVE),
+        "n_steps": (256, _integer(2)),
+        "n_paths": (2000, _integer(1)),
     },
     "spike": {
-        "tau": 0.25,
-        "eps_list": [0.125, 0.0625, 0.03125, 0.015625, 0.0078125],
-        "u_hat": 0.1,
-        "v": 1.0,
+        "tau": (0.25, _REAL),
+        "eps_list": ([0.125, 0.0625, 0.03125, 0.015625, 0.0078125],
+                     _list_of("positive numbers", _POSITIVE)),
+        "u_hat": (0.1, _REAL),
+        "v": (1.0, _REAL),
     },
     "solver": {
-        "tol": 1e-10,
-        "max_iter": 200,
-        "lsmc": False,
-        "basis_degree": 1,
-        "xi": 0.3,
-        "r_subgrid": 8,
+        "tol": (1e-10, _POSITIVE),
+        "max_iter": (200, _integer(1)),
+        "lsmc": (False, _Rule("true or false", lambda v: isinstance(v, bool))),
+        "basis_degree": (1, _integer(1)),
+        "xi": (0.3, _Rule("a finite number or a list of them", _reals)),
+        "r_subgrid": (8, _Rule('"full" or an integer >= 4',
+                               lambda v: v == "full" or _integer(4).ok(v))),
     },
-    "seed": 20260801,
+    # seed + 1 seeds a second ensemble, and Philox keys are unsigned
+    "seed": (20260801, _integer(0, 2 ** 63)),
 }
 
-EXPERIMENTS = ("kernels", "simulate", "rates", "bsde-check", "adjoint",
-               "duality", "mp-check", "bsvie-check", "all")
+DEFAULTS = {name: {key: entry[0] for key, entry in block.items()}
+            if isinstance(block, dict) else block[0] for name, block in SCHEMA.items()}
+
+# problem.params per problem: each key typed like the builder's default for it
+_PARAMS = {name: {par.name: (par.default, _list_of("finite numbers", _REAL)
+                             if isinstance(par.default, tuple) else _REAL)
+                  for par in inspect.signature(build).parameters.values()}
+           for name, build in PROBLEMS.items()}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _merge_block(name: str, defaults: dict, override: dict) -> dict:
-    out = dict(defaults)
-    for key, val in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {name}.{key}")
-        if isinstance(defaults[key], dict) and not isinstance(val, dict):
-            raise ConfigError(f"{name}.{key} must be an object")
-        out[key] = val
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,9 +160,7 @@ class ExperimentConfig:
                                          alpha=k["alpha"])
         if k["family"] == "constant":
             return constant_kernel(alpha=k["alpha"])
-        if k["family"] == "exponential":
-            return exponential_kernel(k["lam"], alpha=k["alpha"])
-        raise ConfigError(f"unknown kernel family {k['family']!r}")
+        return exponential_kernel(k["lam"], alpha=k["alpha"])
 
     def make_problem(self):
         return make_problem(self.problem["name"], **self.problem["params"])
@@ -150,135 +189,74 @@ class ExperimentConfig:
         return memo["ens"], memo["calls"]
 
 
-def _integer(name: str, val, low: int, high: int | None = None) -> int:
-    if (isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer))
-            or val < low or (high is not None and val >= high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ConfigError(f"{name} must be an integer {bound}, got {val!r}")
-    return int(val)
+def _check(name: str, rule: _Rule, val):
+    if not rule.ok(val):
+        raise ConfigError(f"{name} must be {rule.what}, got {val!r}")
+    return val
 
 
-def _is_real(val) -> bool:
-    """A finite number; a bool is not one here."""
-    if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:      # an int beyond the float range
-        return False
-
-
-def _reals(val) -> bool:
-    """A finite number or a (nested) list of them."""
-    if isinstance(val, (list, tuple)):
-        return all(_reals(v) for v in val)
-    return _is_real(val)
-
-
-def _real(name: str, val, positive: bool = False) -> None:
-    if not _is_real(val) or (positive and val <= 0):
-        kind = "a positive" if positive else "a finite"
-        raise ConfigError(f"{name} must be {kind} number, got {val!r}")
-
-
-def _check_params(problem: dict) -> None:
-    """Type ``problem.params`` from the builder's defaults: a number must be a
-    finite real, a tuple (the control grid) a non-empty list of them."""
-    defaults = {key: par.default for key, par in
-                inspect.signature(PROBLEMS[problem["name"]]).parameters.items()}
-    for key, val in problem["params"].items():
-        name = f"problem.params.{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown key {name}")
-        if isinstance(defaults[key], tuple):
-            if not (isinstance(val, (list, tuple)) and val and all(map(_is_real, val))):
-                raise ConfigError(f"{name} must be a non-empty list of finite numbers, "
-                                  f"got {val!r}")
+def _resolve(schema: dict, given, name: str = "") -> dict:
+    """``given`` checked against ``schema``: an object holding only the
+    schema's keys, each obeying its rule; an absent key takes its default."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name or 'the config'} must be an object, got {given!r}")
+    for key in given:
+        if key not in schema:
+            raise ConfigError(f"unknown key {name}.{key}" if name
+                              else f"unknown top-level key {key!r}")
+    out = {}
+    for key, entry in schema.items():
+        path = f"{name}.{key}" if name else key
+        if isinstance(entry, dict):
+            out[key] = _resolve(entry, given.get(key, {}), path)
         else:
-            _real(name, val)
+            out[key] = _check(path, entry[1], given.get(key, entry[0]))
+    return out
 
 
-def resolve_config(source=None, **overrides) -> ExperimentConfig:
-    """Fill defaults, validate keys and enum values.
+def _build(keys: str, build, *args):
+    """``build(*args)``; a builder's refusal is a config error naming ``keys``."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
+def resolve_config(source=None, seed=None, n_paths=None, n_steps=None) -> ExperimentConfig:
+    """Check ``source`` against ``SCHEMA`` and fill in the defaults.
 
     ``source`` may be a path to a JSON file, a dict, or None (defaults).
-    Keyword overrides: seed, n_paths, n_steps.
+    ``seed``, ``n_paths`` and ``n_steps`` override the config's values and obey
+    the same rules.  Every invalid input raises ``ConfigError``.
     """
-    if source is None:
-        raw = {}
-    elif isinstance(source, (str, Path)):
-        with open(source) as fh:
-            try:
+    raw = {} if source is None else source
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source) as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config parse error in {source}: {exc}") from exc
-    elif isinstance(source, dict):
-        raw = dict(source)
-    else:
-        raise ConfigError(f"unsupported config source {type(source)!r}")
-
-    for key in raw:
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown top-level key {key!r}")
-    blocks = {}
-    for name in ("kernel", "problem", "grid", "spike", "solver"):
-        blocks[name] = _merge_block(name, DEFAULTS[name], raw.get(name, {}))
-    seed = raw.get("seed", DEFAULTS["seed"])
-    if overrides.get("seed") is not None:
-        seed = overrides["seed"]
-    # seed + 1 seeds a second ensemble, and Philox keys are unsigned
-    seed = _integer("seed", seed, 0, 2 ** 63)
-    if overrides.get("n_paths") is not None:
-        blocks["grid"]["n_paths"] = int(overrides["n_paths"])
-    if overrides.get("n_steps") is not None:
-        blocks["grid"]["n_steps"] = int(overrides["n_steps"])
-
-    kernel = blocks["kernel"]
-    if kernel["family"] not in ("fractional", "constant", "exponential"):
-        raise ConfigError(f"kernel.family: bad enum value {kernel['family']!r}")
-    for key in ("beta_b", "beta_sigma", "alpha"):
-        _real(f"kernel.{key}", kernel[key])
-    for key in ("theta_min", "theta_max", "lam"):
-        _real(f"kernel.{key}", kernel[key], positive=True)
-    if kernel["gamma"] is not None:
-        _real("kernel.gamma", kernel["gamma"])
-    if not 0 <= kernel["alpha"] < 1:
-        raise ConfigError(f"kernel.alpha must lie in [0, 1), got {kernel['alpha']!r}")
-    _integer("kernel.n_nodes", kernel["n_nodes"], 2)
-    if blocks["problem"]["name"] not in PROBLEMS:
-        raise ConfigError(f"problem.name: bad enum value {blocks['problem']['name']!r}")
-    _check_params(blocks["problem"])
-    for key, low in (("n_steps", 2), ("n_paths", 1)):
-        _integer(f"grid.{key}", blocks["grid"][key], low)
-    spike, solver = blocks["spike"], blocks["solver"]
-    for key in ("tau", "u_hat", "v"):
-        _real(f"spike.{key}", spike[key])
-    eps_list = spike["eps_list"]
-    if not (isinstance(eps_list, (list, tuple)) and eps_list
-            and all(_is_real(e) and e > 0 for e in eps_list)):
-        raise ConfigError(f"spike.eps_list must be a non-empty list of positive numbers, "
-                          f"got {eps_list!r}")
-    _real("solver.tol", solver["tol"], positive=True)
-    _integer("solver.max_iter", solver["max_iter"], 1)
-    _integer("solver.basis_degree", solver["basis_degree"], 1)
-    if solver["r_subgrid"] != "full":
-        _integer("solver.r_subgrid", solver["r_subgrid"], 4)
-    if not isinstance(solver["lsmc"], bool):
-        raise ConfigError(f"solver.lsmc must be true or false, got {solver['lsmc']!r}")
-    if not _reals(solver["xi"]):
-        raise ConfigError(f"solver.xi must be a finite number or a list of them, "
-                          f"got {solver['xi']!r}")
-    config = ExperimentConfig(seed=seed, **blocks)
-    try:
-        grid = config.make_grid()
-        config.make_kernel()
-        coeffs = config.make_problem()
-        if np.ndim(solver["xi"]):   # a scalar fits every problem; build no table for it
-            _xi_table(solver["xi"], grid, coeffs.dim)
-        for eps in eps_list:
-            SpikeSpec(tau=spike["tau"], eps=eps, v=None).window(grid)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid grid, kernel, problem, spike or solver.xi: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read the config: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config parse error in {source}: {exc}") from exc
+    cfg = _resolve(SCHEMA, raw)
+    if seed is not None:
+        cfg["seed"] = _check("seed", SCHEMA["seed"][1], seed)
+    for key, val in (("n_paths", n_paths), ("n_steps", n_steps)):
+        if val is not None:
+            cfg["grid"][key] = _check(f"grid.{key}", SCHEMA["grid"][key][1], val)
+    # every problem.params key obeys its rule; the config keeps only the keys given
+    _resolve(_PARAMS[cfg["problem"]["name"]], cfg["problem"]["params"], "problem.params")
+    config = ExperimentConfig(**{**cfg, "seed": int(cfg["seed"])})
+    grid = config.make_grid()          # the rules hold T > 0 and n_steps >= 2
+    _build("kernel", config.make_kernel)
+    coeffs = _build("problem.params", config.make_problem)
+    spike, xi = config.spike, config.solver["xi"]
+    if isinstance(xi, (list, tuple)):  # a scalar fits every problem; build no table for it
+        _build("solver.xi against grid.n_steps and the problem dimension",
+               _xi_table, xi, grid, coeffs.dim)
+    for eps in spike["eps_list"]:
+        _build("spike.tau and spike.eps_list against grid.T",
+               SpikeSpec(tau=spike["tau"], eps=eps, v=None).window, grid)
     return config
 
 
@@ -405,8 +383,8 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     checks = []
     tables = {}
+    kern = config.make_kernel()
     if config.kernel["family"] != "fractional":
-        kern = config.make_kernel()
         t_grid = np.geomspace(0.01, config.grid["T"], 64)
         rep = quadrature_error(kern, t_grid, "b")
         checks.append(("atom_representation_exact", rep["sup_rel"] < 1e-12,
@@ -414,7 +392,6 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
         tables["kernels"] = _kernel_table(rep, prov)
         return ExperimentResult("kernels", tables, checks)
 
-    kern = config.make_kernel()
     t_grid = np.geomspace(0.01, 1.0, 128)
     rep = quadrature_error(kern, t_grid, "b")
     tables["kernels"] = _kernel_table(rep, prov)
@@ -447,13 +424,16 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("kernels", tables, checks)
 
 
+def _inputs(config: ExperimentConfig) -> tuple:
+    """(kernel, problem, grid, ensemble, reference control u_hat) of a config."""
+    coeffs, grid = config.make_problem(), config.make_grid()
+    return (config.make_kernel(), coeffs, grid, config.make_ensemble(),
+            ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du))
+
+
 def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern = config.make_kernel()
-    coeffs = config.make_problem()
-    grid = config.make_grid()
-    ens = config.make_ensemble()
-    u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
+    kern, coeffs, grid, ens, u_hat = _inputs(config)
     xi = config.solver["xi"]
     X = simulate_sve(coeffs, u_hat, kern, xi, ens, mode="lift")
     checks = []
@@ -491,11 +471,7 @@ def _rate_targets(config: ExperimentConfig, coeffs) -> dict:
 
 def run_rates(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern = config.make_kernel()
-    coeffs = config.make_problem()
-    grid = config.make_grid()
-    ens = config.make_ensemble()
-    u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
+    kern, coeffs, grid, ens, u_hat = _inputs(config)
     v = ControlPath.constant(config.spike["v"], grid, du=coeffs.du)
     eps_list = [e for e in config.spike["eps_list"] if round(e / grid.dt) >= 4]
     if len(eps_list) < 4:
@@ -606,11 +582,7 @@ def run_bsde_check(config: ExperimentConfig,
 
 
 def _adjoint_inputs(config: ExperimentConfig):
-    kern = config.make_kernel()
-    coeffs = config.make_problem()
-    grid = config.make_grid()
-    ens = config.make_ensemble()
-    u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
+    kern, coeffs, grid, ens, u_hat = _inputs(config)
     x_hat = simulate_sve(coeffs, u_hat, kern, config.solver["xi"], ens)
     return kern, coeffs, grid, ens, u_hat, x_hat
 
@@ -635,7 +607,6 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
                    f"{max(ratios2) if ratios2 else 0.0:.3f}"))
 
     # per-node recursion residual of the first-order field
-    from .kernels import step_decay_weight
     th = adj.tgrid.nodes
     dec = np.exp(-th * grid.dt)
     om = step_decay_weight(th, grid.dt)
@@ -672,11 +643,12 @@ def _contraction_ratios(d) -> list:
     return [d[i + 1] / d[i] for i in range(2, len(d) - 1) if d[i] > 0]
 
 
-def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> ExperimentResult:
+def run_duality(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     kern, coeffs, grid, ens, u_hat, x_hat = _adjoint_inputs(config)
     xi = config.solver["xi"]
     lsmc = config.solver["lsmc"]
+    path_sweep = (1000, 4000, 16000)     # the standard error must shrink as 1/sqrt(paths)
     adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"], lsmc=lsmc)
     eps = config.spike["eps_list"][min(1, len(config.spike["eps_list"]) - 1)]
     spike = SpikeSpec(tau=config.spike["tau"], eps=eps,
@@ -715,10 +687,7 @@ def run_duality(config: ExperimentConfig, path_sweep=(1000, 4000, 16000)) -> Exp
 
 def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern = config.make_kernel()
-    coeffs = config.make_problem()
-    grid = config.make_grid()
-    ens = config.make_ensemble()
+    kern, coeffs, grid, ens, _ = _inputs(config)
     xi = config.solver["xi"]
     checks = []
 
@@ -825,6 +794,7 @@ RUNNERS = {
     "mp-check": run_mp_check,
     "bsvie-check": run_bsvie_check,
 }
+EXPERIMENTS = (*RUNNERS, "all")
 
 
 def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:

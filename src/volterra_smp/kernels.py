@@ -154,18 +154,6 @@ class DiscreteLaplaceKernel:
         damp = np.exp(-np.multiply.outer(t, self.nodes))
         return np.einsum("...k,k,k,kij->...ij", damp, omega, self.weights, m)
 
-    def integrability_report(self) -> dict:
-        """Discrete analogues of the weighted-summability conditions."""
-        r = np.minimum(1.0, np.where(self.nodes > 0, self.nodes, 1.0) ** -0.5)
-        r[self.nodes == 0] = 1.0
-        mb2 = np.sum(self.mb ** 2, axis=(1, 2))
-        ms2 = np.sum(self.msigma ** 2, axis=(1, 2))
-        return {
-            "mu_r_mass": float(np.sum(self.weights * r)),
-            "b_weighted_sum": float(np.sum((1.0 + self.nodes) ** (-self.alpha) * r * mb2 * self.weights)),
-            "sigma_weighted_sum": float(np.sum((1.0 + self.nodes) ** (1.0 - self.alpha) * r * ms2 * self.weights)),
-        }
-
 
 def step_decay_weight(theta: np.ndarray, dt: float) -> np.ndarray:
     """(1 - exp(-theta*dt)) / theta with the limit dt at theta = 0."""
@@ -287,6 +275,9 @@ def build_fractional_lift(
     edges[1:-1] = nodes[:-1] * np.sqrt(rho)
     edges[0] = 0.0
     edges[-1] = nodes[-1] * np.sqrt(rho)
+    if not np.isfinite(edges[-1]):
+        raise ValueError(f"constraint violated: the range theta_min={theta_min} to "
+                         f"theta_max={theta_max} overflows on {n_nodes} nodes")
 
     weights = np.empty(n_nodes)
     avg_b = np.empty(n_nodes)

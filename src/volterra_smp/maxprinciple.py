@@ -26,7 +26,7 @@ from .coefficients import CoefficientSet, ControlPath, coeff_tables
 from .grids import TimeGrid
 from .kernels import step_decay_weight
 from .simulate import BrownianEnsemble
-from .stats import fit_loglog, mc_mean_se, mc_mean_se_rows
+from .stats import mc_mean_se, mc_mean_se_rows
 from .variation import SpikeSpec, simulate_variation_bundle
 
 
@@ -268,21 +268,6 @@ def j12_adjoint_representation(coeffs: CoefficientSet, spike: SpikeSpec,
         "gap": j12_direct - j12_adj,
         "bundle": bundle,
     }
-
-
-def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: ControlPath,
-                  xi=0.0) -> dict:
-    """|gap| against eps across a sweep, with the fitted log-log slope."""
-    rows = []
-    for eps in eps_list:
-        spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
-        r = j12_adjoint_representation(coeffs, spike, adjoints, ens, x_hat, xi=xi)
-        rows.append({"eps": float(eps), "j12_direct": r["j12_direct"],
-                     "j12_adjoint": r["j12_adjoint"], "gap": r["gap"]})
-    gaps = np.array([abs(r["gap"]) for r in rows])
-    eps_arr = np.array([r["eps"] for r in rows])
-    fit = fit_loglog(eps_arr, gaps) if np.all(gaps > 0) else None
-    return {"rows": rows, "fit": fit}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ v on [tau, tau + eps).  The module co-simulates, on shared increments,
   * the second-order expansion process X2 (same linear operator, forced by
     Hessian terms in X1 and by derivative jumps acting on X1),
 
-and accumulates the C^p norms of the differences dX = X^eps - X_hat,
+and accumulates the C^2 norms of the differences dX = X^eps - X_hat,
 dX1 = dX - X1, dX12 = dX - X1 - X2 together with the quadratic cost
 expansion J12 and the actual cost increment.
 """
@@ -76,8 +76,7 @@ class VariationBundle:
 
     spike: SpikeSpec
     eps_snapped: float
-    p_norm: float
-    norms: dict                 # key -> C^p norm estimate
+    norms: dict                 # key -> C^2 norm estimate
     j12_terms: np.ndarray       # per-path J12 sample
     cost_increment: np.ndarray  # per-path J(u^eps) - J(u_hat) sample
     delta_f_integral: np.ndarray
@@ -95,8 +94,8 @@ def _coeff_eval(coeffs, t, u, x, names="b sigma b_x sigma_x b_xx sigma_xx f f_x 
     return {name: getattr(coeffs, name)(t, u, x) for name in names.split()}
 
 
-def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
-                        store=False, observer=None) -> list:
+def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
+                        observer=None) -> list:
     """Co-simulate X_hat and, per spike, (X^eps, X1, X2) in one lift stack.
 
     The stack holds 1 + 3S slabs: X_hat, then the S spiked states, then the
@@ -128,7 +127,7 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
     F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
 
-    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, and their p-th moments
+    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, and their second moments
     diffs, moments = np.empty((2, len(NORM_KEYS), S, P))
     sup_mom = np.zeros((len(NORM_KEYS), S))
     j12_run = np.zeros((S, P))   # running f-expansion integral
@@ -194,7 +193,7 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
         np.subtract(diffs[0], X1, out=diffs[2])
         np.subtract(diffs[2], X2, out=diffs[4])
         np.abs(diffs, out=moments)
-        moments **= p_norm   # in place, no 1 MB temporary; p = 2 squares, as ** does
+        moments **= 2.0      # in place: no 1 MB temporary
         np.maximum(sup_mom, np.mean(moments, axis=2), out=sup_mom)
         if store:
             tables[..., m + 1] = diffs
@@ -207,8 +206,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm=2.0,
     j12_terms = hx * (X1 + X2) + 0.5 * hxx * X1 * X1 + j12_run + delta_f
     cost_inc = coeffs.h(Xe.reshape(S * P, 1)).reshape(S, P) - coeffs.h(xT) + dcost_f
     return [VariationBundle(
-        spike=sp, eps_snapped=(j1 - j0) * dt, p_norm=p_norm,
-        norms={k: float(sup_mom[i, s]) ** (1.0 / p_norm) for i, k in enumerate(NORM_KEYS)},
+        spike=sp, eps_snapped=(j1 - j0) * dt,
+        norms={k: float(sup_mom[i, s]) ** 0.5 for i, k in enumerate(NORM_KEYS)},
         j12_terms=j12_terms[s], cost_increment=cost_inc[s], delta_f_integral=delta_f[s],
         terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xe_T": Xe[s].copy(),
                   "dX_T": Xe[s] - xh, "Xhat_T": xh.copy()},
@@ -224,7 +223,6 @@ def simulate_variation_bundle(
     xi,
     ens: BrownianEnsemble,
     x_hat: np.ndarray | None = None,
-    p_norm: float = 2.0,
     store: bool = False,
     observer=None,
 ) -> VariationBundle:
@@ -242,36 +240,12 @@ def simulate_variation_bundle(
     """
     if x_hat is None:
         coeffs.self_test()
-    bundle = _spike_cosimulation(coeffs, kernel, u_hat, [spike], xi, ens, p_norm,
-                                 store, observer)[0]
+    bundle = _spike_cosimulation(coeffs, kernel, u_hat, [spike], xi, ens, store,
+                                 observer)[0]
     xT = bundle.terminal["Xhat_T"]
     if x_hat is not None and not np.allclose(np.asarray(x_hat)[:, -1, 0], xT, rtol=0, atol=1e-10):
         raise ValueError("x_hat is not the reference state of these inputs")
     return bundle
-
-
-def simulate_variational(coeffs, u_hat, x_hat, spike, kernel, ens, order: int = 1,
-                         xi=0.0, p_norm: float = 2.0) -> np.ndarray:
-    """Expansion process of the requested order as a full table (paths, N+1, 1)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if x_hat is not None and x_hat.shape[0] != ens.n_paths:
-        raise ValueError("reference state and ensemble path counts differ")
-    bundle = simulate_variation_bundle(coeffs, kernel, u_hat, spike, xi, ens,
-                                       x_hat=x_hat, p_norm=p_norm, store=True)
-    key = "X1" if order == 1 else "X2"
-    return bundle.tables[key][:, :, None]
-
-
-def compute_j12(coeffs: CoefficientSet, bundle: VariationBundle, spike: SpikeSpec) -> dict:
-    """Monte Carlo estimate of the quadratic cost expansion with its pieces."""
-    val, se = bundle.j12()
-    dval, dse = bundle.delta_j12()
-    return {
-        "j12": val, "j12_se": se,
-        "delta_j12": dval, "delta_j12_se": dse,
-        "delta_f": float(np.mean(bundle.delta_f_integral)),
-    }
 
 
 def remainder_rates(
@@ -283,8 +257,6 @@ def remainder_rates(
     eps_list,
     xi,
     ens: BrownianEnsemble,
-    p_norm: float = 2.0,
-    use_analytic_knorm: bool = True,
 ) -> dict:
     """Fit the eps-decay of the expansion norms across a spike-size sweep.
 
@@ -304,10 +276,10 @@ def remainder_rates(
         )
     coeffs.self_test()
     spikes = [SpikeSpec(tau=tau, eps=float(eps), v=v) for eps in eps_arr]
-    bundles = _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, p_norm)
+    bundles = _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens)
 
     # ||K_b||_{1,eps} + ||K_sigma||_{2,eps}, closed form when available
-    analytic = use_analytic_knorm and kernel.analytic_b is not None
+    analytic = kernel.analytic_b is not None
     kb, ks = (kernel.analytic_b, kernel.analytic_sigma) if analytic else (kernel, kernel)
     kn = [knorm_eps(kb, "b", 1.0, float(eps)) + knorm_eps(ks, "sigma", 2.0, float(eps))
           for eps in eps_arr]

@@ -5,13 +5,17 @@ One round of coefficient calls per (step, control point), as both were first
 written.  ``maxprinciple.check_variational_inequality`` evaluates all control
 points of a step at once and ``maxprinciple.construct_argmax_control`` every
 (step, control point) pair at once; the tests compare the results exactly.
+
+``j12_gap_sweep`` runs ``maxprinciple.j12_adjoint_representation`` over a
+spike-size sweep; only the tests use it.
 """
 
 import numpy as np
 
 from volterra_smp.coefficients import ControlPath
-from volterra_smp.maxprinciple import MPReport, hamiltonian
-from volterra_smp.stats import mc_mean_se
+from volterra_smp.maxprinciple import MPReport, hamiltonian, j12_adjoint_representation
+from volterra_smp.stats import fit_loglog, mc_mean_se
+from volterra_smp.variation import SpikeSpec
 
 
 def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
@@ -75,3 +79,18 @@ def construct_argmax_control(coeffs, adjoints, grid) -> ControlPath:
                 best, best_val = v, hv
         vals[m] = best
     return ControlPath(vals, deterministic=True)
+
+
+def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: ControlPath,
+                  xi=0.0) -> dict:
+    """|gap| against eps across a sweep, with the fitted log-log slope."""
+    rows = []
+    for eps in eps_list:
+        spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
+        r = j12_adjoint_representation(coeffs, spike, adjoints, ens, x_hat, xi=xi)
+        rows.append({"eps": float(eps), "j12_direct": r["j12_direct"],
+                     "j12_adjoint": r["j12_adjoint"], "gap": r["gap"]})
+    gaps = np.array([abs(r["gap"]) for r in rows])
+    eps_arr = np.array([r["eps"] for r in rows])
+    fit = fit_loglog(eps_arr, gaps) if np.all(gaps > 0) else None
+    return {"rows": rows, "fit": fit}

@@ -69,7 +69,7 @@ def test_trivial_solve_zero_data(grid, frac_kernel):
 def test_trivial_solve_brownian_terminal(grid, frac_kernel):
     e = sample_brownian(grid, 200, 15)
     tg = theta_of(frac_kernel)
-    Z = GaussianMartingale.brownian(e)
+    Z = GaussianMartingale(values=e.W, vol=np.ones(grid.n_steps + 1))
     a = 0.8
     fld = trivial_bsee_solve(tg, grid, np.zeros((tg.size, 1)),
                              np.zeros((grid.n_steps + 1, tg.size, 1)),

@@ -485,3 +485,128 @@ def test_sidecar_records_table_write_time(tmp_path):
     assert all(isinstance(r["write_s"], float) and r["write_s"] >= 0.0 for r in timings.values())
     assert timings["simulate"]["write_s"] > 0.0       # it writes the states table
     assert "write_s" not in results["simulate"].extras["timing"]
+
+
+@pytest.mark.parametrize("text, name", [
+    ("null", "the config"), ("3", "the config"), ('"abc"', "the config"),
+    ('{"kernel": 3}', "kernel"), ('{"kernel": null}', "kernel"),
+    ('{"problem": {"name": ["x"]}}', "problem.name"), ('{"grid": {"T": true}}', "grid.T"),
+    ('{"grid": {"T": 1e400}}', "grid.T"), ('{"grid": {"T": "x"}}', "grid.T"),
+], ids=["null", "number", "string", "kernel_number", "kernel_null", "problem_name_list",
+        "horizon_bool", "horizon_overflow", "horizon_string"])
+def test_cli_malformed_config_fails_closed(tmp_path, capsys, text, name):
+    from volterra_smp.cli import main
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(text)
+    assert main(["kernels", "--config", str(cfg_file), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, name", [
+    ({"n_paths": 3.7}, "grid.n_paths"), ({"n_steps": True}, "grid.n_steps"),
+    ({"seed": "7"}, "seed"), ({"n_paths": 0}, "grid.n_paths")])
+def test_overrides_obey_the_schema_rules(override, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        resolve_config(None, **override)
+
+
+def test_defaults_are_the_schema_defaults():
+    def leaves(node, path=""):
+        for key, val in node.items():
+            if isinstance(val, dict) and path + key != "problem.params":
+                yield from leaves(val, f"{path}{key}.")
+            else:
+                yield path + key, val
+
+    assert dict(leaves(harness.DEFAULTS)) == {path: entry[0]
+                                              for path, entry in leaves(harness.SCHEMA)}
+    assert resolve_config(None).resolved() == harness.DEFAULTS
+
+
+_SCHEMA_PATHS = [f"{block}.{key}" for block, keys in harness.SCHEMA.items()
+                 if isinstance(keys, dict) for key in keys] + list(harness.SCHEMA)
+
+
+def _json_values(ints=st.integers(-10 ** 20, 10 ** 20)):
+    scalars = st.one_of(
+        st.none(), st.booleans(), ints, st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([5e-324, 1e-300, 0.5 + 2 ** -52, 1 - 2 ** -53, 1e300, 1.7e308]),
+        st.sampled_from(["fractional", "constant", "exponential", "full", "zero", "bilinear_lq"]),
+        st.text(max_size=4))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=2)),
+        max_leaves=6)
+
+
+_ANY_VALUE = _json_values()
+_VALUES = {"kernel.n_nodes": _json_values(st.integers(-2, 40)),
+           "grid.n_steps": _json_values(st.integers(-2, 300)),
+           "grid.n_paths": _json_values(st.integers(-2, 3000))}
+
+
+@st.composite
+def _mutated_configs(draw):
+    paths = draw(st.lists(st.sampled_from(_SCHEMA_PATHS), min_size=1, max_size=3, unique=True))
+    raw = json.loads(json.dumps(harness.DEFAULTS))
+    for path in sorted(paths, key=lambda p: -p.count(".")):   # a whole block goes last
+        block, _, key = path.rpartition(".")
+        (raw[block] if block else raw)[key] = draw(_VALUES.get(path, _ANY_VALUE))
+    return raw, paths
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_mutated_configs())
+def test_mutated_config_resolves_or_names_the_key(case):
+    """Random ``SCHEMA`` keys set to JSON-like values (null, bools, ints, +-inf and
+    nan, strings, lists, objects) either resolve or raise ``ConfigError`` naming a
+    mutated key: ``block.key``, or the bare key when the block's builder refuses a
+    combination of keys.
+
+    ``kernel.n_nodes``, ``grid.n_steps`` and ``grid.n_paths`` are drawn from small
+    ranges only: resolving builds the kernel, so a 10**8-node draw would build
+    10**8 atoms in a Python loop; huge counts are left untested here."""
+    raw, paths = case
+    try:
+        resolve_config(raw)
+    except ConfigError as exc:
+        msg = str(exc)
+        assert any(p in msg or (msg.startswith(p.split(".")[0] + ":") and p.split(".")[-1] in msg)
+                   for p in paths), (msg, paths)
+
+
+@pytest.mark.parametrize("raw, keys", [
+    ({"kernel": {"beta_b": 1.5}}, ("kernel:", "beta_b")),
+    ({"kernel": {"theta_max": 1.7e308}}, ("kernel:", "theta_max")),
+    ({"kernel": {"theta_min": 1e6}}, ("kernel:", "theta_min")),
+    ({"grid": {"T": 0.1}}, ("spike.tau", "grid.T")),
+    ({"grid": {"T": 5e-324}}, ("spike.tau", "grid.T")),
+    ({"solver": {"xi": [0.1, 0.2]}}, ("solver.xi",)),
+], ids=["beta_b_range", "theta_overflow", "theta_order", "spike_past_horizon",
+        "horizon_underflow", "xi_shape"])
+def test_builder_refusal_names_its_keys(raw, keys):
+    with pytest.raises(ConfigError) as info:
+        resolve_config(raw)
+    assert all(key in str(info.value) for key in keys), str(info.value)
+
+
+def test_readme_config_example_resolves():
+    readme = (Path(harness.__file__).resolve().parents[2] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert resolve_config(example).resolved() == {**example, "kernel": {
+        **example["kernel"], "lam": harness.DEFAULTS["kernel"]["lam"]}}
+
+
+def test_out_csv_file_writes_primary_and_secondary_tables(tmp_path):
+    cfg = resolve_config(SMALL)
+    results = run_experiment("kernels", cfg)
+    written = write_results(results, cfg, tmp_path / "file" / "kernels.csv")
+    write_results(results, cfg, tmp_path / "dir")
+    assert written == [tmp_path / "file" / "kernels.csv", tmp_path / "file" / "kernels_knorms.csv"]
+    assert sorted(p.name for p in (tmp_path / "file").iterdir()) == [
+        "kernels.csv", "kernels.resolved.json", "kernels_knorms.csv"]
+    assert ((tmp_path / "file" / "kernels.csv").read_bytes()
+            == (tmp_path / "dir" / "kernels.csv").read_bytes())
+    assert json.loads((tmp_path / "file" / "kernels.resolved.json").read_text()) == json.loads(
+        (tmp_path / "dir" / "resolved_config.json").read_text())

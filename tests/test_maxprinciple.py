@@ -9,8 +9,7 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                                        construct_argmax_control, duality_residual_first,
                                        duality_residual_second, hamiltonian, hfunction,
-                                       j12_adjoint_representation, j12_gap_sweep,
-                                       perturb_control)
+                                       j12_adjoint_representation, perturb_control)
 from volterra_smp.simulate import sample_brownian, simulate_sve
 from volterra_smp.stats import mc_mean_se, mc_mean_se_rows
 from volterra_smp.variation import SpikeSpec
@@ -146,8 +145,8 @@ def test_j12_gap_superlinear_state_free(state_free, frac_kernel):
     v = ControlPath.constant(0.9, grid)
     xh = simulate_sve(state_free, uh, frac_kernel, 0.2, e)
     adj = assemble_adjoints(state_free, uh, xh, frac_kernel, e)
-    sweep = j12_gap_sweep(state_free, adj, e, xh, 0.25,
-                          [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6], v, xi=0.2)
+    sweep = mp_oracle.j12_gap_sweep(state_free, adj, e, xh, 0.25,
+                                    [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6], v, xi=0.2)
     assert sweep["fit"] is not None
     assert sweep["fit"]["slope"] + 0.2 > 1.0
 

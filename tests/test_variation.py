@@ -11,9 +11,8 @@ from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_prob
                                       make_problem)
 from volterra_smp.kernels import build_fractional_lift
 from volterra_smp.simulate import sample_brownian, simulate_sve, volterra_convolve
-from volterra_smp.variation import (NORM_KEYS, SpikeSpec, apply_spike, compute_j12,
-                                    remainder_rates, simulate_variation_bundle,
-                                    simulate_variational)
+from volterra_smp.variation import (NORM_KEYS, SpikeSpec, apply_spike, remainder_rates,
+                                    simulate_variation_bundle)
 
 
 def test_apply_spike_identity_when_v_equals_u(grid):
@@ -71,7 +70,8 @@ def test_state_free_first_order_is_direct_convolution(grid, state_free, frac_ker
     v = ControlPath.constant(0.9, grid)
     spike = SpikeSpec(tau=0.25, eps=0.25, v=v)
     x_hat = simulate_sve(state_free, u, frac_kernel, 0.2, e)
-    X1 = simulate_variational(state_free, u, x_hat, spike, frac_kernel, e, order=1, xi=0.2)
+    X1 = simulate_variation_bundle(state_free, frac_kernel, u, spike, 0.2, e, x_hat=x_hat,
+                                   store=True).tables["X1"][:, :, None]
 
     j0, j1 = spike.window(grid)
     ind = np.zeros(grid.n_steps + 1)
@@ -105,8 +105,8 @@ def test_j12_zero_for_zero_costs(grid, frac_kernel, ens):
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
     b = simulate_variation_bundle(pr, frac_kernel, u, spike, 0.3, ens)
-    out = compute_j12(pr, b, spike)
-    assert out["j12"] == 0.0
+    j12, _ = b.j12()
+    assert j12 == 0.0
 
 
 def test_monotone_norm_ordering_small_eps(grid, bilinear, frac_kernel):
