@@ -16,6 +16,7 @@ import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residual_first,
                            duality_residual_second, perturb_control)
-from .simulate import BrownianEnsemble, _xi_table, cnorm, sample_brownian, simulate_sve
+from .simulate import (BrownianEnsemble, _xi_table, cnorm, lift_tally, sample_brownian,
+                       simulate_sve)
 from .stats import fit_loglog
 from .variation import SpikeSpec, remainder_rates
 
@@ -286,14 +288,17 @@ class ResultTable:
     def to_csv(self, path: Path) -> None:
         header = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
         header.append(",".join(self.columns))
-        fmts = [_column_format(col) for col in self.data]
+        specs = [_column_spec(col) for col in self.data]
+        row = ",".join(spec for spec, _ in specs)
         n_rows = len(self.data[0]) if self.data else 0
         with Path(path).open("w") as fh:
             fh.write("\n".join(header) + "\n")
             for lo in range(0, n_rows, 4096):   # formatted cells live one block at a time
-                cells = [list(map(fmt, _values(col[lo:lo + 4096])))
-                         for fmt, col in zip(fmts, self.data)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                cells = [_values(col[lo:lo + 4096]) for col in self.data]
+                cells = [c if pre is None else list(map(pre, c))
+                         for (_, pre), c in zip(specs, cells)]
+                text = "\n".join([row] * len(cells[0])) + "\n"
+                fh.write(text % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _values(col):
@@ -301,20 +306,23 @@ def _values(col):
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
-def _column_format(col):
-    """The formatter ``_fmt`` would apply to every value of a column, chosen
-    once per column: from the dtype of a numeric array, else from the kinds of
-    the values; a column of mixed kinds goes value by value."""
+def _column_spec(col) -> tuple:
+    """The %-spec of a column and the function that first turns each value into
+    what the spec takes (None: the value itself), so that the cell reads as
+    ``_fmt`` writes it.  Chosen once per column: from the dtype of a numeric
+    array, else from the kinds of the values; a column of mixed kinds goes
+    through ``_fmt`` value by value."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        return {"b": _bool, "i": str, "u": str, "f": "%.17g".__mod__}[col.dtype.kind]
+        return {"b": ("%s", _bool), "i": ("%d", None), "u": ("%d", None),
+                "f": ("%.17g", None)}[col.dtype.kind]
     kinds = set(map(type, _values(col)))
     if all(issubclass(k, (bool, np.bool_)) for k in kinds):
-        return _bool
+        return "%s", _bool
     if all(issubclass(k, (float, np.floating)) for k in kinds):
-        return "%.17g".__mod__      # the same digits as format(float(v), ".17g")
+        return "%.17g", None      # the same digits as format(float(v), ".17g")
     if not any(issubclass(k, (bool, np.bool_, float, np.floating)) for k in kinds):
-        return str
-    return _fmt
+        return "%s", None
+    return "%s", _fmt
 
 
 def _bool(v) -> str:
@@ -825,12 +833,15 @@ def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> Experiment
         return ExperimentResult(name, {}, [("skipped", True, why)])
     _, calls_before = config.ensemble_usage()
     t0 = time.perf_counter()
-    try:
-        res = RUNNERS[name](config, **runner_kwargs)
-    except (PicardError, FloatingPointError, MemoryError) as exc:
-        res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
+    with lift_tally() as tally:
+        try:
+            res = RUNNERS[name](config, **runner_kwargs)
+        except (PicardError, FloatingPointError, MemoryError) as exc:
+            res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
     timing = res.extras.setdefault("timing", {})
     timing["wall_s"] = time.perf_counter() - t0
+    if tally["y_updates"]:
+        timing.setdefault("lift", {}).update(tally)
     ens, calls = config.ensemble_usage()
     if calls > calls_before:
         timing["ensemble"] = {"paths": ens.n_paths, "steps": ens.grid.n_steps,

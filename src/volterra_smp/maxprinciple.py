@@ -288,6 +288,37 @@ class MPReport:
     notes: str = ""
 
 
+def _control_points(u_grid) -> np.ndarray:
+    """Control points as (n_v, du) rows."""
+    u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
+    return u_pts.T if u_pts.shape[0] == 1 and u_pts.shape[1] > 1 else u_pts
+
+
+def _step_blocks(N: int, n_v: int, x_hat: np.ndarray, u_pts: np.ndarray):
+    """Blocks of grid steps 0..N-1 whose stacked (step, control, path) rows make
+    arrays near 512 KB: larger arrays fall out of the cache and run slower than
+    one step at a time."""
+    paths, n = x_hat.shape[0], x_hat.shape[-1]
+    block = max(1, 2 ** 16 // ((n_v + 1) * paths * max(n, u_pts.shape[1])))
+    return (np.arange(m0, min(m0 + block, N)) for m0 in range(0, N, block))
+
+
+def _stacked_rows(u_hat: ControlPath, u_pts: np.ndarray, x_hat: np.ndarray,
+                  ms: np.ndarray, dt: float) -> tuple:
+    """One (t, u, x) row per (step in ``ms``, control, path): per step, block 0
+    holds the paths at u_hat and block i + 1 those at control point i.
+    Returns the (B, n_v + 1, paths) shape and the three row arrays."""
+    (n_v, du), (paths, n) = u_pts.shape, (x_hat.shape[0], x_hat.shape[-1])
+    shape = (ms.size, n_v + 1, paths)
+    u_rows = np.empty(shape + (du,))
+    u_rows[:, 0] = (u_hat.values[ms][:, None] if u_hat.deterministic
+                    else u_hat.values[:, ms].swapaxes(0, 1))
+    u_rows[:, 1:] = u_pts[:, None, :]
+    t_rows = np.repeat(ms * dt, (n_v + 1) * paths)
+    x_rows = np.broadcast_to(x_hat[:, ms].swapaxes(0, 1)[:, None], shape + (n,))
+    return shape, (t_rows, u_rows.reshape(-1, du), x_rows.reshape(-1, n))
+
+
 def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
                                  adjoints: AdjointSolution, u_grid: np.ndarray,
                                  ens: BrownianEnsemble, x_hat: np.ndarray,
@@ -301,31 +332,15 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     """
     grid = ens.grid
     N = grid.n_steps
-    u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
-    if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
-        u_pts = u_pts.T
-    (n_v, du), (paths, n) = u_pts.shape, (x_hat.shape[0], x_hat.shape[-1])
-    # a block of steps is evaluated at once, each stacked array near 512 KB: larger
-    # arrays fall out of the cache and run slower than one step at a time
-    block = max(1, 2 ** 16 // ((n_v + 1) * paths * max(n, du)))
+    u_pts = _control_points(u_grid)
+    n_v, (paths, n) = u_pts.shape[0], (x_hat.shape[0], x_hat.shape[-1])
 
     means, ses = [], []
     spread = 0.0
     max_quad = 0.0
-    for m0 in range(0, N, block):
-        ms = np.arange(m0, min(m0 + block, N))
+    for ms in _step_blocks(N, n_v, x_hat, u_pts):
         B = ms.size
-        # one row per (step, control, path): per step, block 0 holds the paths at
-        # u_hat and block i + 1 those at control point i
-        shape = (B, n_v + 1, paths)
-        u_rows = np.empty(shape + (du,))
-        u_rows[:, 0] = (u_hat.values[ms][:, None] if u_hat.deterministic
-                        else u_hat.values[:, ms].swapaxes(0, 1))
-        u_rows[:, 1:] = u_pts[:, None, :]
-        u_rows = u_rows.reshape(-1, du)
-        t_rows = np.repeat(ms * grid.dt, (n_v + 1) * paths)
-        x_rows = np.broadcast_to(x_hat[:, ms].swapaxes(0, 1)[:, None], shape + (n,))
-        x_rows = x_rows.reshape(-1, n)
+        shape, (t_rows, u_rows, x_rows) = _stacked_rows(u_hat, u_pts, x_hat, ms, grid.dt)
         sig = coeffs.sigma(t_rows, u_rows, x_rows).reshape(shape + (n,))
         Ab, Aq = adjoints.first_contractions_at(ms)   # (B, [paths,] n)
         h = _hamiltonian_of(Ab.reshape(B, 1, -1, n), Aq.reshape(B, 1, -1, n),
@@ -423,18 +438,17 @@ def classical_adjoint_gaps(coeffs: CoefficientSet, u_hat: ControlPath,
         p[m] = (p[m + 1] - dt * fx[m]) / (1.0 - dt * bx[m])
         P[m] = (P[m + 1] - dt * fxx[m]) / (1.0 - dt * (2.0 * bx[m] + sx[m] ** 2))
 
-    u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
-    if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
-        u_pts = u_pts.T
+    u_pts = _control_points(u_grid)
+    n_v = u_pts.shape[0]
     gaps = {}
-    for m in range(N):
-        t = m * dt
-        x_m = x_hat[:, m]
-        u_h = u_hat.at(m)
-        h_hat = hamiltonian(coeffs, t, u_h, x_m, p[m], 0.0)
-        sig_hat = coeffs.sigma(t, u_h, x_m)
-        for v in u_pts:
-            h_v = hamiltonian(coeffs, t, v, x_m, p[m], 0.0)
-            dsig = sig_hat - coeffs.sigma(t, v, x_m)
-            gaps[(t, float(v[0]))] = float(np.mean(h_hat - h_v - 0.5 * P[m] * dsig[:, 0] ** 2))
+    for ms in _step_blocks(N, n_v, x_hat, u_pts):
+        shape, (t_rows, u_rows, x_rows) = _stacked_rows(u_hat, u_pts, x_hat, ms, dt)
+        sig = coeffs.sigma(t_rows, u_rows, x_rows).reshape(shape)
+        h = _hamiltonian_of(np.repeat(p[ms], shape[1] * shape[2])[:, None], 0.0,
+                            coeffs.b(t_rows, u_rows, x_rows), sig.reshape(-1, 1),
+                            coeffs.f(t_rows, u_rows, x_rows)).reshape(shape)
+        dsig = sig[:, :1] - sig[:, 1:]
+        g = np.mean(h[:, :1] - h[:, 1:] - 0.5 * P[ms, None, None] * dsig ** 2, axis=2)
+        for m, row in zip(ms.tolist(), g.tolist()):
+            gaps.update(((m * dt, float(v[0])), gm) for v, gm in zip(u_pts, row))
     return {"p": p, "P": P, "gaps": gaps}

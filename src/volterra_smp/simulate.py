@@ -3,17 +3,36 @@ lift simulation.
 
 All schemes are left-point: the kernel argument in a discrete convolution is
 t_m - t_j with j < m, so singular analytic kernels are never evaluated at 0.
-The lift recursion applies the decay factor exp(-theta*dt) to the within-step
-increments as well,
+The lift recursion applies the decay factor D = diag(e^{-theta dt}) to the
+within-step increments as well,
 
-    Y_{m+1}(theta) = e^{-theta dt} (Y_m(theta) + M_b F^b_m dt + M_s F^s_m dW_m),
+    Y_{m+1} = D (Y_m + M_b F^b_m dt + M_s F^s_m dW_m),
 
-which makes the mu-aggregated lift state coincide with the direct left-point
-recursion driven by the atom kernel K_hat, as an algebraic identity.
+which makes the mu-aggregated lift state X_m - xi_m = sum_k w_k Y_{m,k}
+coincide with the direct left-point recursion driven by the atom kernel
+K_hat(t) = sum_k w_k e^{-theta_k t} M_k, as an algebraic identity.
+
+``LiftStep`` moves Y once per block of L steps (L = 1 is the recursion
+above).  With the drives d_j = (F^b_{m0+j} dt, F^s_{m0+j} dW_{m0+j}) of a
+block that starts at m0, unrolling the recursion gives, for 0 <= i <= L,
+
+    Y_{m0+i} = D^i Y_{m0} + sum_{j<i} D^{i-j} [M_b | M_s] d_j,
+    X_{m0+i} = xi + rho_i + sum_{j<i} [K_hat_b((i-j) dt) | K_hat_s((i-j) dt)] d_j,
+    rho_i    = sum_k w_k d_k^i Y_{m0,k}.
+
+So inside a block X comes from the history terms rho_i (one gemm per slab
+when the block starts) and a direct convolution with the lag table
+K_hat(l dt), l < L; at the block end one scaling by D^L and one rank-2nL
+gemm over the stored drives move Y, and X_{m0+L} is rho_0 of the next
+block.  The first identity also serves readers of a mid-block Y, without
+moving the block.  The identities are exact; the
+blocked and the per-step forms differ by rounding only.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,48 +147,161 @@ def _xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
     return xi
 
 
-@dataclass(frozen=True)
-class LiftStep:
-    """The lift step, applied in place to a stack Y of lift states.
+def block_steps(n_nodes: int) -> int:
+    """Lift block length L for a K-node kernel: min(K, 4).
 
-    Y is (G, K n, P) in C order: one contiguous slab per co-simulated process,
-    row k n + i holding coordinate i at node k over the P paths.  Each slab in
-    turn gets one in-place rank-2n dgemm on its (P, K n) Fortran view, a row
-    scaling, Y_g <- diag(e^{-theta dt}) (Y_g + [M_b | M_s] [F_b dt ; F_s dW]),
-    and the fixed-order einsum reduction X_g = sum_k w_k Y_{g,k}, so no slab's
-    bits depend on how many are stacked.  Returns X, (G, n, P).  A non-finite
-    X raises FloatingPointError naming the step and the first bad paths.
+    A block trades L per-step passes over the K-row slabs for about three,
+    plus in-block lag sums that grow with L; four keeps the block buffers
+    (3 L rows of P per slab) within a few percent of the stack.  A one-node
+    lift (L = 1) is the per-step recursion, bit for bit.
+    """
+    return min(n_nodes, 4)
+
+
+class LiftStep:
+    """The blocked lift over a stack of co-simulated processes.
+
+    The lift state Y is (G, K n, P) in C order: one contiguous slab per
+    co-simulated process, row k n + c holding coordinate c at node k over the
+    P paths.  Y is moved once per block of L = block_steps(K) steps; inside a
+    block the state comes from the atom-kernel lag table (see the module
+    docstring).  Per step the caller writes the forcings into ``drives()``
+    and calls ``advance``; ``state(g)`` reads a slab's lift state at the
+    current step without moving the block.  Each slab is computed alone, so
+    no slab's bits depend on how many are stacked or advanced.
+
+    The path axis of every buffer is padded to a multiple of 8 with paths
+    whose increments and forcings stay 0.  OpenBLAS computes the last rows of
+    a gemm with other kernels when 1 to 4 of the 8 are left over, so without
+    the padding a path's bits would depend on the path count.
     """
 
-    ops: np.ndarray      # (2n, K n) Fortran order, [M_b | M_s]^T
-    decay: np.ndarray    # (K n, 1)
-    weights: np.ndarray  # (K,)
-    dt: float
-
-    @classmethod
-    def of(cls, kernel: DiscreteLaplaceKernel, dt: float) -> "LiftStep":
+    def __init__(self, kernel: DiscreteLaplaceKernel, dt: float, dW: np.ndarray,
+                 n_slabs: int = 1):
         K, n = kernel.n_nodes, kernel.dim
-        ops = np.concatenate([kernel.mb.reshape(K * n, n), kernel.msigma.reshape(K * n, n)], 1)
-        decay = np.repeat(np.exp(-kernel.nodes * dt), n)[:, None]
-        return cls(np.asfortranarray(ops.T), decay, kernel.weights, dt)
+        L = block_steps(K)
+        P = dW.shape[0]
+        P8 = -(-P // 8) * 8
+        self.n, self.L, self.P, self.dt, self.dW, self.m = n, L, P, dt, dW, 0
+        ops = np.concatenate([kernel.mb, kernel.msigma], 2)             # (K, n, 2n)
+        opsK = ops.reshape(K * n, 2 * n)                                 # [M_b | M_s]
+        dpow = np.exp(-np.outer(np.arange(L + 1), kernel.nodes) * dt)   # (L+1, K): d^i
+        rows = np.repeat(dpow, n, axis=1)                                # (L+1, K n)
+        # block end: Y <- carry Y + sum_j D^{L-j} [M_b | M_s] drive_j.  The
+        # per-step lift (L = 1) decays after adding instead, as before.
+        self.carry = rows[L, :, None] if L > 1 else None
+        self.decay = None if L > 1 else rows[1, :, None]
+        lead = rows[L:0:-1] if L > 1 else rows[:1]
+        self.ops = np.asfortranarray(np.concatenate([opsK.T * d for d in lead], 0))  # (2n L, K n)
+        # history terms rho_i = (w o d^i)^T Y_{m0}, i = 0..L-1, as one (L n, K n) map
+        hist = np.zeros((L, n, K, n))
+        for c in range(n):
+            hist[:, c, :, c] = kernel.weights * dpow[:L]
+        self.hist = np.asfortranarray(hist.reshape(L * n, K * n).T)   # (K n, L n)
+        # lag table K_hat(l dt) = sum_k w_k d_k^l [M_b,k | M_s,k], l < L; in-block
+        # sums X_{m0+i+1} - rho_{i+1} = lags[i] . drive[:2n(i+1)], i = 0..L-2
+        lag = np.einsum("lk,kab->lab", kernel.weights * dpow[:L], ops)   # (L, n, 2n)
+        self.lags = [np.concatenate(lag[i + 1:0:-1], 1) for i in range(L - 1)]
+        # mid-block reads: Y_{m0+i} = D^i Y_{m0} + reads[i] . drive[:2n i]
+        self.rows = rows
+        self.reads = [None] + [np.concatenate([opsK * d[:, None] for d in rows[i:0:-1]], 1)
+                              for i in range(1, L)]              # (K n, 2n i)
+        self.Y = np.zeros((n_slabs, K * n, P8))
+        self.drive = np.zeros((n_slabs, 2 * n * L, P8))
+        self.rho = np.zeros((n_slabs, L * n, P8))
+        self.x = self.rho[:, :n, :P]   # X - xi lands here: rho_0 is only ever an output
+        self.dw_block = np.zeros((L, P8))
 
-    def __call__(self, Y: np.ndarray, Fb, Fs, dW: np.ndarray, step: int) -> np.ndarray:
-        """Advance Y in place; Fb, Fs broadcast to (G, n, P), dW is the (P,) increments."""
-        (G, Kn, P), K = Y.shape, self.weights.size
-        n = Kn // K
-        drive = np.empty((G, 2 * n, P))
-        np.multiply(Fb, self.dt, out=drive[:, :n])
-        np.multiply(Fs, np.ascontiguousarray(dW), out=drive[:, n:])  # read the strided column once
-        X = np.empty((G, n, P))
-        for g in range(G):
-            dgemm(1.0, drive[g].T, self.ops, beta=1.0, c=Y[g].T, overwrite_c=True)
-            Y[g] *= self.decay
-            np.einsum("k,kip->ip", self.weights, Y[g].reshape(K, n, P), out=X[g])
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        i, n = self.m % self.L, self.n
+        return (self.drive[:, 2 * n * i:2 * n * i + n],
+                self.drive[:, 2 * n * i + n:2 * n * (i + 1)])
+
+    def drives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current step's (F_b, F_sigma) slots, each (G, n, P); the caller
+        writes the forcings there before ``advance``."""
+        return tuple(slot[..., :self.P] for slot in self._slots())
+
+    def advance(self, n_slabs: int | None = None) -> np.ndarray:
+        """Advance the first ``n_slabs`` slabs (all by default) one step.
+
+        Returns ``x[:G]``, which holds X_{m+1} - xi until the next call; the
+        lift never reads ``x``, so a caller may add xi there in place.  A
+        non-finite X raises FloatingPointError naming the step and the first
+        bad paths.
+        """
+        G = self.Y.shape[0] if n_slabs is None else n_slabs
+        n, L, m = self.n, self.L, self.m
+        i = m % L
+        if i == 0:
+            nb = min(L, self.dW.shape[1] - m)
+            np.copyto(self.dw_block[:nb, :self.P], self.dW[:, m:m + nb].T)
+        Fb, Fs = self._slots()
+        Fb[:G] *= self.dt
+        Fs[:G] *= self.dw_block[i]
+        if i == L - 1:
+            self._end_block(G)
+        else:
+            X = self.rho[:G, :n]
+            np.einsum("cr,grp->gcp", self.lags[i], self.drive[:G, :2 * n * (i + 1)], out=X)
+            X += self.rho[:G, n * (i + 1):n * (i + 2)]
+        self.m = m + 1
+        X = self.x[:G]
         if not np.isfinite(X).all():
             bad = np.flatnonzero(~np.isfinite(X).all(axis=(0, 1)))
             raise FloatingPointError(
-                f"non-finite state at step {step}; first bad paths {bad[:5].tolist()}")
+                f"non-finite state at step {m + 1}; first bad paths {bad[:5].tolist()}")
         return X
+
+    def _end_block(self, G: int) -> None:
+        """Move Y to the block end and fill rho for the next block."""
+        for g in range(G):
+            if self.carry is not None:
+                self.Y[g] *= self.carry
+            dgemm(1.0, self.drive[g].T, self.ops, beta=1.0, c=self.Y[g].T, overwrite_c=True)
+            if self.decay is not None:
+                self.Y[g] *= self.decay
+            dgemm(1.0, self.Y[g].T, self.hist, c=self.rho[g].T, overwrite_c=True)
+        tally = _TALLY.get()
+        if tally is not None:
+            tally["block_steps"] = self.L
+            tally["y_updates"] += G
+
+    def state(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Slab g's lift state at the current step as a (P, K n) array, written
+        to ``out`` when given (else a new C-order array)."""
+        i = self.m % self.L
+        Yi = self.Y[g] * self.rows[i, :, None]       # D^i Y_{m0}, built in Y's layout
+        if i:
+            Yi += self.reads[i] @ self.drive[g, :2 * self.n * i]
+        if out is None:
+            return np.ascontiguousarray(Yi[:, :self.P].T)
+        out[:] = Yi[:, :self.P].T
+        return out
+
+    def fork(self, src: int, dst: slice) -> None:
+        """Give slabs ``dst`` the block state of slab ``src`` (lift, stored
+        drives and history terms), as if they had advanced alongside it."""
+        for buf in (self.Y, self.drive, self.rho):
+            buf[dst] = buf[src]
+
+
+_TALLY: ContextVar[dict | None] = ContextVar("lift_tally", default=None)
+
+
+@contextmanager
+def lift_tally():
+    """Count the lift block updates made inside the ``with`` body.
+
+    Yields ``{"y_updates": slab updates, "block_steps": L}`` (no
+    ``block_steps`` when no block ended).
+    """
+    tally = {"y_updates": 0}
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
 
 
 def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
@@ -181,17 +313,19 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
     """
     paths = dW.shape[0]
     N, K, n = grid.n_steps, kernel.n_nodes, kernel.dim
-    step = LiftStep.of(kernel, grid.dt)
-    Y = np.zeros((1, K * n, paths))
+    lift = LiftStep(kernel, grid.dt, dW)
     X = np.empty((paths, N + 1, n))
-    Ytab = np.zeros((paths, N + 1, K, n)) if store_lift else None
+    Ytab = np.zeros((paths, N + 1, K * n)) if store_lift else None
     X[:, 0] = xi[0]
     for m in range(N):
         Fb, Fs = forcing(m, X[:, m])
-        X[:, m + 1] = xi[m + 1] + step(Y, np.transpose(Fb), np.transpose(Fs), dW[:, m], m + 1)[0].T
+        slot_b, slot_s = lift.drives()
+        slot_b[0] = np.transpose(Fb)
+        slot_s[0] = np.transpose(Fs)
+        X[:, m + 1] = xi[m + 1] + lift.advance()[0].T
         if store_lift:
-            Ytab[:, m + 1] = Y[0].T.reshape(paths, K, n)
-    return X, Ytab
+            lift.state(0, out=Ytab[:, m + 1])
+    return X, None if Ytab is None else Ytab.reshape(paths, N + 1, K, n)
 
 
 def run_direct(kernel, which_pair: tuple[str, str], grid: TimeGrid, dW: np.ndarray,

@@ -101,8 +101,10 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     The stack holds 1 + 3S slabs: X_hat, then the S spiked states, then the
     S first- and the S second-order processes.
     Before the earliest spike index only X_hat advances: there X1 = X2 = 0
-    and X^eps = X_hat exactly, so the spiked lifts start at that index as
-    copies of the reference lift.  The reference derivatives are evaluated
+    and X^eps = X_hat exactly, so at that index the spiked slabs take the
+    reference slab's block state (``LiftStep.fork``) and the X1, X2 slabs
+    start from zero.  The forcings are written straight into the lift's drive
+    slots.  The reference derivatives are evaluated
     once per step for all spikes.  The spikes share one value ``v``; an
     observer sees the first spike.
     """
@@ -120,23 +122,22 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     xi_tab = _xi_table(xi, grid, 1)[:, 0]
     du = v.values.shape[-1]
 
-    step = LiftStep.of(kernel, dt)
-    Y = np.zeros((1 + 3 * S, kernel.n_nodes, P))
-    X, Fb, Fs = (np.zeros((1 + 3 * S, P)) for _ in range(3))
+    G = 1 + 3 * S
+    lift = LiftStep(kernel, dt, ens.dW, G)
+    X = lift.x[:, 0]   # the lift's output rows: each advance rewrites them in place
     X[0] = xi_tab[0]
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
-    F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
 
-    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, and their second moments
-    diffs, moments = np.empty((2, len(NORM_KEYS), S, P))
+    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, squared in place once stored
+    diffs = np.empty((len(NORM_KEYS), S, P))
     sup_mom = np.zeros((len(NORM_KEYS), S))
     j12_run = np.zeros((S, P))   # running f-expansion integral
     dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
     delta_f = np.zeros((S, P))   # running spike integral of delta f
     tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
-    def frame(cv, forcings=(F1b, F1s, F2b, F2s)):
-        return {"Y1": Y[1 + S].T, "Y2": Y[1 + 2 * S].T,
+    def frame(cv, forcings):
+        return {"Y1": lift.state(1 + S), "Y2": lift.state(1 + 2 * S),
                 "X1": X1[0], "X2": X2[0], "db": cv.get("db"), "ds": cv.get("ds"),
                 "df": cv.get("df"), "in_spike": bool(cv),
                 **{k: f if f is None else f[0]
@@ -144,17 +145,22 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
 
     for m in range(j_start):
         ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
+        Fb, Fs = (f[:, 0] for f in lift.drives())
         if observer is not None:
-            observer(m, frame({}))
-        xh[:] = xi_tab[m + 1] + step(Y[:1], ch["b"].T, ch["sigma"].T, ens.dW[:, m], m + 1)[0, 0]
-    Y[1:1 + S] = Y[0]
-    Xe[:] = xh
+            observer(m, frame({}, (Fb[1 + S], Fs[1 + S], Fb[1 + 2 * S], Fs[1 + 2 * S])))
+        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+        lift.advance(1)
+        xh += xi_tab[m + 1]
+    lift.fork(0, slice(1, 1 + S))   # X^eps = X_hat here, X1 = X2 = 0
 
     for m in range(j_start, N):
         t, u_h = m * dt, u_hat.at(m)
         active = (win[:, 0] <= m) & (m < win[:, 1])
         ch = _coeff_eval(coeffs, t, u_h, xh[:, None])
         bxh, sxh = ch["b_x"][:, 0, 0], ch["sigma_x"][:, 0, 0]
+        # forcings go straight into the lift's drive slots for this step
+        Fb, Fs = (f[:, 0] for f in lift.drives())
+        F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
         Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
 
         # spiked state forcing (full nonlinear coefficients at X^eps)
@@ -165,7 +171,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         Fs[1:1 + S] = coeffs.sigma(t, ue, xe_col).reshape(S, P)
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
-        F1b[:], F1s[:] = bxh * X1, sxh * X1
+        np.multiply(bxh, X1, out=F1b)
+        np.multiply(sxh, X1, out=F1s)
         F2b[:] = bxh * X2 + 0.5 * ch["b_xx"][:, 0, 0, 0] * X1 * X1
         F2s[:] = sxh * X2 + 0.5 * ch["sigma_xx"][:, 0, 0, 0] * X1 * X1
         cv = {}
@@ -180,25 +187,29 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
             F2s[active] += cv["dsx"] * X1[active]
             delta_f[active] += cv["df"] * dt
         if observer is not None:
-            observer(m, frame(cv if active[0] else {}))
+            observer(m, frame(cv if active[0] else {}, (F1b, F1s, F2b, F2s)))
 
         # running cost pieces (left-point rule)
         j12_run += (ch["f_x"][:, 0] * (X1 + X2) + 0.5 * ch["f_xx"][:, 0, 0] * X1 * X1) * dt
         dcost_f += (coeffs.f(t, ue, xe_col).reshape(S, P) - ch["f"]) * dt
 
-        X[:] = step(Y, Fb[:, None], Fs[:, None], ens.dW[:, m], m + 1)[:, 0]
+        lift.advance()
         X[:1 + S] += xi_tab[m + 1]
         np.subtract(Xe, xh, out=diffs[0])
         diffs[1], diffs[3] = X1, X2
         np.subtract(diffs[0], X1, out=diffs[2])
         np.subtract(diffs[2], X2, out=diffs[4])
-        np.abs(diffs, out=moments)
-        moments **= 2.0      # in place: no 1 MB temporary
-        np.maximum(sup_mom, np.mean(moments, axis=2), out=sup_mom)
         if store:
             tables[..., m + 1] = diffs
+        np.square(diffs, out=diffs)
+        np.maximum(sup_mom, np.mean(diffs, axis=2), out=sup_mom)
     if observer is not None:
         observer(N, frame({}, (None,) * 4))
+    # keep the final states and drop the lift: its buffers need not be held
+    # while the bundles are built
+    X = X.copy()
+    xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
+    del lift
 
     xT = xh[:, None]
     hx = coeffs.h_x(xT)[:, 0]

@@ -1,9 +1,10 @@
-"""Reference loop forms of the variational-inequality check and the argmax
-control (test-only oracles).
+"""Reference loop forms of the variational-inequality check, the classical
+inequality gaps and the argmax control (test-only oracles).
 
-One round of coefficient calls per (step, control point), as both were first
-written.  ``maxprinciple.check_variational_inequality`` evaluates all control
-points of a step at once and ``maxprinciple.construct_argmax_control`` every
+One round of coefficient calls per (step, control point), as all three were
+first written.  ``maxprinciple.check_variational_inequality`` and
+``maxprinciple.classical_adjoint_gaps`` evaluate blocks of steps with every
+control point at once and ``maxprinciple.construct_argmax_control`` every
 (step, control point) pair at once; the tests compare the results exactly.
 
 ``j12_gap_sweep`` runs ``maxprinciple.j12_adjoint_representation`` over a
@@ -94,3 +95,26 @@ def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: Control
     eps_arr = np.array([r["eps"] for r in rows])
     fit = fit_loglog(eps_arr, gaps) if np.all(gaps > 0) else None
     return {"rows": rows, "fit": fit}
+
+
+def classical_adjoint_gaps(coeffs, u_hat, u_grid, grid, x_hat) -> dict:
+    """The inequality gaps of ``maxprinciple.classical_adjoint_gaps`` with one
+    Hamiltonian and one sigma call per (step, control point), on its adjoints."""
+    from volterra_smp.maxprinciple import classical_adjoint_gaps as stacked
+    ref = stacked(coeffs, u_hat, u_grid, grid, x_hat)
+    p, P = ref["p"], ref["P"]
+    u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
+    if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
+        u_pts = u_pts.T
+    gaps = {}
+    for m in range(grid.n_steps):
+        t = m * grid.dt
+        x_m = x_hat[:, m]
+        u_h = u_hat.at(m)
+        h_hat = hamiltonian(coeffs, t, u_h, x_m, p[m], 0.0)
+        sig_hat = coeffs.sigma(t, u_h, x_m)
+        for v in u_pts:
+            h_v = hamiltonian(coeffs, t, v, x_m, p[m], 0.0)
+            dsig = sig_hat - coeffs.sigma(t, v, x_m)
+            gaps[(t, float(v[0]))] = float(np.mean(h_hat - h_v - 0.5 * P[m] * dsig[:, 0] ** 2))
+    return {"p": p, "P": P, "gaps": gaps}

@@ -369,7 +369,10 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
                                         "second": len(fields.second.distances)}
     assert adj["picard_iterations"]["first"] >= 4
     assert 0.0 < adj["worst_contraction_ratio"] <= 0.9
-    assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13}
+    # blocks of 4 steps; slab 0 alone before the spikes at step 32, all 13 after
+    assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13,
+                                        "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
+    assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)

@@ -202,6 +202,19 @@ def test_classical_reference_matches_field_checker(grid, lq, delta_kernel, ens):
     assert dev <= 1e-10
 
 
+@pytest.mark.parametrize("n_steps, n_paths", [(13, 100), (37, 3000)],
+                         ids=["one_partial_block", "blocks_of_3_and_a_rest"])
+def test_classical_gaps_match_loop_oracle(n_steps, n_paths, lq, delta_kernel):
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, n_paths, 99)
+    uh = perturb_control(ControlPath.constant(-0.5, grid), grid, grid.t[n_steps // 3],
+                         grid.t[2 * n_steps // 3], 1.0)
+    xh = simulate_sve(lq, uh, delta_kernel, 0.4, e)
+    args = (lq, uh, lq.control_domain.points, grid, xh)
+    cl, ref = classical_adjoint_gaps(*args), mp_oracle.classical_adjoint_gaps(*args)
+    assert list(cl["gaps"].items()) == list(ref["gaps"].items())
+
+
 def test_duality_residual_bitwise_reproducible(grid, state_free, frac_kernel):
     vals = []
     for _ in range(2):

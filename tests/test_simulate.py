@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
 import rng_oracles
+import simulate_oracles
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
                                       StructuralTags, _scalar_problem, make_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp.simulate import (cnorm, euler_maruyama, sample_brownian,
-                                   simulate_lift, simulate_sve, volterra_convolve)
+from volterra_smp.simulate import (LiftStep, block_steps, cnorm, euler_maruyama,
+                                   sample_brownian, simulate_lift, simulate_sve,
+                                   volterra_convolve)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -257,6 +259,65 @@ def test_lift_equals_direct_on_random_atom_kernels(kern, n_steps, seed):
     Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
     Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
     assert np.max(np.abs(Xl - Xd)) <= 1e-10
+
+
+def _stack_forcing(X):
+    """A nonlinear forcing of a (G, n, P) state stack that mixes coordinates."""
+    return 0.3 - 0.5 * X + 0.2 * np.sin(X[:, ::-1]), 0.2 + 0.1 * np.cos(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kern=atom_kernels(), blocks=st.integers(1, 4), rest=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31))
+def test_blocked_lift_equals_per_step_oracle(kern, blocks, rest, seed):
+    # N is not a multiple of L, and the fork (slabs 1-2 copy slab 0, slab 3
+    # starts from zero, as X^eps and X1 do) comes at every block phase; X and
+    # the lift state read mid-block agree with the per-step lift, and a
+    # one-node lift (L = 1) is the per-step lift bit for bit
+    L = block_steps(kern.n_nodes)
+    N = blocks * L + 1 + rest % max(L - 1, 1)
+    grid = TimeGrid(1.0, N)
+    e = sample_brownian(grid, 9, seed)
+    G, Kn, n = 4, kern.n_nodes * kern.dim, kern.dim
+    step = simulate_oracles.PerStepLift.of(kern, grid.dt)
+    for j_start in range((blocks - 1) * L, blocks * L):
+        lift, Y, X = LiftStep(kern, grid.dt, e.dW, G), np.zeros((G, Kn, 9)), np.zeros((G, n, 9))
+        xs, ys = [], []
+        for m in range(N):
+            if m == j_start:
+                lift.fork(0, slice(1, 3))
+                Y[1:3], X[1:3] = Y[0], X[0]
+            act = 1 if m < j_start else G
+            ys += [(lift.state(g), Y[g].T.copy()) for g in range(act)]
+            Fb, Fs = _stack_forcing(X[:act])
+            slot_b, slot_s = lift.drives()
+            slot_b[:act], slot_s[:act] = _stack_forcing(lift.x[:act])
+            xs.append((lift.advance(act).copy(), step(Y[:act], Fb, Fs, e.dW[:, m])))
+            X[:act] = xs[-1][1]
+        for got, want in (zip(*xs), zip(*ys)):
+            got, want = np.concatenate(got, None), np.concatenate(want, None)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert L > 1 or got.tobytes() == want.tobytes()
+
+
+def test_lift_and_cosimulation_are_prefix_exact():
+    # rows :n of a run equal the run on its first n paths, bit for bit: a
+    # path's bits do not depend on how many paths run with it
+    grid = TimeGrid(1.0, 64)
+    kern = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32)
+    coeffs, u = make_problem("bilinear_lq"), ControlPath.constant(0.1, grid)
+    spikes = [SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))]
+    full = sample_brownian(grid, 5003, 11)
+    X = simulate_sve(coeffs, u, kern, 0.3, full)
+    B = _spike_cosimulation(coeffs, kern, u, spikes, 0.3, full, store=True)[0]
+    for n in (1, 7, 37, 1000, 2000, 4000):
+        e = full.first_paths(n)
+        assert simulate_sve(coeffs, u, kern, 0.3, e).tobytes() == X[:n].tobytes(), n
+        b = _spike_cosimulation(coeffs, kern, u, spikes, 0.3, e, store=True)[0]
+        for key, table in (*b.tables.items(), *b.terminal.items()):
+            full_table = B.tables[key] if key in B.tables else B.terminal[key]
+            assert table.tobytes() == full_table[:n].tobytes(), (n, key)
+        assert b.j12_terms.tobytes() == B.j12_terms[:n].tobytes(), n
 
 
 @settings(max_examples=40, deadline=None)
