@@ -33,8 +33,8 @@ from .grids import TimeGrid
 from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel,
                       knorm_eps, quadrature_error, step_decay_weight)
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
-                           construct_argmax_control, duality_residual_first,
-                           duality_residual_second, perturb_control)
+                           construct_argmax_control, duality_residuals, duality_stats,
+                           perturb_control)
 from .simulate import (BrownianEnsemble, _xi_table, cnorm, lift_tally, sample_brownian,
                        simulate_sve)
 from .stats import fit_loglog
@@ -652,17 +652,25 @@ def _contraction_ratios(d) -> list:
 
 
 def run_duality(config: ExperimentConfig) -> ExperimentResult:
+    """Both duality identities at the config's path count and the first-order
+    display SE at 1000, 4000 and 16000 paths, all from one co-simulation on
+    the largest ensemble: each smaller ensemble of the same seed is a prefix
+    of it, and so are its states, adjoint tables and residuals."""
     prov = _provenance(config)
-    kern, coeffs, grid, ens, u_hat, x_hat = _adjoint_inputs(config)
-    xi = config.solver["xi"]
-    lsmc = config.solver["lsmc"]
     path_sweep = (1000, 4000, 16000)     # the standard error must shrink as 1/sqrt(paths)
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"], lsmc=lsmc)
+    n_paths = config.grid["n_paths"]
+    kern, coeffs, grid = config.make_kernel(), config.make_problem(), config.make_grid()
+    u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
+    ens = sample_brownian(grid, max(n_paths, *path_sweep), config.seed)
+    xi = config.solver["xi"]
+    x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
+    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"],
+                            lsmc=config.solver["lsmc"])
     eps = config.spike["eps_list"][min(1, len(config.spike["eps_list"]) - 1)]
     spike = SpikeSpec(tau=config.spike["tau"], eps=eps,
                       v=ControlPath.constant(config.spike["v"], grid, du=coeffs.du))
-    r1 = duality_residual_first(coeffs, spike, adj, ens, x_hat, xi=xi)
-    r2 = duality_residual_second(coeffs, spike, adj, ens, x_hat, xi=xi)
+    res = duality_residuals(coeffs, spike, adj, ens, x_hat, xi=xi)
+    r1, r2 = duality_stats(res["first"], n_paths), duality_stats(res["second"], n_paths)
     checks = [
         ("first_exact", r1["exact_max"] <= 1e-8, f"max pathwise {r1['exact_max']:.3e}"),
         ("second_exact", r2["exact_max"] <= 1e-8, f"max pathwise {r2['exact_max']:.3e}"),
@@ -675,22 +683,20 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
             ("first", "display", r1["display_mean"], r1["display_se"]),
             ("second", "exact_max", r2["exact_max"], 0.0),
             ("second", "display", r2["display_mean"], r2["display_se"])]
-
     ses = []
-    e_all = sample_brownian(grid, max(path_sweep), config.seed)
-    for n_paths in path_sweep:
-        e = e_all.first_paths(n_paths)
-        xh = simulate_sve(coeffs, u_hat, kern, xi, e, self_test=False)
-        a = assemble_adjoints(coeffs, u_hat, xh, kern, e, tol=config.solver["tol"], lsmc=lsmc)
-        rr = duality_residual_first(coeffs, spike, a, e, xh, xi=xi)
+    for n in path_sweep:
+        rr = duality_stats(res["first"], n)
         ses.append(rr["display_se"])
-        rows.append(("first_sweep", f"display@{n_paths}", rr["display_mean"], rr["display_se"]))
+        rows.append(("first_sweep", f"display@{n}", rr["display_mean"], rr["display_se"]))
     fit = fit_loglog(np.asarray(path_sweep, dtype=float), np.asarray(ses))
     checks.append(("se_shrinks_sqrt_paths", abs(fit["slope"] + 0.5) <= 0.15,
                    f"log-log SE slope {fit['slope']:.3f} (target -0.5 +- 0.15)"))
     tables = {"duality": ResultTable("duality", ["order", "kind", "value", "se"],
                                      rows, prov)}
-    return ExperimentResult("duality", tables, checks)
+    timing = {"lift": {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
+                       "processes": 4},
+              "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)}}
+    return ExperimentResult("duality", tables, checks, extras={"timing": timing})
 
 
 def run_mp_check(config: ExperimentConfig) -> ExperimentResult:

@@ -10,6 +10,12 @@ the expectation-level identity (conditionally centered terms dropped,
 dW^2 -> dt), so it is a mean-zero Monte Carlo statistic whose standard error
 shrinks like 1/sqrt(paths).
 
+``duality_residuals`` runs one spike co-simulation with one observer that
+accumulates both orders and the adjoint representation of J12, and returns
+per-path vectors.  A path's bits do not depend on how many paths run with it,
+so ``duality_stats`` takes the statistics of any smaller ensemble drawn with
+the same seed over a prefix of those vectors.
+
 Backward integrands are evaluated left-point through the discounted fields
 p~_m = E_m[e^{-theta dt} p_{m+1}] (and the pair analogue), which is the exact
 object produced by the discrete product rule.
@@ -17,7 +23,7 @@ object produced by the discrete product rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,21 +69,23 @@ def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
 
 
 @dataclass
-class _FirstDualityAccumulator:
-    """Streams the discrete product-rule expansion of the mu-aggregated
-    first-order pairing <p, Y^{12}> along a variational co-simulation."""
+class _DualityAccumulator:
+    """Streams the discrete product-rule expansions along one variational
+    co-simulation: of the mu-aggregated first-order pairing <p, Y^{12}>
+    (row 0 of ``rhs_exact``/``rhs_display``), of the mu x mu pair-field
+    pairing <P Y^1, Y^1> when the pair field is solved (row 1, else zero),
+    and the spike integral of the adjoint representation of J12."""
 
     adj: AdjointSolution
     ens: BrownianEnsemble
     rhs_exact: np.ndarray = None
     rhs_display: np.ndarray = None
-    spike_adjoint: np.ndarray = None  # spike integral of the representation
-    lhs: np.ndarray = None
+    spike_adjoint: np.ndarray = None
 
     def __post_init__(self):
         paths = self.ens.n_paths
-        self.rhs_exact = np.zeros(paths)
-        self.rhs_display = np.zeros(paths)
+        self.rhs_exact = np.zeros((2, paths))
+        self.rhs_display = np.zeros((2, paths))
         self.spike_adjoint = np.zeros(paths)
         k = self.adj.kernel
         dt = self.ens.grid.dt
@@ -86,28 +94,38 @@ class _FirstDualityAccumulator:
         self._ms = k.msigma[:, 0, 0]
         self._dec = np.exp(-k.nodes * dt)
         self._om = step_decay_weight(k.nodes, dt)
-        self._P0 = self.adj.first.P0[:, :, 0]
-        self._P1 = None if self.adj.first.P1 is None else self.adj.first.P1[:, :, 0]
-        self._Q0 = self.adj.first.Q0[:, :, 0]
-        self._G0 = self.adj.first.G0[:, :, 0]
-        self._Z = None if self.adj.first.Z is None else self.adj.first.Z.values
+        first, second = self.adj.first, self.adj.second
+        self._P0 = first.P0[:, :, 0]
+        self._P1 = None if first.P1 is None else first.P1[:, :, 0]
+        self._Q0 = first.Q0[:, :, 0]
+        self._G0 = first.G0[:, :, 0]
+        self._Z = None if first.Z is None else first.Z.values
+        self._P = None
+        if second is not None:
+            varpi = self.adj.tgrid.varpi2()
+            self._ww = self._w[:, None] * self._w[None, :]
+            self._dec2 = np.exp(-varpi * dt)
+            self._om2 = step_decay_weight(varpi, dt)
+            self._P = second.P[:, :, :, 0, 0]
+            self._G = second.G[:, :, :, 0, 0]
 
     def __call__(self, m: int, frame: dict):
         N = self.ens.grid.n_steps
         if m >= N:
             return
-        dt = self.ens.grid.dt
+        dt, P = self.ens.grid.dt, self.ens.n_paths
         w, mb, ms, dec, om = self._w, self._mb, self._ms, self._dec, self._om
-        Y12 = frame["Y1"] + frame["Y2"]
-        Fb = frame["Fb1"] + frame["Fb2"]
-        Fs = frame["Fs1"] + frame["Fs2"]
+        Y1, Fb1, Fs1 = frame["Y1"], frame["Fb1"], frame["Fs1"]
+        Y12 = Y1 + frame["Y2"]               # (P8, K): the rows past P are padding
+        Fb = Fb1 + frame["Fb2"]
+        Fs = Fs1 + frame["Fs2"]
         dW = self.ens.dW[:, m]
 
         g_m = self._G0[m]                    # (K,), theta-resolved generator
         q_m = self._Q0[m]                    # (K,)
         pt0 = dec * self._P0[m + 1]          # discounted deterministic part
-        gen_term = -Y12 @ (w * om * g_m)
-        qY = Y12 @ (w * q_m)
+        gen_term = (-Y12 @ (w * om * g_m))[:P]
+        qY = (Y12 @ (w * q_m))[:P]
         ab0 = float(np.sum(w * mb * pt0))
         as0 = float(np.sum(w * ms * pt0))
         qb = float(np.sum(w * mb * q_m))
@@ -120,154 +138,68 @@ class _FirstDualityAccumulator:
         else:
             ab, as_ = ab0, as0
 
-        display = gen_term + dt * (ab * Fb + qs * Fs)
-        exact = (gen_term + qY * dW + dt * ab * Fb + as_ * Fs * dW
-                 + qb * Fb * dt * dW + qs * Fs * dW * dW)
-        self.rhs_display += display
-        self.rhs_exact += exact
+        self.rhs_display[0] += gen_term + dt * (ab * Fb + qs * Fs)
+        self.rhs_exact[0] += (gen_term + qY * dW + dt * ab * Fb + as_ * Fs * dW
+                              + qb * Fb * dt * dW + qs * Fs * dW * dW)
+
+        Pss = 0.0                            # mu x mu [Ms^T P~_m Ms]: the risk term
+        if self._P is not None:
+            WPt = self._ww * (self._dec2 * self._P[m + 1])
+            WG = self._ww * (self._om2 * self._G[m])
+            U = Y1 @ WPt                     # (P8, K) one-sided contraction
+            quad_YY_G = np.einsum("pi,pi->p", Y1 @ WG, Y1)[:P]
+            Pbb = float(mb @ WPt @ mb)
+            Pbs = float(mb @ WPt @ ms)
+            Pss = float(ms @ WPt @ ms)
+            cross_b = 2.0 * (U @ mb)[:P] * Fb1   # symmetric field: both sides equal
+            cross_s = 2.0 * (U @ ms)[:P] * Fs1
+            self.rhs_display[1] += -quad_YY_G + dt * (cross_b + Pss * Fs1 * Fs1)
+            self.rhs_exact[1] += (-quad_YY_G + dt * cross_b + cross_s * dW
+                                  + Pbb * Fb1 * Fb1 * dt * dt + 2.0 * Pbs * Fb1 * Fs1 * dt * dW
+                                  + Pss * Fs1 * Fs1 * dW * dW)
 
         if frame["in_spike"]:
             db, ds, df = frame["db"], frame["ds"], frame["df"]
-            R = _pair_disc_contraction(self.adj, m)
-            self.spike_adjoint += dt * (ab * db + qs * ds - df + 0.5 * R * ds * ds)
+            self.spike_adjoint += dt * (ab * db + qs * ds - df + 0.5 * Pss * ds * ds)
 
 
-def _pair_disc_contraction(adj: AdjointSolution, m: int) -> float:
-    """mu x mu [Ms^T P~_m Ms] with P~_m the discounted pair field."""
-    if adj.second is None:
-        return 0.0
-    k = adj.kernel
-    dt = adj.grid.dt
-    varpi = adj.tgrid.varpi2()
-    Pt = np.exp(-varpi * dt) * adj.second.P[m + 1, :, :, 0, 0]
-    wms = k.weights * k.msigma[:, 0, 0]
-    return float(wms @ Pt @ wms)
+def duality_residuals(coeffs: CoefficientSet, spike: SpikeSpec, adj: AdjointSolution,
+                      ens: BrownianEnsemble, x_hat: np.ndarray, xi=0.0) -> dict:
+    """Both duality identities and the adjoint representation of J12 from one
+    spike co-simulation.
 
-
-def duality_residual_first(coeffs: CoefficientSet, spike: SpikeSpec,
-                           adjoints: AdjointSolution, ens: BrownianEnsemble,
-                           x_hat: np.ndarray, xi=0.0) -> dict:
-    """First-order duality: -E[h_x X^{12}_T] against its drift/spike expansion.
-
-    Returns the exact discrete residual (pathwise, machine zero for a
-    consistent solve) and the display-level residual with its standard error.
+    Per path: under "first", the pairing ``lhs`` = -h_x(X_T) X^{12}_T and its
+    ``exact`` and ``display`` residuals against the expansion; under "second"
+    (only when ``adj.second`` is solved) the same for -h_xx(X_T) (X^1_T)^2;
+    ``spike_adjoint``, the spike integral of the Hamiltonian/risk terms on the
+    adjoint contractions (minus its mean represents ``bundle.j12()`` up to
+    terms of higher order than eps); and the variation ``bundle``.  Every
+    vector's first n entries are those of the same call on
+    ``ens.first_paths(n)``, so ``duality_stats`` over a prefix is the
+    statistic of the smaller ensemble.
     """
-    acc = _FirstDualityAccumulator(adj=adjoints, ens=ens)
-    bundle = simulate_variation_bundle(coeffs, adjoints.kernel, adjoints.u_hat,
-                                       spike, xi, ens, x_hat=x_hat, observer=acc)
-    hx = coeffs.h_x(x_hat[:, -1])[:, 0]
-    lhs = -hx * bundle.terminal["X12_T"]
-    res_exact = lhs - acc.rhs_exact
-    res_disp = lhs - acc.rhs_display
-    mean_d, se_d = mc_mean_se(res_disp)
+    acc = _DualityAccumulator(adj=adj, ens=ens)
+    bundle = simulate_variation_bundle(coeffs, adj.kernel, adj.u_hat, spike, xi, ens,
+                                       x_hat=x_hat, observer=acc)
+    xT = x_hat[:, -1]
+    lhs = {"first": -coeffs.h_x(xT)[:, 0] * bundle.terminal["X12_T"]}
+    if adj.second is not None:
+        X1T = bundle.terminal["X1_T"]
+        lhs["second"] = -coeffs.h_xx(xT)[:, 0, 0] * X1T * X1T
+    out = {order: {"lhs": v, "exact": v - acc.rhs_exact[i], "display": v - acc.rhs_display[i]}
+           for i, (order, v) in enumerate(lhs.items())}
+    return {**out, "spike_adjoint": acc.spike_adjoint, "bundle": bundle}
+
+
+def duality_stats(order: dict, n_paths: int | None = None) -> dict:
+    """Statistics of one order of ``duality_residuals`` over its first
+    ``n_paths`` paths (all by default): the largest exact residual relative to
+    max(1, max |lhs|), and the display residual's mean and standard error."""
+    lhs, exact, display = (order[key][:n_paths] for key in ("lhs", "exact", "display"))
+    mean, se = mc_mean_se(display)
     scale = max(1.0, float(np.max(np.abs(lhs))))
-    return {
-        "exact_max": float(np.max(np.abs(res_exact))) / scale,
-        "exact_mean": float(np.mean(res_exact)) / scale,
-        "display_mean": mean_d,
-        "display_se": se_d,
-        "lhs": float(np.mean(lhs)),
-        "bundle": bundle,
-    }
-
-
-@dataclass
-class _SecondDualityAccumulator:
-    adj: AdjointSolution
-    ens: BrownianEnsemble
-    rhs_exact: np.ndarray = None
-    rhs_display: np.ndarray = None
-
-    def __post_init__(self):
-        paths = self.ens.n_paths
-        self.rhs_exact = np.zeros(paths)
-        self.rhs_display = np.zeros(paths)
-        k = self.adj.kernel
-        dt = self.ens.grid.dt
-        varpi = self.adj.tgrid.varpi2()
-        self._dec2 = np.exp(-varpi * dt)
-        self._om2 = step_decay_weight(varpi, dt)
-        self._w = k.weights
-        self._mb = k.mb[:, 0, 0]
-        self._ms = k.msigma[:, 0, 0]
-        self._P = self.adj.second.P[:, :, :, 0, 0]
-        self._G = self.adj.second.G[:, :, :, 0, 0]
-
-    def __call__(self, m: int, frame: dict):
-        N = self.ens.grid.n_steps
-        if m >= N:
-            return
-        dt = self.ens.grid.dt
-        w, mb, ms = self._w, self._mb, self._ms
-        Y1 = frame["Y1"]
-        Fb, Fs = frame["Fb1"], frame["Fs1"]
-        dW = self.ens.dW[:, m]
-
-        WPt = (w[:, None] * w[None, :]) * (self._dec2 * self._P[m + 1])
-        WG = (w[:, None] * w[None, :]) * (self._om2 * self._G[m])
-        U = Y1 @ WPt                       # (paths, K) one-sided contraction
-        quad_YY_G = np.einsum("pi,ij,pj->p", Y1, WG, Y1)
-        PY_b = U @ mb                      # <P~ Y, Mb> rows
-        PY_s = U @ ms
-        Pbb = float(mb @ WPt @ mb)
-        Pbs = float(mb @ WPt @ ms)
-        Pss = float(ms @ WPt @ ms)
-
-        cross_b = 2.0 * PY_b * Fb          # symmetric field: both sides equal
-        cross_s = 2.0 * PY_s * Fs
-        display = -quad_YY_G + dt * (cross_b + Pss * Fs * Fs)
-        exact = (-quad_YY_G + dt * cross_b + cross_s * dW
-                 + Pbb * Fb * Fb * dt * dt + 2.0 * Pbs * Fb * Fs * dt * dW
-                 + Pss * Fs * Fs * dW * dW)
-        self.rhs_display += display
-        self.rhs_exact += exact
-
-
-def duality_residual_second(coeffs: CoefficientSet, spike: SpikeSpec,
-                            adjoints: AdjointSolution, ens: BrownianEnsemble,
-                            x_hat: np.ndarray, xi=0.0) -> dict:
-    """Pair-field duality: -E[<h_xx Y1_T, Y1_T>]_{mu x mu} vs its expansion."""
-    if adjoints.second is None:
-        raise ValueError("second-order field not solved")
-    acc = _SecondDualityAccumulator(adj=adjoints, ens=ens)
-    bundle = simulate_variation_bundle(coeffs, adjoints.kernel, adjoints.u_hat,
-                                       spike, xi, ens, x_hat=x_hat, observer=acc)
-    hxx = coeffs.h_xx(x_hat[:, -1])[:, 0, 0]
-    X1T = bundle.terminal["X1_T"]
-    lhs = -hxx * X1T * X1T
-    res_exact = lhs - acc.rhs_exact
-    res_disp = lhs - acc.rhs_display
-    mean_d, se_d = mc_mean_se(res_disp)
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    return {
-        "exact_max": float(np.max(np.abs(res_exact))) / scale,
-        "display_mean": mean_d,
-        "display_se": se_d,
-        "lhs": float(np.mean(lhs)),
-    }
-
-
-def j12_adjoint_representation(coeffs: CoefficientSet, spike: SpikeSpec,
-                               adjoints: AdjointSolution, ens: BrownianEnsemble,
-                               x_hat: np.ndarray, xi=0.0) -> dict:
-    """Spike-integral representation of the quadratic cost expansion.
-
-    j12_direct comes from the forward expansion processes; j12_adjoint from
-    minus the spike integral of the Hamiltonian/risk terms built on the
-    adjoint contractions.  Their gap collects the spike-local interaction
-    terms, of higher order than eps.
-    """
-    acc = _FirstDualityAccumulator(adj=adjoints, ens=ens)
-    bundle = simulate_variation_bundle(coeffs, adjoints.kernel, adjoints.u_hat,
-                                       spike, xi, ens, x_hat=x_hat, observer=acc)
-    j12_direct, j12_se = bundle.j12()
-    j12_adj, j12_adj_se = mc_mean_se(-acc.spike_adjoint)
-    return {
-        "j12_direct": j12_direct, "j12_direct_se": j12_se,
-        "j12_adjoint": j12_adj, "j12_adjoint_se": j12_adj_se,
-        "gap": j12_direct - j12_adj,
-        "bundle": bundle,
-    }
+    return {"exact_max": float(np.max(np.abs(exact))) / scale,
+            "display_mean": mean, "display_se": se}
 
 
 # ---------------------------------------------------------------------------

@@ -128,18 +128,25 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     X[0] = xi_tab[0]
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
 
-    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, squared in place once stored
+    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, squared in place once stored.
+    # Nothing reads them before the next step's advance, so until then their
+    # rows are that step's scratch: the loop allocates no (S, P) products.
     diffs = np.empty((len(NORM_KEYS), S, P))
+    work, xe = diffs[:2], diffs[4]
     sup_mom = np.zeros((len(NORM_KEYS), S))
     j12_run = np.zeros((S, P))   # running f-expansion integral
     dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
     delta_f = np.zeros((S, P))   # running spike integral of delta f
     tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
+    # the observer's Y1, Y2 rows; those past P stay 0, as the lift pads its path axis
+    ybuf = np.zeros((2, lift.Y.shape[2], lift.Y.shape[1])) if observer is not None else None
+
     def frame(cv, forcings):
-        return {"Y1": lift.state(1 + S), "Y2": lift.state(1 + 2 * S),
-                "X1": X1[0], "X2": X2[0], "db": cv.get("db"), "ds": cv.get("ds"),
-                "df": cv.get("df"), "in_spike": bool(cv),
+        lift.state(1 + S, out=ybuf[0, :P])
+        lift.state(1 + 2 * S, out=ybuf[1, :P])
+        return {"Y1": ybuf[0], "Y2": ybuf[1], "X1": X1[0], "X2": X2[0], "db": cv.get("db"),
+                "ds": cv.get("ds"), "df": cv.get("df"), "in_spike": bool(cv),
                 **{k: f if f is None else f[0]
                    for k, f in zip(("Fb1", "Fs1", "Fb2", "Fs2"), forcings)}}
 
@@ -166,15 +173,19 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         # spiked state forcing (full nonlinear coefficients at X^eps)
         ue = np.where(active[:, None, None], np.broadcast_to(v.at(m), (P, du)),
                       np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
-        xe_col = Xe.reshape(S * P, 1)
+        np.copyto(xe, Xe)
+        xe_col = xe.reshape(S * P, 1)
         Fb[1:1 + S] = coeffs.b(t, ue, xe_col).reshape(S, P)
         Fs[1:1 + S] = coeffs.sigma(t, ue, xe_col).reshape(S, P)
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
         np.multiply(bxh, X1, out=F1b)
         np.multiply(sxh, X1, out=F1s)
-        F2b[:] = bxh * X2 + 0.5 * ch["b_xx"][:, 0, 0, 0] * X1 * X1
-        F2s[:] = sxh * X2 + 0.5 * ch["sigma_xx"][:, 0, 0, 0] * X1 * X1
+        for F2, d1, d2 in ((F2b, bxh, ch["b_xx"]), (F2s, sxh, ch["sigma_xx"])):
+            np.multiply(d1, X2, out=F2)                          # d1 X2 + (d2 / 2) X1 X1
+            np.multiply(0.5 * d2[:, 0, 0, 0], X1, out=work[0])
+            work[0] *= X1
+            F2 += work[0]
         cv = {}
         if active.any():
             cv = _coeff_eval(coeffs, t, v.at(m), xh[:, None], "b sigma b_x sigma_x f")
@@ -190,8 +201,17 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
             observer(m, frame(cv if active[0] else {}, (F1b, F1s, F2b, F2s)))
 
         # running cost pieces (left-point rule)
-        j12_run += (ch["f_x"][:, 0] * (X1 + X2) + 0.5 * ch["f_xx"][:, 0, 0] * X1 * X1) * dt
-        dcost_f += (coeffs.f(t, ue, xe_col).reshape(S, P) - ch["f"]) * dt
+        # j12_run += (f_x (X1 + X2) + (f_xx / 2) X1 X1) dt, in that operation order
+        np.add(X1, X2, out=work[0])
+        work[0] *= ch["f_x"][:, 0]
+        np.multiply(0.5 * ch["f_xx"][:, 0, 0], X1, out=work[1])
+        work[1] *= X1
+        work[0] += work[1]
+        work[0] *= dt
+        j12_run += work[0]
+        np.subtract(coeffs.f(t, ue, xe_col).reshape(S, P), ch["f"], out=work[0])
+        work[0] *= dt
+        dcost_f += work[0]
 
         lift.advance()
         X[:1 + S] += xi_tab[m + 1]
@@ -245,9 +265,12 @@ def simulate_variation_bundle(
 
     ``observer(m, frame)`` is called once per step with the pre-step lift
     fields and forcings (and once at the final index with forcings None);
-    ``frame`` is a dict with keys Y1, Y2 (paths, K), X1, X2 (paths,),
-    Fb1, Fs1, Fb2, Fs2, db, ds, df, in_spike.  Its arrays are views of the
-    live state: copy what must outlive the call.
+    ``frame`` is a dict with keys Y1, Y2, X1, X2 (paths,), Fb1, Fs1, Fb2,
+    Fs2, db, ds, df, in_spike.  Y1 and Y2 are (P8, K): the first paths rows
+    hold the lift states and the rest, up to the lift's padded path count P8
+    (a multiple of 8), are 0, so that BLAS products over the rows compute a
+    path's bits whatever the path count.  The arrays are views of the live
+    state: copy what must outlive the call.
     """
     if x_hat is None:
         coeffs.self_test()

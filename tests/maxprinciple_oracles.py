@@ -7,14 +7,16 @@ first written.  ``maxprinciple.check_variational_inequality`` and
 control point at once and ``maxprinciple.construct_argmax_control`` every
 (step, control point) pair at once; the tests compare the results exactly.
 
-``j12_gap_sweep`` runs ``maxprinciple.j12_adjoint_representation`` over a
-spike-size sweep; only the tests use it.
+``j12_gap_sweep`` compares the cost expansion J12 of the forward expansion
+processes with its adjoint representation (minus the mean spike integral of
+``maxprinciple.duality_residuals``) over a spike-size sweep; only the tests
+use it.
 """
 
 import numpy as np
 
 from volterra_smp.coefficients import ControlPath
-from volterra_smp.maxprinciple import MPReport, hamiltonian, j12_adjoint_representation
+from volterra_smp.maxprinciple import MPReport, duality_residuals, hamiltonian
 from volterra_smp.stats import fit_loglog, mc_mean_se
 from volterra_smp.variation import SpikeSpec
 
@@ -88,9 +90,11 @@ def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: Control
     rows = []
     for eps in eps_list:
         spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
-        r = j12_adjoint_representation(coeffs, spike, adjoints, ens, x_hat, xi=xi)
-        rows.append({"eps": float(eps), "j12_direct": r["j12_direct"],
-                     "j12_adjoint": r["j12_adjoint"], "gap": r["gap"]})
+        r = duality_residuals(coeffs, spike, adjoints, ens, x_hat, xi=xi)
+        j12_direct, _ = r["bundle"].j12()
+        j12_adjoint, _ = mc_mean_se(-r["spike_adjoint"])
+        rows.append({"eps": float(eps), "j12_direct": j12_direct,
+                     "j12_adjoint": j12_adjoint, "gap": j12_direct - j12_adjoint})
     gaps = np.array([abs(r["gap"]) for r in rows])
     eps_arr = np.array([r["eps"] for r in rows])
     fit = fit_loglog(eps_arr, gaps) if np.all(gaps > 0) else None

@@ -375,6 +375,26 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
     assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
 
 
+def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
+    # one co-simulation on the largest ensemble; the config's checks and the SE
+    # sweep take prefixes of it
+    raw = {"grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4}, "seed": 3}
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_smp.cli", "duality",
+         "--config", str(cfg_file), "--out", str(tmp_path / "res")],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    record = json.loads((tmp_path / "res" / "timings.json").read_text())["duality"]
+    # blocks of 4 steps: simulate_sve's 4, then slab 0 alone up to the spike at
+    # step 4 and all four slabs for the 12 steps after it
+    assert record["lift"] == {"paths": 16000, "steps": 16, "nodes": 4, "processes": 4,
+                              "block_steps": 4, "y_updates": 4 + 1 + 3 * 4}
+    assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
+
+
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 _KINDS = [st.booleans(), st.booleans().map(np.bool_), st.integers(-10 ** 20, 10 ** 20),
           st.integers(-5, 5).map(np.int64), _FLOATS, _FLOATS.map(np.float64),
