@@ -331,10 +331,11 @@ def assemble_first_adjoint(
         b_tab, s_tab, fx = coeff_tables(coeffs, u_hat, grid, ("b", "sigma", "f_x"))
         b_tab, s_tab = b_tab[:, 0], s_tab[:, 0]
         # Z_m = E_m[X_T]; the deterministic forcing offset is recovered from
-        # the simulated terminal state, which must match Z_T pathwise.
+        # the simulated terminal state, which must match Z_T pathwise.  The
+        # first path's offset is the shift, so it does not depend on the path count.
         Z = GaussianMartingale.terminal_state_mean(kernel, grid, ens, b_tab, s_tab, 0.0)
         offsets = x_hat[:, -1, 0] - Z.values[:, -1]
-        shift = float(np.mean(offsets))
+        shift = float(offsets[0])
         if float(np.max(np.abs(offsets - shift))) > 1e-8 * max(1.0, abs(shift)):
             raise ValueError("reference state is not state-free on this ensemble")
         Z = GaussianMartingale(values=Z.values + shift, vol=Z.vol)

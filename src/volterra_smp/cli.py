@@ -26,10 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default="out", help="output directory (or .csv path)")
     parser.add_argument("--paths", type=int, default=None, help="override grid.n_paths")
     parser.add_argument("--steps", type=int, default=None, help="override grid.n_steps")
-    parser.add_argument("--kappa-sweep", type=str, default=None,
-                        help="bsde-check only: comma-separated drift rates")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="bsde-check only: weight exponent for the generator instance")
     return parser
 
 
@@ -41,14 +37,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runner_kwargs = {}
-    if args.experiment == "bsde-check":
-        if args.kappa_sweep:
-            runner_kwargs["kappa_sweep"] = tuple(float(x) for x in args.kappa_sweep.split(","))
-        if args.alpha is not None:
-            runner_kwargs["alpha"] = args.alpha
     try:
-        results = run_experiment(args.experiment, config, **runner_kwargs)
+        results = run_experiment(args.experiment, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,9 @@ import math
 import numbers
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -111,10 +113,7 @@ SCHEMA = {
         "v": (1.0, _REAL),
     },
     "solver": {
-        "tol": (1e-10, _POSITIVE),
-        "max_iter": (200, _integer(1)),
         "lsmc": (False, _Rule("true or false", lambda v: isinstance(v, bool))),
-        "basis_degree": (1, _integer(1)),
         "xi": (0.3, _Rule("a finite number or a list of them", _reals)),
         "r_subgrid": (8, _Rule('"full" or an integer >= 4',
                                lambda v: v == "full" or _integer(4).ok(v))),
@@ -145,6 +144,8 @@ class ExperimentConfig:
     spike: dict
     solver: dict
     seed: int
+    # the built stages by name, see ``stage``
+    stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def resolved(self) -> dict:
         return {"kernel": self.kernel, "problem": self.problem, "grid": self.grid,
@@ -170,25 +171,69 @@ class ExperimentConfig:
     def make_grid(self) -> TimeGrid:
         return TimeGrid(self.grid["T"], self.grid["n_steps"])
 
-    def make_ensemble(self) -> BrownianEnsemble:
-        """The config's Brownian ensemble.
+    def stage(self, name: str):
+        """The named stage of ``STAGES``, built on first use and kept on this
+        config object.  A stage that raises is not kept: the next reader
+        builds it again and meets the error itself."""
+        built = name not in self.stages
+        if built:
+            self.stages[name] = STAGES[name](self)
+        log = _STAGE_LOG.get()
+        if log is not None:
+            log.setdefault(name, "built" if built else "memo")
+        return self.stages[name]
 
-        Sampled on the first call and kept on this config object; every later
-        call returns the same ensemble, whose increments are read-only.
-        """
-        # the dataclass is frozen, so the memo goes straight into the instance dict
-        memo = self.__dict__.setdefault("_ensemble_memo", {"ens": None, "calls": 0})
-        if memo["ens"] is None:
-            ens = sample_brownian(self.make_grid(), self.grid["n_paths"], self.seed)
-            ens.dW.flags.writeable = False
-            memo["ens"] = ens
-        memo["calls"] += 1
-        return memo["ens"]
 
-    def ensemble_usage(self) -> tuple:
-        """(memoised ensemble or None, number of make_ensemble calls so far)."""
-        memo = self.__dict__.get("_ensemble_memo", {"ens": None, "calls": 0})
-        return memo["ens"], memo["calls"]
+# every Picard solve of the experiments stops below this distance
+PICARD_TOL = 1e-13
+
+
+def _ensemble(config: ExperimentConfig) -> BrownianEnsemble:
+    ens = sample_brownian(config.make_grid(), config.grid["n_paths"], config.seed)
+    ens.dW.flags.writeable = False
+    return ens
+
+
+def _x_hat(config: ExperimentConfig) -> np.ndarray:
+    X = simulate_sve(config.stage("problem"), config.stage("u_hat"), config.stage("kernel"),
+                     config.solver["xi"], config.stage("ensemble"))
+    X.flags.writeable = False
+    return X
+
+
+def _adjoints(config: ExperimentConfig):
+    return assemble_adjoints(config.stage("problem"), config.stage("u_hat"),
+                             config.stage("x_hat"), config.stage("kernel"),
+                             config.stage("ensemble"), tol=PICARD_TOL,
+                             lsmc=config.solver["lsmc"])
+
+
+# The stages of a config, each built from the config and the stages it reads:
+# the kernel and the problem, the Brownian ensemble (read-only increments), the
+# reference control u_hat, the state X_hat along it (read-only) and the first-
+# and second-order adjoints at it.
+STAGES = {
+    "kernel": ExperimentConfig.make_kernel,
+    "problem": ExperimentConfig.make_problem,
+    "ensemble": _ensemble,
+    "u_hat": lambda config: ControlPath.constant(config.spike["u_hat"], config.make_grid(),
+                                                 du=config.stage("problem").du),
+    "x_hat": _x_hat,
+    "adjoints": _adjoints,
+}
+
+_STAGE_LOG: ContextVar[dict | None] = ContextVar("stage_log", default=None)
+
+
+@contextmanager
+def _stage_log():
+    """Collects stage name -> "built" or "memo" for the stages read in the block."""
+    log = {}
+    token = _STAGE_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _STAGE_LOG.reset(token)
 
 
 def _check(name: str, rule: _Rule, val):
@@ -250,8 +295,8 @@ def resolve_config(source=None, seed=None, n_paths=None, n_steps=None) -> Experi
     _resolve(_PARAMS[cfg["problem"]["name"]], cfg["problem"]["params"], "problem.params")
     config = ExperimentConfig(**{**cfg, "seed": int(cfg["seed"])})
     grid = config.make_grid()          # the rules hold T > 0 and n_steps >= 2
-    _build("kernel", config.make_kernel)
-    coeffs = _build("problem.params", config.make_problem)
+    _build("kernel", config.stage, "kernel")
+    coeffs = _build("problem.params", config.stage, "problem")
     spike, xi = config.spike, config.solver["xi"]
     if isinstance(xi, (list, tuple)):  # a scalar fits every problem; build no table for it
         _build("solver.xi against grid.n_steps and the problem dimension",
@@ -391,7 +436,7 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     checks = []
     tables = {}
-    kern = config.make_kernel()
+    kern = config.stage("kernel")
     if config.kernel["family"] != "fractional":
         t_grid = np.geomspace(0.01, config.grid["T"], 64)
         rep = quadrature_error(kern, t_grid, "b")
@@ -406,9 +451,8 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     checks.append(("quadrature_sup_rel_1pc", rep["sup_rel"] <= 0.01,
                    f"sup rel err {rep['sup_rel']:.3e} on t in [0.01, 1]"))
 
-    kcfg = dict(config.kernel)
-    kcfg["n_nodes"] = 2 * kcfg["n_nodes"]
-    denser = resolve_config({"kernel": kcfg}).make_kernel()
+    denser = replace(config, kernel={**config.kernel,
+                                     "n_nodes": 2 * config.kernel["n_nodes"]}).make_kernel()
     rep2 = quadrature_error(denser, t_grid, "b")
     checks.append(("quadrature_error_decreases", rep2["sup_rel"] < rep["sup_rel"],
                    f"{rep['sup_rel']:.3e} -> {rep2['sup_rel']:.3e} at 2x nodes"))
@@ -432,18 +476,11 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("kernels", tables, checks)
 
 
-def _inputs(config: ExperimentConfig) -> tuple:
-    """(kernel, problem, grid, ensemble, reference control u_hat) of a config."""
-    coeffs, grid = config.make_problem(), config.make_grid()
-    return (config.make_kernel(), coeffs, grid, config.make_ensemble(),
-            ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du))
-
-
 def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern, coeffs, grid, ens, u_hat = _inputs(config)
-    xi = config.solver["xi"]
-    X = simulate_sve(coeffs, u_hat, kern, xi, ens, mode="lift")
+    kern, coeffs, u_hat = config.stage("kernel"), config.stage("problem"), config.stage("u_hat")
+    ens, X = config.stage("ensemble"), config.stage("x_hat")
+    grid, xi = ens.grid, config.solver["xi"]
     checks = []
     ens_sub = ens.first_paths(min(ens.n_paths, 64))
     Xl = simulate_sve(coeffs, u_hat, kern, xi, ens_sub, mode="lift", self_test=False)
@@ -479,7 +516,9 @@ def _rate_targets(config: ExperimentConfig, coeffs) -> dict:
 
 def run_rates(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern, coeffs, grid, ens, u_hat = _inputs(config)
+    kern, coeffs, u_hat = config.stage("kernel"), config.stage("problem"), config.stage("u_hat")
+    ens = config.stage("ensemble")
+    grid = ens.grid
     v = ControlPath.constant(config.spike["v"], grid, du=coeffs.du)
     eps_list = [e for e in config.spike["eps_list"] if round(e / grid.dt) >= 4]
     if len(eps_list) < 4:
@@ -534,22 +573,19 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         "fits": res["fits"], "delta_j12_fit": dj_fit, "timing": {"lift": lift}})
 
 
-def run_bsde_check(config: ExperimentConfig,
-                   kappa_sweep=(1.0, 10.0, 100.0, 1000.0, 10000.0),
-                   alpha: float | None = None) -> ExperimentResult:
+def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    grid = config.make_grid()
-    ens = config.make_ensemble()
+    ens = config.stage("ensemble")
+    grid = ens.grid
     rows = []
     checks = []
     instances = [
         ("terminal_brownian", 0.0, dict(terminal_wt=1.0)),
-        ("constant_generator", 1.0 / 3.0 if alpha is None else float(alpha),
-         dict(generator=1.0)),
+        ("constant_generator", 1.0 / 3.0, dict(generator=1.0)),
     ]
     for label, alpha, kw in instances:
         ratios = []
-        for kappa in kappa_sweep:
+        for kappa in (1.0, 10.0, 100.0, 1000.0, 10000.0):
             inst = BSDEInstance(grid, kappa=kappa, alpha=alpha, **kw)
             sol = solve_bsde_closedform(inst)
             r = apriori_ratio(inst, sol, ens)
@@ -572,7 +608,7 @@ def run_bsde_check(config: ExperimentConfig,
                    f"max pathwise residual {mart_worst:.3e}"))
 
     inst = BSDEInstance(grid, kappa=1.0, terminal_const=0.5, terminal_wt=1.0, generator=0.7)
-    err = lsmc_relative_error(inst, ens, degree=config.solver["basis_degree"], mode="later")
+    err = lsmc_relative_error(inst, ens, degree=1, mode="later")
     checks.append(("lsmc_affine_oracle", err <= 1e-3, f"relative error {err:.3e}"))
     rows_l = [("later", ens.n_paths, err)]
     n_small = max(ens.n_paths // 4, 8)
@@ -589,23 +625,15 @@ def run_bsde_check(config: ExperimentConfig,
     return ExperimentResult("bsde-check", tables, checks)
 
 
-def _adjoint_inputs(config: ExperimentConfig):
-    kern, coeffs, grid, ens, u_hat = _inputs(config)
-    x_hat = simulate_sve(coeffs, u_hat, kern, config.solver["xi"], ens)
-    return kern, coeffs, grid, ens, u_hat, x_hat
-
-
 def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern, coeffs, grid, ens, u_hat, x_hat = _adjoint_inputs(config)
+    adj = config.stage("adjoints")
+    grid = adj.grid
     checks = []
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens,
-                            tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-                            lsmc=config.solver["lsmc"])
     d1, d2 = adj.first.distances, adj.second.distances
     ratios, ratios2 = _contraction_ratios(d1), _contraction_ratios(d2)
     if adj.solve_path == "deterministic" and len(d1) >= 4:
-        ok = all(r <= 0.9 for r in ratios) and len(d1) <= 50 and d1[-1] < config.solver["tol"]
+        ok = all(r <= 0.9 for r in ratios) and len(d1) <= 50 and d1[-1] < PICARD_TOL
         checks.append(("picard_geometric_first", ok,
                        f"{len(d1)} iterations, worst ratio from #3 "
                        f"{max(ratios) if ratios else 0.0:.3f}"))
@@ -659,17 +687,15 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     path_sweep = (1000, 4000, 16000)     # the standard error must shrink as 1/sqrt(paths)
     n_paths = config.grid["n_paths"]
-    kern, coeffs, grid = config.make_kernel(), config.make_problem(), config.make_grid()
-    u_hat = ControlPath.constant(config.spike["u_hat"], grid, du=coeffs.du)
-    ens = sample_brownian(grid, max(n_paths, *path_sweep), config.seed)
-    xi = config.solver["xi"]
-    x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=config.solver["tol"],
-                            lsmc=config.solver["lsmc"])
+    # the same stages as the config's own, built on the largest ensemble
+    big = replace(config, grid={**config.grid, "n_paths": max(n_paths, *path_sweep)})
+    kern, coeffs, ens = big.stage("kernel"), big.stage("problem"), big.stage("ensemble")
+    grid = ens.grid
     eps = config.spike["eps_list"][min(1, len(config.spike["eps_list"]) - 1)]
     spike = SpikeSpec(tau=config.spike["tau"], eps=eps,
                       v=ControlPath.constant(config.spike["v"], grid, du=coeffs.du))
-    res = duality_residuals(coeffs, spike, adj, ens, x_hat, xi=xi)
+    res = duality_residuals(coeffs, spike, big.stage("adjoints"), ens, big.stage("x_hat"),
+                            xi=config.solver["xi"])
     r1, r2 = duality_stats(res["first"], n_paths), duality_stats(res["second"], n_paths)
     checks = [
         ("first_exact", r1["exact_max"] <= 1e-8, f"max pathwise {r1['exact_max']:.3e}"),
@@ -701,17 +727,18 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
 
 def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern, coeffs, grid, ens, _ = _inputs(config)
-    xi = config.solver["xi"]
+    kern, coeffs, ens = config.stage("kernel"), config.stage("problem"), config.stage("ensemble")
+    grid, xi = ens.grid, config.solver["xi"]
     checks = []
 
+    # the controls here are not the reference control, so their solves are not stages
     u0 = ControlPath.constant(0.0, grid, du=coeffs.du)
     x0 = simulate_sve(coeffs, u0, kern, xi, ens)
-    adj0 = assemble_adjoints(coeffs, u0, x0, kern, ens, tol=1e-13)
+    adj0 = assemble_adjoints(coeffs, u0, x0, kern, ens, tol=PICARD_TOL)
     u_hat = construct_argmax_control(coeffs, adj0, grid)
     del x0, adj0      # each adjoint is dropped once used: three alive at once set the RSS peak
     x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=1e-13)
+    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=PICARD_TOL)
     rep = check_variational_inequality(coeffs, u_hat, adj, coeffs.control_domain.points,
                                        ens, x_hat)
     del adj
@@ -730,7 +757,7 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
             break
     u_bad = perturb_control(u_hat, grid, t_lo, t_hi, bad_value)
     x_bad = simulate_sve(coeffs, u_bad, kern, xi, ens)
-    adj_bad = assemble_adjoints(coeffs, u_bad, x_bad, kern, ens, tol=1e-13)
+    adj_bad = assemble_adjoints(coeffs, u_bad, x_bad, kern, ens, tol=PICARD_TOL)
     rep_bad = check_variational_inequality(coeffs, u_bad, adj_bad,
                                            coeffs.control_domain.points, ens, x_bad)
     viol = sorted({t for (t, v, g, s, ok) in rep_bad.rows if not ok})
@@ -753,11 +780,11 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
 
 def run_bsvie_check(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
-    kern, coeffs, grid, ens, u_hat, x_hat = _adjoint_inputs(config)
+    kern, coeffs, u_hat = config.stage("kernel"), config.stage("problem"), config.stage("u_hat")
+    ens, adj = config.stage("ensemble"), config.stage("adjoints")
+    grid = ens.grid
     checks = []
     rows = []
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=1e-13,
-                            lsmc=config.solver["lsmc"])
     tup = bsee_to_bsvie_first(adj, kern, allow_singular=kern.alpha > 0)
     res = bsvie_residual_first(tup, coeffs, u_hat, kern, ens)
     rows += [("first_line1", 0.0, res["res_line1"]), ("first_line2", 0.0, res["res_line2"])]
@@ -813,7 +840,7 @@ EXPERIMENTS = (*RUNNERS, "all")
 
 def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
     # every reference control of the experiments is a deterministic table
-    path = choose_solve_path(config.make_problem().tags, config.solver["lsmc"], True)
+    path = choose_solve_path(config.stage("problem").tags, config.solver["lsmc"], True)
     if name == "mp-check" and path != "deterministic":
         return False, "needs a problem with deterministic, control-independent adjoint data"
     if name == "bsvie-check" and config.kernel["family"] == "fractional" \
@@ -830,38 +857,34 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
     return True, ""
 
 
-def _run_one(name: str, config: ExperimentConfig, **runner_kwargs) -> ExperimentResult:
+def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     """One experiment: skipped with the reason where it does not apply, and a
     failed ``solver`` check when a solve does not contract, goes non-finite or
-    cannot allocate its arrays."""
+    cannot allocate its arrays.  Its timing records each stage it read, built
+    or taken from the config's memo."""
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
-    _, calls_before = config.ensemble_usage()
     t0 = time.perf_counter()
-    with lift_tally() as tally:
+    with lift_tally() as tally, _stage_log() as stages:
         try:
-            res = RUNNERS[name](config, **runner_kwargs)
+            res = RUNNERS[name](config)
         except (PicardError, FloatingPointError, MemoryError) as exc:
             res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
     timing = res.extras.setdefault("timing", {})
     timing["wall_s"] = time.perf_counter() - t0
     if tally["y_updates"]:
         timing.setdefault("lift", {}).update(tally)
-    ens, calls = config.ensemble_usage()
-    if calls > calls_before:
-        timing["ensemble"] = {"paths": ens.n_paths, "steps": ens.grid.n_steps,
-                              "from_memo": calls_before > 0}
+    if stages:
+        timing["stages"] = stages
     return res
 
 
-def run_experiment(name: str, config: ExperimentConfig, **runner_kwargs) -> dict:
+def run_experiment(name: str, config: ExperimentConfig) -> dict:
     """Run one experiment (or all applicable ones); returns name -> result."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    if name != "all":
-        return {name: _run_one(name, config, **runner_kwargs)}
-    return {exp: _run_one(exp, config) for exp in RUNNERS}
+    return {exp: _run_one(exp, config) for exp in (RUNNERS if name == "all" else (name,))}
 
 
 def write_results(results: dict, config: ExperimentConfig, out: Path) -> list:

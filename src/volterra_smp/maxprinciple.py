@@ -49,25 +49,6 @@ def _hamiltonian_of(p, q, b, sigma, f) -> np.ndarray:
     return np.sum(p * b, axis=-1) + np.sum(q * sigma, axis=-1) - f
 
 
-def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
-              x_hat: np.ndarray, u_hat_t) -> np.ndarray:
-    """Risk-adjusted Hamiltonian at a grid time.
-
-    H(t, v, X, mu[Mb^T p], mu[Ms^T q])
-      + 1/2 < R (sigma(u_hat) - sigma(v)), sigma(u_hat) - sigma(v) >,
-    with R the pair-field contraction; reduces to the plain Hamiltonian when
-    sigma is control-free.
-    """
-    m = adjoints.grid.index_of(t)
-    Ab, Aq = adjoints.first_contractions_at(m)
-    R = adjoints.risk_matrix_at(m)
-    x = np.atleast_2d(np.asarray(x_hat, dtype=float))
-    base = hamiltonian(coeffs, t, v, x, Ab, Aq)
-    gap_sigma = coeffs.sigma(t, u_hat_t, x) - coeffs.sigma(t, v, x)
-    quad = 0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)
-    return base + quad
-
-
 @dataclass
 class _DualityAccumulator:
     """Streams the discrete product-rule expansions along one variational

@@ -86,42 +86,6 @@ def _kernel_table(kernel, which: str, grid: TimeGrid) -> np.ndarray:
     return np.asarray([kernel_eval(kernel, which, t) for t in ts])
 
 
-def volterra_convolve(kernel, which: str, integrand: np.ndarray, mode: str,
-                      ens: BrownianEnsemble | None = None,
-                      grid: TimeGrid | None = None) -> np.ndarray:
-    """Discrete Volterra convolution of a per-path table.
-
-    ``integrand`` has shape (paths, N+1, n) (or (paths, N+1) for n = 1).
-    Lebesgue mode returns sum_{j<m} K(t_m - t_j) g_j dt; Ito mode returns
-    sum_{j<m} K(t_m - t_j) g_j dW_j.
-    """
-    if mode not in ("lebesgue", "ito"):
-        raise ValueError("mode must be 'lebesgue' or 'ito'")
-    if mode == "ito" and ens is None:
-        raise ValueError("ito mode requires a Brownian ensemble")
-    if grid is None:
-        if ens is None:
-            raise ValueError("pass a grid or an ensemble")
-        grid = ens.grid
-    g = np.asarray(integrand, dtype=float)
-    if g.ndim == 2:
-        g = g[:, :, None]
-    paths, n_nodes, n = g.shape
-    N = grid.n_steps
-    if n_nodes != N + 1:
-        raise ValueError("integrand must be defined on the full grid")
-    ktab = _kernel_table(kernel, which, grid)  # (N, n, n)
-    if mode == "lebesgue":
-        weights = g * grid.dt
-    else:
-        weights = g[:, :N] * ens.dW[:, :, None]
-    out = np.zeros((paths, N + 1, n))
-    for m in range(1, N + 1):
-        # kernel argument t_m - t_j = (m - j) dt for j = 0..m-1
-        out[:, m] = np.einsum("tij,ptj->pi", ktab[m - 1::-1], weights[:, :m])
-    return out
-
-
 def _forcing_from_controls(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid):
     def forcing(m: int, x: np.ndarray):
         t = m * grid.dt
@@ -391,22 +355,6 @@ def simulate_lift(coeffs: CoefficientSet, control: ControlPath,
     forcing = _forcing_from_controls(coeffs, control, grid)
     X, Y = run_lift(kernel, grid, ens.dW, forcing, xi_tab, store_lift=True)
     return Y, X
-
-
-def euler_maruyama(coeffs: CoefficientSet, control: ControlPath, x0, ens: BrownianEnsemble) -> np.ndarray:
-    """Reference classical Euler-Maruyama integrator (no kernels)."""
-    grid = ens.grid
-    paths = ens.n_paths
-    n = coeffs.dim
-    X = np.empty((paths, grid.n_steps + 1, n))
-    X[:, 0] = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (paths, n))
-    for m in range(grid.n_steps):
-        t = m * grid.dt
-        u = control.at(m)
-        X[:, m + 1] = (X[:, m]
-                       + coeffs.b(t, u, X[:, m]) * grid.dt
-                       + coeffs.sigma(t, u, X[:, m]) * ens.dW[:, m, None])
-    return X
 
 
 def cnorm(states: np.ndarray, p: float = 2.0) -> float:

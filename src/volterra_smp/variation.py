@@ -48,28 +48,6 @@ class SpikeSpec:
         return j0, j1
 
 
-def apply_spike(u_hat: ControlPath, spike: SpikeSpec, grid: TimeGrid) -> ControlPath:
-    """Pointwise replacement of u_hat by v on the spike window."""
-    j0, j1 = spike.window(grid)
-    if u_hat.n_steps != grid.n_steps or spike.v.n_steps != grid.n_steps:
-        raise ValueError("control tables must live on the simulation grid")
-    if u_hat.deterministic and spike.v.deterministic:
-        vals = u_hat.values.copy()
-        vals[j0:j1] = spike.v.values[j0:j1]
-        return ControlPath(vals, deterministic=True)
-    paths = max(
-        1 if u_hat.deterministic else u_hat.values.shape[0],
-        1 if spike.v.deterministic else spike.v.values.shape[0],
-    )
-    base = u_hat.values if not u_hat.deterministic else np.broadcast_to(
-        u_hat.values, (paths,) + u_hat.values.shape)
-    rep = spike.v.values if not spike.v.deterministic else np.broadcast_to(
-        spike.v.values, (paths,) + spike.v.values.shape)
-    vals = np.array(base, dtype=float)
-    vals[:, j0:j1] = rep[:, j0:j1]
-    return ControlPath(vals, deterministic=False)
-
-
 @dataclass
 class VariationBundle:
     """Accumulated output of one spike co-simulation."""

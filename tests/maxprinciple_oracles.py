@@ -11,11 +11,15 @@ control point at once and ``maxprinciple.construct_argmax_control`` every
 processes with its adjoint representation (minus the mean spike integral of
 ``maxprinciple.duality_residuals``) over a spike-size sweep; only the tests
 use it.
+
+``hfunction`` is the risk-adjusted Hamiltonian at one grid time, the quantity
+whose gaps the variational-inequality check evaluates in blocks.
 """
 
 import numpy as np
 
-from volterra_smp.coefficients import ControlPath
+from volterra_smp.bsee import AdjointSolution
+from volterra_smp.coefficients import CoefficientSet, ControlPath
 from volterra_smp.maxprinciple import MPReport, duality_residuals, hamiltonian
 from volterra_smp.stats import fit_loglog, mc_mean_se
 from volterra_smp.variation import SpikeSpec
@@ -122,3 +126,22 @@ def classical_adjoint_gaps(coeffs, u_hat, u_grid, grid, x_hat) -> dict:
             dsig = sig_hat - coeffs.sigma(t, v, x_m)
             gaps[(t, float(v[0]))] = float(np.mean(h_hat - h_v - 0.5 * P[m] * dsig[:, 0] ** 2))
     return {"p": p, "P": P, "gaps": gaps}
+
+
+def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
+              x_hat: np.ndarray, u_hat_t) -> np.ndarray:
+    """Risk-adjusted Hamiltonian at a grid time.
+
+    H(t, v, X, mu[Mb^T p], mu[Ms^T q])
+      + 1/2 < R (sigma(u_hat) - sigma(v)), sigma(u_hat) - sigma(v) >,
+    with R the pair-field contraction; reduces to the plain Hamiltonian when
+    sigma is control-free.
+    """
+    m = adjoints.grid.index_of(t)
+    Ab, Aq = adjoints.first_contractions_at(m)
+    R = adjoints.risk_matrix_at(m)
+    x = np.atleast_2d(np.asarray(x_hat, dtype=float))
+    base = hamiltonian(coeffs, t, v, x, Ab, Aq)
+    gap_sigma = coeffs.sigma(t, u_hat_t, x) - coeffs.sigma(t, v, x)
+    quad = 0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)
+    return base + quad

@@ -25,7 +25,7 @@ def test_defaults_applied():
     cfg = resolve_config(None)
     assert cfg.kernel["family"] == "fractional"
     assert cfg.grid["n_steps"] == 256
-    assert cfg.solver["tol"] == 1e-10
+    assert cfg.solver == {"lsmc": False, "xi": 0.3, "r_subgrid": 8}
     # every default is materialized in the resolved view
     resolved = cfg.resolved()
     assert set(resolved) == {"kernel", "problem", "grid", "spike", "solver", "seed"}
@@ -46,8 +46,8 @@ def test_bad_enum_named():
 
 
 def test_override_reflected_in_resolved(tmp_path):
-    cfg = resolve_config({"solver": {"tol": 1e-6}}, seed=99, n_paths=10)
-    assert cfg.solver["tol"] == 1e-6
+    cfg = resolve_config({"solver": {"r_subgrid": 16}}, seed=99, n_paths=10)
+    assert cfg.solver["r_subgrid"] == 16
     assert cfg.seed == 99
     assert cfg.grid["n_paths"] == 10
 
@@ -178,30 +178,60 @@ def test_cli_invalid_value_is_config_error(tmp_path, capsys, raw):
     assert "config error" in capsys.readouterr().err
 
 
+# a drift this strong makes the first-order Picard map expand on 16 steps
+NO_CONTRACTION = {**SMALL, "grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
+                  "problem": {"name": "lq_linear_cost", "params": {"b1": 5}}}
+
+
 def test_cli_solver_error_is_failed_check(tmp_path, capsys):
-    raw = {**SMALL, "grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
-           "solver": {"max_iter": 1}}
-    code, _ = _cli(tmp_path, "adjoint", raw)
+    code, _ = _cli(tmp_path, "adjoint", NO_CONTRACTION)
     assert code == 1
-    assert "[FAIL] adjoint/solver: PicardError: max_iter=1 exceeded" in capsys.readouterr().out
+    assert "[FAIL] adjoint/solver: PicardError: no contraction" in capsys.readouterr().out
+    # a failed stage is not kept: each of its readers reports the failure itself
+    raw = {**NO_CONTRACTION, "kernel": {"family": "constant", "alpha": 0.0}}
+    code, _ = _cli(tmp_path, "all", raw)
+    out, err = capsys.readouterr()
+    assert code == 1
+    for exp in ("adjoint", "bsvie-check"):
+        assert f"[FAIL] {exp}/solver: PicardError: no contraction" in out
+    assert "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("raw", [
-    {"seed": "abc"}, {"seed": -1}, {"seed": 1.5},
-    {"spike": {"u_hat": "a"}}, {"spike": {"v": "a"}}, {"spike": {"tau": "a"}},
-    {"spike": {"tau": 0.99}}, {"spike": {"eps_list": []}},
-    {"solver": {"xi": [1, 2, 3]}}, {"solver": {"xi": "a"}}, {"solver": {"tol": "x"}},
-    {"solver": {"tol": 0}}, {"solver": {"max_iter": "x"}}, {"solver": {"basis_degree": 0}},
-    {"solver": {"r_subgrid": 2}}, {"solver": {"lsmc": "yes"}},
+@pytest.mark.parametrize("raw, message", [
+    ({"seed": "abc"}, "seed must be"), ({"seed": -1}, "seed must be"),
+    ({"seed": 1.5}, "seed must be"),
+    ({"spike": {"u_hat": "a"}}, "spike.u_hat must be"), ({"spike": {"v": "a"}}, "spike.v must be"),
+    ({"spike": {"tau": "a"}}, "spike.tau must be"), ({"spike": {"tau": 0.99}}, "spike.tau"),
+    ({"spike": {"eps_list": []}}, "spike.eps_list must be"),
+    ({"solver": {"xi": [1, 2, 3]}}, "solver.xi"), ({"solver": {"xi": "a"}}, "solver.xi must be"),
+    # the Picard tolerance and iteration cap and the regression degree are not settable
+    ({"solver": {"tol": "x"}}, "unknown key solver.tol"),
+    ({"solver": {"tol": 0}}, "unknown key solver.tol"),
+    ({"solver": {"max_iter": "x"}}, "unknown key solver.max_iter"),
+    ({"solver": {"basis_degree": 0}}, "unknown key solver.basis_degree"),
+    ({"solver": {"r_subgrid": 2}}, "solver.r_subgrid must be"),
+    ({"solver": {"lsmc": "yes"}}, "solver.lsmc must be"),
 ], ids=["seed_string", "seed_negative", "seed_float", "u_hat_string", "v_string",
         "tau_string", "spike_past_horizon", "eps_list_empty", "xi_wrong_length",
         "xi_string", "tol_string", "tol_zero", "max_iter_string", "basis_degree_zero",
         "r_subgrid_small", "lsmc_string"])
-def test_cli_bad_config_value_is_config_error(tmp_path, capsys, raw):
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, raw, message):
     code, _ = _cli(tmp_path, "adjoint", {**SMALL, **raw})
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert f"config error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "1.5"], ["--kappa-sweep", "0,1"]],
+                         ids=["alpha", "kappa_sweep"])
+def test_cli_has_no_bsde_check_flags(tmp_path, capsys, flag):
+    from volterra_smp.cli import main
+    with pytest.raises(SystemExit) as info:
+        main(["bsde-check", "--out", str(tmp_path / "res"), *flag])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: volterra-smp") and "unrecognized arguments" in err
+    assert "Traceback" not in err
 
 
 # regular kernel, so bsvie-check applies; 256 steps keep four spike widths for rates
@@ -209,32 +239,59 @@ MEMO = {"grid": {"n_paths": 96, "n_steps": 256}, "kernel": {"family": "constant"
         "seed": 5}
 
 
+def _counting(monkeypatch, name):
+    """Replace ``harness.<name>`` by a wrapper that records each call's ensemble size."""
+    calls, real = [], getattr(harness, name)
+
+    def counting(*args, **kwargs):
+        ens = kwargs.get("ens", args[4] if len(args) > 4 else None)
+        calls.append(ens.n_paths if ens is not None else args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    return calls
+
+
 def test_config_samples_its_ensemble_once(monkeypatch):
-    calls = []
-
-    def counting(grid, n_paths, seed):
-        calls.append((n_paths, seed))
-        return sample_brownian(grid, n_paths, seed)
-
-    monkeypatch.setattr(harness, "sample_brownian", counting)
+    brownian = _counting(monkeypatch, "sample_brownian")
+    sve = _counting(monkeypatch, "simulate_sve")
+    adjoints = _counting(monkeypatch, "assemble_adjoints")
     cfg = resolve_config(MEMO)
     for exp in ("simulate", "rates", "adjoint", "bsvie-check"):
         assert run_experiment(exp, cfg)[exp].passed
-    assert calls == [(96, 5)]
-    ens = cfg.make_ensemble()
-    assert ens is cfg.make_ensemble()
+    # one ensemble, one reference state and one adjoint solve; simulate's
+    # lift/direct check runs on its own 64 paths
+    assert brownian == [96]
+    assert sve == [96, 64, 64] and adjoints == [96]
+    ens = cfg.stage("ensemble")
+    assert ens is cfg.stage("ensemble") and cfg.stage("x_hat") is cfg.stages["x_hat"]
     with pytest.raises(ValueError):
         ens.dW[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cfg.stage("x_hat")[0, 0, 0] = 1.0
+
+
+def test_duality_builds_its_own_stages_on_the_largest_ensemble(monkeypatch):
+    cfg = resolve_config({**MEMO, "grid": {"n_paths": 96, "n_steps": 16}})
+    assert run_experiment("adjoint", cfg)["adjoint"].passed
+    brownian = _counting(monkeypatch, "sample_brownian")
+    sve = _counting(monkeypatch, "simulate_sve")
+    adjoints = _counting(monkeypatch, "assemble_adjoints")
+    res = run_experiment("duality", cfg)["duality"]
+    assert res.passed and res.tables["duality"].provenance["config_hash"] == cfg.hash()
+    assert brownian == sve == adjoints == [16000]
+    assert cfg.stage("ensemble").n_paths == 96
 
 
 def test_ensemble_memo_is_per_config_object():
     a, b = resolve_config(MEMO, seed=1), resolve_config(MEMO, seed=2)
-    ea, eb = a.make_ensemble(), b.make_ensemble()
+    ea, eb = a.stage("ensemble"), b.stage("ensemble")
     assert (ea.seed, eb.seed) == (1, 2)
     assert not np.shares_memory(ea.dW, eb.dW) and not np.array_equal(ea.dW, eb.dW)
-    again = resolve_config(MEMO, seed=1).make_ensemble()
+    again = resolve_config(MEMO, seed=1).stage("ensemble")
     assert again is not ea and not np.shares_memory(again.dW, ea.dW)
     assert again.dW.tobytes() == ea.dW.tobytes()
+    assert a == resolve_config(MEMO, seed=1) and "stages" not in repr(a)
 
 
 def test_simulate_sub_ensemble_is_a_fresh_sample(monkeypatch):
@@ -273,9 +330,20 @@ def test_summary_flags_are_json_booleans_and_sidecar_records_timing(tmp_path):
     flags = list(_json_flags(json.loads((tmp_path / "summary.json").read_text())))
     assert flags and all(isinstance(f, bool) for f in flags)
     timings = json.loads((tmp_path / "timings.json").read_text())
-    assert timings["kernels"]["wall_s"] >= 0.0 and "ensemble" not in timings["kernels"]
-    assert timings["simulate"]["ensemble"] == {"paths": 200, "steps": 64, "from_memo": False}
-    assert timings["bsde-check"]["ensemble"]["from_memo"]
+    # the kernel and the problem are built while the config resolves
+    assert timings["kernels"]["wall_s"] >= 0.0 and timings["kernels"]["stages"] == {
+        "kernel": "memo"}
+    assert timings["simulate"]["stages"] == {
+        "kernel": "memo", "problem": "memo", "u_hat": "built", "ensemble": "built",
+        "x_hat": "built"}
+    assert timings["bsde-check"]["stages"] == {"ensemble": "memo"}
+    # a stage's builder reads the stages it rests on
+    assert timings["adjoint"]["stages"] == {
+        "adjoints": "built", "problem": "memo", "u_hat": "memo", "x_hat": "memo",
+        "kernel": "memo", "ensemble": "memo"}
+    assert timings["mp-check"]["stages"] == {"kernel": "memo", "problem": "memo",
+                                             "ensemble": "memo"}
+    assert timings["duality"]["stages"]["adjoints"] == "built"
 
 
 def test_run_all_bytes_independent_of_worker_count_with_fresh_configs(tmp_path, monkeypatch):

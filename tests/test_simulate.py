@@ -14,9 +14,8 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp.simulate import (LiftStep, block_steps, cnorm, euler_maruyama,
-                                   sample_brownian, simulate_lift, simulate_sve,
-                                   volterra_convolve)
+from volterra_smp.simulate import (LiftStep, block_steps, cnorm, sample_brownian, simulate_lift,
+                                   simulate_sve)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -80,14 +79,14 @@ def test_time_grid_nodes_built_once_and_read_only():
 
 def test_convolve_constant_kernel_recovers_time(grid, ens):
     g = np.ones((4, grid.n_steps + 1, 1))
-    out = volterra_convolve(constant_kernel(), "b", g, "lebesgue", ens)
+    out = simulate_oracles.volterra_convolve(constant_kernel(), "b", g, "lebesgue", ens)
     assert np.allclose(out[:, :, 0], grid.t[None, :], atol=1e-14)
 
 
 def test_convolve_zero_integrand(grid):
     e = sample_brownian(grid, 2, 4)
     g = np.zeros((2, grid.n_steps + 1, 1))
-    out = volterra_convolve(constant_kernel(), "sigma", g, "ito", e)
+    out = simulate_oracles.volterra_convolve(constant_kernel(), "sigma", g, "ito", e)
     assert np.all(out == 0)
 
 
@@ -100,7 +99,7 @@ def test_convolve_fractional_converges():
         grid = TimeGrid(1.0, n)
         e = sample_brownian(grid, 1, 3)
         g = np.ones((1, n + 1, 1))
-        out = volterra_convolve(ana, "b", g, "lebesgue", e)
+        out = simulate_oracles.volterra_convolve(ana, "b", g, "lebesgue", e)
         errs.append(abs(out[0, -1, 0] - target))
     assert errs[1] < errs[0]
     assert errs[1] < 0.05
@@ -109,7 +108,7 @@ def test_convolve_fractional_converges():
 def test_convolve_ito_requires_ensemble(grid):
     g = np.ones((1, grid.n_steps + 1, 1))
     with pytest.raises(ValueError):
-        volterra_convolve(constant_kernel(), "sigma", g, "ito", None, grid=grid)
+        simulate_oracles.volterra_convolve(constant_kernel(), "sigma", g, "ito", None, grid=grid)
 
 
 def test_sve_zero_coefficients_returns_forcing(grid, ens, frac_kernel):
@@ -156,7 +155,7 @@ def test_single_zero_atom_matches_euler_maruyama(grid, bilinear, delta_kernel):
     e = sample_brownian(grid, 64, 42)
     u = ControlPath.constant(0.1, grid)
     Xk = simulate_sve(bilinear, u, delta_kernel, 0.5, e, mode="lift")
-    Xe = euler_maruyama(bilinear, u, 0.5, e)
+    Xe = simulate_oracles.euler_maruyama(bilinear, u, 0.5, e)
     assert np.max(np.abs(Xk - Xe)) <= 1e-12
 
 

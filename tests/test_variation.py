@@ -7,36 +7,13 @@ import numpy as np
 import pytest
 
 import volterra_smp
+from simulate_oracles import volterra_convolve
 from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_problem,
                                       make_problem)
 from volterra_smp.kernels import build_fractional_lift
-from volterra_smp.simulate import sample_brownian, simulate_sve, volterra_convolve
-from volterra_smp.variation import (NORM_KEYS, SpikeSpec, apply_spike, remainder_rates,
+from volterra_smp.simulate import sample_brownian, simulate_sve
+from volterra_smp.variation import (NORM_KEYS, SpikeSpec, remainder_rates,
                                     simulate_variation_bundle)
-
-
-def test_apply_spike_identity_when_v_equals_u(grid):
-    u = ControlPath.constant(0.3, grid)
-    spike = SpikeSpec(tau=0.25, eps=0.125, v=u)
-    assert np.array_equal(apply_spike(u, spike, grid).values, u.values)
-
-
-def test_apply_spike_full_horizon(grid):
-    u = ControlPath.constant(0.3, grid)
-    v = ControlPath.constant(-1.0, grid)
-    spike = SpikeSpec(tau=0.0, eps=grid.T, v=v)
-    out = apply_spike(u, spike, grid)
-    assert np.all(out.values[:-1] == -1.0)
-
-
-def test_apply_spike_single_step(grid):
-    u = ControlPath.constant(0.3, grid)
-    v = ControlPath.constant(1.0, grid)
-    spike = SpikeSpec(tau=0.25, eps=grid.dt, v=v)
-    out = apply_spike(u, spike, grid)
-    j = grid.index_of(0.25)
-    changed = np.where(out.values[:, 0] != 0.3)[0]
-    assert list(changed) == [j]
 
 
 def test_spike_window_must_fit(grid):
