@@ -67,7 +67,7 @@ class ClosedFormSolution:
         return np.broadcast_to(self.q, (ens.n_paths, self.q.size))
 
 
-def solve_bsde_closedform(inst: BSDEInstance, ens: BrownianEnsemble | None = None) -> ClosedFormSolution:
+def solve_bsde_closedform(inst: BSDEInstance) -> ClosedFormSolution:
     """Exact solution for the closed-form family.
 
     p_t = e^{-kappa (T-t)} (c + a W_t) + int_t^T e^{-kappa (s-t)} g_s ds with
@@ -159,8 +159,6 @@ def _gaussian_poly_weighted(coef: np.ndarray, var: float) -> np.ndarray:
 
 
 def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
-                    terminal: np.ndarray | None = None,
-                    regressors: np.ndarray | None = None,
                     mode: str = "later") -> dict:
     """Least-squares Monte Carlo backward solve.
 
@@ -169,8 +167,8 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     coefficient noise floor is O(1/sqrt(paths))).  mode "later" (default)
     projects p_{m+1} on the basis at t_{m+1} and applies the exact one-step
     Gaussian conditioning of the polynomial basis, which is noise-free once
-    the projection is exact; it requires the regressor to be the Brownian
-    path itself.  Returns p and q as (paths, N+1) tables.
+    the projection is exact.  Both regress on polynomials of the Brownian
+    path W_m.  Returns p and q as (paths, N+1) tables.
     """
     if degree < 1:
         raise ValueError("basis degree must be >= 1")
@@ -178,12 +176,7 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     N, dt = grid.n_steps, grid.dt
     paths = ens.n_paths
     W = ens.W
-    if regressors is None:
-        regressors = W
-    elif mode == "later":
-        raise ValueError("mode 'later' requires the Brownian regressor; use mode 'now'")
-    if terminal is None:
-        terminal = inst.terminal_values(ens)
+    terminal = inst.terminal_values(ens)
     dec = float(np.exp(-inst.kappa * dt))
     om = float(step_decay_weight(inst.kappa, dt))
 
@@ -207,7 +200,7 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     if mode != "now":
         raise ValueError("mode must be 'now' or 'later'")
     for m in range(N - 1, -1, -1):
-        reg = regressors[:, m]
+        reg = W[:, m]
         if np.std(reg) < 1e-14 * max(1.0, np.max(np.abs(reg))):
             # constant regressor (e.g. W at t = 0): only the mean is estimable
             X = np.ones((paths, 1))
@@ -219,12 +212,11 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
                 raise np.linalg.LinAlgError(
                     f"rank-deficient regression design at step {m}: cond = {cond_number:.3e}"
                 )
-        target_p = dec * p[:, m + 1] + om * inst.generator[m]
-        cp, *_ = np.linalg.lstsq(X, target_p, rcond=None)
-        p[:, m] = X @ cp
-        target_q = dec * p[:, m + 1] * ens.dW[:, m] / dt
-        cq, *_ = np.linalg.lstsq(X, target_q, rcond=None)
-        q[:, m] = X @ cq
+        # p and q targets on the same design: one least-squares solve
+        targets = np.stack([dec * p[:, m + 1] + om * inst.generator[m],
+                            dec * p[:, m + 1] * ens.dW[:, m] / dt], axis=1)
+        coef, *_ = np.linalg.lstsq(X, targets, rcond=None)
+        p[:, m], q[:, m] = (X @ coef).T
     return {"p": p, "q": q, "mode": mode, "degree": degree}
 
 

@@ -109,41 +109,36 @@ def trivial_bsee_solve(
     phi0: np.ndarray,
     g0: np.ndarray,
     phi1: np.ndarray | None = None,
-    g1: np.ndarray | None = None,
     Z: GaussianMartingale | None = None,
 ) -> FirstOrderField:
     """Solution when the generator does not depend on the unknown field.
 
-    phi0/phi1: (K, n) terminal data; g0/g1: (N+1, K, n) generator tables.
+    phi0/phi1: (K, n) terminal data, phi1 the coefficient of Z; g0: the
+    (N+1, K, n) generator table.
     For constant generators the result matches the exact discounted integral
     (1 - e^{-theta (T-t)}) / theta at every node, including theta = 0.
     """
     nodes, dt = tgrid.nodes, grid.dt
     G0 = np.asarray(g0, dtype=float)
     P0 = discounted_sweep(nodes, dt, phi0, G0)
-    if phi1 is None and g1 is None:
+    if phi1 is None:
         return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=np.zeros_like(P0), G0=G0)
 
     if Z is None:
-        raise ValueError("affine terminal/generator data need the Gaussian factor Z")
-    P1 = discounted_sweep(nodes, dt, 0.0 if phi1 is None else phi1,
-                          np.zeros_like(P0) if g1 is None else g1)
+        raise ValueError("affine terminal data need the Gaussian factor Z")
+    P1 = discounted_sweep(nodes, dt, phi1, np.zeros_like(P0))
     Q0 = np.zeros_like(P0)
     Q0[:-1] = np.exp(-nodes * dt)[:, None] * P1[1:] * Z.vol[:-1, None, None]
     return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, P1=P1, Z=Z)
 
 
 def s_norm_distance(grid: TimeGrid, tgrid: ThetaGrid, alpha: float,
-                    dP: np.ndarray, dQ: np.ndarray | None, order: int) -> float:
-    """Space-time norm sqrt( sum_m (T-t_m)^alpha dt (||dP||^2_{1+a} + ||dQ||^2_a) )."""
+                    dP: np.ndarray, order: int) -> float:
+    """Space-time norm sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+a} ) of a
+    table field (Q == 0)."""
     wts = (grid.T - grid.t) ** alpha * grid.dt
-    if order == 1:
-        np_ = hnorm1(dP, tgrid, 1.0 + alpha) ** 2
-        nq_ = 0.0 if dQ is None else hnorm1(dQ, tgrid, alpha) ** 2
-    else:
-        np_ = hnorm2(dP, tgrid, 1.0 + alpha) ** 2
-        nq_ = 0.0 if dQ is None else hnorm2(dQ, tgrid, alpha) ** 2
-    return float(np.sqrt(np.sum(wts * (np_ + nq_))))
+    hnorm = hnorm1 if order == 1 else hnorm2
+    return float(np.sqrt(np.sum(wts * hnorm(dP, tgrid, 1.0 + alpha) ** 2)))
 
 
 def picard_bsee_solve(
@@ -155,16 +150,16 @@ def picard_bsee_solve(
     order: int = 1,
     tol: float = 1e-10,
     max_iter: int = 200,
-    symmetrize: bool = False,
 ):
     """Plain fixed-point iteration over deterministic table fields.
 
     generator_map(P) -> generator table of the same field shape; each iterate
     is the discounted sweep of the generator-frozen equation, at the node
-    rates (order 1) or the node-pair rates (order 2).  A table field has
-    Q == 0 on every iterate, so only P is iterated.  Stops when the weighted
-    space-time distance between successive iterates drops below tol; raises
-    on iteration exhaustion or three consecutive non-contracting steps.
+    rates (order 1) or the node-pair rates (order 2, every iterate
+    symmetrized).  A table field has Q == 0 on every iterate, so only P is
+    iterated.  Stops when the weighted space-time distance between successive
+    iterates drops below tol; raises on iteration exhaustion or three
+    consecutive non-contracting steps.
     Returns the solved field with its iteration distances attached.
     """
     rates = tgrid.nodes if order == 1 else tgrid.varpi2()
@@ -175,11 +170,11 @@ def picard_bsee_solve(
     bad_ratio = 0
     for it in range(max_iter):
         P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P))
-        if symmetrize:
+        if order == 2:
             swapped = np.swapaxes(np.swapaxes(P_new, 1, 2), -2, -1)
             asym_max = max(asym_max, float(np.max(np.abs(P_new - swapped))))
             P_new = 0.5 * (P_new + swapped)
-        d = s_norm_distance(grid, tgrid, alpha, P_new - P, None, order)
+        d = s_norm_distance(grid, tgrid, alpha, P_new - P, order)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
             bad_ratio = bad_ratio + 1 if d / distances[-2] >= 1.0 else 0
@@ -393,11 +388,11 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
         basis = np.concatenate([np.ones((paths, 1)), Y[:, m, :, 0]], axis=1)
         disc = p * dec[None, :]
         # rank-tolerant projection: lift coordinates are collinear at early
-        # times (all start from zero) and strongly correlated across nodes
-        coef_p, *_ = np.linalg.lstsq(basis, disc, rcond=1e-8)
-        p_tilde = basis @ coef_p                   # E_m[e^{-th dt} p_{m+1}]
-        coef_q, *_ = np.linalg.lstsq(basis, disc * ens.dW[:, m][:, None] / dt, rcond=1e-8)
-        q_m = basis @ coef_q
+        # times (all start from zero) and strongly correlated across nodes.  One
+        # solve projects p~ = E_m[e^{-th dt} p_{m+1}] and q = E_m[e^{-th dt} p_{m+1} dW_m] / dt
+        coef, *_ = np.linalg.lstsq(basis, np.concatenate(
+            [disc, disc * ens.dW[:, m][:, None] / dt], axis=1), rcond=1e-8)
+        p_tilde, q_m = np.split(basis @ coef, 2, axis=1)
         t = m * dt
         u = u_hat.at(m)
         bxm = coeffs.b_x(t, u, x_hat[:, m])[:, 0, 0]
@@ -456,7 +451,7 @@ def assemble_second_adjoint(
         return g
 
     fld2 = picard_bsee_solve(tgrid, grid, phi, gen_map, kernel.alpha, order=2,
-                             tol=tol, max_iter=max_iter, symmetrize=True)
+                             tol=tol, max_iter=max_iter)
     first.second = fld2
     return first.finalize()
 

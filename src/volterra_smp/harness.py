@@ -569,8 +569,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                        f"slope {dj_fit['eps_slope']:.3f} (se {dj_fit['se_slope']:.3f})"))
     lift = {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
             "processes": 1 + 3 * len(res["bundles"])}
-    return ExperimentResult("rates", tables, checks, extras={
-        "fits": res["fits"], "delta_j12_fit": dj_fit, "timing": {"lift": lift}})
+    return ExperimentResult("rates", tables, checks, extras={"timing": {"lift": lift}})
 
 
 def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
@@ -721,7 +720,8 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
                                      rows, prov)}
     timing = {"lift": {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
                        "processes": 4},
-              "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)}}
+              "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)},
+              "pair_terms": res["pair_terms"]}
     return ExperimentResult("duality", tables, checks, extras={"timing": timing})
 
 
@@ -768,14 +768,13 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
                    f"{max(viol) if viol else float('nan'):.4f}]"))
 
     tables = {"mp": ResultTable("mp", ["t", "v", "gap", "se", "pass"], rep.rows, prov)}
-    extras = {"report": rep, "u_hat": u_hat}
 
     if kern.n_nodes == 1 and kern.nodes[0] == 0.0:
         cl = classical_adjoint_gaps(coeffs, u_hat, coeffs.control_domain.points, grid, x_hat)
         gaps_field = {(t, v): g for (t, v, g, s, ok) in rep.rows}
         dev = max(abs(gaps_field[key] - cl["gaps"][key]) for key in cl["gaps"])
         checks.append(("classical_reference_match", dev <= 1e-10, f"max gap deviation {dev:.3e}"))
-    return ExperimentResult("mp-check", tables, checks, extras=extras)
+    return ExperimentResult("mp-check", tables, checks)
 
 
 def run_bsvie_check(config: ExperimentConfig) -> ExperimentResult:

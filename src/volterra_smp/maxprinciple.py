@@ -33,7 +33,7 @@ from .grids import TimeGrid
 from .kernels import step_decay_weight
 from .simulate import BrownianEnsemble
 from .stats import mc_mean_se, mc_mean_se_rows
-from .variation import SpikeSpec, simulate_variation_bundle
+from .variation import SpikeSpec, _spike_cosimulation
 
 
 def hamiltonian(coeffs: CoefficientSet, t: float, u, x, p, q) -> np.ndarray:
@@ -55,92 +55,88 @@ class _DualityAccumulator:
     co-simulation: of the mu-aggregated first-order pairing <p, Y^{12}>
     (row 0 of ``rhs_exact``/``rhs_display``), of the mu x mu pair-field
     pairing <P Y^1, Y^1> when the pair field is solved (row 1, else zero),
-    and the spike integral of the adjoint representation of J12."""
+    and the spike integral of the adjoint representation of J12.
+
+    The adjoint contractions are per-step tables built once, applied to the
+    lift states in the slab's (K, P8) layout.  Pair terms whose tables vanish
+    identically do not run, so they stay exact zeros; ``pair_terms`` names
+    what ran: "none", "linear" or "quadratic" (also Y^1' WG Y^1).
+    """
 
     adj: AdjointSolution
     ens: BrownianEnsemble
     rhs_exact: np.ndarray = None
     rhs_display: np.ndarray = None
     spike_adjoint: np.ndarray = None
+    pair_terms: str = "none"
 
     def __post_init__(self):
-        paths = self.ens.n_paths
+        paths, N, dt = self.ens.n_paths, self.ens.grid.n_steps, self.ens.grid.dt
         self.rhs_exact = np.zeros((2, paths))
         self.rhs_display = np.zeros((2, paths))
         self.spike_adjoint = np.zeros(paths)
-        k = self.adj.kernel
-        dt = self.ens.grid.dt
-        self._w = k.weights
-        self._mb = k.mb[:, 0, 0]
-        self._ms = k.msigma[:, 0, 0]
-        self._dec = np.exp(-k.nodes * dt)
-        self._om = step_decay_weight(k.nodes, dt)
-        first, second = self.adj.first, self.adj.second
-        self._P0 = first.P0[:, :, 0]
-        self._P1 = None if first.P1 is None else first.P1[:, :, 0]
-        self._Q0 = first.Q0[:, :, 0]
-        self._G0 = first.G0[:, :, 0]
-        self._Z = None if first.Z is None else first.Z.values
-        self._P = None
-        if second is not None:
-            varpi = self.adj.tgrid.varpi2()
-            self._ww = self._w[:, None] * self._w[None, :]
-            self._dec2 = np.exp(-varpi * dt)
-            self._om2 = step_decay_weight(varpi, dt)
-            self._P = second.P[:, :, :, 0, 0]
-            self._G = second.G[:, :, :, 0, 0]
+        k, first, second = self.adj.kernel, self.adj.first, self.adj.second
+        w, dec = k.weights, np.exp(-k.nodes * dt)
+        F = np.stack([k.mb[:, 0, 0], k.msigma[:, 0, 0]])    # (2, K): M_b, M_sigma
+        wF = w * F
 
-    def __call__(self, m: int, frame: dict):
-        N = self.ens.grid.n_steps
-        if m >= N:
+        def mu(tab):   # (N, K) table -> (2, N): mu[M_b^T tab], mu[M_sigma^T tab]
+            return np.sum(wF[:, None] * tab, axis=-1)
+
+        Q0 = first.Q0[:N, :, 0]
+        # step m's functionals of Y12: -mu[omega g_m .] and mu[q_m .], (N, 2, K)
+        self._V = np.stack([-(w * step_decay_weight(k.nodes, dt)) * first.G0[:N, :, 0],
+                            w * Q0], 1)
+        self._A0 = mu(dec * first.P0[1:, :, 0])
+        self._Aq = mu(Q0)
+        self._A1 = None if first.P1 is None else mu(dec * first.P1[1:, :, 0])
+        if second is None:
             return
-        dt, P = self.ens.grid.dt, self.ens.n_paths
-        w, mb, ms, dec, om = self._w, self._mb, self._ms, self._dec, self._om
-        Y1, Fb1, Fs1 = frame["Y1"], frame["Fb1"], frame["Fs1"]
-        Y12 = Y1 + frame["Y2"]               # (P8, K): the rows past P are padding
-        Fb = Fb1 + frame["Fb2"]
-        Fs = Fs1 + frame["Fs2"]
-        dW = self.ens.dW[:, m]
+        P, G = second.P[1:, :, :, 0, 0], second.G[:N, :, :, 0, 0]
+        self.pair_terms = "quadratic" if np.any(G) else "linear" if np.any(P) else "none"
+        if self.pair_terms == "none":
+            return
+        ww = w[:, None] * w[None, :]
+        varpi = self.adj.tgrid.varpi2()
+        # WPt_m = ww e^{-varpi dt} P_{m+1} is symmetric, so F WPt_m reads (WPt_m Y1) F^T
+        # off Y1 as two functionals, (N, 2, K)
+        self._U = F @ (ww * (np.exp(-varpi * dt) * P))
+        self._S = (self._U @ F.T)[:, [0, 0, 1], [0, 1, 1]]   # (N, 3): Pbb, Pbs, Pss
+        if self.pair_terms == "quadratic":
+            self._WG = ww * (step_decay_weight(varpi, dt) * G)
 
-        g_m = self._G0[m]                    # (K,), theta-resolved generator
-        q_m = self._Q0[m]                    # (K,)
-        pt0 = dec * self._P0[m + 1]          # discounted deterministic part
-        gen_term = (-Y12 @ (w * om * g_m))[:P]
-        qY = (Y12 @ (w * q_m))[:P]
-        ab0 = float(np.sum(w * mb * pt0))
-        as0 = float(np.sum(w * ms * pt0))
-        qb = float(np.sum(w * mb * q_m))
-        qs = float(np.sum(w * ms * q_m))
-        if self._P1 is not None:
-            pt1 = dec * self._P1[m + 1]
-            Zm = self._Z[:, m]
-            ab = ab0 + float(np.sum(w * mb * pt1)) * Zm
-            as_ = as0 + float(np.sum(w * ms * pt1)) * Zm
-        else:
-            ab, as_ = ab0, as0
+    def __call__(self, m: int, Y1: np.ndarray, Y2: np.ndarray, forcings: tuple, cv: dict):
+        dt, P = self.ens.grid.dt, self.ens.n_paths
+        Fb1, Fs1, Fb2, Fs2 = forcings
+        Fb, Fs = Fb1 + Fb2, Fs1 + Fs2
+        dW = self.ens.dW[:, m]
+        gen_term, qY = (self._V[m] @ (Y1 + Y2))[:, :P]   # columns past P are padding
+        (ab, as_), (qb, qs) = self._A0[:, m], self._Aq[:, m]
+        if self._A1 is not None:
+            Zm = self.adj.first.Z.values[:, m]
+            ab = ab + self._A1[0, m] * Zm
+            as_ = as_ + self._A1[1, m] * Zm
 
         self.rhs_display[0] += gen_term + dt * (ab * Fb + qs * Fs)
         self.rhs_exact[0] += (gen_term + qY * dW + dt * ab * Fb + as_ * Fs * dW
                               + qb * Fb * dt * dW + qs * Fs * dW * dW)
 
         Pss = 0.0                            # mu x mu [Ms^T P~_m Ms]: the risk term
-        if self._P is not None:
-            WPt = self._ww * (self._dec2 * self._P[m + 1])
-            WG = self._ww * (self._om2 * self._G[m])
-            U = Y1 @ WPt                     # (P8, K) one-sided contraction
-            quad_YY_G = np.einsum("pi,pi->p", Y1 @ WG, Y1)[:P]
-            Pbb = float(mb @ WPt @ mb)
-            Pbs = float(mb @ WPt @ ms)
-            Pss = float(ms @ WPt @ ms)
-            cross_b = 2.0 * (U @ mb)[:P] * Fb1   # symmetric field: both sides equal
-            cross_s = 2.0 * (U @ ms)[:P] * Fs1
-            self.rhs_display[1] += -quad_YY_G + dt * (cross_b + Pss * Fs1 * Fs1)
-            self.rhs_exact[1] += (-quad_YY_G + dt * cross_b + cross_s * dW
+        if self.pair_terms != "none":
+            ub, us = (self._U[m] @ Y1)[:, :P]
+            Pbb, Pbs, Pss = self._S[m]
+            quad = 0.0
+            if self.pair_terms == "quadratic":
+                quad = np.einsum("ip,ip->p", self._WG[m] @ Y1, Y1)[:P]
+            cross_b = 2.0 * ub * Fb1             # symmetric field: both sides equal
+            cross_s = 2.0 * us * Fs1
+            self.rhs_display[1] += -quad + dt * (cross_b + Pss * Fs1 * Fs1)
+            self.rhs_exact[1] += (-quad + dt * cross_b + cross_s * dW
                                   + Pbb * Fb1 * Fb1 * dt * dt + 2.0 * Pbs * Fb1 * Fs1 * dt * dW
                                   + Pss * Fs1 * Fs1 * dW * dW)
 
-        if frame["in_spike"]:
-            db, ds, df = frame["db"], frame["ds"], frame["df"]
+        if cv:
+            db, ds, df = cv["db"], cv["ds"], cv["df"]
             self.spike_adjoint += dt * (ab * db + qs * ds - df + 0.5 * Pss * ds * ds)
 
 
@@ -154,22 +150,27 @@ def duality_residuals(coeffs: CoefficientSet, spike: SpikeSpec, adj: AdjointSolu
     (only when ``adj.second`` is solved) the same for -h_xx(X_T) (X^1_T)^2;
     ``spike_adjoint``, the spike integral of the Hamiltonian/risk terms on the
     adjoint contractions (minus its mean represents ``bundle.j12()`` up to
-    terms of higher order than eps); and the variation ``bundle``.  Every
-    vector's first n entries are those of the same call on
+    terms of higher order than eps); the variation ``bundle``; and
+    ``pair_terms``, which pair-field terms ran (see ``_DualityAccumulator``).
+    Every vector's first n entries are those of the same call on
     ``ens.first_paths(n)``, so ``duality_stats`` over a prefix is the
-    statistic of the smaller ensemble.
+    statistic of the smaller ensemble.  ``x_hat`` must be the reference state
+    that the co-simulation computes (to 1e-10).
     """
     acc = _DualityAccumulator(adj=adj, ens=ens)
-    bundle = simulate_variation_bundle(coeffs, adj.kernel, adj.u_hat, spike, xi, ens,
-                                       x_hat=x_hat, observer=acc)
+    bundle = _spike_cosimulation(coeffs, adj.kernel, adj.u_hat, [spike], xi, ens,
+                                 observer=acc)[0]
     xT = x_hat[:, -1]
+    if not np.allclose(xT[:, 0], bundle.terminal["Xhat_T"], rtol=0, atol=1e-10):
+        raise ValueError("x_hat is not the reference state of these inputs")
     lhs = {"first": -coeffs.h_x(xT)[:, 0] * bundle.terminal["X12_T"]}
     if adj.second is not None:
         X1T = bundle.terminal["X1_T"]
         lhs["second"] = -coeffs.h_xx(xT)[:, 0, 0] * X1T * X1T
     out = {order: {"lhs": v, "exact": v - acc.rhs_exact[i], "display": v - acc.rhs_display[i]}
            for i, (order, v) in enumerate(lhs.items())}
-    return {**out, "spike_adjoint": acc.spike_adjoint, "bundle": bundle}
+    return {**out, "spike_adjoint": acc.spike_adjoint, "bundle": bundle,
+            "pair_terms": acc.pair_terms}
 
 
 def duality_stats(order: dict, n_paths: int | None = None) -> dict:

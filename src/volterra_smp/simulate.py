@@ -231,17 +231,15 @@ class LiftStep:
             tally["block_steps"] = self.L
             tally["y_updates"] += G
 
-    def state(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Slab g's lift state at the current step as a (P, K n) array, written
-        to ``out`` when given (else a new C-order array)."""
+    def state(self, g: int) -> np.ndarray:
+        """Slab g's lift state at the current step as a new (K n, P8) array in
+        the slab's layout; the padding columns past P are 0."""
         i = self.m % self.L
-        Yi = self.Y[g] * self.rows[i, :, None]       # D^i Y_{m0}, built in Y's layout
-        if i:
-            Yi += self.reads[i] @ self.drive[g, :2 * self.n * i]
-        if out is None:
-            return np.ascontiguousarray(Yi[:, :self.P].T)
-        out[:] = Yi[:, :self.P].T
-        return out
+        Yi = self.Y[g] * self.rows[i, :, None]       # D^i Y_{m0}
+        if i:   # += reads[i] . drive, accumulated in place (the bits of a separate sum)
+            dgemm(1.0, self.drive[g, :2 * self.n * i].T, self.reads[i].T, beta=1.0, c=Yi.T,
+                  overwrite_c=True)
+        return Yi
 
     def fork(self, src: int, dst: slice) -> None:
         """Give slabs ``dst`` the block state of slab ``src`` (lift, stored
@@ -288,7 +286,7 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
         slot_s[0] = np.transpose(Fs)
         X[:, m + 1] = xi[m + 1] + lift.advance()[0].T
         if store_lift:
-            lift.state(0, out=Ytab[:, m + 1])
+            Ytab[:, m + 1] = lift.state(0)[:, :paths].T
     return X, None if Ytab is None else Ytab.reshape(paths, N + 1, K, n)
 
 

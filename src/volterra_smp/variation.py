@@ -57,7 +57,6 @@ class VariationBundle:
     norms: dict                 # key -> C^2 norm estimate
     j12_terms: np.ndarray       # per-path J12 sample
     cost_increment: np.ndarray  # per-path J(u^eps) - J(u_hat) sample
-    delta_f_integral: np.ndarray
     terminal: dict = field(default_factory=dict)  # per-path terminal values
     tables: dict = field(default_factory=dict)    # full paths when stored
 
@@ -82,9 +81,13 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     and X^eps = X_hat exactly, so at that index the spiked slabs take the
     reference slab's block state (``LiftStep.fork``) and the X1, X2 slabs
     start from zero.  The forcings are written straight into the lift's drive
-    slots.  The reference derivatives are evaluated
-    once per step for all spikes.  The spikes share one value ``v``; an
-    observer sees the first spike.
+    slots.  The reference derivatives are evaluated once per step for all
+    spikes.  The spikes share one value ``v``.
+
+    ``observer(m, Y1, Y2, forcings, cv)`` sees the first spike before each
+    advance at j_start <= m < N (before, X1 = X2 = 0): its lift states from
+    ``LiftStep.state``, its (P,) forcings (F1b, F1s, F2b, F2s) in the drive
+    slots, and ``cv``: {} off the window, else the (P,) jumps "db", "ds", "df".
     """
     if coeffs.dim != 1 or kernel.dim != 1:
         raise NotImplementedError("the fused variational loop is scalar-state")
@@ -117,22 +120,9 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     delta_f = np.zeros((S, P))   # running spike integral of delta f
     tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
-    # the observer's Y1, Y2 rows; those past P stay 0, as the lift pads its path axis
-    ybuf = np.zeros((2, lift.Y.shape[2], lift.Y.shape[1])) if observer is not None else None
-
-    def frame(cv, forcings):
-        lift.state(1 + S, out=ybuf[0, :P])
-        lift.state(1 + 2 * S, out=ybuf[1, :P])
-        return {"Y1": ybuf[0], "Y2": ybuf[1], "X1": X1[0], "X2": X2[0], "db": cv.get("db"),
-                "ds": cv.get("ds"), "df": cv.get("df"), "in_spike": bool(cv),
-                **{k: f if f is None else f[0]
-                   for k, f in zip(("Fb1", "Fs1", "Fb2", "Fs2"), forcings)}}
-
     for m in range(j_start):
         ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
         Fb, Fs = (f[:, 0] for f in lift.drives())
-        if observer is not None:
-            observer(m, frame({}, (Fb[1 + S], Fs[1 + S], Fb[1 + 2 * S], Fs[1 + 2 * S])))
         Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
         lift.advance(1)
         xh += xi_tab[m + 1]
@@ -176,7 +166,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
             F2s[active] += cv["dsx"] * X1[active]
             delta_f[active] += cv["df"] * dt
         if observer is not None:
-            observer(m, frame(cv if active[0] else {}, (F1b, F1s, F2b, F2s)))
+            observer(m, lift.state(1 + S), lift.state(1 + 2 * S),
+                     (F1b[0], F1s[0], F2b[0], F2s[0]), cv if active[0] else {})
 
         # running cost pieces (left-point rule)
         # j12_run += (f_x (X1 + X2) + (f_xx / 2) X1 X1) dt, in that operation order
@@ -201,8 +192,6 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
             tables[..., m + 1] = diffs
         np.square(diffs, out=diffs)
         np.maximum(sup_mom, np.mean(diffs, axis=2), out=sup_mom)
-    if observer is not None:
-        observer(N, frame({}, (None,) * 4))
     # keep the final states and drop the lift: its buffers need not be held
     # while the bundles are built
     X = X.copy()
@@ -217,47 +206,10 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     return [VariationBundle(
         spike=sp, eps_snapped=(j1 - j0) * dt,
         norms={k: float(sup_mom[i, s]) ** 0.5 for i, k in enumerate(NORM_KEYS)},
-        j12_terms=j12_terms[s], cost_increment=cost_inc[s], delta_f_integral=delta_f[s],
-        terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xe_T": Xe[s].copy(),
-                  "dX_T": Xe[s] - xh, "Xhat_T": xh.copy()},
+        j12_terms=j12_terms[s], cost_increment=cost_inc[s],
+        terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xhat_T": xh.copy()},
         tables={} if tables is None else dict(zip(NORM_KEYS, tables[:, s])),
     ) for s, (sp, (j0, j1)) in enumerate(zip(spikes, win))]
-
-
-def simulate_variation_bundle(
-    coeffs: CoefficientSet,
-    kernel: DiscreteLaplaceKernel,
-    u_hat: ControlPath,
-    spike: SpikeSpec,
-    xi,
-    ens: BrownianEnsemble,
-    x_hat: np.ndarray | None = None,
-    store: bool = False,
-    observer=None,
-) -> VariationBundle:
-    """Co-simulate (X_hat, X^eps, X1, X2) on shared increments and accumulate stats.
-
-    The reference state X_hat is co-simulated on the lift step of
-    ``simulate_sve``.  A caller that already holds it may pass it as
-    ``x_hat``; it must then agree with the co-simulated one (1e-10).
-
-    ``observer(m, frame)`` is called once per step with the pre-step lift
-    fields and forcings (and once at the final index with forcings None);
-    ``frame`` is a dict with keys Y1, Y2, X1, X2 (paths,), Fb1, Fs1, Fb2,
-    Fs2, db, ds, df, in_spike.  Y1 and Y2 are (P8, K): the first paths rows
-    hold the lift states and the rest, up to the lift's padded path count P8
-    (a multiple of 8), are 0, so that BLAS products over the rows compute a
-    path's bits whatever the path count.  The arrays are views of the live
-    state: copy what must outlive the call.
-    """
-    if x_hat is None:
-        coeffs.self_test()
-    bundle = _spike_cosimulation(coeffs, kernel, u_hat, [spike], xi, ens, store,
-                                 observer)[0]
-    xT = bundle.terminal["Xhat_T"]
-    if x_hat is not None and not np.allclose(np.asarray(x_hat)[:, -1, 0], xT, rtol=0, atol=1e-10):
-        raise ValueError("x_hat is not the reference state of these inputs")
-    return bundle
 
 
 def remainder_rates(

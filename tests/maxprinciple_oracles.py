@@ -14,15 +14,21 @@ use it.
 
 ``hfunction`` is the risk-adjusted Hamiltonian at one grid time, the quantity
 whose gaps the variational-inequality check evaluates in blocks.
+
+``duality_residuals`` is the loop form of ``maxprinciple.duality_residuals``:
+its observer recomputes every adjoint contraction at every step, reads the
+lift states as (paths, K) rows and always runs the pair-field terms.
 """
 
 import numpy as np
 
+from volterra_smp import maxprinciple
 from volterra_smp.bsee import AdjointSolution
 from volterra_smp.coefficients import CoefficientSet, ControlPath
-from volterra_smp.maxprinciple import MPReport, duality_residuals, hamiltonian
+from volterra_smp.kernels import step_decay_weight
+from volterra_smp.maxprinciple import MPReport, hamiltonian
 from volterra_smp.stats import fit_loglog, mc_mean_se
-from volterra_smp.variation import SpikeSpec
+from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
 def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
@@ -94,7 +100,7 @@ def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: Control
     rows = []
     for eps in eps_list:
         spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
-        r = duality_residuals(coeffs, spike, adjoints, ens, x_hat, xi=xi)
+        r = maxprinciple.duality_residuals(coeffs, spike, adjoints, ens, x_hat, xi=xi)
         j12_direct, _ = r["bundle"].j12()
         j12_adjoint, _ = mc_mean_se(-r["spike_adjoint"])
         rows.append({"eps": float(eps), "j12_direct": j12_direct,
@@ -145,3 +151,72 @@ def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
     gap_sigma = coeffs.sigma(t, u_hat_t, x) - coeffs.sigma(t, v, x)
     quad = 0.5 * np.einsum("pa,ab,pb->p", gap_sigma, R, gap_sigma)
     return base + quad
+
+
+class _LoopDualityAccumulator:
+    """Per-step product-rule expansions, as in ``maxprinciple._DualityAccumulator``."""
+
+    def __init__(self, adj: AdjointSolution, ens):
+        self.adj, self.ens = adj, ens
+        self.rhs_exact = np.zeros((2, ens.n_paths))
+        self.rhs_display = np.zeros((2, ens.n_paths))
+        self.spike_adjoint = np.zeros(ens.n_paths)
+
+    def __call__(self, m, Y1, Y2, forcings, cv):
+        k, first, second = self.adj.kernel, self.adj.first, self.adj.second
+        dt, P = self.ens.grid.dt, self.ens.n_paths
+        w, mb, ms = k.weights, k.mb[:, 0, 0], k.msigma[:, 0, 0]
+        dec, om = np.exp(-k.nodes * dt), step_decay_weight(k.nodes, dt)
+        Y1, Y2 = Y1[:, :P].T, Y2[:, :P].T                    # (P, K)
+        Fb1, Fs1, Fb2, Fs2 = forcings
+        Y12, Fb, Fs = Y1 + Y2, Fb1 + Fb2, Fs1 + Fs2
+        dW = self.ens.dW[:, m]
+
+        g_m, q_m = first.G0[m, :, 0], first.Q0[m, :, 0]
+        pt0 = dec * first.P0[m + 1, :, 0]
+        gen_term = -Y12 @ (w * om * g_m)
+        qY = Y12 @ (w * q_m)
+        ab, as_ = np.sum(w * mb * pt0), np.sum(w * ms * pt0)
+        qb, qs = np.sum(w * mb * q_m), np.sum(w * ms * q_m)
+        if first.P1 is not None:
+            pt1 = dec * first.P1[m + 1, :, 0]
+            Zm = first.Z.values[:, m]
+            ab = ab + np.sum(w * mb * pt1) * Zm
+            as_ = as_ + np.sum(w * ms * pt1) * Zm
+        self.rhs_display[0] += gen_term + dt * (ab * Fb + qs * Fs)
+        self.rhs_exact[0] += (gen_term + qY * dW + dt * ab * Fb + as_ * Fs * dW
+                              + qb * Fb * dt * dW + qs * Fs * dW * dW)
+
+        Pss = 0.0
+        if second is not None:
+            varpi = self.adj.tgrid.varpi2()
+            ww = np.outer(w, w)
+            WPt = ww * np.exp(-varpi * dt) * second.P[m + 1, :, :, 0, 0]
+            WG = ww * step_decay_weight(varpi, dt) * second.G[m, :, :, 0, 0]
+            U = Y1 @ WPt
+            quad = np.einsum("pi,pi->p", Y1 @ WG, Y1)
+            Pbb, Pbs, Pss = mb @ WPt @ mb, mb @ WPt @ ms, ms @ WPt @ ms
+            cross_b, cross_s = 2.0 * (U @ mb) * Fb1, 2.0 * (U @ ms) * Fs1
+            self.rhs_display[1] += -quad + dt * (cross_b + Pss * Fs1 * Fs1)
+            self.rhs_exact[1] += (-quad + dt * cross_b + cross_s * dW
+                                  + Pbb * Fb1 * Fb1 * dt * dt + 2.0 * Pbs * Fb1 * Fs1 * dt * dW
+                                  + Pss * Fs1 * Fs1 * dW * dW)
+        if cv:
+            db, ds, df = cv["db"], cv["ds"], cv["df"]
+            self.spike_adjoint += dt * (ab * db + qs * ds - df + 0.5 * Pss * ds * ds)
+
+
+def duality_residuals(coeffs, spike, adj, ens, x_hat, xi=0.0) -> dict:
+    """The per-path vectors of ``maxprinciple.duality_residuals``, from the
+    loop accumulator (no ``bundle`` and no ``pair_terms``)."""
+    acc = _LoopDualityAccumulator(adj, ens)
+    bundle = _spike_cosimulation(coeffs, adj.kernel, adj.u_hat, [spike], xi, ens,
+                                 observer=acc)[0]
+    xT = x_hat[:, -1]
+    lhs = {"first": -coeffs.h_x(xT)[:, 0] * bundle.terminal["X12_T"]}
+    if adj.second is not None:
+        X1T = bundle.terminal["X1_T"]
+        lhs["second"] = -coeffs.h_xx(xT)[:, 0, 0] * X1T * X1T
+    out = {order: {"lhs": v, "exact": v - acc.rhs_exact[i], "display": v - acc.rhs_display[i]}
+           for i, (order, v) in enumerate(lhs.items())}
+    return {**out, "spike_adjoint": acc.spike_adjoint}

@@ -207,4 +207,4 @@ def test_linearity_of_weighted_energies(grid, frac_kernel, ens):
 def test_s_norm_distance_zero_fields(grid, frac_kernel):
     tg = theta_of(frac_kernel)
     z = np.zeros((grid.n_steps + 1, tg.size, 1))
-    assert s_norm_distance(grid, tg, 0.3, z, z, order=1) == 0.0
+    assert s_norm_distance(grid, tg, 0.3, z, order=1) == 0.0

@@ -461,6 +461,8 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     assert record["lift"] == {"paths": 16000, "steps": 16, "nodes": 4, "processes": 4,
                               "block_steps": 4, "y_updates": 4 + 1 + 3 * 4}
     assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
+    # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
+    assert record["pair_terms"] == "none"
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)

@@ -257,6 +257,47 @@ def test_duality_residuals_are_prefix_exact(name, u_val, v_val, xi):
             assert vec.tobytes() == ref[key][:n].tobytes(), (n, key)
 
 
+@pytest.mark.parametrize("name, lsmc, u_val, v_val, xi, pair_terms", [
+    ("lq_linear_cost", False, 0.5, -0.5, 0.4, "none"),
+    ("state_free_quadratic", False, 0.2, 0.9, 0.2, "linear"),
+    ("bilinear_lq", True, 0.1, 1.0, 0.3, "quadratic")], ids=["lq", "state_free", "bilinear"])
+def test_duality_residuals_match_loop_oracle(name, lsmc, u_val, v_val, xi, pair_terms, grid,
+                                             frac_kernel):
+    # the tabulated accumulator against the per-step one, every per-path vector
+    e = sample_brownian(grid, 200, 31)
+    pr, uh = make_problem(name), ControlPath.constant(u_val, grid)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(v_val, grid))
+    xh = simulate_sve(pr, uh, frac_kernel, xi, e)
+    adj = assemble_adjoints(pr, uh, xh, frac_kernel, e, lsmc=lsmc)
+    res = duality_residuals(pr, spike, adj, e, xh, xi=xi)
+    ref = mp_oracle.duality_residuals(pr, spike, adj, e, xh, xi=xi)
+    assert res["pair_terms"] == pair_terms
+    if pair_terms == "none":
+        # the skipped pair terms leave exact zeros where the oracle adds them up
+        for key in ("lhs", "exact", "display"):
+            assert res["second"][key].tobytes() == ref["second"][key].tobytes(), key
+        assert not np.any(res["second"]["lhs"] - res["second"]["exact"])
+    for order in ("first", "second")[:1 if pair_terms == "none" else 2]:
+        scale = np.max(np.abs(ref[order]["lhs"]))
+        assert scale > 0.0
+        for key in ("lhs", "exact", "display"):
+            assert np.max(np.abs(res[order][key] - ref[order][key])) <= 1e-12 * scale, \
+                (order, key)
+    sa, sa_ref = res["spike_adjoint"], ref["spike_adjoint"]
+    assert np.max(np.abs(sa - sa_ref)) <= 1e-12 * np.max(np.abs(sa_ref))
+
+
+def test_duality_rejects_foreign_reference_state(grid, lq, frac_kernel):
+    e = sample_brownian(grid, 16, 23)
+    uh = ControlPath.constant(0.5, grid)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(-0.5, grid))
+    xh = simulate_sve(lq, uh, frac_kernel, 0.4, e)
+    adj = assemble_adjoints(lq, uh, xh, frac_kernel, e)
+    x_other = simulate_sve(lq, uh, frac_kernel, 0.5, e)
+    with pytest.raises(ValueError, match="reference state"):
+        duality_residuals(lq, spike, adj, e, x_other, xi=0.4)
+
+
 _DUALITY_CASES = {
     # problem -> (parameters drawn at random, regression solve path)
     "lq_linear_cost": (("b1", "b2", "s1", "s0", "c1", "ch"), False),

@@ -287,7 +287,10 @@ def test_blocked_lift_equals_per_step_oracle(kern, blocks, rest, seed):
                 lift.fork(0, slice(1, 3))
                 Y[1:3], X[1:3] = Y[0], X[0]
             act = 1 if m < j_start else G
-            ys += [(lift.state(g), Y[g].T.copy()) for g in range(act)]
+            for g in range(act):
+                Yg = lift.state(g)
+                assert Yg.shape == (Kn, 16) and not Yg[:, 9:].any()   # zero padding
+                ys.append((Yg[:, :9], Y[g].copy()))
             Fb, Fs = _stack_forcing(X[:act])
             slot_b, slot_s = lift.drives()
             slot_b[:act], slot_s[:act] = _stack_forcing(lift.x[:act])

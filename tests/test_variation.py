@@ -12,8 +12,7 @@ from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_prob
                                       make_problem)
 from volterra_smp.kernels import build_fractional_lift
 from volterra_smp.simulate import sample_brownian, simulate_sve
-from volterra_smp.variation import (NORM_KEYS, SpikeSpec, remainder_rates,
-                                    simulate_variation_bundle)
+from volterra_smp.variation import NORM_KEYS, SpikeSpec, _spike_cosimulation, remainder_rates
 
 
 def test_spike_window_must_fit(grid):
@@ -25,7 +24,7 @@ def test_spike_window_must_fit(grid):
 def test_expansion_vanishes_without_control_change(grid, bilinear, frac_kernel, ens):
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=u)
-    b = simulate_variation_bundle(bilinear, frac_kernel, u, spike, 0.3, ens)
+    b = _spike_cosimulation(bilinear, frac_kernel, u, [spike], 0.3, ens)[0]
     assert all(v == 0.0 for v in b.norms.values())
     assert np.all(b.j12_terms == 0.0)
     assert np.all(b.cost_increment == 0.0)
@@ -35,7 +34,7 @@ def test_second_order_vanishes_for_control_affine(grid, lq, frac_kernel, ens):
     # linear dynamics whose x-derivatives do not depend on the control
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
-    b = simulate_variation_bundle(lq, frac_kernel, u, spike, 0.3, ens)
+    b = _spike_cosimulation(lq, frac_kernel, u, [spike], 0.3, ens)[0]
     assert b.norms["X2"] == 0.0
     # and the first-order process tracks the full deviation exactly
     assert b.norms["dX1"] <= 1e-12
@@ -46,9 +45,8 @@ def test_state_free_first_order_is_direct_convolution(grid, state_free, frac_ker
     u = ControlPath.constant(0.2, grid)
     v = ControlPath.constant(0.9, grid)
     spike = SpikeSpec(tau=0.25, eps=0.25, v=v)
-    x_hat = simulate_sve(state_free, u, frac_kernel, 0.2, e)
-    X1 = simulate_variation_bundle(state_free, frac_kernel, u, spike, 0.2, e, x_hat=x_hat,
-                                   store=True).tables["X1"][:, :, None]
+    X1 = _spike_cosimulation(state_free, frac_kernel, u, [spike], 0.2, e,
+                             store=True)[0].tables["X1"][:, :, None]
 
     j0, j1 = spike.window(grid)
     ind = np.zeros(grid.n_steps + 1)
@@ -69,7 +67,7 @@ def test_exact_decomposition_identities(grid, bilinear, frac_kernel):
     e = sample_brownian(grid, 16, 5)
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
-    b = simulate_variation_bundle(bilinear, frac_kernel, u, spike, 0.3, e, store=True)
+    b = _spike_cosimulation(bilinear, frac_kernel, u, [spike], 0.3, e, store=True)[0]
     dX = b.tables["dX"]
     X1 = b.tables["X1"]
     X2 = b.tables["X2"]
@@ -81,7 +79,7 @@ def test_j12_zero_for_zero_costs(grid, frac_kernel, ens):
     pr = make_problem("bilinear_lq", qx=0.0, r=0.0, h2=0.0, h1=0.0)
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
-    b = simulate_variation_bundle(pr, frac_kernel, u, spike, 0.3, ens)
+    b = _spike_cosimulation(pr, frac_kernel, u, [spike], 0.3, ens)[0]
     j12, _ = b.j12()
     assert j12 == 0.0
 
@@ -136,7 +134,7 @@ def test_sweep_matches_per_eps_bundles(grid, bilinear, delta_kernel, nodes):
                           0.3, e)
     assert len(res["bundles"]) == 4
     for b in res["bundles"]:
-        one = simulate_variation_bundle(bilinear, kern, u, b.spike, 0.3, e)
+        one = _spike_cosimulation(bilinear, kern, u, [b.spike], 0.3, e)[0]
         assert b.eps_snapped == one.eps_snapped
         for k in NORM_KEYS:
             assert _rel(b.norms[k], one.norms[k]) <= 1e-13
@@ -154,21 +152,12 @@ def test_store_tables_zero_before_spike(grid, bilinear, delta_kernel, nodes):
     u = ControlPath.constant(0.1, grid)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
     j0, _ = spike.window(grid)
-    b = simulate_variation_bundle(bilinear, kern, u, spike, 0.3, e, store=True)
+    b = _spike_cosimulation(bilinear, kern, u, [spike], 0.3, e, store=True)[0]
     for k in ("dX", "X1", "X2"):
         assert np.all(b.tables[k][:, :j0 + 1] == 0.0)
         assert np.any(b.tables[k][:, j0 + 1:] != 0.0)
     x_hat = simulate_sve(bilinear, u, kern, 0.3, e, mode="lift")
     assert np.array_equal(b.terminal["Xhat_T"], x_hat[:, -1, 0])
-
-
-def test_bundle_rejects_foreign_reference_state(grid, bilinear, frac_kernel):
-    e = sample_brownian(grid, 16, 23)
-    u = ControlPath.constant(0.1, grid)
-    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
-    x_other = simulate_sve(bilinear, u, frac_kernel, 0.5, e)
-    with pytest.raises(ValueError, match="reference state"):
-        simulate_variation_bundle(bilinear, frac_kernel, u, spike, 0.3, e, x_hat=x_other)
 
 
 def test_spike_cosimulation_guard_names_step(grid, delta_kernel):
@@ -183,8 +172,8 @@ def test_spike_cosimulation_guard_names_step(grid, delta_kernel):
     j0, j1 = spike.window(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite state at step") as err:
-            simulate_variation_bundle(pr, delta_kernel, ControlPath.constant(0.0, grid),
-                                      spike, 1.0, e)
+            _spike_cosimulation(pr, delta_kernel, ControlPath.constant(0.0, grid), [spike],
+                                1.0, e)
     step = int(str(err.value).split("step ")[1].split(";")[0])
     assert j0 < step <= j1
     assert "first bad paths [0, 1, 2, 3, 4]" in str(err.value)
