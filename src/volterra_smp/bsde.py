@@ -14,6 +14,7 @@ tables; a least-squares Monte Carlo solver covers general terminals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc
@@ -61,7 +62,10 @@ class ClosedFormSolution:
     gen_tail: np.ndarray   # (N+1,) discounted generator integral, part of det
 
     def p_values(self, ens: BrownianEnsemble) -> np.ndarray:
-        return self.det[None, :] + self.wt[None, :] * ens.W
+        """p on every path, a new (paths, N+1) table."""
+        p = np.multiply(ens.W, self.wt)
+        p += self.det
+        return p
 
     def q_values(self, ens: BrownianEnsemble) -> np.ndarray:
         return np.broadcast_to(self.q, (ens.n_paths, self.q.size))
@@ -93,23 +97,27 @@ def martingale_check(p: np.ndarray, q: np.ndarray, generator: np.ndarray,
           - e^{-k t_m} q_m dW_m
     has conditional mean zero for an exact solve (and vanishes pathwise for
     the closed-form family).  Returns per-step means, standard errors and the
-    max pathwise residual.
+    max pathwise residual.  D is built in place in one (paths, N) table with
+    one scratch table, term by term in the order written.
     """
     grid = ens.grid
-    t = grid.t
-    disc = np.exp(-kappa * t)
+    disc = np.exp(-kappa * grid.t)
     om = float(step_decay_weight(kappa, grid.dt))
     if p.ndim == 1:
         p = np.broadcast_to(p, (ens.n_paths, p.size))
     if q.ndim == 1:
         q = np.broadcast_to(q, (ens.n_paths, q.size))
-    D = (disc[None, 1:] * p[:, 1:] - disc[None, :-1] * p[:, :-1]
-         + disc[None, :-1] * om * generator[None, :-1]
-         - disc[None, :-1] * q[:, :-1] * ens.dW)
+    D = np.multiply(p[:, 1:], disc[1:])
+    tmp = np.multiply(p[:, :-1], disc[:-1])
+    D -= tmp
+    D += disc[:-1] * om * generator[:-1]
+    np.multiply(q[:, :-1], disc[:-1], out=tmp)
+    tmp *= ens.dW
+    D -= tmp
     means = np.mean(D, axis=0)
     ses = np.std(D, axis=0, ddof=1) / np.sqrt(ens.n_paths)
     return {
-        "max_pathwise": float(np.max(np.abs(D))),
+        "max_pathwise": float(np.max(np.abs(D, out=tmp))),
         "step_means": means,
         "step_ses": ses,
         "max_zscore": float(np.max(np.abs(means) / np.maximum(ses, 1e-300))),
@@ -118,6 +126,17 @@ def martingale_check(p: np.ndarray, q: np.ndarray, generator: np.ndarray,
 
 def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.stack([x ** k for k in range(degree + 1)], axis=1)
+
+
+def _poly_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[m, k] x[:, m]^k for every column m, by Horner's rule;
+    x is (paths, M), coef (M, degree + 1) with degree >= 1."""
+    out = np.multiply(x, coef[:, -1])
+    for k in range(coef.shape[1] - 2, -1, -1):
+        out += coef[:, k]
+        if k:
+            out *= x
+    return out
 
 
 def _gaussian_poly_shift(coef: np.ndarray, var: float) -> np.ndarray:
@@ -130,7 +149,6 @@ def _gaussian_poly_shift(coef: np.ndarray, var: float) -> np.ndarray:
     moments[0] = 1.0
     for i in range(2, d + 1, 2):
         moments[i] = moments[i - 2] * (i - 1) * var
-    from math import comb
     out = np.zeros_like(coef)
     for k in range(d + 1):
         if coef[k] == 0.0:
@@ -147,7 +165,6 @@ def _gaussian_poly_weighted(coef: np.ndarray, var: float) -> np.ndarray:
     moments[0] = 1.0
     for i in range(2, d + 2, 2):
         moments[i] = moments[i - 2] * (i - 1) * var
-    from math import comb
     out = np.zeros_like(coef)
     for k in range(d + 1):
         if coef[k] == 0.0:
@@ -169,6 +186,10 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     Gaussian conditioning of the polynomial basis, which is noise-free once
     the projection is exact.  Both regress on polynomials of the Brownian
     path W_m.  Returns p and q as (paths, N+1) tables.
+
+    In mode "later" only the terminal regression reads the paths: the
+    coefficient recursion runs first, over N small vectors, and p and q are
+    then evaluated for every step at once.
     """
     if degree < 1:
         raise ValueError("basis degree must be >= 1")
@@ -180,25 +201,27 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     dec = float(np.exp(-inst.kappa * dt))
     om = float(step_decay_weight(inst.kappa, dt))
 
-    p = np.empty((paths, N + 1))
-    q = np.zeros((paths, N + 1))
-    p[:, N] = terminal
-
     if mode == "later":
-        X = _poly_design(W[:, N], degree)
-        coef, *_ = np.linalg.lstsq(X, terminal, rcond=None)
+        # coef[m]: p_m as a polynomial of W_m; slope[m]: q_m likewise
+        coef = np.empty((N + 1, degree + 1))
+        slope = np.zeros((N + 1, degree + 1))
+        coef[N], *_ = np.linalg.lstsq(_poly_design(W[:, N], degree), terminal, rcond=None)
         for m in range(N - 1, -1, -1):
-            cond = _gaussian_poly_shift(coef, dt)      # E_m[poly(W_{m+1})]
-            slope = _gaussian_poly_weighted(coef, dt)  # E_m[poly(W_{m+1}) dW] / dt
-            pm_det = _poly_design(W[:, m], degree) @ cond
-            q[:, m] = dec * (_poly_design(W[:, m], degree) @ slope)
-            p[:, m] = dec * pm_det + om * inst.generator[m]
-            coef = dec * cond
-            coef[0] += om * inst.generator[m]
+            cond = _gaussian_poly_shift(coef[m + 1], dt)                 # E_m[poly(W_{m+1})]
+            slope[m] = dec * _gaussian_poly_weighted(coef[m + 1], dt)    # E_m[poly dW] / dt
+            coef[m] = dec * cond
+            coef[m, 0] += om * inst.generator[m]
+        p = _poly_columns(W, coef)
+        p[:, N] = terminal
+        q = _poly_columns(W, slope)
+        q[:, N] = 0.0
         return {"p": p, "q": q, "mode": mode, "degree": degree}
 
     if mode != "now":
         raise ValueError("mode must be 'now' or 'later'")
+    p = np.empty((paths, N + 1))
+    q = np.zeros((paths, N + 1))
+    p[:, N] = terminal
     for m in range(N - 1, -1, -1):
         reg = W[:, m]
         if np.std(reg) < 1e-14 * max(1.0, np.max(np.abs(reg))):
@@ -206,16 +229,16 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
             X = np.ones((paths, 1))
         else:
             X = _poly_design(reg, degree)
-            sv = np.linalg.svd(X, compute_uv=False)
-            cond_number = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-            if cond_number > 1e12:
-                raise np.linalg.LinAlgError(
-                    f"rank-deficient regression design at step {m}: cond = {cond_number:.3e}"
-                )
-        # p and q targets on the same design: one least-squares solve
+        # p and q targets on the same design: one least-squares solve, whose
+        # singular values give the design's condition number
         targets = np.stack([dec * p[:, m + 1] + om * inst.generator[m],
                             dec * p[:, m + 1] * ens.dW[:, m] / dt], axis=1)
-        coef, *_ = np.linalg.lstsq(X, targets, rcond=None)
+        coef, _, _, sv = np.linalg.lstsq(X, targets, rcond=None)
+        cond_number = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+        if cond_number > 1e12:
+            raise np.linalg.LinAlgError(
+                f"rank-deficient regression design at step {m}: cond = {cond_number:.3e}"
+            )
         p[:, m], q[:, m] = (X @ coef).T
     return {"p": p, "q": q, "mode": mode, "degree": degree}
 
@@ -249,21 +272,20 @@ def apriori_ratio(inst: BSDEInstance, sol: ClosedFormSolution, ens: BrownianEnse
 
     Time integrals treat the known exponential factors of the closed-form
     solution exactly within each step (the slowly-varying Brownian factors
-    are frozen at the left point); suprema use the grid max.
+    are frozen at the left point); suprema use the grid max.  Each pair of
+    integrals (plain and (T-t)^a-weighted) is one (paths, N) x (N, 2)
+    product, against A and then, squared in place, A^2.
     """
     grid = inst.grid
     alpha = inst.alpha
     kappa = inst.kappa
     if kappa <= 0:
         raise ValueError("the ratio is defined for kappa > 0")
-    W = ens.W
     c_, a_ = inst.terminal_const, inst.terminal_wt
-    damp = np.exp(-kappa * (grid.T - grid.t))
 
     # |p_t|^2 = e^{-2k(T-t)} A_t^2 + 2 e^{-k(T-t)} A_t G_t + G_t^2,
     # A_t = c + a W_t slowly varying, G_t the generator tail.
-    A = c_ + a_ * W                       # (paths, N+1)
-    G = sol.gen_tail                      # (N+1,)
+    G = sol.gen_tail[:-1]                 # (N,)
     w2 = _exp_power_step_integrals(2.0 * kappa, alpha, grid)
     w1 = _exp_power_step_integrals(kappa, alpha, grid)
     w0 = _exp_power_step_integrals(0.0, alpha, grid)
@@ -271,23 +293,24 @@ def apriori_ratio(inst: BSDEInstance, sol: ClosedFormSolution, ens: BrownianEnse
     w1f = _exp_power_step_integrals(kappa, 0.0, grid)
     w0f = np.full(grid.n_steps, grid.dt)
 
-    A2 = A[:, :-1] ** 2
-    AG = A[:, :-1] * G[None, :-1]
-    G2 = G[:-1] ** 2
-
-    def p_integral(wa, wb, wc):
-        val = A2 @ wa + 2.0 * (AG @ wb) + np.sum(G2 * wc)
-        return val  # per path
-
-    int_p2 = p_integral(w2f, w1f, w0f)
-    int_p2_w = p_integral(w2, w1, w0)
+    A = np.multiply(ens.W[:, :-1], a_)    # (paths, N)
+    A += c_
+    AG = A @ np.stack([G * w1f, G * w1], axis=1)       # (paths, 2): plain, weighted
+    np.square(A, out=A)
+    A2 = A @ np.stack([w2f, w2], axis=1)
+    G2 = G ** 2
+    int_p2 = A2[:, 0] + 2.0 * AG[:, 0] + np.sum(G2 * w0f)
+    int_p2_w = A2[:, 1] + 2.0 * AG[:, 1] + np.sum(G2 * w0)
+    del A
     # q_t = a e^{-k(T-t)} deterministic
     int_q2 = a_ ** 2 * float(np.sum(w2f))
     int_q2_w = a_ ** 2 * float(np.sum(w2))
 
-    p_vals = sol.p_values(ens)
-    sup_p2 = np.max(p_vals ** 2, axis=1)
-    sup_p2_w = np.max((grid.T - grid.t)[None, :] ** alpha * p_vals ** 2, axis=1)
+    p2 = sol.p_values(ens)
+    np.square(p2, out=p2)
+    sup_p2 = np.max(p2, axis=1)
+    p2 *= (grid.T - grid.t) ** alpha
+    sup_p2_w = np.max(p2, axis=1)
 
     lhs_paths = (sup_p2 + kappa * int_p2 + int_q2
                  + kappa ** alpha * sup_p2_w
@@ -309,9 +332,9 @@ def apriori_ratio(inst: BSDEInstance, sol: ClosedFormSolution, ens: BrownianEnse
 def lsmc_relative_error(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
                         mode: str = "later") -> float:
     """Time-averaged L2 relative error of the LSMC solve against the oracle."""
-    oracle = solve_bsde_closedform(inst)
-    approx = solve_bsde_lsmc(inst, ens, degree=degree, mode=mode)
-    p_ref = oracle.p_values(ens)
-    num = np.sqrt(np.mean((approx["p"] - p_ref) ** 2))
-    den = np.sqrt(np.mean(p_ref ** 2))
+    diff = solve_bsde_lsmc(inst, ens, degree=degree, mode=mode)["p"]
+    p_ref = solve_bsde_closedform(inst).p_values(ens)
+    diff -= p_ref
+    num = np.sqrt(np.mean(np.square(diff, out=diff)))
+    den = np.sqrt(np.mean(np.square(p_ref, out=p_ref)))
     return float(num / den)

@@ -596,9 +596,10 @@ def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
                        f"ratios {['%.3f' % x for x in ratios]}, spread {spread:.2f}"))
 
     mart_worst = 0.0
-    for inst in (BSDEInstance(grid, kappa=2.0, terminal_const=3.0),
-                 BSDEInstance(grid, kappa=2.0, terminal_wt=1.0),
-                 BSDEInstance(grid, kappa=2.0, generator=1.0)):
+    mart = (BSDEInstance(grid, kappa=2.0, terminal_const=3.0),
+            BSDEInstance(grid, kappa=2.0, terminal_wt=1.0),
+            BSDEInstance(grid, kappa=2.0, generator=1.0))
+    for inst in mart:
         sol = solve_bsde_closedform(inst)
         mc = martingale_check(sol.p_values(ens), sol.q_values(ens), inst.generator,
                               inst.kappa, ens)
@@ -621,7 +622,10 @@ def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
     tables = {"bsde": ResultTable("bsde", ["instance", "kappa", "alpha", "ratio"],
                                   rows, prov),
               "lsmc": ResultTable("lsmc", ["mode", "n_paths", "rel_err"], rows_l, prov)}
-    return ExperimentResult("bsde-check", tables, checks)
+    timing = {"paths": ens.n_paths, "steps": grid.n_steps,
+              "closed_form_instances": len(rows) + len(mart),
+              "lsmc": {"later": ens.n_paths, "now": [e_small.n_paths, e_big.n_paths]}}
+    return ExperimentResult("bsde-check", tables, checks, extras={"timing": timing})
 
 
 def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
@@ -647,9 +651,19 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     om = step_decay_weight(th, grid.dt)
     P0 = adj.first.P0[:, :, 0]
     G0 = adj.first.G0[:, :, 0]
-    resid = P0[:-1] - dec[None, :] * P0[1:] - om[None, :] * G0[:-1]
-    node_res = float(np.max(np.abs(resid)))
-    checks.append(("node_recursion_residual", node_res <= 1e-10, f"max {node_res:.3e}"))
+    resid = {"P0": P0[:-1] - dec[None, :] * P0[1:] - om[None, :] * G0[:-1]}
+    if adj.first.P1 is not None:
+        # affine path: the Z coefficient P1 has no generator, and Q0 = e^{-theta dt} P1 vol
+        P1 = adj.first.P1[:, :, 0]
+        resid["P1"] = P1[:-1] - dec[None, :] * P1[1:]
+        resid["Q0"] = (adj.first.Q0[:-1, :, 0]
+                       - dec[None, :] * P1[1:] * adj.first.Z.vol[:-1, None])
+    res = {part: float(np.max(np.abs(r))) for part, r in resid.items()}
+    node_res = max(res.values())
+    detail = f"max {node_res:.3e}"
+    if len(res) > 1:
+        detail += " (" + ", ".join(f"{part} {r:.3e}" for part, r in res.items()) + ")"
+    checks.append(("node_recursion_residual", node_res <= 1e-10, detail))
 
     K = th.size
     m_p = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 16))
@@ -731,12 +745,13 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     grid, xi = ens.grid, config.solver["xi"]
     checks = []
 
-    # the controls here are not the reference control, so their solves are not stages
+    # the controls here are not the reference control, so their solves are not
+    # stages; mp-check runs only on the deterministic solve path, which reads
+    # no state, so the first solve needs no simulation
     u0 = ControlPath.constant(0.0, grid, du=coeffs.du)
-    x0 = simulate_sve(coeffs, u0, kern, xi, ens)
-    adj0 = assemble_adjoints(coeffs, u0, x0, kern, ens, tol=PICARD_TOL)
+    adj0 = assemble_adjoints(coeffs, u0, None, kern, ens, tol=PICARD_TOL)
     u_hat = construct_argmax_control(coeffs, adj0, grid)
-    del x0, adj0      # each adjoint is dropped once used: three alive at once set the RSS peak
+    del adj0      # each adjoint is dropped once used: three alive at once set the RSS peak
     x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
     adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=PICARD_TOL)
     rep = check_variational_inequality(coeffs, u_hat, adj, coeffs.control_domain.points,

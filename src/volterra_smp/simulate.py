@@ -34,6 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,11 +53,13 @@ class BrownianEnsemble:
     seed: int
     dW: np.ndarray  # (paths, n_steps)
 
-    @property
+    @cached_property
     def W(self) -> np.ndarray:
-        """Brownian paths at grid nodes, (paths, n_steps + 1), W_0 = 0."""
+        """Brownian paths at grid nodes, (paths, n_steps + 1), W_0 = 0; one
+        cumulative sum per ensemble, read-only."""
         out = np.zeros((self.n_paths, self.grid.n_steps + 1))
         np.cumsum(self.dW, axis=1, out=out[:, 1:])
+        out.flags.writeable = False
         return out
 
     def first_paths(self, n_paths: int) -> "BrownianEnsemble":

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bsde_oracles
 from volterra_smp.bsde import (BSDEInstance, apriori_ratio, lsmc_relative_error,
                                martingale_check, solve_bsde_closedform, solve_bsde_lsmc)
 from volterra_smp.grids import TimeGrid
-from volterra_smp.simulate import sample_brownian
+from volterra_smp.simulate import BrownianEnsemble, sample_brownian
 
 
 def test_constant_terminal_closed_form(grid):
@@ -105,6 +108,81 @@ def test_apriori_scale_invariance(c, kappa):
     r1 = apriori_ratio(base, solve_bsde_closedform(base), e)["ratio"]
     r2 = apriori_ratio(scaled, solve_bsde_closedform(scaled), e)["ratio"]
     assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def test_lsmc_now_rank_deficient_design_raises():
+    # W varies across paths (so the design has a slope column) but only by
+    # ~1e-13: the design [1, W_3] has condition number ~1e13
+    grid = TimeGrid(1.0, 4)
+    dW = 1e-13 * np.random.default_rng(0).standard_normal((50, 4))
+    ens = BrownianEnsemble(grid=grid, n_paths=50, seed=0, dW=dW)
+    inst = BSDEInstance(grid, kappa=1.0, terminal_wt=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient regression design at step 3"):
+        solve_bsde_lsmc(inst, ens, degree=1, mode="now")
+
+
+def _scaled_dev(new, ref):
+    """Largest deviation relative to the largest magnitude of the reference."""
+    scale = float(np.max(np.abs(ref)))
+    dev = float(np.max(np.abs(new - ref)))
+    return dev if scale == 0.0 else dev / scale
+
+
+def _same_bytes(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_kappa=st.floats(-2.0, 4.0), alpha=st.floats(0.0, 0.9),
+       c=st.floats(-10.0, 10.0), a=st.floats(-10.0, 10.0),
+       n_steps=st.integers(4, 300), n_paths=st.integers(1, 3000),
+       degree=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+def test_bsde_checks_match_oracles(log_kappa, alpha, c, a, n_steps, n_paths, degree, seed):
+    """The module against the per-table forms of ``bsde_oracles``.
+
+    Unchanged arithmetic, equal bytes: ``martingale_check`` (every output),
+    ``solve_bsde_lsmc`` in mode "now", and the data bracket ``rhs`` of
+    ``apriori_ratio``.  Reassociated sums, within 1e-13 relative:
+    ``apriori_ratio``'s ``lhs`` and ``ratio`` (the integrals take G times a
+    weight as one product), and ``solve_bsde_lsmc``'s mode "later" p and q
+    relative to their largest magnitude (each is one polynomial in W_m, not
+    the discounted conditional polynomial plus the generator step).
+    """
+    grid = TimeGrid(1.0, n_steps)
+    gen = np.random.default_rng(seed).uniform(-2.0, 2.0, n_steps + 1)
+    inst = BSDEInstance(grid, kappa=10.0 ** log_kappa, alpha=alpha, terminal_const=c,
+                        terminal_wt=a, generator=gen)
+    ens = sample_brownian(grid, n_paths, seed)
+    sol = solve_bsde_closedform(inst)
+
+    got, ref = apriori_ratio(inst, sol, ens), bsde_oracles.apriori_ratio(inst, sol, ens)
+    assert got["trivial"] == ref["trivial"] and _same_bytes(got["rhs"], ref["rhs"])
+    for key in ("lhs", "ratio"):
+        assert got[key] == pytest.approx(ref[key], rel=1e-13, abs=0.0)
+
+    later = solve_bsde_lsmc(inst, ens, degree=degree, mode="later")
+    later_ref = bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="later")
+    assert _same_bytes(later["p"][:, -1], later_ref["p"][:, -1])
+    assert _scaled_dev(later["p"], later_ref["p"]) <= 1e-13
+    assert _scaled_dev(later["q"], later_ref["q"]) <= 1e-13
+
+    try:
+        now = solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc).split(":")[0]):
+            bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
+    else:
+        now_ref = bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
+        assert _same_bytes(now["p"], now_ref["p"]) and _same_bytes(now["q"], now_ref["q"])
+
+    pairs = [(sol.p_values(ens), sol.q_values(ens)), (sol.det, sol.q),
+             (later["p"], later["q"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # one path: no standard error
+        for p, q in pairs:
+            got = martingale_check(p, q, inst.generator, inst.kappa, ens)
+            ref = bsde_oracles.martingale_check(p, q, inst.generator, inst.kappa, ens)
+            assert all(_same_bytes(got[k], ref[k]) for k in ref)
 
 
 def test_instance_validation(grid):

@@ -234,6 +234,34 @@ def test_cli_has_no_bsde_check_flags(tmp_path, capsys, flag):
     assert "Traceback" not in err
 
 
+def test_node_recursion_check_covers_the_affine_z_coefficient():
+    cfg = resolve_config({**SMALL, "grid": {"n_paths": 64, "n_steps": 16},
+                          "kernel": {"n_nodes": 4}, "problem": {"name": "state_free_quadratic"}})
+
+    def node_check():
+        res = harness.RUNNERS["adjoint"](cfg)
+        return next((ok, d) for n, ok, d in res.checks if n == "node_recursion_residual")
+
+    ok, detail = node_check()
+    assert ok and "P1" in detail and "Q0" in detail
+    adj = cfg.stage("adjoints")
+    assert adj.solve_path == "affine"
+    adj.first.P1[3] *= 1.0 + 1e-6   # breaks P1's recursion and Q0's link to it
+    ok, detail = node_check()
+    assert not ok and "P0 0.000e+00" in detail
+
+
+def test_cli_bsde_check_records_its_sizes(tmp_path, capsys):
+    code, out = _cli(tmp_path, "bsde-check", {**SMALL, "grid": {"n_paths": 40, "n_steps": 16}})
+    stdout, err = capsys.readouterr()
+    assert code in (0, 1) and "bsde-check/" in stdout
+    assert "Traceback" not in stdout + err
+    rec = json.loads((out / "timings.json").read_text())["bsde-check"]
+    assert rec["paths"] == 40 and rec["steps"] == 16
+    assert rec["closed_form_instances"] == 13
+    assert rec["lsmc"] == {"later": 40, "now": [10, 40]}
+
+
 # regular kernel, so bsvie-check applies; 256 steps keep four spike widths for rates
 MEMO = {"grid": {"n_paths": 96, "n_steps": 256}, "kernel": {"family": "constant", "alpha": 0.0},
         "seed": 5}

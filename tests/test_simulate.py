@@ -69,6 +69,31 @@ def test_first_paths_is_a_fresh_smaller_sample(grid):
         big.first_paths(101)
 
 
+def test_brownian_paths_built_once_read_only_and_prefix_exact(grid, monkeypatch):
+    e = sample_brownian(grid, 203, 11)
+    calls = []
+    real = np.cumsum
+
+    def counting(a, *args, **kw):
+        if np.shares_memory(a, e.dW):
+            calls.append(1)
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    W = e.W
+    assert e.W is W and e.W is W
+    assert len(calls) == 1
+    monkeypatch.undo()
+    fresh = np.zeros((203, grid.n_steps + 1))
+    fresh[:, 1:] = np.cumsum(e.dW, axis=1)
+    assert W.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        W[0, 1] = 1.0
+    for n in (1, 7, 64, 131, 203):
+        head = e.first_paths(n)
+        assert head.W is not W and head.W.tobytes() == W[:n].tobytes()
+
+
 def test_time_grid_nodes_built_once_and_read_only():
     g = TimeGrid(2.0, 8)
     assert g.t is g.t
