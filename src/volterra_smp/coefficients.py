@@ -22,6 +22,11 @@ from .grids import TimeGrid
 from .rng import scalar_rng
 
 
+class SelfTestError(ValueError):
+    """A coefficient set whose evaluators disagree with their derivatives or
+    with its structural tags."""
+
+
 @dataclass(frozen=True)
 class StructuralTags:
     """Declared structure used to dispatch adjoint solve paths."""
@@ -32,6 +37,16 @@ class StructuralTags:
     sigma_control_free: bool = False  # sigma independent of u
     f_state_degree: int = 2           # 0: x-free, 1: linear in x, 2: quadratic in x
     h_degree: int = 2                 # 1: linear terminal cost, 2: quadratic
+
+    def state_free_evaluators(self) -> tuple:
+        """Names of the running evaluators these tags make independent of x,
+        so that ``coeff_tables`` gives their exact values along a control."""
+        names = ("b", "sigma") if self.state_free else ()
+        if self.linear_in_state or self.state_free:
+            names += ("b_x", "sigma_x", "b_xx", "sigma_xx")
+        names += ("f",) if self.f_state_degree <= 0 else ()
+        names += ("f_x",) if self.f_state_degree <= 1 else ()
+        return names + (("f_xx",) if self.f_state_degree <= 2 else ())
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,11 @@ class CoefficientSet:
     name: str = "custom"
 
     def self_test(self, seed: int = 7, n_points: int = 16, rel_tol: float = 1e-6) -> None:
-        """Check derivative evaluators against central finite differences."""
+        """Check derivative evaluators against central finite differences, and
+        the tags: each evaluator they call state-free takes one value at two
+        different states, and under ``linear_in_state`` (or ``state_free``)
+        b_xx and sigma_xx vanish.  Raises ``SelfTestError`` naming the
+        evaluator."""
         rng = scalar_rng(seed, tag=101)
         n, du = self.dim, self.du
         t = rng.uniform(0.0, 1.0)
@@ -106,7 +125,20 @@ class CoefficientSet:
             scale = np.maximum(np.max(np.abs(exact)), 1.0)
             err = np.max(np.abs(approx - exact)) / scale
             if err > rel_tol:
-                raise ValueError(f"derivative self-test failed for {label}: rel err {err:.3e}")
+                raise SelfTestError(f"derivative self-test failed for {label}: "
+                                    f"rel err {err:.3e}")
+
+        x_far = x + rng.normal(size=x.shape) + 1.0
+        for label in self.tags.state_free_evaluators():
+            fn = getattr(self, label)
+            here, there = fn(t, u, x), fn(t, u, x_far)
+            err = np.max(np.abs(here - there)) / np.maximum(np.max(np.abs(here)), 1.0)
+            if err > rel_tol:
+                raise SelfTestError(f"tag self-test failed for {label}: the tags make it "
+                                    f"state-free, but it moves with x (rel {err:.3e})")
+            if label in ("b_xx", "sigma_xx") and np.max(np.abs(here)) > rel_tol:
+                raise SelfTestError(f"tag self-test failed for {label}: the tags make it "
+                                    f"vanish, but it reads {np.max(np.abs(here)):.3e}")
 
 
 @dataclass(frozen=True)

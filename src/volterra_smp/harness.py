@@ -30,7 +30,7 @@ from .bsee import PicardError, assemble_adjoints, choose_solve_path
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
-from .coefficients import PROBLEMS, ControlPath, make_problem
+from .coefficients import PROBLEMS, ControlPath, SelfTestError, make_problem
 from .grids import TimeGrid
 from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel,
                       knorm_eps, quadrature_error, step_decay_weight)
@@ -334,14 +334,13 @@ class ResultTable:
         header = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
         header.append(",".join(self.columns))
         specs = [_column_spec(col) for col in self.data]
-        row = ",".join(spec for spec, _ in specs)
         n_rows = len(self.data[0]) if self.data else 0
         with Path(path).open("w") as fh:
             fh.write("\n".join(header) + "\n")
             for lo in range(0, n_rows, 4096):   # formatted cells live one block at a time
-                cells = [_values(col[lo:lo + 4096]) for col in self.data]
-                cells = [c if pre is None else list(map(pre, c))
-                         for (_, pre), c in zip(specs, cells)]
+                blocks = [_cells(col[lo:lo + 4096], *spec) for col, spec in zip(self.data, specs)]
+                row = ",".join(spec for spec, _ in blocks)
+                cells = [c for _, c in blocks]
                 text = "\n".join([row] * len(cells[0])) + "\n"
                 fh.write(text % tuple(chain.from_iterable(zip(*cells))))
 
@@ -349,6 +348,24 @@ class ResultTable:
 def _values(col):
     """A column block as Python values: numpy scalars format slower."""
     return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _cells(col, spec: str, pre) -> tuple:
+    """A column block's %-spec and its cells for it.  A float or bool array
+    that repeats values (at most half of them distinct) is formatted once per
+    distinct bit pattern, so -0.0 and each NaN keep their own text, and its
+    cells are those texts under "%s".  Integers format about as fast as
+    their texts index, so they are formatted directly."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "bf":
+        bits, inverse = np.unique(col.view(f"u{col.dtype.itemsize}"), return_inverse=True)
+        if 2 * len(bits) <= len(col):
+            values = _values(bits.view(col.dtype))
+            if pre is not None:
+                values = list(map(pre, values))
+            texts = ("\n".join([spec] * len(values)) % tuple(values)).split("\n")
+            return "%s", [texts[i] for i in inverse.tolist()]
+    values = _values(col)
+    return spec, values if pre is None else list(map(pre, values))
 
 
 def _column_spec(col) -> tuple:
@@ -569,7 +586,8 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                        f"slope {dj_fit['eps_slope']:.3f} (se {dj_fit['se_slope']:.3f})"))
     lift = {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
             "processes": 1 + 3 * len(res["bundles"])}
-    return ExperimentResult("rates", tables, checks, extras={"timing": {"lift": lift}})
+    timing = {"lift": lift, "tabulated": list(res["bundles"][0].tabulated)}
+    return ExperimentResult("rates", tables, checks, extras={"timing": timing})
 
 
 def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
@@ -735,7 +753,7 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     timing = {"lift": {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
                        "processes": 4},
               "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)},
-              "pair_terms": res["pair_terms"]}
+              "pair_terms": res["pair_terms"], "tabulated": list(res["bundle"].tabulated)}
     return ExperimentResult("duality", tables, checks, extras={"timing": timing})
 
 
@@ -872,7 +890,8 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
 
 
 def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
-    """One experiment: skipped with the reason where it does not apply, and a
+    """One experiment: skipped with the reason where it does not apply, a
+    failed ``problem`` check when the coefficients fail their self-test, and a
     failed ``solver`` check when a solve does not contract, goes non-finite or
     cannot allocate its arrays.  Its timing records each stage it read, built
     or taken from the config's memo."""
@@ -883,6 +902,8 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     with lift_tally() as tally, _stage_log() as stages:
         try:
             res = RUNNERS[name](config)
+        except SelfTestError as exc:
+            res = ExperimentResult(name, {}, [("problem", False, f"SelfTestError: {exc}")])
         except (PicardError, FloatingPointError, MemoryError) as exc:
             res = ExperimentResult(name, {}, [("solver", False, f"{type(exc).__name__}: {exc}")])
     timing = res.extras.setdefault("timing", {})

@@ -178,9 +178,10 @@ def discounted_sweep(rates, dt: float, terminal, gen: np.ndarray) -> np.ndarray:
     dec = np.exp(-rates * dt).reshape(rates.shape + tail)
     om = step_decay_weight(rates, dt).reshape(rates.shape + tail)
     out = np.empty(gen.shape)
+    np.multiply(om, gen[:-1], out=out[:-1])   # every omega(rate) gen_m in one call
     out[-1] = terminal
     for m in range(gen.shape[0] - 2, -1, -1):
-        out[m] = dec * out[m + 1] + om * gen[m]
+        out[m] += dec * out[m + 1]            # omega(rate) gen_m + e^{-rate dt} p_{m+1}
     return out
 
 

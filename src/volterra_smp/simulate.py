@@ -210,7 +210,7 @@ class LiftStep:
             self._end_block(G)
         else:
             X = self.rho[:G, :n]
-            np.einsum("cr,grp->gcp", self.lags[i], self.drive[:G, :2 * n * (i + 1)], out=X)
+            np.matmul(self.lags[i], self.drive[:G, :2 * n * (i + 1)], out=X)
             X += self.rho[:G, n * (i + 1):n * (i + 2)]
         self.m = m + 1
         X = self.x[:G]

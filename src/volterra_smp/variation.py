@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath
+from .coefficients import CoefficientSet, ControlPath, coeff_tables
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, knorm_eps
 from .simulate import BrownianEnsemble, LiftStep, _xi_table
@@ -59,16 +59,13 @@ class VariationBundle:
     cost_increment: np.ndarray  # per-path J(u^eps) - J(u_hat) sample
     terminal: dict = field(default_factory=dict)  # per-path terminal values
     tables: dict = field(default_factory=dict)    # full paths when stored
+    tabulated: tuple = ()       # evaluators read from coeff_tables, not per step
 
     def j12(self) -> tuple[float, float]:
         return mc_mean_se(self.j12_terms)
 
     def delta_j12(self) -> tuple[float, float]:
         return mc_mean_se(self.cost_increment - self.j12_terms)
-
-
-def _coeff_eval(coeffs, t, u, x, names="b sigma b_x sigma_x b_xx sigma_xx f f_x f_xx"):
-    return {name: getattr(coeffs, name)(t, u, x) for name in names.split()}
 
 
 def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
@@ -84,6 +81,13 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     slots.  The reference derivatives are evaluated once per step for all
     spikes.  The spikes share one value ``v``.
 
+    Every evaluator the structural tags make state-free is read from one
+    ``coeff_tables`` call per control (u_hat and v), after
+    ``CoefficientSet.self_test`` has checked the tags; only the others are
+    evaluated per step, and each bundle's ``tabulated`` names the tabulated
+    ones.  A Hessian term whose tabulated Hessian is zero along u_hat would
+    add exact zeros and is skipped.
+
     ``observer(m, Y1, Y2, forcings, cv)`` sees the first spike before each
     advance at j_start <= m < N (before, X1 = X2 = 0): its lift states from
     ``LiftStep.state``, its (P,) forcings (F1b, F1s, F2b, F2s) in the drive
@@ -98,10 +102,31 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     N, dt, P, S = grid.n_steps, grid.dt, ens.n_paths, len(spikes)
     if u_hat.n_steps != N or v.n_steps != N:
         raise ValueError("control tables must live on the simulation grid")
+    if not (u_hat.deterministic and v.deterministic):
+        raise ValueError("the co-simulation needs deterministic control tables")
     win = np.array([sp.window(grid) for sp in spikes])  # (S, 2)
     j_start = int(win[:, 0].min())
     xi_tab = _xi_table(xi, grid, 1)[:, 0]
     du = v.values.shape[-1]
+
+    # name -> its tables along (u_hat, v); rows lack the path axis, so every
+    # read below indexes the trailing axes only.  The self-test checks the
+    # tags the tables rest on.
+    coeffs.self_test()
+    tabulated = coeffs.tags.state_free_evaluators()
+    tabs = dict(zip(tabulated, zip(coeff_tables(coeffs, u_hat, grid, tabulated),
+                                   coeff_tables(coeffs, v, grid, tabulated))))
+
+    def at(m, names, x, along=0):
+        """The evaluators ``names`` at step m along u_hat (0) or v (1), at x."""
+        u = (u_hat, v)[along].at(m)
+        return {name: tabs[name][along][m] if name in tabs
+                else getattr(coeffs, name)(m * dt, u, x) for name in names}
+
+    hessians = tuple(name for name in ("b_xx", "sigma_xx", "f_xx")
+                     if name not in tabs or np.any(tabs[name][0]))
+    at_hat = ("b", "sigma", "b_x", "sigma_x", "f", "f_x") + hessians
+    spiked_evaluated = [name for name in ("b", "sigma", "f") if name not in tabs]
 
     G = 1 + 3 * S
     lift = LiftStep(kernel, dt, ens.dW, G)
@@ -109,56 +134,74 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     X[0] = xi_tab[0]
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
 
-    # dX, X1, dX1, X2, dX12 in NORM_KEYS order, squared in place once stored.
-    # Nothing reads them before the next step's advance, so until then their
-    # rows are that step's scratch: the loop allocates no (S, P) products.
+    # dX, X1, dX1, X2, dX12 in NORM_KEYS order.  Nothing reads them before the
+    # next step's advance, so until then their rows are that step's scratch:
+    # the loop allocates no (S, P) products.
     diffs = np.empty((len(NORM_KEYS), S, P))
     work, xe = diffs[:2], diffs[4]
-    sup_mom = np.zeros((len(NORM_KEYS), S))
+    sup_sq = np.zeros((len(NORM_KEYS), S))   # sup over steps of the path sums of diffs^2
+    sq = np.empty_like(sup_sq)
     j12_run = np.zeros((S, P))   # running f-expansion integral
     dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
     delta_f = np.zeros((S, P))   # running spike integral of delta f
     tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
     for m in range(j_start):
-        ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
+        ch = at(m, ("b", "sigma"), xh[:, None])
         Fb, Fs = (f[:, 0] for f in lift.drives())
-        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+        Fb[0], Fs[0] = ch["b"][..., 0], ch["sigma"][..., 0]
         lift.advance(1)
         xh += xi_tab[m + 1]
     lift.fork(0, slice(1, 1 + S))   # X^eps = X_hat here, X1 = X2 = 0
 
+    def spiked(name):
+        """Evaluator ``name`` at the S spiked states of the current step, (S, P)
+        or, tabulated, (S, 1)."""
+        if name in tabs:
+            return np.where(active[:, None], tabs[name][1][m], tabs[name][0][m])
+        return getattr(coeffs, name)(t, ue, xe_col).reshape(S, P)
+
+    ue_key = None
     for m in range(j_start, N):
-        t, u_h = m * dt, u_hat.at(m)
+        t, u_h, v_m = m * dt, u_hat.at(m), v.at(m)
         active = (win[:, 0] <= m) & (m < win[:, 1])
-        ch = _coeff_eval(coeffs, t, u_h, xh[:, None])
-        bxh, sxh = ch["b_x"][:, 0, 0], ch["sigma_x"][:, 0, 0]
+        ch = at(m, at_hat, xh[:, None])
+        bxh, sxh = ch["b_x"][..., 0, 0], ch["sigma_x"][..., 0, 0]
         # forcings go straight into the lift's drive slots for this step
         Fb, Fs = (f[:, 0] for f in lift.drives())
         F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
-        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+        Fb[0], Fs[0] = ch["b"][..., 0], ch["sigma"][..., 0]
 
-        # spiked state forcing (full nonlinear coefficients at X^eps)
-        ue = np.where(active[:, None, None], np.broadcast_to(v.at(m), (P, du)),
-                      np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
-        np.copyto(xe, Xe)
-        xe_col = xe.reshape(S * P, 1)
-        Fb[1:1 + S] = coeffs.b(t, ue, xe_col).reshape(S, P)
-        Fs[1:1 + S] = coeffs.sigma(t, ue, xe_col).reshape(S, P)
+        # spiked state forcing (full nonlinear coefficients at X^eps); the
+        # control rows change only with the active windows and the controls,
+        # and off every window they are u_hat's one value
+        if spiked_evaluated:
+            key = (active.tobytes(), u_h.tobytes(), v_m.tobytes())
+            if key != ue_key:
+                ue_key = key
+                ue = u_h if not active.any() else np.where(
+                    active[:, None, None], np.broadcast_to(v_m, (P, du)),
+                    np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
+            np.copyto(xe, Xe)
+            xe_col = xe.reshape(S * P, 1)
+
+        Fb[1:1 + S] = spiked("b")
+        Fs[1:1 + S] = spiked("sigma")
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
         np.multiply(bxh, X1, out=F1b)
         np.multiply(sxh, X1, out=F1s)
-        for F2, d1, d2 in ((F2b, bxh, ch["b_xx"]), (F2s, sxh, ch["sigma_xx"])):
+        for F2, d1, d2 in ((F2b, bxh, "b_xx"), (F2s, sxh, "sigma_xx")):
             np.multiply(d1, X2, out=F2)                          # d1 X2 + (d2 / 2) X1 X1
-            np.multiply(0.5 * d2[:, 0, 0, 0], X1, out=work[0])
-            work[0] *= X1
-            F2 += work[0]
+            if d2 in hessians:
+                np.multiply(0.5 * ch[d2][..., 0, 0, 0], X1, out=work[0])
+                work[0] *= X1
+                F2 += work[0]
         cv = {}
         if active.any():
-            cv = _coeff_eval(coeffs, t, v.at(m), xh[:, None], "b sigma b_x sigma_x f")
-            cv = {"db": cv["b"][:, 0] - Fb[0], "ds": cv["sigma"][:, 0] - Fs[0],
-                  "dbx": cv["b_x"][:, 0, 0] - bxh, "dsx": cv["sigma_x"][:, 0, 0] - sxh,
+            cv = at(m, ("b", "sigma", "b_x", "sigma_x", "f"), xh[:, None], along=1)
+            cv = {"db": cv["b"][..., 0] - Fb[0], "ds": cv["sigma"][..., 0] - Fs[0],
+                  "dbx": cv["b_x"][..., 0, 0] - bxh, "dsx": cv["sigma_x"][..., 0, 0] - sxh,
                   "df": cv["f"] - ch["f"]}
             F1b[active] += cv["db"]
             F1s[active] += cv["ds"]
@@ -172,13 +215,14 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         # running cost pieces (left-point rule)
         # j12_run += (f_x (X1 + X2) + (f_xx / 2) X1 X1) dt, in that operation order
         np.add(X1, X2, out=work[0])
-        work[0] *= ch["f_x"][:, 0]
-        np.multiply(0.5 * ch["f_xx"][:, 0, 0], X1, out=work[1])
-        work[1] *= X1
-        work[0] += work[1]
+        work[0] *= ch["f_x"][..., 0]
+        if "f_xx" in hessians:
+            np.multiply(0.5 * ch["f_xx"][..., 0, 0], X1, out=work[1])
+            work[1] *= X1
+            work[0] += work[1]
         work[0] *= dt
         j12_run += work[0]
-        np.subtract(coeffs.f(t, ue, xe_col).reshape(S, P), ch["f"], out=work[0])
+        np.subtract(spiked("f"), ch["f"], out=work[0])
         work[0] *= dt
         dcost_f += work[0]
 
@@ -190,8 +234,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         np.subtract(diffs[2], X2, out=diffs[4])
         if store:
             tables[..., m + 1] = diffs
-        np.square(diffs, out=diffs)
-        np.maximum(sup_mom, np.mean(diffs, axis=2), out=sup_mom)
+        np.einsum("ksp,ksp->ks", diffs, diffs, out=sq)
+        np.maximum(sup_sq, sq, out=sup_sq)
     # keep the final states and drop the lift: its buffers need not be held
     # while the bundles are built
     X = X.copy()
@@ -203,12 +247,15 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     hxx = coeffs.h_xx(xT)[:, 0, 0]
     j12_terms = hx * (X1 + X2) + 0.5 * hxx * X1 * X1 + j12_run + delta_f
     cost_inc = coeffs.h(Xe.reshape(S * P, 1)).reshape(S, P) - coeffs.h(xT) + dcost_f
+    # the sup of the means is the mean of the sup: dividing by P is monotone
+    sup_mom = sup_sq / P
     return [VariationBundle(
         spike=sp, eps_snapped=(j1 - j0) * dt,
         norms={k: float(sup_mom[i, s]) ** 0.5 for i, k in enumerate(NORM_KEYS)},
         j12_terms=j12_terms[s], cost_increment=cost_inc[s],
         terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xhat_T": xh.copy()},
         tables={} if tables is None else dict(zip(NORM_KEYS, tables[:, s])),
+        tabulated=tabulated,
     ) for s, (sp, (j0, j1)) in enumerate(zip(spikes, win))]
 
 
@@ -238,7 +285,6 @@ def remainder_rates(
             "every spike width must span at least 4 grid steps; refine the "
             "time grid or drop the smallest eps values"
         )
-    coeffs.self_test()
     spikes = [SpikeSpec(tau=tau, eps=float(eps), v=v) for eps in eps_arr]
     bundles = _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens)
 

@@ -1,11 +1,13 @@
 import inspect
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import coefficients_oracles
 
-from volterra_smp.coefficients import PROBLEMS, ControlPath, coeff_tables, make_problem
+from volterra_smp.coefficients import (PROBLEMS, ControlPath, SelfTestError, StructuralTags,
+                                      _scalar_problem, coeff_tables, make_problem)
 from volterra_smp.grids import TimeGrid
 
 EVALUATORS = ("b", "sigma", "f", "b_x", "sigma_x", "f_x", "b_xx", "sigma_xx", "f_xx")
@@ -55,3 +57,33 @@ def test_evaluators_equal_the_broadcasting_wrappers_byte_for_byte(name, seed, ro
         got, want = getattr(lean, fn_name)(*args), getattr(oracle, fn_name)(*args)
         assert (got.shape, got.dtype) == (want.shape, want.dtype), fn_name
         assert got.tobytes() == want.tobytes(), fn_name
+
+
+def mis_tagged(case: str):
+    """A scalar set whose evaluators agree with their derivatives but not with
+    its tags: "b_x" is tagged linear_in_state with b = x + x^3, "b_xx" has a
+    nonzero Hessian under linear_in_state, "b" is tagged state_free with
+    b = x, "f_x" is tagged f_state_degree 1 with f = x^2."""
+    zero = lambda t, u, x: 0.0
+    b, b_x, b_xx = (lambda t, u, x: u + x + x ** 3, lambda t, u, x: 1.0 + 3.0 * x * x,
+                    lambda t, u, x: 6.0 * x)
+    f, f_x, f_xx = lambda t, u, x: u * u, zero, zero
+    tags = StructuralTags(linear_in_state=True)
+    if case == "b_xx":
+        b, b_x, b_xx = lambda t, u, x: u + x, lambda t, u, x: 1.0, lambda t, u, x: 0.5
+    elif case == "b":
+        b, b_x, b_xx = lambda t, u, x: u + x, lambda t, u, x: 1.0, zero
+        tags = StructuralTags(state_free=True)
+    elif case == "f_x":
+        b, b_x, b_xx = lambda t, u, x: u + x, lambda t, u, x: 1.0, zero
+        f, f_x, f_xx = lambda t, u, x: x * x, lambda t, u, x: 2.0 * x, lambda t, u, x: 2.0
+        tags = StructuralTags(linear_in_state=True, f_state_degree=1)
+    return _scalar_problem(f"mis_tagged_{case}", b, lambda t, u, x: 0.2 + 0.0 * x, f,
+                           lambda x: 0.0 * x, b_x, zero, f_x, lambda x: 0.0, b_xx, zero,
+                           f_xx, lambda x: 0.0, (0.0, 1.0), tags, 1.0)
+
+
+@pytest.mark.parametrize("case", ["b_x", "b_xx", "b", "f_x"])
+def test_self_test_fails_closed_on_wrong_tags(case):
+    with pytest.raises(SelfTestError, match=f"tag self-test failed for {case}:"):
+        mis_tagged(case).self_test()

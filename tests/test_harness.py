@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -469,6 +470,8 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
     assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13,
                                         "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
     assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
+    # lq_linear_cost: linear dynamics and a running cost linear in x
+    assert timings["rates"]["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
 
 
 def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
@@ -491,6 +494,20 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
     # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
     assert record["pair_terms"] == "none"
+    assert record["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
+
+
+@pytest.mark.parametrize("exp", ["rates", "simulate"])
+def test_mis_tagged_problem_is_a_failed_check(exp):
+    # a linear_in_state tag on a drift whose b_x moves with x: every reader of
+    # the coefficients fails closed before it builds a table
+    from test_coefficients import mis_tagged
+    cfg = resolve_config({"grid": {"n_paths": 64, "n_steps": 128},
+                          "spike": {"eps_list": [0.25, 0.125, 0.0625, 0.03125]}})
+    cfg.stages["problem"] = mis_tagged("b_x")
+    (line,) = run_experiment(exp, cfg)[exp].summary_lines()
+    assert line.startswith(f"[FAIL] {exp}/problem: SelfTestError: tag self-test failed for "
+                           "b_x: the tags make it state-free, but it moves with x")
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -577,6 +594,62 @@ def test_to_csv_of_numpy_columns_across_blocks(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
+def _nan_with_payload(dtype):
+    nan = np.array([np.nan], dtype=dtype)
+    return (nan.view(f"u{nan.itemsize}") | 1).view(dtype)[0]
+
+
+# small pools, so that blocks repeat values: signed zeros, NaNs of two bit
+# patterns and infinities next to ordinary values
+_REPEAT_POOLS = {
+    "f8": [0.0, -0.0, np.nan, _nan_with_payload("f8"), np.inf, -np.inf, 0.1, 1e-300, -2.5],
+    "f4": [np.float32(v) for v in (0.0, -0.0, np.nan, np.inf, 0.1, -2.5)]
+          + [_nan_with_payload("f4")],
+    "i8": [0, -3, 7, 10 ** 15],
+    "?": [True, False],
+    "mixed": [True, np.bool_(False), 0.0, -0.0, float("nan"), 3, np.int64(-4), "x",
+              np.float64(0.1), np.float32(0.1)],
+}
+
+
+@st.composite
+def _repeating_tables(draw):
+    width, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    data = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(sorted(_REPEAT_POOLS)))
+        pool = draw(st.lists(st.sampled_from(_REPEAT_POOLS[kind]), min_size=1, max_size=4))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        data.append(values if kind == "mixed" else np.array(values, dtype=kind))
+    return ResultTable("t", [f"c{i}" for i in range(width)], provenance={"seed": 3},
+                       data=data)
+
+
+def _same_as_both_oracles(table, folder) -> bool:
+    harness_oracles.to_csv_by_column(table, folder / "by_column.csv")
+    return (_same_csv(table, folder)
+            and (folder / "new.csv").read_bytes() == (folder / "by_column.csv").read_bytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_repeating_tables())
+def test_to_csv_of_repeating_columns_matches_both_oracles(tmp_path_factory, table):
+    assert _same_as_both_oracles(table, tmp_path_factory.mktemp("csv"))
+
+
+def test_to_csv_indexes_repeats_across_blocks_as_the_oracles(tmp_path):
+    # a states-like table: a path column, a grid column tiled per path, then
+    # columns whose blocks repeat only in part, and signed zeros and NaNs
+    i = np.arange(9001)
+    grid = np.linspace(0.0, 1.0, 257)
+    special = np.where(i % 5 == 0, -0.0, np.where(i % 7 == 0, np.nan, 0.0))
+    special[i % 11 == 0] = _nan_with_payload("f8")
+    data = [i // 257, np.tile(grid, 36)[:9001], special, i % 3 == 0,
+            np.where(i < 4096 + 3000, i % 2 * 0.5, i / 7.0), (i % 4).astype(np.float32)]
+    table = ResultTable("t", [f"c{k}" for k in range(len(data))], provenance={}, data=data)
+    assert _same_as_both_oracles(table, tmp_path)
+
+
 def test_to_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="every row needs 2 values"):
         ResultTable("t", ["a", "b"], [(1, 2), (3,)], {}).to_csv(tmp_path / "t.csv")
@@ -595,6 +668,34 @@ def test_output_digest_lists_every_output_but_the_timings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{hashlib.sha256(files[n]).hexdigest()}  {n}"
                                         for n in sorted(files)]
+
+
+def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
+    script = Path(harness.__file__).resolve().parents[2] / "scripts" / "output_digest.py"
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(script), *map(str, args)],
+                              capture_output=True, text=True)
+
+    for side, files in (("a", {"same.csv": "1\n", "moved.csv": "0.1\n", "gone.json": "{}",
+                               "cfg/timings.json": '{"wall_s": 1.0}'}),
+                        ("b", {"same.csv": "1\n", "moved.csv": "0.10000000000000001\n",
+                               "cfg/new.csv": "x\n", "cfg/timings.json": '{"wall_s": 2.0}'})):
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    proc = run(tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["only in B  cfg/new.csv", "only in A  gone.json",
+                                        "differs  moved.csv"]
+    # a tree against itself, and against a copy that differs only in its timings
+    shutil.copytree(tmp_path / "a", tmp_path / "c")
+    (tmp_path / "c" / "cfg" / "timings.json").write_text('{"wall_s": 4.0}')
+    for other in ("a", "c"):
+        proc = run(tmp_path / "a", tmp_path / other)
+        assert (proc.returncode, proc.stdout) == (0, "")
+    assert run(tmp_path / "a", tmp_path / "b", tmp_path / "c").returncode == 2
+    assert run(tmp_path / "a", tmp_path / "missing").returncode == 2
 
 
 def test_sidecar_records_table_write_time(tmp_path):

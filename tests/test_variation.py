@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import variation_oracles
 import volterra_smp
 from simulate_oracles import volterra_convolve
-from volterra_smp.coefficients import (ControlPath, StructuralTags, _scalar_problem,
+from volterra_smp.coefficients import (PROBLEMS, ControlPath, StructuralTags, _scalar_problem,
                                       make_problem)
-from volterra_smp.kernels import build_fractional_lift
+from volterra_smp.grids import TimeGrid
+from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift
 from volterra_smp.simulate import sample_brownian, simulate_sve
 from volterra_smp.variation import NORM_KEYS, SpikeSpec, _spike_cosimulation, remainder_rates
 
@@ -215,3 +218,67 @@ def test_cosimulation_bytes_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def _agrees(new, ref) -> bool:
+    """Within 1e-13 of the largest |ref|, and exactly zero wherever ref is."""
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    scale = float(np.max(np.abs(ref), initial=0.0))
+    return (new.shape == ref.shape and np.all(new[ref == 0.0] == 0.0)
+            and float(np.max(np.abs(new - ref), initial=0.0)) <= 1e-13 * scale)
+
+
+def _nonlinear():
+    """Untagged dynamics with nonzero Hessians, so that no drift or diffusion
+    evaluator is tabulated and every Hessian term runs."""
+    return _scalar_problem(
+        "nonlinear", lambda t, u, x: 0.3 * np.sin(x) + u,
+        lambda t, u, x: 0.2 + 0.1 * np.cos(x) * u,
+        lambda t, u, x: 0.5 * x * x + u * u, lambda x: 0.5 * x * x,
+        lambda t, u, x: 0.3 * np.cos(x), lambda t, u, x: -0.1 * np.sin(x) * u,
+        lambda t, u, x: x, lambda x: x, lambda t, u, x: -0.3 * np.sin(x),
+        lambda t, u, x: -0.1 * np.cos(x) * u, lambda t, u, x: 1.0, lambda x: 1.0,
+        (-1.0, 1.0), StructuralTags(), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_nodes=st.integers(1, 6), zero_node=st.booleans(),
+       name=st.sampled_from(sorted(PROBLEMS) + ["nonlinear"]),
+       n_steps=st.integers(8, 40), n_spikes=st.integers(1, 4), store=st.booleans(),
+       seed=st.integers(0, 10 ** 6))
+def test_cosimulation_matches_loop_oracle(n_nodes, zero_node, name, n_steps, n_spikes, store,
+                                          seed):
+    # random atom kernels and spikes; the controls step between a few values,
+    # so the spiked-control rows are kept over some steps and rebuilt at others
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.uniform(0.2, 8.0, n_nodes))
+    if zero_node:
+        nodes -= nodes[0]
+    kern = DiscreteLaplaceKernel(nodes=nodes, weights=rng.uniform(0.1, 1.0, n_nodes),
+                                 mb=rng.uniform(0.1, 1.0, n_nodes),
+                                 msigma=rng.uniform(0.1, 1.0, n_nodes))
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, int(rng.integers(1, 40)), seed)
+    coeffs = _nonlinear() if name == "nonlinear" else make_problem(name)
+    u = ControlPath(rng.choice([-0.5, 0.1, 0.1, 0.1], n_steps + 1))
+    v = ControlPath(rng.choice([1.0, 1.0, -1.0], n_steps + 1))
+    spikes = []
+    for _ in range(n_spikes):
+        j0 = int(rng.integers(0, n_steps))
+        width = int(rng.integers(1, n_steps - j0 + 1))
+        spikes.append(SpikeSpec(tau=(j0 + rng.uniform(-0.4, 0.4) * (j0 > 0)) * grid.dt,
+                                eps=(width + rng.uniform(-0.4, 0.4)) * grid.dt, v=v))
+    xi = float(rng.uniform(-1.0, 1.0))
+    new = _spike_cosimulation(coeffs, kern, u, spikes, xi, e, store=store)
+    ref = variation_oracles.spike_cosimulation(coeffs, kern, u, spikes, xi, e, store=store)
+    x_hat = simulate_sve(coeffs, u, kern, xi, e, mode="lift")[:, -1, 0]
+    for b, o in zip(new, ref, strict=True):
+        assert b.eps_snapped == o.eps_snapped
+        assert all(_agrees(b.norms[k], o.norms[k]) for k in NORM_KEYS), (b.norms, o.norms)
+        assert _agrees(b.j12_terms, o.j12_terms) and _agrees(b.cost_increment, o.cost_increment)
+        assert b.terminal.keys() == o.terminal.keys()
+        assert all(_agrees(b.terminal[k], o.terminal[k]) for k in b.terminal)
+        assert b.tables.keys() == o.tables.keys()
+        assert all(_agrees(b.tables[k], o.tables[k]) for k in b.tables)
+        assert b.terminal["Xhat_T"].tobytes() == x_hat.tobytes()
+        assert b.tabulated == coeffs.tags.state_free_evaluators()
