@@ -8,12 +8,17 @@ With one directory: one line per file, ``<sha256>  <path relative to OUT_DIR>``,
 sorted by path.  With two: one line per file whose bytes differ
 (``differs  <path>``) or that only one side has (``only in A  <path>``,
 ``only in B  <path>``), sorted by path; the exit code is 1 if there is any
-such line, else 0.  ``timings.json`` holds wall-clock values and is left out
-in both modes, so two runs whose outputs are byte-identical print the same
-digests and no differences.
+such line, else 0.  Under a CSV that differs, one indented line per numeric
+column gives the largest absolute deviation of its cells
+(``  <column>  max |dev| <value>``; NaN against NaN counts as equal), or one
+line gives the two shapes when the columns or the row counts differ.
+``timings.json`` holds wall-clock values and is left out in both modes, so
+two runs whose outputs are byte-identical print the same digests and no
+differences.
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +32,32 @@ def digests(root: Path) -> list:
     return [f"{digest}  {rel}" for rel, digest in sorted(_hashes(root).items())]
 
 
+def _table(path: Path) -> tuple:
+    """The column names and the rows of a result CSV, past its # header."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return (lines[0].split(",") if lines else []), [line.split(",") for line in lines[1:]]
+
+
+def _deviation(a: float, b: float) -> float:
+    return 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)
+
+
+def deviations(path_a: Path, path_b: Path) -> list:
+    """The largest absolute deviation of each numeric column of two CSVs."""
+    (cols_a, rows_a), (cols_b, rows_b) = _table(path_a), _table(path_b)
+    if cols_a != cols_b or len(rows_a) != len(rows_b):
+        return [f"  shape {len(cols_a)} x {len(rows_a)} -> {len(cols_b)} x {len(rows_b)}"]
+    lines = []
+    for j, name in enumerate(cols_a):
+        try:
+            devs = [_deviation(float(ra[j]), float(rb[j])) for ra, rb in zip(rows_a, rows_b)]
+        except (ValueError, IndexError):
+            continue                  # a column of text
+        dev = math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
+        lines.append(f"  {name}  max |dev| {dev:.3e}")
+    return lines
+
+
 def differences(root_a: Path, root_b: Path) -> list:
     a, b = _hashes(root_a), _hashes(root_b)
     lines = []
@@ -37,6 +68,8 @@ def differences(root_a: Path, root_b: Path) -> list:
             lines.append(f"only in B  {rel}")
         elif a[rel] != b[rel]:
             lines.append(f"differs  {rel}")
+            if rel.endswith(".csv"):
+                lines += deviations(root_a / rel, root_b / rel)
     return lines
 
 

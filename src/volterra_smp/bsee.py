@@ -21,14 +21,17 @@ terminal cost exactly (Z = conditional mean of the terminal state).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import CoefficientSet, ControlPath, StructuralTags, coeff_tables
-from .grids import ThetaGrid, TimeGrid, hnorm1, hnorm2
-from .kernels import DiscreteLaplaceKernel, discounted_sweep, step_decay_weight
-from .simulate import BrownianEnsemble
+from .grids import ThetaGrid, TimeGrid, hnorm_weight, weighted_norm
+from .kernels import (DiscreteLaplaceKernel, discounted_sweep, step_decay_weight,
+                      sweep_factors)
+from .simulate import BrownianEnsemble, lift_along
 
 
 class PicardError(RuntimeError):
@@ -84,6 +87,8 @@ class FirstOrderField:
     Z: GaussianMartingale | None = None
     iterations: int = 0
     distances: list = field(default_factory=list)
+    # regression solve path: rank_min, rank_max and cond_max of its designs
+    regression: dict | None = None
 
     @property
     def deterministic(self) -> bool:
@@ -132,13 +137,18 @@ def trivial_bsee_solve(
     return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, P1=P1, Z=Z)
 
 
+def _s_norm(grid: TimeGrid, tgrid: ThetaGrid, alpha: float, order: int):
+    """dP -> sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+a} ), its weights built once."""
+    wts = (grid.T - grid.t) ** alpha * grid.dt
+    weight = hnorm_weight(tgrid, 1.0 + alpha, order)
+    return lambda dP: float(np.sqrt(np.sum(wts * weighted_norm(dP, weight) ** 2)))
+
+
 def s_norm_distance(grid: TimeGrid, tgrid: ThetaGrid, alpha: float,
                     dP: np.ndarray, order: int) -> float:
     """Space-time norm sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+a} ) of a
     table field (Q == 0)."""
-    wts = (grid.T - grid.t) ** alpha * grid.dt
-    hnorm = hnorm1 if order == 1 else hnorm2
-    return float(np.sqrt(np.sum(wts * hnorm(dP, tgrid, 1.0 + alpha) ** 2)))
+    return _s_norm(grid, tgrid, alpha, order)(dP)
 
 
 def picard_bsee_solve(
@@ -156,25 +166,29 @@ def picard_bsee_solve(
     generator_map(P) -> generator table of the same field shape; each iterate
     is the discounted sweep of the generator-frozen equation, at the node
     rates (order 1) or the node-pair rates (order 2, every iterate
-    symmetrized).  A table field has Q == 0 on every iterate, so only P is
-    iterated.  Stops when the weighted space-time distance between successive
+    symmetrized, so that generator_map sees only symmetric fields after the
+    terminal one).  A table field has Q == 0 on every iterate, so only P is
+    iterated.  The rate tables and the norm weights are built once per solve.
+    Stops when the weighted space-time distance between successive
     iterates drops below tol; raises on iteration exhaustion or three
     consecutive non-contracting steps.
     Returns the solved field with its iteration distances attached.
     """
     rates = tgrid.nodes if order == 1 else tgrid.varpi2()
+    factors = sweep_factors(rates, grid.dt, phi.ndim - rates.ndim)
+    distance = _s_norm(grid, tgrid, alpha, order)
     P = np.zeros((grid.n_steps + 1,) + phi.shape)
     P[-1] = phi
     distances = []
     asym_max = 0.0
     bad_ratio = 0
     for it in range(max_iter):
-        P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P))
+        P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P), factors)
         if order == 2:
             swapped = np.swapaxes(np.swapaxes(P_new, 1, 2), -2, -1)
             asym_max = max(asym_max, float(np.max(np.abs(P_new - swapped))))
             P_new = 0.5 * (P_new + swapped)
-        d = s_norm_distance(grid, tgrid, alpha, P_new - P, order)
+        d = distance(P_new - P)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
             bad_ratio = bad_ratio + 1 if d / distances[-2] >= 1.0 else 0
@@ -203,15 +217,10 @@ def contract_first(kernel: DiscreteLaplaceKernel, which: str, field_tab: np.ndar
 
 
 def contract_pair_full(kernel: DiscreteLaplaceKernel, P: np.ndarray) -> np.ndarray:
-    """mu x mu contraction Msig^T P Msig: (..., K, K, n, n) -> (..., n, n)."""
-    ms = kernel.msigma
-    return np.einsum("i,j,ica,...ijcd,jdb->...ab", kernel.weights, kernel.weights, ms, P, ms)
-
-
-def contract_pair_left(kernel: DiscreteLaplaceKernel, which: str, P: np.ndarray) -> np.ndarray:
-    """mu[M^T P(., theta_2)]: contract the first node index, (..., K, K, n, n) -> (..., K, n, n)."""
-    m = kernel.factors(which)
-    return np.einsum("i,ica,...ijcb->...jab", kernel.weights, m, P)
+    """mu x mu contraction Msig^T P Msig: (..., K, K, n, n) -> (..., n, n), as
+    the first node index contracted after the second."""
+    ws = kernel.weights[:, None, None] * kernel.msigma
+    return np.einsum("ica,...icb->...ab", ws, contract_pair_right(kernel, "sigma", P))
 
 
 def contract_pair_right(kernel: DiscreteLaplaceKernel, which: str, P: np.ndarray) -> np.ndarray:
@@ -352,58 +361,103 @@ def assemble_first_adjoint(
     )
 
 
+def _tables_along(coeffs, u_hat, grid, x_hat, names) -> list:
+    """Scalar evaluators along the reference pair (u_hat, x_hat), one table per
+    name, (N+1, 1) or (N+1, paths): from one ``coeff_tables`` call for the
+    names the tags make state-free along a deterministic control, else from
+    one call with the rows of every step stacked."""
+    free = [nm for nm in names if nm in coeffs.tags.state_free_evaluators()]
+    tabs = dict(zip(free, coeff_tables(coeffs, u_hat, grid, free))) if u_hat.deterministic else {}
+    paths, N1 = x_hat.shape[:2]
+    stacked = [nm for nm in names if nm not in tabs]
+    if stacked:
+        t = np.repeat(grid.t, paths)
+        u = (np.repeat(u_hat.values, paths, axis=0) if u_hat.deterministic
+             else u_hat.values.transpose(1, 0, 2).reshape(N1 * paths, -1))
+        x = x_hat.transpose(1, 0, 2).reshape(N1 * paths, -1)
+        tabs.update((nm, getattr(coeffs, nm)(t, u, x)) for nm in stacked)
+    return [tabs[nm].reshape(N1, -1) for nm in names]
+
+
+def _retained_basis(design: np.ndarray) -> tuple:
+    """(U_r, s_0 / s_{r-1}) of the thin SVD design = U s V^T: the left singular
+    vectors with s > 1e-8 s_0, the rank rule of least squares at rcond 1e-8."""
+    U, s, _ = np.linalg.svd(design, full_matrices=False)
+    r = int(np.count_nonzero(s > 1e-8 * s[0]))
+    return U[:, :r], float(s[0] / s[r - 1])
+
+
+_REGRESSIONS: ContextVar[list | None] = ContextVar("regressions", default=None)
+
+
+@contextmanager
+def regression_log():
+    """Collect the ``FirstOrderField.regression`` record of every regression
+    solve made inside the ``with`` body, in solve order."""
+    log = []
+    token = _REGRESSIONS.set(log)
+    try:
+        yield log
+    finally:
+        _REGRESSIONS.reset(token)
+
+
 def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSolution:
-    """Regression solve over the lift basis {1, Y_i(t)}; best-effort accuracy.
+    """Regression solve over the lift basis {1, Y_i(t_m)} of the reference
+    state; best-effort accuracy.
 
     One explicit backward sweep: the generator at step m is assembled from
-    the regression-conditioned discounted field and q estimate at m.
+    the regression estimates of p~_m = E_m[e^{-theta dt} p_{m+1}] and of
+    q_m = E_m[e^{-theta dt} p_{m+1} dW_m] / dt.  Step m factors its design
+    [1, Y_m] once by a thin SVD and keeps the singular directions above
+    1e-8 s_0 (least squares at rcond 1e-8): the lift coordinates all start
+    from zero and are strongly correlated across nodes.  The estimate of a
+    target v is then its projection U_r U_r^T v, and only what the sweep
+    reads is projected: the K columns of p~, the one functional
+    mu[M_s q_m] of the generator, and the path mean of q_m as
+    ((U_r U_r^T 1/P) o dW_m/dt)^T disc.  The retained ranks and the largest
+    s_0 / s_{r-1} are recorded in ``FirstOrderField.regression``.
     """
-    from .simulate import simulate_lift
-
     grid = ens.grid
     tgrid = theta_grid_from_kernel(kernel)
-    n = coeffs.dim
-    if n != 1:
+    if coeffs.dim != 1:
         raise NotImplementedError("LSMC adjoints are scalar-state")
-    N, dt = grid.n_steps, grid.dt
-    K = tgrid.size
-    Y, X = simulate_lift(coeffs, u_hat, kernel, 0.0 if x_hat is None else x_hat[:, 0, 0].mean(), ens,
-                         self_test=False)
     if x_hat is None:
-        x_hat = X
-    paths = ens.n_paths
+        raise ValueError("the regression path needs the simulated reference state")
+    N, dt = grid.n_steps, grid.dt
+    K, paths = tgrid.size, ens.n_paths
+    Y = lift_along(coeffs, u_hat, kernel, x_hat, ens)[:, :, 0]        # (N+1, K, paths)
+    bx, sx, fx = _tables_along(coeffs, u_hat, grid, x_hat, ("b_x", "sigma_x", "f_x"))
     dec = np.exp(-tgrid.nodes * dt)
     om = step_decay_weight(tgrid.nodes, dt)
+    mb = kernel.mb[:, 0, 0] * kernel.weights
+    ms = kernel.msigma[:, 0, 0] * kernel.weights
+    dw_dt = ens.dW.T / dt                                              # (N, paths)
 
     p = np.empty((paths, K))
     p[:] = -coeffs.h_x(x_hat[:, -1])[:, 0][:, None]
-    p_tab0 = np.zeros((N + 1, K, 1))
-    q_tab0 = np.zeros((N + 1, K, 1))
-    g_tab0 = np.zeros((N + 1, K, 1))
-    p_tab0[N] = np.mean(p, axis=0)[:, None]
-    mb = kernel.mb[:, 0, 0] * kernel.weights
-    ms = kernel.msigma[:, 0, 0] * kernel.weights
-
+    P0, Q0, G0 = (np.zeros((N + 1, K, 1)) for _ in range(3))
+    P0[N, :, 0] = np.mean(p, axis=0)
+    design = np.ones((paths, K + 1), order="F")
+    ranks, conds = np.empty(N, dtype=int), np.empty(N)
     for m in range(N - 1, -1, -1):
-        basis = np.concatenate([np.ones((paths, 1)), Y[:, m, :, 0]], axis=1)
-        disc = p * dec[None, :]
-        # rank-tolerant projection: lift coordinates are collinear at early
-        # times (all start from zero) and strongly correlated across nodes.  One
-        # solve projects p~ = E_m[e^{-th dt} p_{m+1}] and q = E_m[e^{-th dt} p_{m+1} dW_m] / dt
-        coef, *_ = np.linalg.lstsq(basis, np.concatenate(
-            [disc, disc * ens.dW[:, m][:, None] / dt], axis=1), rcond=1e-8)
-        p_tilde, q_m = np.split(basis @ coef, 2, axis=1)
-        t = m * dt
-        u = u_hat.at(m)
-        bxm = coeffs.b_x(t, u, x_hat[:, m])[:, 0, 0]
-        sxm = coeffs.sigma_x(t, u, x_hat[:, m])[:, 0, 0]
-        fxm = coeffs.f_x(t, u, x_hat[:, m])[:, 0]
-        g = bxm * (p_tilde @ mb) + sxm * (q_m @ ms) - fxm
-        p = p_tilde + om[None, :] * g[:, None]
-        p_tab0[m] = np.mean(p, axis=0)[:, None]
-        q_tab0[m] = np.mean(q_m, axis=0)[:, None]
-        g_tab0[m] = np.mean(g)
-    fld = FirstOrderField(grid=grid, tgrid=tgrid, P0=p_tab0, Q0=q_tab0, G0=g_tab0)
+        design[:, 1:] = Y[m].T
+        Ur, conds[m] = _retained_basis(design)
+        ranks[m] = Ur.shape[1]
+        disc = p * dec
+        p_tilde = Ur @ (Ur.T @ disc)
+        q_ms = Ur @ (Ur.T @ ((disc @ ms) * dw_dt[m]))                   # mu[M_s q_m]
+        g = bx[m] * (p_tilde @ mb) + sx[m] * q_ms - fx[m]
+        p = p_tilde + om * g[:, None]
+        P0[m, :, 0] = np.mean(p, axis=0)
+        Q0[m, :, 0] = (Ur @ (Ur.sum(axis=0) / paths) * dw_dt[m]) @ disc
+        G0[m] = np.mean(g)
+    regression = {"rank_min": int(ranks.min()), "rank_max": int(ranks.max()),
+                  "cond_max": float(conds.max())}
+    log = _REGRESSIONS.get()
+    if log is not None:
+        log.append(regression)
+    fld = FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, regression=regression)
     return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
                            u_hat=u_hat, solve_path="lsmc").finalize()
 
@@ -440,14 +494,14 @@ def assemble_second_adjoint(
     hess_term = -fxx  # (N+1, n, n)
 
     def gen_map(P):
-        left_b = contract_pair_left(kernel, "b", P)     # (N+1, K, n, n), theta2-indexed
-        right_b = contract_pair_right(kernel, "b", P)   # (N+1, K, n, n), theta1-indexed
-        mid = contract_pair_full(kernel, P)             # (N+1, n, n)
-        g = np.zeros_like(P)
-        g += np.einsum("tca,tjcb->tjab", bx, left_b)[:, None, :, :, :]
-        g += np.einsum("tiac,tcb->tiab", right_b, bx)[:, :, None, :, :]
-        smid = np.einsum("tca,tcd,tdb->tab", sx, mid, sx)
-        g += (smid + hess_term)[:, None, None, :, :]
+        # g_ij = bx^T L_j + R_i bx + sx^T Mid sx - f_xx with the one-sided
+        # contractions R_i = mu[P(theta_i, .) M_b] and L_j = mu[M_b^T P(., theta_j)].
+        # Picard hands over symmetric iterates, P_ij = P_ji^T, so L_j = R_j^T and
+        # bx^T L_j = (R_j bx)^T: one contraction serves both sides.
+        rb = np.einsum("tiac,tcb->tiab", contract_pair_right(kernel, "b", P), bx)
+        smid = np.einsum("tca,tcd,tdb->tab", sx, contract_pair_full(kernel, P), sx)
+        g = rb[:, :, None] + np.swapaxes(rb, -2, -1)[:, None, :]
+        g += (smid + hess_term)[:, None, None]
         return g
 
     fld2 = picard_bsee_solve(tgrid, grid, phi, gen_map, kernel.alpha, order=2,

@@ -97,21 +97,30 @@ class ThetaGrid:
         return nu[:, None] * nu[None, :]
 
 
+def hnorm_weight(grid: ThetaGrid, beta: float, order: int) -> np.ndarray:
+    """(1 + varpi)^beta times the measure: (K,) for order 1, (K, K) for order 2."""
+    if order == 1:
+        return (1.0 + grid.nodes) ** beta * grid.nu1
+    return (1.0 + grid.varpi2()) ** beta * grid.nu2()
+
+
+def weighted_norm(values: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sqrt(sum weight |psi|^2) of a field of order k = weight.ndim, shape
+    (..., K^k, n^k); the result drops the last 2k axes."""
+    v = np.asarray(values, dtype=float)
+    axes = tuple(range(-weight.ndim, 0))
+    sq = np.sum(v * v, axis=axes)
+    return np.sqrt(np.sum(sq * weight, axis=axes))
+
+
 def hnorm1(values: np.ndarray, grid: ThetaGrid, beta: float) -> np.ndarray:
     """Weighted norm of a first-order field.
 
     ``values`` has shape (..., K, n); the result drops the last two axes.
     """
-    v = np.asarray(values, dtype=float)
-    sq = np.sum(v * v, axis=-1)
-    w = (1.0 + grid.nodes) ** beta * grid.nu1
-    return np.sqrt(np.sum(sq * w, axis=-1))
+    return weighted_norm(values, hnorm_weight(grid, beta, 1))
 
 
 def hnorm2(values: np.ndarray, grid: ThetaGrid, beta: float) -> np.ndarray:
     """Weighted norm of a second-order field, shape (..., K, K, n, n)."""
-    v = np.asarray(values, dtype=float)
-    sq = np.sum(v * v, axis=(-2, -1))
-    w = (1.0 + grid.varpi2()) ** beta * grid.nu2()
-    return np.sqrt(np.sum(sq * w, axis=(-2, -1)))
-
+    return weighted_norm(values, hnorm_weight(grid, beta, 2))

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bsde import (BSDEInstance, apriori_ratio, lsmc_relative_error,
                    martingale_check, solve_bsde_closedform)
-from .bsee import PicardError, assemble_adjoints, choose_solve_path
+from .bsee import PicardError, assemble_adjoints, choose_solve_path, regression_log
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
@@ -544,25 +544,32 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     res = remainder_rates(coeffs, kern, u_hat, v, config.spike["tau"],
                           eps_list, config.solver["xi"], ens)
     targets = _rate_targets(config, coeffs)
-    rows = []
+    nan = float("nan")
     norm_scale = {}
     for r in res["rows"]:
-        fit = res["fits"][r["quantity"]]
-        slope = fit.get("eps_slope", float("nan"))
-        r2 = fit.get("eps_r2", float("nan"))
-        rows.append((r["quantity"], r["eps"], r["norm"], r["knorm_combo"], slope, r2))
         norm_scale[r["quantity"]] = max(norm_scale.get(r["quantity"], 0.0), r["norm"])
+    # identically zero quantities (structurally, or with every norm at roundoff)
+    # have no slope: their fits are fits to roundoff, and the table says NaN
+    zero = {q for q, fit in res["fits"].items()
+            if fit.get("exact_zero") or norm_scale.get(q, 0.0) <= 1e-10}
+    dj_fit = res["delta_j12_fit"]
+    dj_scale = max(abs(d) for _, d, _ in res["delta_j12"])
+    rows = []
+    for r in res["rows"]:
+        fit = {} if r["quantity"] in zero else res["fits"][r["quantity"]]
+        rows.append((r["quantity"], r["eps"], r["norm"], r["knorm_combo"],
+                     fit.get("eps_slope", nan), fit.get("eps_r2", nan)))
+    dj_exact = dj_scale <= 1e-10
+    dj_slope = dj_fit["eps_slope"] if dj_fit and not dj_exact else nan
     for eps, dj, dj_se in res["delta_j12"]:
-        rows.append(("delta_j12", eps, abs(dj), float("nan"),
-                     res["delta_j12_fit"]["eps_slope"] if res["delta_j12_fit"] else float("nan"),
-                     dj_se))
+        rows.append(("delta_j12", eps, abs(dj), nan, dj_slope, nan if dj_exact else dj_se))
     tables = {"rates": ResultTable(
         "rates", ["quantity", "eps", "norm", "knorm_combo", "slope_fit", "r2"], rows, prov)}
 
     checks = []
     for q in ("X1", "dX1"):
         fit = res["fits"][q]
-        if fit.get("exact_zero") or norm_scale.get(q, 0.0) <= 1e-10:
+        if q in zero:
             # structurally vanishing quantity (e.g. the first-order remainder
             # of a linear control-affine problem); no slope to fit
             checks.append((f"slope_{q}", True,
@@ -571,11 +578,9 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         dev = abs(fit["eps_slope"] - targets[q])
         checks.append((f"slope_{q}", dev <= 0.2,
                        f"slope {fit['eps_slope']:.3f}, target {targets[q]:.2f} +- 0.2"))
-    dj_fit = res["delta_j12_fit"]
-    dj_scale = max(abs(d) for _, d, _ in res["delta_j12"])
     bb, bs = config.kernel.get("beta_b", 1.0), config.kernel.get("beta_sigma", 1.0)
     order_regime = (config.kernel["family"] != "fractional") or (bb > 1 / 3 and bs > 5 / 6)
-    if dj_scale <= 1e-10:
+    if dj_exact:
         checks.append(("delta_j12_superlinear", True,
                        f"expansion exact for this structure (max |delta J| {dj_scale:.1e})"))
     elif dj_fit is None:
@@ -894,12 +899,13 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     failed ``problem`` check when the coefficients fail their self-test, and a
     failed ``solver`` check when a solve does not contract, goes non-finite or
     cannot allocate its arrays.  Its timing records each stage it read, built
-    or taken from the config's memo."""
+    or taken from the config's memo, and the retained ranks and worst
+    condition of the regression solves it made."""
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
     t0 = time.perf_counter()
-    with lift_tally() as tally, _stage_log() as stages:
+    with lift_tally() as tally, _stage_log() as stages, regression_log() as regressions:
         try:
             res = RUNNERS[name](config)
         except SelfTestError as exc:
@@ -912,6 +918,9 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
         timing.setdefault("lift", {}).update(tally)
     if stages:
         timing["stages"] = stages
+    if regressions:
+        timing["lsmc"] = {key: pick(r[key] for r in regressions) for key, pick in
+                          (("rank_min", min), ("rank_max", max), ("cond_max", max))}
     return res
 
 

@@ -164,19 +164,28 @@ def step_decay_weight(theta: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def discounted_sweep(rates, dt: float, terminal, gen: np.ndarray) -> np.ndarray:
+def sweep_factors(rates, dt: float, n_tail: int = 0) -> tuple:
+    """(e^{-rate dt}, omega(rate)) of ``discounted_sweep``, each shaped to
+    broadcast over ``n_tail`` trailing (state) axes."""
+    rates = np.asarray(rates, dtype=float)
+    shape = rates.shape + (1,) * n_tail
+    return np.exp(-rates * dt).reshape(shape), step_decay_weight(rates, dt).reshape(shape)
+
+
+def discounted_sweep(rates, dt: float, terminal, gen: np.ndarray, factors=None) -> np.ndarray:
     """Backward table p_N = terminal, p_m = e^{-rate dt} p_{m+1} + omega(rate) gen_m.
 
     ``rates`` is a scalar, the K nodes or the K x K node pairs; it indexes the
     leading axes of a row, and any trailing (state) axes share its rate.
     ``gen`` is the (N+1, ...) generator table (its last row is unused) and
-    ``terminal`` broadcasts to one row.  Returns the (N+1, ...) table.
+    ``terminal`` broadcasts to one row.  A caller that sweeps at one rate
+    table many times may pass its ``sweep_factors`` as ``factors``.  Returns
+    the (N+1, ...) table.
     """
-    rates = np.asarray(rates, dtype=float)
     gen = np.asarray(gen, dtype=float)
-    tail = (1,) * (gen.ndim - 1 - rates.ndim)
-    dec = np.exp(-rates * dt).reshape(rates.shape + tail)
-    om = step_decay_weight(rates, dt).reshape(rates.shape + tail)
+    if factors is None:
+        factors = sweep_factors(rates, dt, gen.ndim - 1 - np.ndim(rates))
+    dec, om = factors
     out = np.empty(gen.shape)
     np.multiply(om, gen[:-1], out=out[:-1])   # every omega(rate) gen_m in one call
     out[-1] = terminal

@@ -273,14 +273,14 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
              forcing: Callable, xi: np.ndarray, store_lift: bool = False):
     """Core lift recursion: forcing(m, X_m) -> (Fb, Fs), each (paths, n).
 
-    Returns the state table X (paths, N+1, n) and the lift table Y
-    (paths, N+1, K, n) when requested, else None.
+    Returns the state table X (paths, N+1, n) and, when requested, the lift
+    table Y step-major, (N+1, K, n, paths), else None.
     """
     paths = dW.shape[0]
     N, K, n = grid.n_steps, kernel.n_nodes, kernel.dim
     lift = LiftStep(kernel, grid.dt, dW)
     X = np.empty((paths, N + 1, n))
-    Ytab = np.zeros((paths, N + 1, K * n)) if store_lift else None
+    Ytab = np.zeros((N + 1, K * n, paths)) if store_lift else None
     X[:, 0] = xi[0]
     for m in range(N):
         Fb, Fs = forcing(m, X[:, m])
@@ -289,8 +289,8 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
         slot_s[0] = np.transpose(Fs)
         X[:, m + 1] = xi[m + 1] + lift.advance()[0].T
         if store_lift:
-            Ytab[:, m + 1] = lift.state(0)[:, :paths].T
-    return X, None if Ytab is None else Ytab.reshape(paths, N + 1, K, n)
+            Ytab[m + 1] = lift.state(0)[:, :paths]
+    return X, None if Ytab is None else Ytab.reshape(N + 1, K, n, paths)
 
 
 def run_direct(kernel, which_pair: tuple[str, str], grid: TimeGrid, dW: np.ndarray,
@@ -346,7 +346,8 @@ def simulate_sve(coeffs: CoefficientSet, control: ControlPath, kernel, xi,
 def simulate_lift(coeffs: CoefficientSet, control: ControlPath,
                   kernel: DiscreteLaplaceKernel, xi, ens: BrownianEnsemble,
                   self_test: bool = True):
-    """Simulate the lift fields; returns (Y, X) with Y (paths, N+1, K, n)."""
+    """Simulate the lift fields; returns (Y, X) with Y (paths, N+1, K, n), a
+    view of the step-major table."""
     if not isinstance(kernel, DiscreteLaplaceKernel):
         raise TypeError("lift simulation requires an atom kernel")
     if self_test:
@@ -355,7 +356,21 @@ def simulate_lift(coeffs: CoefficientSet, control: ControlPath,
     xi_tab = _xi_table(xi, grid, coeffs.dim)
     forcing = _forcing_from_controls(coeffs, control, grid)
     X, Y = run_lift(kernel, grid, ens.dW, forcing, xi_tab, store_lift=True)
-    return Y, X
+    return Y.transpose(3, 0, 1, 2), X
+
+
+def lift_along(coeffs: CoefficientSet, control: ControlPath,
+               kernel: DiscreteLaplaceKernel, X: np.ndarray,
+               ens: BrownianEnsemble) -> np.ndarray:
+    """The lift of a given state path X (paths, N+1, n): Y driven by the
+    forcings at X, step-major (N+1, K, n, paths).  Where X is the simulated
+    state of this control and ensemble, Y equals ``simulate_lift``'s bit for
+    bit, whatever the forcing term xi."""
+    grid = ens.grid
+    forcing = _forcing_from_controls(coeffs, control, grid)
+    _, Y = run_lift(kernel, grid, ens.dW, lambda m, _x: forcing(m, X[:, m]),
+                    np.zeros((grid.n_steps + 1, coeffs.dim)), store_lift=True)
+    return Y
 
 
 def cnorm(states: np.ndarray, p: float = 2.0) -> float:

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bsee_oracles as oracle
 from volterra_smp.bsde import BSDEInstance, solve_bsde_closedform
-from volterra_smp.bsee import (GaussianMartingale, PicardError, assemble_adjoints,
-                               assemble_first_adjoint, picard_bsee_solve,
+from volterra_smp.bsee import (AdjointSolution, FirstOrderField, GaussianMartingale,
+                               PicardError, _retained_basis, assemble_adjoints,
+                               assemble_first_adjoint,
+                               assemble_second_adjoint, picard_bsee_solve,
                                s_norm_distance, theta_grid_from_kernel,
                                trivial_bsee_solve)
-from volterra_smp.coefficients import ControlPath, make_problem
-from volterra_smp.grids import ThetaGrid, hnorm1
-from volterra_smp.kernels import step_decay_weight
-from volterra_smp.simulate import sample_brownian, simulate_sve
+from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
+                                       StructuralTags, make_problem)
+from volterra_smp.grids import ThetaGrid, TimeGrid, hnorm1
+from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift, step_decay_weight
+from volterra_smp.simulate import lift_along, sample_brownian, simulate_lift, simulate_sve
 
 
 def theta_of(kernel):
@@ -208,3 +212,146 @@ def test_s_norm_distance_zero_fields(grid, frac_kernel):
     tg = theta_of(frac_kernel)
     z = np.zeros((grid.n_steps + 1, tg.size, 1))
     assert s_norm_distance(grid, tg, 0.3, z, order=1) == 0.0
+
+
+def _lsmc_against_oracle(problem, uh, xi, kernel, e):
+    """The regression solve along simulate_sve's state, against the lstsq
+    sweep on the lift of the state simulated from xi."""
+    xh = simulate_sve(problem, uh, kernel, xi, e)
+    adj = assemble_first_adjoint(problem, uh, xh, kernel, e, lsmc=True)
+    ref = oracle.lsmc_first_adjoint(problem, uh, xi, kernel, e)
+    for name, new, old in zip(("P0", "Q0", "G0"), (adj.first.P0, adj.first.Q0, adj.first.G0), ref):
+        assert np.max(np.abs(new[:, :, 0] - old)) <= 1e-8 * np.max(np.abs(old)), name
+    return adj
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(1, 6), n_steps=st.integers(4, 24), n_paths=st.integers(8, 400),
+       zero_node=st.booleans(), xi_table=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_lsmc_sweep_matches_lstsq_oracle_on_random_atom_kernels(n_nodes, n_steps, n_paths,
+                                                                zero_node, xi_table, seed):
+    # atom kernels drawn as in the bridge property test; xi a constant or a table
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.uniform(0.2, 8.0, n_nodes))
+    if zero_node:
+        nodes -= nodes[0]
+    k = DiscreteLaplaceKernel(nodes=nodes, weights=rng.uniform(0.1, 1.0, n_nodes),
+                              mb=rng.uniform(0.1, 1.0, n_nodes),
+                              msigma=rng.uniform(0.1, 1.0, n_nodes))
+    grid = TimeGrid(1.0, n_steps)
+    xi = np.linspace(0.4, 1.4, n_steps + 1) if xi_table else 0.4
+    adj = _lsmc_against_oracle(make_problem("bilinear_lq"), ControlPath.constant(0.3, grid), xi,
+                               k, sample_brownian(grid, n_paths, seed))
+    # Y_0 = 0: step 0 regresses on the constant alone
+    reg = adj.first.regression
+    assert reg["rank_min"] == 1 and reg["rank_max"] <= n_nodes + 1 and reg["cond_max"] < 1e8
+
+
+def test_lsmc_sweep_matches_lstsq_oracle_on_fractional_lift(bilinear):
+    grid = TimeGrid(1.0, 64)
+    k = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32, alpha=1.0 / 3.0)
+    adj = _lsmc_against_oracle(bilinear, ControlPath.constant(0.3, grid), 0.4, k,
+                               sample_brownian(grid, 1000, 5))
+    assert adj.first.regression["rank_min"] == 1
+    assert 1 < adj.first.regression["rank_max"] <= 33
+
+
+def test_lsmc_sweep_matches_lstsq_oracle_on_per_path_control(bilinear):
+    # a per-path control has no coefficient tables: every evaluator is stacked
+    grid = TimeGrid(1.0, 16)
+    k = build_fractional_lift(0.8, 0.9, None, 1e-2, 1e4, 6, alpha=1.0 / 3.0)
+    u = np.where(np.arange(200) % 2, 0.3, -0.5)[:, None, None] + np.zeros((1, 17, 1))
+    _lsmc_against_oracle(bilinear, ControlPath(u, deterministic=False), 0.4, k,
+                         sample_brownian(grid, 200, 3))
+
+
+@pytest.mark.parametrize("paths, n_nodes", [(50, 4), (8, 12)], ids=["tall", "wide"])
+def test_retained_basis_of_zero_lift_projects_on_the_path_mean(paths, n_nodes):
+    # the design [1, 0, ..., 0] has rank 1: its projection is the path mean
+    rng = np.random.default_rng(paths)
+    design = np.zeros((paths, n_nodes + 1), order="F")
+    design[:, 0] = 1.0
+    Ur, cond = _retained_basis(design)
+    assert Ur.shape == (paths, 1) and cond == 1.0
+    v = rng.normal(size=(paths, 3))
+    np.testing.assert_allclose(Ur @ (Ur.T @ v), np.broadcast_to(v.mean(axis=0), v.shape),
+                               rtol=0, atol=1e-14)
+
+
+def test_lsmc_basis_is_the_lift_of_the_reference_state_table(bilinear):
+    # a forcing table: the lift along simulate_sve's state is simulate_lift's, bit for bit
+    grid = TimeGrid(1.0, 16)
+    k = build_fractional_lift(0.8, 0.9, None, 1e-2, 1e4, 8, alpha=1.0 / 3.0)
+    e = sample_brownian(grid, 64, 17)
+    uh, xi = ControlPath.constant(0.3, grid), np.linspace(0.4, 1.4, grid.n_steps + 1)
+    Y, X = simulate_lift(bilinear, uh, k, xi, e)
+    xh = simulate_sve(bilinear, uh, k, xi, e)
+    assert xh.tobytes() == X.tobytes()
+    along = lift_along(bilinear, uh, k, xh, e)
+    assert along.transpose(3, 0, 1, 2).tobytes() == Y.tobytes()
+    # the lift of the state started from the mean initial value is another basis
+    Y0, _ = simulate_lift(bilinear, uh, k, float(xh[:, 0, 0].mean()), e)
+    assert np.max(np.abs(Y0 - Y)) > 0.1 * np.max(np.abs(Y))
+
+
+def test_lsmc_path_requires_state(grid, bilinear, frac_kernel, ens):
+    uh = ControlPath.constant(0.1, grid)
+    with pytest.raises(ValueError, match="reference state"):
+        assemble_first_adjoint(bilinear, uh, None, frac_kernel, ens, lsmc=True)
+
+
+@pytest.mark.parametrize("n_steps, paths", [(64, 1000), (16, 64)])
+def test_pair_picard_matches_einsum_oracle(bilinear, n_steps, paths):
+    # one one-sided contraction for both sides of the pair generator, loop
+    # invariants hoisted: the same iterations, distances and field as the
+    # three-contraction form
+    grid = TimeGrid(1.0, n_steps)
+    k = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32, alpha=1.0 / 3.0)
+    e = sample_brownian(grid, paths, 9)
+    uh = ControlPath.constant(0.3, grid)
+    first = assemble_first_adjoint(bilinear, uh, simulate_sve(bilinear, uh, k, 0.4, e), k, e,
+                                   lsmc=True)
+    ref = oracle.second_adjoint_einsum(bilinear, first, k, e, tol=1e-13)
+    sol = assemble_second_adjoint(bilinear, first, k, e, tol=1e-13).second
+    assert sol.iterations == ref["iterations"] > 10
+    np.testing.assert_allclose(sol.distances, ref["distances"], rtol=0,
+                               atol=1e-12 * ref["distances"][0])
+    assert np.max(np.abs(sol.P - ref["P"])) <= 1e-14
+    assert sol.asymmetry == 0.0
+
+
+def test_pair_picard_matches_einsum_oracle_for_vector_state():
+    # n = 2 with non-symmetric b_x and sigma_x and non-commuting kernel
+    # factors: the one-sided contraction serves the other side only transposed
+    rng = np.random.default_rng(4)
+    K, n = 3, 2
+    k = DiscreteLaplaceKernel(nodes=[0.0, 1.5, 9.0], weights=[0.5, 0.3, 0.4],
+                              mb=0.5 * rng.normal(size=(K, n, n)),
+                              msigma=0.5 * rng.normal(size=(K, n, n)))
+    A, S = np.array([[0.3, -0.4], [0.2, 0.1]]), np.array([[0.2, 0.3], [-0.1, 0.25]])
+    F, H = np.array([[0.6, 0.2], [0.2, 0.4]]), np.array([[1.0, -0.3], [-0.3, 0.5]])
+
+    def const(mat):
+        return lambda t, u, x: np.broadcast_to(mat, (x.shape[0], n, n))
+
+    none = lambda *a: None
+    coeffs = CoefficientSet(
+        dim=n, du=1, b=none, sigma=none, f=none, h=none, b_x=const(A), sigma_x=const(S),
+        f_x=none, h_x=none, b_xx=none, sigma_xx=none, f_xx=const(F),
+        h_xx=lambda x: np.broadcast_to(H, (x.shape[0], n, n)),
+        control_domain=ControlDomain(np.zeros((1, 1))),
+        tags=StructuralTags(linear_in_state=True, f_state_degree=2, h_degree=2))
+    grid = TimeGrid(1.0, 24)
+    e = sample_brownian(grid, 8, 3)
+    zero = np.zeros((grid.n_steps + 1, K, n))
+    first = AdjointSolution(kernel=k, grid=grid, tgrid=theta_grid_from_kernel(k),
+                            first=FirstOrderField(grid=grid, tgrid=theta_grid_from_kernel(k),
+                                                  P0=zero, Q0=zero, G0=zero),
+                            u_hat=ControlPath.constant(0.0, grid))
+    ref = oracle.second_adjoint_einsum(coeffs, first, k, e, tol=1e-13)
+    sol = assemble_second_adjoint(coeffs, first, k, e, tol=1e-13).second
+    assert sol.iterations == ref["iterations"] > 3
+    np.testing.assert_allclose(sol.distances, ref["distances"], rtol=0,
+                               atol=1e-12 * ref["distances"][0])
+    assert np.max(np.abs(sol.P - ref["P"])) <= 1e-14 * np.max(np.abs(ref["P"]))
+    assert 0.0 < sol.asymmetry <= 1e-12

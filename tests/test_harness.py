@@ -136,9 +136,13 @@ def test_cli_rejects_bad_config(tmp_path):
     assert "config error" in proc.stderr
 
 
+# bilinear_lq needs the regression (lsmc) solve path
+REGRESSION = {"grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
+              "problem": {"name": "bilinear_lq"}, "solver": {"lsmc": True}}
+
+
 def test_cli_duality_on_regression_path_fails_closed(tmp_path):
-    raw = {"grid": {"n_paths": 64, "n_steps": 16}, "kernel": {"n_nodes": 4},
-           "problem": {"name": "bilinear_lq"}, "solver": {"lsmc": True}}
+    raw = REGRESSION
     ok, why = _applies("duality", resolve_config(raw))
     assert not ok and "regression" in why
     cfg_file = tmp_path / "c.json"
@@ -466,12 +470,32 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
                                         "second": len(fields.second.distances)}
     assert adj["picard_iterations"]["first"] >= 4
     assert 0.0 < adj["worst_contraction_ratio"] <= 0.9
+    assert all("lsmc" not in rec for name, rec in timings.items() if name != "bsde-check")
     # blocks of 4 steps; slab 0 alone before the spikes at step 32, all 13 after
     assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13,
                                         "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
     assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
     # lq_linear_cost: linear dynamics and a running cost linear in x
     assert timings["rates"]["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
+
+
+@pytest.mark.parametrize("kernel, columns", [({"n_nodes": 4}, 5),
+                                             ({"family": "exponential", "alpha": 0.0}, 2)],
+                         ids=["fractional", "exponential"])
+def test_sidecar_records_regression_ranks_where_the_solve_was_built(tmp_path, kernel, columns):
+    cfg = resolve_config({**REGRESSION, "kernel": kernel})
+    results = run_experiment("all", cfg)
+    write_results(results, cfg, tmp_path)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert timings["adjoint"]["solve_path"] == "lsmc"
+    record = results["adjoint"].extras["adjoint"].first.regression
+    assert timings["adjoint"]["lsmc"] == record
+    # Y_0 = 0 leaves the constant alone; at most 1 + K columns are retained
+    assert record["rank_min"] == 1 and 1 < record["rank_max"] <= columns
+    assert 1.0 <= record["cond_max"] < 1e8
+    assert [name for name, rec in timings.items() if "lsmc" in rec] == ["adjoint", "bsde-check"]
+    if "family" in kernel:      # the bridge runs on the regular kernel only
+        assert timings["bsvie-check"]["stages"]["adjoints"] == "memo"
 
 
 def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
@@ -495,6 +519,23 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
     assert record["pair_terms"] == "none"
     assert record["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
+
+
+def test_rates_table_fits_no_slope_to_identically_zero_quantities():
+    # lq_linear_cost: the first-order remainder and the second-order terms
+    # vanish, so their norms (and delta J) are roundoff, and their cells NaN
+    cfg = resolve_config({"grid": {"n_paths": 64, "n_steps": 128}, "kernel": {"n_nodes": 4},
+                          "spike": {"eps_list": [0.25, 0.125, 0.0625, 0.03125]}, "seed": 3})
+    res = run_experiment("rates", cfg)["rates"]
+    assert all(ok for _, ok, _ in res.checks)
+    fitted = set()
+    for quantity, _, norm, _, slope, r2 in res.tables["rates"].rows:
+        if quantity in ("dX1", "X2", "dX12", "delta_j12"):
+            assert norm <= 1e-10 and np.isnan(slope) and np.isnan(r2), quantity
+        else:
+            assert norm > 0.01 and np.isfinite(slope) and 0.9 < r2 <= 1.0, quantity
+            fitted.add(quantity)
+    assert fitted == {"X1", "dX"}
 
 
 @pytest.mark.parametrize("exp", ["rates", "simulate"])
@@ -677,17 +718,25 @@ def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
         return subprocess.run([sys.executable, str(script), *map(str, args)],
                               capture_output=True, text=True)
 
-    for side, files in (("a", {"same.csv": "1\n", "moved.csv": "0.1\n", "gone.json": "{}",
+    # moved.csv: the same x written with other digits, y off by 0.25 at most, a
+    # NaN on both sides, a text column; grown.csv gains a row
+    moved = "# seed=1\nname,x,y,z\na,{},1.0,nan\nb,2.0,{},1e-300\n"
+    for side, files in (("a", {"same.csv": "1\n", "moved.csv": moved.format("0.1", "-0.5"),
+                               "grown.csv": "t\n1\n", "gone.json": "{}",
                                "cfg/timings.json": '{"wall_s": 1.0}'}),
-                        ("b", {"same.csv": "1\n", "moved.csv": "0.10000000000000001\n",
-                               "cfg/new.csv": "x\n", "cfg/timings.json": '{"wall_s": 2.0}'})):
+                        ("b", {"same.csv": "1\n",
+                               "moved.csv": moved.format("0.10000000000000001", "-0.25"),
+                               "grown.csv": "t\n1\n2\n", "cfg/new.csv": "x\n",
+                               "cfg/timings.json": '{"wall_s": 2.0}'})):
         for name, text in files.items():
             (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / side / name).write_text(text)
     proc = run(tmp_path / "a", tmp_path / "b")
     assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.splitlines() == ["only in B  cfg/new.csv", "only in A  gone.json",
-                                        "differs  moved.csv"]
+    assert proc.stdout.splitlines() == [
+        "only in B  cfg/new.csv", "only in A  gone.json", "differs  grown.csv",
+        "  shape 1 x 1 -> 1 x 2", "differs  moved.csv", "  x  max |dev| 0.000e+00",
+        "  y  max |dev| 2.500e-01", "  z  max |dev| 0.000e+00"]
     # a tree against itself, and against a copy that differs only in its timings
     shutil.copytree(tmp_path / "a", tmp_path / "c")
     (tmp_path / "c" / "cfg" / "timings.json").write_text('{"wall_s": 4.0}')
