@@ -28,18 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSet, ControlPath, StructuralTags, coeff_tables
-from .grids import ThetaGrid, TimeGrid, hnorm_weight, weighted_norm
-from .kernels import (DiscreteLaplaceKernel, discounted_sweep, step_decay_weight,
-                      sweep_factors)
+from .grids import TimeGrid, hnorm_weight, weighted_norm
+from .kernels import DiscreteLaplaceKernel, discounted_sweep, sweep_factors
 from .simulate import BrownianEnsemble, lift_along
 
 
 class PicardError(RuntimeError):
     pass
-
-
-def theta_grid_from_kernel(kernel: DiscreteLaplaceKernel) -> ThetaGrid:
-    return ThetaGrid(nodes=kernel.nodes, mu_weights=kernel.weights)
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,6 @@ class FirstOrderField:
     """Adjoint pair (p, q) on the decay grid, affine in an optional Z."""
 
     grid: TimeGrid
-    tgrid: ThetaGrid
     P0: np.ndarray                     # (N+1, K, n)
     Q0: np.ndarray                     # (N+1, K, n)
     G0: np.ndarray                     # (N+1, K, n) generator table (theta-resolved)
@@ -100,7 +94,6 @@ class SecondOrderField:
     """Deterministic pair field (P, Q == 0) on the node-pair grid."""
 
     grid: TimeGrid
-    tgrid: ThetaGrid
     P: np.ndarray   # (N+1, K, K, n, n)
     G: np.ndarray   # (N+1, K, K, n, n)
     asymmetry: float = 0.0
@@ -109,7 +102,7 @@ class SecondOrderField:
 
 
 def trivial_bsee_solve(
-    tgrid: ThetaGrid,
+    kernel: DiscreteLaplaceKernel,
     grid: TimeGrid,
     phi0: np.ndarray,
     g0: np.ndarray,
@@ -123,40 +116,33 @@ def trivial_bsee_solve(
     For constant generators the result matches the exact discounted integral
     (1 - e^{-theta (T-t)}) / theta at every node, including theta = 0.
     """
-    nodes, dt = tgrid.nodes, grid.dt
+    nodes, dt = kernel.nodes, grid.dt
     G0 = np.asarray(g0, dtype=float)
     P0 = discounted_sweep(nodes, dt, phi0, G0)
     if phi1 is None:
-        return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=np.zeros_like(P0), G0=G0)
+        return FirstOrderField(grid=grid, P0=P0, Q0=np.zeros_like(P0), G0=G0)
 
     if Z is None:
         raise ValueError("affine terminal data need the Gaussian factor Z")
     P1 = discounted_sweep(nodes, dt, phi1, np.zeros_like(P0))
     Q0 = np.zeros_like(P0)
     Q0[:-1] = np.exp(-nodes * dt)[:, None] * P1[1:] * Z.vol[:-1, None, None]
-    return FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, P1=P1, Z=Z)
+    return FirstOrderField(grid=grid, P0=P0, Q0=Q0, G0=G0, P1=P1, Z=Z)
 
 
-def _s_norm(grid: TimeGrid, tgrid: ThetaGrid, alpha: float, order: int):
-    """dP -> sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+a} ), its weights built once."""
-    wts = (grid.T - grid.t) ** alpha * grid.dt
-    weight = hnorm_weight(tgrid, 1.0 + alpha, order)
+def _s_norm(grid: TimeGrid, kernel: DiscreteLaplaceKernel, order: int):
+    """dP -> sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+alpha} ) of a table
+    field (Q == 0) at the kernel's alpha, its weights built once."""
+    wts = (grid.T - grid.t) ** kernel.alpha * grid.dt
+    weight = hnorm_weight(kernel, 1.0 + kernel.alpha, order)
     return lambda dP: float(np.sqrt(np.sum(wts * weighted_norm(dP, weight) ** 2)))
 
 
-def s_norm_distance(grid: TimeGrid, tgrid: ThetaGrid, alpha: float,
-                    dP: np.ndarray, order: int) -> float:
-    """Space-time norm sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+a} ) of a
-    table field (Q == 0)."""
-    return _s_norm(grid, tgrid, alpha, order)(dP)
-
-
 def picard_bsee_solve(
-    tgrid: ThetaGrid,
+    kernel: DiscreteLaplaceKernel,
     grid: TimeGrid,
     phi: np.ndarray,
     generator_map,
-    alpha: float,
     order: int = 1,
     tol: float = 1e-10,
     max_iter: int = 200,
@@ -169,14 +155,14 @@ def picard_bsee_solve(
     symmetrized, so that generator_map sees only symmetric fields after the
     terminal one).  A table field has Q == 0 on every iterate, so only P is
     iterated.  The rate tables and the norm weights are built once per solve.
-    Stops when the weighted space-time distance between successive
-    iterates drops below tol; raises on iteration exhaustion or three
-    consecutive non-contracting steps.
+    Stops when the weighted space-time distance (at the kernel's alpha)
+    between successive iterates drops below tol; raises on iteration
+    exhaustion or three consecutive non-contracting steps.
     Returns the solved field with its iteration distances attached.
     """
-    rates = tgrid.nodes if order == 1 else tgrid.varpi2()
+    rates = kernel.nodes if order == 1 else kernel.pair_rates
     factors = sweep_factors(rates, grid.dt, phi.ndim - rates.ndim)
-    distance = _s_norm(grid, tgrid, alpha, order)
+    distance = _s_norm(grid, kernel, order)
     P = np.zeros((grid.n_steps + 1,) + phi.shape)
     P[-1] = phi
     distances = []
@@ -197,10 +183,10 @@ def picard_bsee_solve(
         P = P_new
         if d < tol:
             if order == 1:
-                return FirstOrderField(grid=grid, tgrid=tgrid, P0=P, Q0=np.zeros_like(P),
+                return FirstOrderField(grid=grid, P0=P, Q0=np.zeros_like(P),
                                        G0=generator_map(P), iterations=it + 1,
                                        distances=distances)
-            return SecondOrderField(grid=grid, tgrid=tgrid, P=P, G=generator_map(P),
+            return SecondOrderField(grid=grid, P=P, G=generator_map(P),
                                     asymmetry=asym_max, iterations=it + 1,
                                     distances=distances)
     raise PicardError(f"max_iter={max_iter} exceeded, last distance {distances[-1]:.3e}")
@@ -257,7 +243,6 @@ class AdjointSolution:
 
     kernel: DiscreteLaplaceKernel
     grid: TimeGrid
-    tgrid: ThetaGrid
     first: FirstOrderField
     u_hat: ControlPath | None = None
     second: SecondOrderField | None = None
@@ -267,6 +252,11 @@ class AdjointSolution:
     Aq0: np.ndarray | None = None   # (N+1, n) mu[Ms^T q]
     Rss: np.ndarray | None = None   # (N+1, n, n) mu x mu [Ms^T P Ms]
     solve_path: str = "deterministic"
+
+    @property
+    def tgrid(self) -> DiscreteLaplaceKernel:
+        """Alias of ``kernel``, the decay grid of the fields."""
+        return self.kernel
 
     def finalize(self):
         k = self.kernel
@@ -307,10 +297,9 @@ def assemble_first_adjoint(
     """Build the first-order adjoint field for a reference control, on the
     solve path that ``choose_solve_path`` picks from the tags."""
     grid = ens.grid
-    tgrid = theta_grid_from_kernel(kernel)
     tags = coeffs.tags
     n = coeffs.dim
-    K = tgrid.size
+    K = kernel.n_nodes
     path = choose_solve_path(tags, lsmc, u_hat.deterministic)
 
     if path == "deterministic":
@@ -321,9 +310,9 @@ def assemble_first_adjoint(
             g = np.einsum("tca,tc->ta", bx, contract_first(kernel, "b", P)) - fx
             return np.broadcast_to(g[:, None, :], P.shape).copy()
 
-        fld = picard_bsee_solve(tgrid, grid, phi, gen_map, kernel.alpha,
-                                order=1, tol=tol, max_iter=max_iter)
-        return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
+        fld = picard_bsee_solve(kernel, grid, phi, gen_map, order=1, tol=tol,
+                                max_iter=max_iter)
+        return AdjointSolution(kernel=kernel, grid=grid, first=fld,
                                u_hat=u_hat, solve_path="deterministic").finalize()
 
     if path == "affine":
@@ -349,8 +338,8 @@ def assemble_first_adjoint(
         phi0 = np.full((K, 1), -h1)
         phi1 = np.full((K, 1), -h2)
         g0 = np.broadcast_to(-fx[:, None, :], (N + 1, K, 1)).copy()
-        fld = trivial_bsee_solve(tgrid, grid, phi0, g0, phi1=phi1, Z=Z)
-        return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
+        fld = trivial_bsee_solve(kernel, grid, phi0, g0, phi1=phi1, Z=Z)
+        return AdjointSolution(kernel=kernel, grid=grid, first=fld,
                                u_hat=u_hat, solve_path="affine").finalize()
 
     if path == "lsmc":
@@ -419,17 +408,15 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
     s_0 / s_{r-1} are recorded in ``FirstOrderField.regression``.
     """
     grid = ens.grid
-    tgrid = theta_grid_from_kernel(kernel)
     if coeffs.dim != 1:
         raise NotImplementedError("LSMC adjoints are scalar-state")
     if x_hat is None:
         raise ValueError("the regression path needs the simulated reference state")
     N, dt = grid.n_steps, grid.dt
-    K, paths = tgrid.size, ens.n_paths
+    K, paths = kernel.n_nodes, ens.n_paths
     Y = lift_along(coeffs, u_hat, kernel, x_hat, ens)[:, :, 0]        # (N+1, K, paths)
     bx, sx, fx = _tables_along(coeffs, u_hat, grid, x_hat, ("b_x", "sigma_x", "f_x"))
-    dec = np.exp(-tgrid.nodes * dt)
-    om = step_decay_weight(tgrid.nodes, dt)
+    dec, om = sweep_factors(kernel.nodes, dt)
     mb = kernel.mb[:, 0, 0] * kernel.weights
     ms = kernel.msigma[:, 0, 0] * kernel.weights
     dw_dt = ens.dW.T / dt                                              # (N, paths)
@@ -457,8 +444,8 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
     log = _REGRESSIONS.get()
     if log is not None:
         log.append(regression)
-    fld = FirstOrderField(grid=grid, tgrid=tgrid, P0=P0, Q0=Q0, G0=G0, regression=regression)
-    return AdjointSolution(kernel=kernel, grid=grid, tgrid=tgrid, first=fld,
+    fld = FirstOrderField(grid=grid, P0=P0, Q0=Q0, G0=G0, regression=regression)
+    return AdjointSolution(kernel=kernel, grid=grid, first=fld,
                            u_hat=u_hat, solve_path="lsmc").finalize()
 
 
@@ -483,9 +470,8 @@ def assemble_second_adjoint(
     if tags.h_degree > 2 or tags.f_state_degree > 2:
         raise ValueError("pair field requires cost Hessians constant in x")
     grid = ens.grid
-    tgrid = first.tgrid
     n = coeffs.dim
-    K = tgrid.size
+    K = kernel.n_nodes
     bx, sx, fxx = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     hxx = coeffs.h_xx(np.zeros((1, n)))[0]
     phi = np.broadcast_to(-hxx, (K, K, n, n)).copy()
@@ -504,8 +490,8 @@ def assemble_second_adjoint(
         g += (smid + hess_term)[:, None, None]
         return g
 
-    fld2 = picard_bsee_solve(tgrid, grid, phi, gen_map, kernel.alpha, order=2,
-                             tol=tol, max_iter=max_iter)
+    fld2 = picard_bsee_solve(kernel, grid, phi, gen_map, order=2, tol=tol,
+                             max_iter=max_iter)
     first.second = fld2
     return first.finalize()
 

@@ -25,7 +25,8 @@ import numpy as np
 from .bsee import AdjointSolution, contract_pair_right
 from .coefficients import coeff_tables
 from .grids import TimeGrid
-from .kernels import DiscreteLaplaceKernel, discounted_sweep, step_decay_weight
+from .kernels import (DiscreteLaplaceKernel, discounted_sweep, step_decay_weight,
+                      sweep_factors)
 from .simulate import BrownianEnsemble
 
 
@@ -194,8 +195,7 @@ def _solve_coupled_theta_fields(kernel: DiscreteLaplaceKernel, grid: TimeGrid,
     th = kernel.nodes
     wmb = kernel.weights * kernel.mb[:, 0, 0]
     N, dt = grid.n_steps, grid.dt
-    dec = np.exp(-th * dt)
-    om = step_decay_weight(th, dt)
+    dec, om = sweep_factors(th, dt)
     c1 = float(wmb @ om)
     P = np.zeros((len(stops), N + 1, th.size))
     G = np.zeros((len(stops), N + 1))
@@ -325,7 +325,7 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
     # eq3: risk-contraction expansion (exact when P2 = P4 = 0), with the lag tables
     # U[d] = (omega(varpi) e^{-varpi d dt}) wms: acc_m = Ks(T-t_m)^2 P1_m
     # + sum_{k>=m} ((wms.U[k-m]) P3_k + 2 (wms S_k).U[k-m]), S the one-slot part.
-    varpi = th[:, None] + th[None, :]
+    varpi = kernel.pair_rates
     om2 = step_decay_weight(varpi, dt)
     U = (om2 * np.exp(-varpi * (np.arange(N) * dt)[:, None, None])) @ wms   # (N, K)
     acc = (ks_pt[::-1] ** 2 * tuple2.P1 + _lag_sums(U @ wms, tuple2.P3, N)
@@ -348,4 +348,4 @@ def reconstruct_second_field(tuple2: BSVIESecondTuple, kernel: DiscreteLaplaceKe
     th = kernel.nodes
     side = _side_table(tuple2, th)
     G = tuple2.P3[:, None, None] + side[:, :, None] + side[:, None, :]
-    return discounted_sweep(th[:, None] + th[None, :], tuple2.grid.dt, tuple2.P1[-1], G)
+    return discounted_sweep(kernel.pair_rates, tuple2.grid.dt, tuple2.P1[-1], G)

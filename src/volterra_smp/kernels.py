@@ -80,7 +80,12 @@ class AnalyticKernel:
 
 @dataclass(frozen=True)
 class DiscreteLaplaceKernel:
-    """Finite-atom representation of the kernel pair (K_b, K_sigma)."""
+    """Finite-atom representation of the kernel pair (K_b, K_sigma).
+
+    Its atoms are also the decay grid of the backward fields: a first-order
+    field lives on ``nodes`` with measure ``weights``, a second-order one on
+    the node pairs, at ``pair_rates``; ``alpha`` sets their norm weights.
+    """
 
     nodes: np.ndarray     # (K,) decay rates, nonnegative, strictly increasing
     weights: np.ndarray   # (K,) positive mu-masses
@@ -123,6 +128,11 @@ class DiscreteLaplaceKernel:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
+
+    @property
+    def pair_rates(self) -> np.ndarray:
+        """(K, K) decay rates theta_i + theta_j of the node pairs."""
+        return self.nodes[:, None] + self.nodes[None, :]
 
     def factors(self, which: str) -> np.ndarray:
         if which == "b":
@@ -288,17 +298,25 @@ def build_fractional_lift(
     if not np.isfinite(edges[-1]):
         raise ValueError(f"constraint violated: the range theta_min={theta_min} to "
                          f"theta_max={theta_max} overflows on {n_nodes} nodes")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"constraint violated: the range theta_min={theta_min} to "
+                         f"theta_max={theta_max} is too narrow for {n_nodes} distinct nodes")
 
     weights = np.empty(n_nodes)
     avg_b = np.empty(n_nodes)
     avg_s = np.empty(n_nodes)
     cb = 1.0 / (gamma_fn(beta_b) * gamma_fn(1.0 - beta_b))
     cs = 1.0 / (gamma_fn(beta_sigma) * gamma_fn(1.0 - beta_sigma))
-    for i in range(n_nodes):
-        a, b = edges[i], edges[i + 1]
-        weights[i] = _power_cell_integral(a, b, gamma)
-        avg_b[i] = cb * _power_cell_integral(a, b, beta_b) / weights[i]
-        avg_s[i] = cs * _power_cell_integral(a, b, beta_sigma) / weights[i]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n_nodes):
+            a, b = edges[i], edges[i + 1]
+            weights[i] = _power_cell_integral(a, b, gamma)
+            avg_b[i] = cb * _power_cell_integral(a, b, beta_b) / weights[i]
+            avg_s[i] = cs * _power_cell_integral(a, b, beta_sigma) / weights[i]
+    if not (np.all(weights > 0) and np.all(np.isfinite([weights, avg_b, avg_s]))):
+        raise ValueError(f"constraint violated: gamma={gamma} on the range theta_min="
+                         f"{theta_min} to theta_max={theta_max} gives cell masses or "
+                         f"factor averages that are not positive and finite")
 
     eye = np.eye(dim)
     return DiscreteLaplaceKernel(

@@ -30,7 +30,7 @@ import numpy as np
 from .bsee import AdjointSolution
 from .coefficients import CoefficientSet, ControlPath, coeff_tables
 from .grids import TimeGrid
-from .kernels import step_decay_weight
+from .kernels import sweep_factors
 from .simulate import BrownianEnsemble
 from .stats import mc_mean_se, mc_mean_se_rows
 from .variation import SpikeSpec, _spike_cosimulation
@@ -76,7 +76,7 @@ class _DualityAccumulator:
         self.rhs_display = np.zeros((2, paths))
         self.spike_adjoint = np.zeros(paths)
         k, first, second = self.adj.kernel, self.adj.first, self.adj.second
-        w, dec = k.weights, np.exp(-k.nodes * dt)
+        w, (dec, om) = k.weights, sweep_factors(k.nodes, dt)
         F = np.stack([k.mb[:, 0, 0], k.msigma[:, 0, 0]])    # (2, K): M_b, M_sigma
         wF = w * F
 
@@ -85,8 +85,7 @@ class _DualityAccumulator:
 
         Q0 = first.Q0[:N, :, 0]
         # step m's functionals of Y12: -mu[omega g_m .] and mu[q_m .], (N, 2, K)
-        self._V = np.stack([-(w * step_decay_weight(k.nodes, dt)) * first.G0[:N, :, 0],
-                            w * Q0], 1)
+        self._V = np.stack([-(w * om) * first.G0[:N, :, 0], w * Q0], 1)
         self._A0 = mu(dec * first.P0[1:, :, 0])
         self._Aq = mu(Q0)
         self._A1 = None if first.P1 is None else mu(dec * first.P1[1:, :, 0])
@@ -97,13 +96,13 @@ class _DualityAccumulator:
         if self.pair_terms == "none":
             return
         ww = w[:, None] * w[None, :]
-        varpi = self.adj.tgrid.varpi2()
+        dec2, om2 = sweep_factors(k.pair_rates, dt)
         # WPt_m = ww e^{-varpi dt} P_{m+1} is symmetric, so F WPt_m reads (WPt_m Y1) F^T
         # off Y1 as two functionals, (N, 2, K)
-        self._U = F @ (ww * (np.exp(-varpi * dt) * P))
+        self._U = F @ (ww * (dec2 * P))
         self._S = (self._U @ F.T)[:, [0, 0, 1], [0, 1, 1]]   # (N, 3): Pbb, Pbs, Pss
         if self.pair_terms == "quadratic":
-            self._WG = ww * (step_decay_weight(varpi, dt) * G)
+            self._WG = ww * (om2 * G)
 
     def __call__(self, m: int, Y1: np.ndarray, Y2: np.ndarray, forcings: tuple, cv: dict):
         dt, P = self.ens.grid.dt, self.ens.n_paths

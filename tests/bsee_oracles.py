@@ -1,5 +1,5 @@
-"""Reference forms of the regression adjoint solve and of the pair-field
-Picard solve (test-only oracles).
+"""Reference forms of the regression adjoint solve, of the pair-field
+Picard solve and of the weighted norms (test-only oracles).
 
 ``lsmc_first_adjoint`` is the regression sweep as first written: the lift of
 the state simulated from ``xi``, and at every step one ``np.linalg.lstsq``
@@ -11,13 +11,16 @@ once and projects only what the sweep reads.
 written as three separate contractions (left, right and the full mu x mu
 one as one einsum), its rate tables and norm weights rebuilt on every
 iteration.  ``bsee`` forms one one-sided contraction and hoists the rest.
+
+``hnorm1``, ``hnorm2`` and ``s_norm_distance`` are the weighted norms of
+first- and second-order fields and the space-time distance of Picard's
+stopping rule, composed from ``grids.hnorm_weight`` and ``weighted_norm``.
 """
 
 import numpy as np
 
-from volterra_smp.bsee import theta_grid_from_kernel
 from volterra_smp.coefficients import coeff_tables
-from volterra_smp.grids import hnorm2
+from volterra_smp.grids import hnorm_weight, weighted_norm
 from volterra_smp.kernels import discounted_sweep, step_decay_weight
 from volterra_smp.simulate import simulate_lift
 
@@ -26,7 +29,7 @@ def lsmc_first_adjoint(coeffs, u_hat, xi, kernel, ens) -> tuple:
     """(P0, Q0, G0), each (N+1, K): path means of p, q and the generator."""
     grid = ens.grid
     N, dt = grid.n_steps, grid.dt
-    nodes = theta_grid_from_kernel(kernel).nodes
+    nodes = kernel.nodes
     K = nodes.size
     Y, x_hat = simulate_lift(coeffs, u_hat, kernel, xi, ens, self_test=False)
     paths = ens.n_paths
@@ -61,9 +64,8 @@ def second_adjoint_einsum(coeffs, first, kernel, ens, tol=1e-13, max_iter=200) -
     """The pair field P, its iteration count and distances, for a first-order
     solution ``first`` (an ``AdjointSolution``)."""
     grid = ens.grid
-    tgrid = first.tgrid
     n = coeffs.dim
-    K = tgrid.size
+    K = kernel.n_nodes
     w, mb, ms = kernel.weights, kernel.mb, kernel.msigma
     bx, sx, fxx = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     phi = np.broadcast_to(-coeffs.h_xx(np.zeros((1, n)))[0], (K, K, n, n)).copy()
@@ -79,17 +81,35 @@ def second_adjoint_einsum(coeffs, first, kernel, ens, tol=1e-13, max_iter=200) -
         g += (smid - fxx)[:, None, None, :, :]
         return g
 
-    wts = (grid.T - grid.t) ** kernel.alpha * grid.dt
     P = np.zeros((grid.n_steps + 1,) + phi.shape)
     P[-1] = phi
     distances = []
     for _ in range(max_iter):
-        P_new = discounted_sweep(tgrid.varpi2(), grid.dt, phi, gen_map(P))
+        P_new = discounted_sweep(kernel.pair_rates, grid.dt, phi, gen_map(P))
         swapped = np.swapaxes(np.swapaxes(P_new, 1, 2), -2, -1)
         P_new = 0.5 * (P_new + swapped)
-        d = float(np.sqrt(np.sum(wts * hnorm2(P_new - P, tgrid, 1.0 + kernel.alpha) ** 2)))
+        d = s_norm_distance(grid, kernel, P_new - P, 2)
         distances.append(d)
         P = P_new
         if d < tol:
             return {"P": P, "iterations": len(distances), "distances": distances}
     raise RuntimeError("the reference pair solve did not converge")
+
+
+def hnorm1(values, kernel, beta: float) -> np.ndarray:
+    """Weighted norm of a first-order field, shape (..., K, n); the result
+    drops the last two axes."""
+    return weighted_norm(values, hnorm_weight(kernel, beta, 1))
+
+
+def hnorm2(values, kernel, beta: float) -> np.ndarray:
+    """Weighted norm of a second-order field, shape (..., K, K, n, n)."""
+    return weighted_norm(values, hnorm_weight(kernel, beta, 2))
+
+
+def s_norm_distance(grid, kernel, dP, order: int) -> float:
+    """Space-time norm sqrt( sum_m (T-t_m)^alpha dt ||dP_m||^2_{1+alpha} ) of a
+    table field (Q == 0), at the kernel's alpha."""
+    wts = (grid.T - grid.t) ** kernel.alpha * grid.dt
+    norm = hnorm1 if order == 1 else hnorm2
+    return float(np.sqrt(np.sum(wts * norm(dP, kernel, 1.0 + kernel.alpha) ** 2)))

@@ -8,7 +8,7 @@ lag-table contractions; the property tests compare the two.
 
 import numpy as np
 
-from volterra_smp.bsee import contract_pair_right, theta_grid_from_kernel
+from volterra_smp.bsee import contract_pair_right
 from volterra_smp.bsvie import _kernel_scalar_tables
 from volterra_smp.coefficients import coeff_tables
 from volterra_smp.kernels import step_decay_weight
@@ -76,9 +76,8 @@ def bsvie_residual_second(tuple2, coeffs, adjoints, kernel) -> dict:
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
-    tg = theta_grid_from_kernel(kernel)
-    th = tg.nodes
-    w = tg.mu_weights
+    th = kernel.nodes
+    w = kernel.weights
     mb = kernel.mb[:, 0, 0]
     ms = kernel.msigma[:, 0, 0]
 
@@ -128,9 +127,8 @@ def bsvie_residual_second(tuple2, coeffs, adjoints, kernel) -> dict:
 def reconstruct_second_field(tuple2, kernel) -> np.ndarray:
     grid = tuple2.grid
     N, dt = grid.n_steps, grid.dt
-    tg = theta_grid_from_kernel(kernel)
-    th = tg.nodes
-    K = tg.size
+    th = kernel.nodes
+    K = kernel.n_nodes
     varpi = th[:, None] + th[None, :]
     dec2 = np.exp(-varpi * dt)
     om2 = step_decay_weight(varpi.reshape(-1), dt).reshape(varpi.shape)

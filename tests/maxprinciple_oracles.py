@@ -189,7 +189,7 @@ class _LoopDualityAccumulator:
 
         Pss = 0.0
         if second is not None:
-            varpi = self.adj.tgrid.varpi2()
+            varpi = k.pair_rates
             ww = np.outer(w, w)
             WPt = ww * np.exp(-varpi * dt) * second.P[m + 1, :, :, 0, 0]
             WG = ww * step_decay_weight(varpi, dt) * second.G[m, :, :, 0, 0]

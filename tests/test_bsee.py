@@ -8,46 +8,46 @@ from volterra_smp.bsee import (AdjointSolution, FirstOrderField, GaussianMarting
                                PicardError, _retained_basis, assemble_adjoints,
                                assemble_first_adjoint,
                                assemble_second_adjoint, picard_bsee_solve,
-                               s_norm_distance, theta_grid_from_kernel,
                                trivial_bsee_solve)
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
                                        StructuralTags, make_problem)
-from volterra_smp.grids import ThetaGrid, TimeGrid, hnorm1
+from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift, step_decay_weight
 from volterra_smp.simulate import lift_along, sample_brownian, simulate_lift, simulate_sve
 
 
-def theta_of(kernel):
-    return theta_grid_from_kernel(kernel)
+def atoms(nodes, weights):
+    """A scalar kernel that is just the decay grid (nodes, weights)."""
+    ones = np.ones(len(nodes))
+    return DiscreteLaplaceKernel(nodes=nodes, weights=weights, mb=ones, msigma=ones)
 
 
 def test_hnorm_zero_and_single_node():
-    tg = ThetaGrid(nodes=np.array([3.0]), mu_weights=np.array([1.0]))
+    k = atoms(np.array([3.0]), np.array([1.0]))
     psi = np.zeros((1, 1))
-    assert hnorm1(psi, tg, 2.0) == 0.0
+    assert oracle.hnorm1(psi, k, 2.0) == 0.0
     psi = np.full((1, 1), 2.0)
     # one-term sum: 2 * sqrt((1 + 3) * r(3)) with r(3) = 3^{-1/2}
     expect = 2.0 * np.sqrt(4.0 * 3.0 ** -0.5)
-    assert hnorm1(psi, tg, 1.0) == pytest.approx(expect, rel=1e-14)
-    assert hnorm1(psi, tg, 1.0) == pytest.approx(3.0393427426063734, rel=1e-12)
+    assert oracle.hnorm1(psi, k, 1.0) == pytest.approx(expect, rel=1e-14)
+    assert oracle.hnorm1(psi, k, 1.0) == pytest.approx(3.0393427426063734, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(beta=st.floats(-1.0, 2.0), drop=st.floats(0.1, 2.0), seed=st.integers(0, 10 ** 6))
 def test_hnorm_embedding_monotone(beta, drop, seed):
     rng = np.random.default_rng(seed)
-    tg = ThetaGrid(nodes=np.sort(rng.uniform(0.0, 50.0, 6) + np.arange(6)),
-                   mu_weights=rng.uniform(0.1, 2.0, 6))
+    k = atoms(np.sort(rng.uniform(0.0, 50.0, 6) + np.arange(6)), rng.uniform(0.1, 2.0, 6))
     psi = rng.normal(size=(6, 1))
-    assert hnorm1(psi, tg, beta - drop) <= hnorm1(psi, tg, beta) * (1 + 1e-12)
+    assert oracle.hnorm1(psi, k, beta - drop) <= oracle.hnorm1(psi, k, beta) * (1 + 1e-12)
 
 
 def test_trivial_solve_constant_data_closed_form(grid, frac_kernel):
-    tg = theta_of(frac_kernel)
+    K = frac_kernel.n_nodes
     c, g = 2.0, 0.7
-    fld = trivial_bsee_solve(tg, grid, np.full((tg.size, 1), c),
-                             np.full((grid.n_steps + 1, tg.size, 1), g))
-    th = tg.nodes
+    fld = trivial_bsee_solve(frac_kernel, grid, np.full((K, 1), c),
+                             np.full((grid.n_steps + 1, K, 1), g))
+    th = frac_kernel.nodes
     tt = grid.T - grid.t
     decay = np.exp(-np.outer(tt, th))
     tail = np.where(th[None, :] > 0, (1.0 - decay) / np.where(th[None, :] > 0, th[None, :], 1.0),
@@ -56,30 +56,29 @@ def test_trivial_solve_constant_data_closed_form(grid, frac_kernel):
 
 
 def test_trivial_solve_zero_node_limit(grid, delta_kernel):
-    tg = theta_of(delta_kernel)
-    fld = trivial_bsee_solve(tg, grid, np.zeros((1, 1)),
+    fld = trivial_bsee_solve(delta_kernel, grid, np.zeros((1, 1)),
                              np.ones((grid.n_steps + 1, 1, 1)))
     # theta = 0 limit of the discounted tail is g * (T - t)
     assert np.max(np.abs(fld.P0[:, 0, 0] - (grid.T - grid.t))) <= 1e-12
 
 
 def test_trivial_solve_zero_data(grid, frac_kernel):
-    tg = theta_of(frac_kernel)
-    fld = trivial_bsee_solve(tg, grid, np.zeros((tg.size, 1)),
-                             np.zeros((grid.n_steps + 1, tg.size, 1)))
+    K = frac_kernel.n_nodes
+    fld = trivial_bsee_solve(frac_kernel, grid, np.zeros((K, 1)),
+                             np.zeros((grid.n_steps + 1, K, 1)))
     assert np.max(np.abs(fld.P0)) == 0.0
 
 
 def test_trivial_solve_brownian_terminal(grid, frac_kernel):
     e = sample_brownian(grid, 200, 15)
-    tg = theta_of(frac_kernel)
+    K = frac_kernel.n_nodes
     Z = GaussianMartingale(values=e.W, vol=np.ones(grid.n_steps + 1))
     a = 0.8
-    fld = trivial_bsee_solve(tg, grid, np.zeros((tg.size, 1)),
-                             np.zeros((grid.n_steps + 1, tg.size, 1)),
-                             phi1=np.full((tg.size, 1), a), Z=Z)
+    fld = trivial_bsee_solve(frac_kernel, grid, np.zeros((K, 1)),
+                             np.zeros((grid.n_steps + 1, K, 1)),
+                             phi1=np.full((K, 1), a), Z=Z)
     # node-wise check against the scalar closed form p = a e^{-th (T-t)} W_t
-    for i, th in enumerate(tg.nodes[::5]):
+    for i, th in enumerate(frac_kernel.nodes[::5]):
         inst = BSDEInstance(grid, kappa=float(th), terminal_wt=a)
         sol = solve_bsde_closedform(inst)
         idx = 5 * i
@@ -89,26 +88,24 @@ def test_trivial_solve_brownian_terminal(grid, frac_kernel):
 
 
 def test_picard_constant_generator_one_iteration(grid, frac_kernel):
-    tg = theta_of(frac_kernel)
-    phi = np.zeros((tg.size, 1))
+    phi = np.zeros((frac_kernel.n_nodes, 1))
 
     def gen_map(P):
         return np.ones_like(P)
 
-    fld = picard_bsee_solve(tg, grid, phi, gen_map, alpha=frac_kernel.alpha, order=1)
+    fld = picard_bsee_solve(frac_kernel, grid, phi, gen_map, order=1)
     assert fld.iterations <= 2  # constant map: first correction already exact
     assert fld.distances[-1] < 1e-10
 
 
 def test_picard_reports_non_contraction(grid, delta_kernel):
-    tg = theta_of(delta_kernel)
     phi = np.ones((1, 1))
 
     def expanding(P):
         return 10.0 * P + 1.0
 
     with pytest.raises(PicardError):
-        picard_bsee_solve(tg, grid, phi, expanding, alpha=0.0, order=1, max_iter=60)
+        picard_bsee_solve(delta_kernel, grid, phi, expanding, order=1, max_iter=60)
 
 
 def test_picard_geometric_decay_on_linear_problem(grid, lq, frac_kernel, ens):
@@ -145,7 +142,7 @@ def test_first_adjoint_running_slope_oracle(grid, frac_kernel, ens):
 def test_first_adjoint_node_bsde_residual(grid, lq, frac_kernel, ens):
     uh = ControlPath.constant(0.5, grid)
     adj = assemble_first_adjoint(lq, uh, None, frac_kernel, ens)
-    th = adj.tgrid.nodes
+    th = adj.kernel.nodes
     dec = np.exp(-th * grid.dt)
     om = step_decay_weight(th, grid.dt)
     P0, G0 = adj.first.P0[:, :, 0], adj.first.G0[:, :, 0]
@@ -158,7 +155,7 @@ def test_second_adjoint_pair_oracle(grid, frac_kernel, ens):
     uh = ControlPath.constant(0.5, grid)
     xh = simulate_sve(pr, uh, frac_kernel, 0.2, ens)
     adj = assemble_adjoints(pr, uh, xh, frac_kernel, ens)
-    varpi = adj.tgrid.varpi2()
+    varpi = adj.kernel.pair_rates
     expect = -2.0 * np.exp(-np.multiply.outer(grid.T - grid.t, varpi))
     assert np.max(np.abs(adj.second.P[:, :, :, 0, 0] - expect)) <= 1e-12
     assert adj.second.asymmetry <= 1e-10
@@ -200,18 +197,16 @@ def test_linearity_of_weighted_energies(grid, frac_kernel, ens):
     alpha = frac_kernel.alpha
     e1 = assemble_first_adjoint(pr1, uh, None, frac_kernel, ens)
     e2 = assemble_first_adjoint(pr2, uh, None, frac_kernel, ens)
-    tg = e1.tgrid
     wts = (grid.T - grid.t) ** alpha * grid.dt
-    en1 = float(np.sum(wts * hnorm1(e1.first.P0, tg, 1 + alpha) ** 2))
-    en2 = float(np.sum(wts * hnorm1(e2.first.P0, tg, 1 + alpha) ** 2))
+    en1 = float(np.sum(wts * oracle.hnorm1(e1.first.P0, frac_kernel, 1 + alpha) ** 2))
+    en2 = float(np.sum(wts * oracle.hnorm1(e2.first.P0, frac_kernel, 1 + alpha) ** 2))
     assert en2 == pytest.approx(9.0 * en1, rel=1e-12)
     assert np.isfinite(en1)
 
 
 def test_s_norm_distance_zero_fields(grid, frac_kernel):
-    tg = theta_of(frac_kernel)
-    z = np.zeros((grid.n_steps + 1, tg.size, 1))
-    assert s_norm_distance(grid, tg, 0.3, z, order=1) == 0.0
+    z = np.zeros((grid.n_steps + 1, frac_kernel.n_nodes, 1))
+    assert oracle.s_norm_distance(grid, frac_kernel, z, order=1) == 0.0
 
 
 def _lsmc_against_oracle(problem, uh, xi, kernel, e):
@@ -344,9 +339,8 @@ def test_pair_picard_matches_einsum_oracle_for_vector_state():
     grid = TimeGrid(1.0, 24)
     e = sample_brownian(grid, 8, 3)
     zero = np.zeros((grid.n_steps + 1, K, n))
-    first = AdjointSolution(kernel=k, grid=grid, tgrid=theta_grid_from_kernel(k),
-                            first=FirstOrderField(grid=grid, tgrid=theta_grid_from_kernel(k),
-                                                  P0=zero, Q0=zero, G0=zero),
+    first = AdjointSolution(kernel=k, grid=grid,
+                            first=FirstOrderField(grid=grid, P0=zero, Q0=zero, G0=zero),
                             u_hat=ControlPath.constant(0.0, grid))
     ref = oracle.second_adjoint_einsum(coeffs, first, k, e, tol=1e-13)
     sol = assemble_second_adjoint(coeffs, first, k, e, tol=1e-13).second

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +81,10 @@ def test_provenance_verification_fails_without_header(tmp_path):
         read_result_table(p)
 
 
-def test_run_all_deterministic_bytes(tmp_path, monkeypatch):
+def test_run_all_deterministic_bytes(tmp_path):
     cfg = resolve_config(SMALL)
     blobs = []
-    for tag, workers in (("a", "1"), ("b", "4")):
-        monkeypatch.setenv("VOLTERRA_SMP_THREADS", workers)
+    for tag in ("a", "b"):
         out = tmp_path / tag
         res = run_experiment("all", cfg)
         write_results(res, cfg, out)
@@ -91,7 +93,7 @@ def test_run_all_deterministic_bytes(tmp_path, monkeypatch):
         blobs.append(blob)
     assert blobs[0].keys() == blobs[1].keys()
     for name in blobs[0]:
-        assert blobs[0][name] == blobs[1][name], f"{name} differs across worker counts"
+        assert blobs[0][name] == blobs[1][name], f"{name} differs between two runs"
 
 
 def test_run_all_skips_inapplicable(tmp_path):
@@ -379,12 +381,11 @@ def test_summary_flags_are_json_booleans_and_sidecar_records_timing(tmp_path):
     assert timings["duality"]["stages"]["adjoints"] == "built"
 
 
-def test_run_all_bytes_independent_of_worker_count_with_fresh_configs(tmp_path, monkeypatch):
+def test_run_all_bytes_repeat_with_fresh_configs(tmp_path):
     blobs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("VOLTERRA_SMP_THREADS", workers)
-        cfg = resolve_config(SMALL)            # a fresh ensemble for each worker count
-        out = tmp_path / workers
+    for tag in ("a", "b"):
+        cfg = resolve_config(SMALL)            # a fresh ensemble for each run
+        out = tmp_path / tag
         write_results(run_experiment("all", cfg), cfg, out)
         blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*"))
                       if p.name != "timings.json"})
@@ -836,7 +837,8 @@ def test_mutated_config_resolves_or_names_the_key(case):
 
     ``kernel.n_nodes``, ``grid.n_steps`` and ``grid.n_paths`` are drawn from small
     ranges only: resolving builds the kernel, so a 10**8-node draw would build
-    10**8 atoms in a Python loop; huge counts are left untested here."""
+    10**8 atoms in a Python loop.  A node count that numpy refuses to allocate
+    is tested in ``test_unallocatable_node_count_is_a_config_error``."""
     raw, paths = case
     try:
         resolve_config(raw)
@@ -853,8 +855,12 @@ def test_mutated_config_resolves_or_names_the_key(case):
     ({"grid": {"T": 0.1}}, ("spike.tau", "grid.T")),
     ({"grid": {"T": 5e-324}}, ("spike.tau", "grid.T")),
     ({"solver": {"xi": [0.1, 0.2]}}, ("solver.xi",)),
+    ({"kernel": {"theta_min": 1.0, "theta_max": 1.0000000000000002}},
+     ("kernel:", "theta_min", "theta_max")),
+    ({"kernel": {"gamma": 0.9999999999999999, "alpha": 0.9999999999999999}},
+     ("kernel:", "gamma")),
 ], ids=["beta_b_range", "theta_overflow", "theta_order", "spike_past_horizon",
-        "horizon_underflow", "xi_shape"])
+        "horizon_underflow", "xi_shape", "theta_range_too_narrow", "gamma_cell_masses"])
 def test_builder_refusal_names_its_keys(raw, keys):
     with pytest.raises(ConfigError) as info:
         resolve_config(raw)
@@ -881,3 +887,90 @@ def test_out_csv_file_writes_primary_and_secondary_tables(tmp_path):
             == (tmp_path / "dir" / "kernels.csv").read_bytes())
     assert json.loads((tmp_path / "file" / "kernels.resolved.json").read_text()) == json.loads(
         (tmp_path / "dir" / "resolved_config.json").read_text())
+
+
+def test_unallocatable_node_count_is_a_config_error(tmp_path, capsys):
+    # 10**13 nodes: numpy refuses the first node table before allocating any of
+    # it.  Counts of 10**8 to 10**10 would allocate gigabytes or run the per-cell
+    # loop of build_fractional_lift for minutes, so they are not tried.
+    code, _ = _cli(tmp_path, "kernels", {"kernel": {"n_nodes": 10 ** 13}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: kernel:") and "Traceback" not in err, err
+
+
+_FINITE = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _tiny_configs(draw):
+    """A valid config at tiny sizes: <= 32 steps, <= 64 paths, <= 6 nodes.
+    Cross-key constraints (the beta and gamma ranges, the spike window) mostly
+    hold, so most draws reach the experiment."""
+    T = draw(st.floats(0.25, 2.0))
+    n_steps = draw(st.one_of(st.integers(2, 32), st.sampled_from([8, 16, 32])))
+    name = draw(st.sampled_from(sorted(harness.PROBLEMS)))
+    params = draw(st.fixed_dictionaries({}, optional={
+        key: st.lists(_FINITE, min_size=1, max_size=4) if isinstance(default, tuple) else _FINITE
+        for key, (default, _) in harness._PARAMS[name].items()}))
+    xi = draw(st.one_of(_FINITE, st.lists(_FINITE, min_size=n_steps + 1, max_size=n_steps + 1)))
+    family = draw(st.sampled_from(["fractional", "constant", "exponential"]))
+    # a fractional lift needs an admissible gamma: beta_b > (1 - alpha) / 2 and
+    # beta_sigma > 1 - alpha / 2, which alpha = 0 rules out
+    alpha = draw(st.floats(0.2, 0.9) if family == "fractional"
+                 else st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    return {
+        "kernel": {"family": family, "alpha": alpha,
+                   "beta_b": draw(st.floats((1.0 - alpha) / 2 + 0.01, 0.99)),
+                   "beta_sigma": draw(st.floats(min(0.98, 1.01 - alpha / 2), 0.99)),
+                   "theta_min": draw(st.floats(1e-3, 1.0)),
+                   "theta_max": draw(st.floats(2.0, 1e4)),
+                   "n_nodes": draw(st.integers(2, 6)),
+                   "lam": draw(st.floats(0.1, 5.0))},
+        "problem": {"name": name, "params": params},
+        "grid": {"T": T, "n_steps": n_steps, "n_paths": draw(st.integers(1, 64))},
+        "spike": {"tau": draw(st.floats(0.0, 0.5 * T)),
+                  "eps_list": draw(st.lists(st.floats(T / 64, 0.5 * T), min_size=1, max_size=3)),
+                  "u_hat": draw(_FINITE), "v": draw(_FINITE)},
+        "solver": {"lsmc": draw(st.booleans()), "xi": xi,
+                   "r_subgrid": draw(st.one_of(st.just("full"), st.integers(4, 40)))},
+        "seed": draw(st.integers(0, 2 ** 32)),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_tiny_configs(),
+       experiment=st.sampled_from([e for e in harness.EXPERIMENTS if e != "all"]))
+def test_cli_ends_in_a_verdict_on_tiny_valid_configs(config, experiment):
+    """Every kernel family and problem, ``solver.lsmc`` on and off and
+    ``solver.xi`` a scalar or a table: one experiment through the CLI exits 0,
+    1 or 2, exit 2 is a config error, and nothing ends as a traceback.
+    ``duality`` always runs a 16000-path ensemble, at most 32 steps here."""
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        code, _ = _cli(Path(tmp), experiment, config)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("config error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("experiment, raw, check, passed, detail", [
+    ("mp-check", {"grid": {"n_paths": 32, "n_steps": 12}},
+     "skipped", True, "divisible by 8"),
+    ("mp-check", {"problem": {"name": "zero"}},
+     "perturbation_fails_on_interval", False, "none is left to perturb it with"),
+    ("duality", {"problem": {"name": "lq_linear_cost", "params": {"s0": 0.0, "s1": 0.0}}},
+     "se_shrinks_sqrt_paths", True, "display SE 0.000e+00, 0.000e+00, 0.000e+00"),
+], ids=["mp_off_grid_interval", "mp_one_control_value", "duality_noise_free_display"])
+def test_degenerate_configs_end_in_a_named_check(experiment, raw, check, passed, detail):
+    """Inputs that once ended as a traceback or as a failure with no reason: an
+    mp-check interval [T/4, 3T/8] off the grid nodes (a traceback), a one-point
+    control domain with nothing to perturb with (violations on [nan, nan]), and
+    a duality display residual without noise, whose SEs admit no log-log fit
+    (a traceback)."""
+    cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 16},
+                          "kernel": {"family": "constant", "alpha": 0.0}, **raw})
+    res = run_experiment(experiment, cfg)[experiment]
+    found = {name: (ok, text) for name, ok, text in res.checks}
+    assert found[check][0] is passed and detail in found[check][1], found

@@ -1,6 +1,3 @@
-import os
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,20 +39,11 @@ def test_brownian_paths_uncorrelated(grid):
         assert abs(c) < 5.0 / np.sqrt(grid.n_steps)
 
 
-def test_brownian_independent_of_worker_count(grid, monkeypatch):
-    monkeypatch.setenv("VOLTERRA_SMP_THREADS", "1")
-    e1 = sample_brownian(grid, 64, 5)
-    monkeypatch.setenv("VOLTERRA_SMP_THREADS", "4")
-    e2 = sample_brownian(grid, 64, 5)
-    assert np.array_equal(e1.dW, e2.dW)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n_paths=st.integers(1, 300),
-       n_steps=st.integers(2, 64), workers=st.sampled_from(["1", "2", "4"]))
-def test_normal_matrix_matches_jumped_streams(seed, n_paths, n_steps, workers):
-    with mock.patch.dict(os.environ, {"VOLTERRA_SMP_THREADS": workers}):
-        out = normal_matrix(seed, n_paths, n_steps)
+       n_steps=st.integers(2, 64))
+def test_normal_matrix_matches_jumped_streams(seed, n_paths, n_steps):
+    out = normal_matrix(seed, n_paths, n_steps)
     ref = rng_oracles.normal_matrix(seed, n_paths, n_steps)
     assert out.tobytes() == ref.tobytes()
 
