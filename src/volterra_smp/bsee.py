@@ -151,10 +151,12 @@ def picard_bsee_solve(
 
     generator_map(P) -> generator table of the same field shape; each iterate
     is the discounted sweep of the generator-frozen equation, at the node
-    rates (order 1) or the node-pair rates (order 2, every iterate
-    symmetrized, so that generator_map sees only symmetric fields after the
-    terminal one).  A table field has Q == 0 on every iterate, so only P is
-    iterated.  The rate tables and the norm weights are built once per solve.
+    rates (order 1) or the node-pair rates (order 2, where generator_map sees
+    only symmetric fields after the terminal one: a vector state's iterates
+    are symmetrized and their largest asymmetry before it is recorded, while
+    a scalar state's are symmetric bit for bit, so its recorded asymmetry is
+    the converged field's).  A table field has Q == 0 on every iterate, so
+    only P is iterated.  The rate tables and the norm weights are built once per solve.
     Stops when the weighted space-time distance (at the kernel's alpha)
     between successive iterates drops below tol; raises on iteration
     exhaustion or three consecutive non-contracting steps.
@@ -168,10 +170,11 @@ def picard_bsee_solve(
     distances = []
     asym_max = 0.0
     bad_ratio = 0
+    symmetrize = order == 2 and phi.shape[-1] > 1
     for it in range(max_iter):
         P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P), factors)
-        if order == 2:
-            swapped = np.swapaxes(np.swapaxes(P_new, 1, 2), -2, -1)
+        if symmetrize:
+            swapped = _pair_transpose(P_new)
             asym_max = max(asym_max, float(np.max(np.abs(P_new - swapped))))
             P_new = 0.5 * (P_new + swapped)
         d = distance(P_new - P)
@@ -186,10 +189,17 @@ def picard_bsee_solve(
                 return FirstOrderField(grid=grid, P0=P, Q0=np.zeros_like(P),
                                        G0=generator_map(P), iterations=it + 1,
                                        distances=distances)
+            if not symmetrize:
+                asym_max = float(np.max(np.abs(P - _pair_transpose(P))))
             return SecondOrderField(grid=grid, P=P, G=generator_map(P),
                                     asymmetry=asym_max, iterations=it + 1,
                                     distances=distances)
     raise PicardError(f"max_iter={max_iter} exceeded, last distance {distances[-1]:.3e}")
+
+
+def _pair_transpose(P: np.ndarray) -> np.ndarray:
+    """P_ji^T of a pair field (..., K, K, n, n) as a view."""
+    return np.swapaxes(np.swapaxes(P, -4, -3), -2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +365,8 @@ def _tables_along(coeffs, u_hat, grid, x_hat, names) -> list:
     name, (N+1, 1) or (N+1, paths): from one ``coeff_tables`` call for the
     names the tags make state-free along a deterministic control, else from
     one call with the rows of every step stacked."""
-    free = [nm for nm in names if nm in coeffs.tags.state_free_evaluators()]
+    degrees = coeffs.tags.state_degrees()
+    free = [nm for nm in names if degrees.get(nm) == 0]
     tabs = dict(zip(free, coeff_tables(coeffs, u_hat, grid, free))) if u_hat.deterministic else {}
     paths, N1 = x_hat.shape[:2]
     stacked = [nm for nm in names if nm not in tabs]
@@ -461,8 +472,8 @@ def assemble_second_adjoint(
 
     Requires x-free second state derivatives of b and sigma (linear-in-state
     or state-free dynamics) and constant cost Hessians, which keeps the pair
-    equation deterministic even when (p, q) is random.  Every iterate is
-    symmetrized; the largest pre-symmetrization asymmetry is recorded.
+    equation deterministic even when (p, q) is random.  The iterates are
+    symmetric (see ``picard_bsee_solve``), and the asymmetry is recorded.
     """
     tags = coeffs.tags
     if not (tags.linear_in_state or tags.state_free):

@@ -105,6 +105,8 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
     grid = tuple_.grid
     N = grid.n_steps
     bx, sx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
+    if isinstance(fx, tuple):   # f_x moves with x: the residual reads it at x = 0
+        fx = fx[0]
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")

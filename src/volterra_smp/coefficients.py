@@ -13,6 +13,7 @@ so the quadratic form <phi_xx X, X> is einsum("pijk,pj,pk->pi").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,15 +39,21 @@ class StructuralTags:
     f_state_degree: int = 2           # 0: x-free, 1: linear in x, 2: quadratic in x
     h_degree: int = 2                 # 1: linear terminal cost, 2: quadratic
 
-    def state_free_evaluators(self) -> tuple:
-        """Names of the running evaluators these tags make independent of x,
-        so that ``coeff_tables`` gives their exact values along a control."""
-        names = ("b", "sigma") if self.state_free else ()
+    def state_degrees(self) -> dict:
+        """Degree in x of each running evaluator whose degree these tags fix,
+        name -> d, so that ``coeff_tables`` gives its exact Taylor
+        coefficients in x along a control: b and sigma of degree 0 under
+        ``state_free`` and 1 under ``linear_in_state``, with b_x, sigma_x,
+        b_xx and sigma_xx of degree 0; f of degree ``f_state_degree`` (at
+        most 2), f_x one less and f_xx 0."""
+        degrees = {}
         if self.linear_in_state or self.state_free:
-            names += ("b_x", "sigma_x", "b_xx", "sigma_xx")
-        names += ("f",) if self.f_state_degree <= 0 else ()
-        names += ("f_x",) if self.f_state_degree <= 1 else ()
-        return names + (("f_xx",) if self.f_state_degree <= 2 else ())
+            d = 0 if self.state_free else 1
+            degrees.update(b=d, sigma=d, b_x=0, sigma_x=0, b_xx=0, sigma_xx=0)
+        if self.f_state_degree <= 2:
+            d = max(self.f_state_degree, 0)
+            degrees.update(f=d, f_x=max(d - 1, 0), f_xx=0)
+        return degrees
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,9 @@ class CoefficientSet:
                 raise SelfTestError(f"derivative self-test failed for {label}: "
                                     f"rel err {err:.3e}")
 
+        degrees = self.tags.state_degrees()
         x_far = x + rng.normal(size=x.shape) + 1.0
-        for label in self.tags.state_free_evaluators():
+        for label in [name for name, d in degrees.items() if d == 0]:
             fn = getattr(self, label)
             here, there = fn(t, u, x), fn(t, u, x_far)
             err = np.max(np.abs(here - there)) / np.maximum(np.max(np.abs(here)), 1.0)
@@ -139,6 +147,20 @@ class CoefficientSet:
             if label in ("b_xx", "sigma_xx") and np.max(np.abs(here)) > rel_tol:
                 raise SelfTestError(f"tag self-test failed for {label}: the tags make it "
                                     f"vanish, but it reads {np.max(np.abs(here)):.3e}")
+        if n != 1:   # Taylor tables in x are read for scalar state only
+            return
+        x0 = np.zeros_like(x)
+        for label, d in degrees.items():
+            if d == 0:
+                continue
+            coefs = _taylor(label, d, lambda name: getattr(self, name)(t, u, x0).reshape(-1))
+            here = getattr(self, label)(t, u, x).reshape(-1)
+            err = (np.max(np.abs(horner(coefs, x[:, 0], np.empty(n_points)) - here))
+                   / np.maximum(np.max(np.abs(here)), 1.0))
+            if err > rel_tol:
+                raise SelfTestError(f"tag self-test failed for {label}: the tags make it of "
+                                    f"degree {d} in x, but its Taylor polynomial at x = 0 "
+                                    f"misses it (rel {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -178,17 +200,55 @@ class ControlPath:
 
 
 def coeff_tables(coeffs: CoefficientSet, u: ControlPath, grid: TimeGrid, names) -> tuple:
-    """Evaluator tables along a deterministic control, one per name in ``names``.
+    """Tables along a deterministic control, one entry per name in ``names``.
 
-    Row m holds the evaluator at (t_m, u_m) and a zero state, which is exact
-    where the tags make that evaluator state-free; each name is one call with
-    the N+1 grid times stacked along the path axis.
+    Row m is at (t_m, u_m) and the zero state.  A name whose degree d >= 1 in
+    x the tags fix (``StructuralTags.state_degrees``) gets its Taylor
+    coefficients (c_0, ..., c_d), c_j = (d^j phi / dx^j) / j! at x = 0, from
+    the evaluator and its derivative evaluators, each in that evaluator's own
+    shape; any other name gets its own table, which is exact where the tags
+    make it state-free.  Each evaluator is one call with the N+1 grid times
+    stacked along the path axis.
     """
     if not u.deterministic:
         raise ValueError("deterministic solve paths need a deterministic reference control")
     t = np.arange(grid.n_steps + 1) * grid.dt
     x0 = np.zeros((grid.n_steps + 1, coeffs.dim))
-    return tuple(getattr(coeffs, name)(t, u.values, x0) for name in names)
+    degrees = coeffs.tags.state_degrees()
+    tables = {}
+
+    def table(name):
+        if name not in tables:
+            tables[name] = getattr(coeffs, name)(t, u.values, x0)
+        return tables[name]
+    return tuple(_taylor(name, degrees[name], table) if degrees.get(name, 0) else table(name)
+                 for name in names)
+
+
+def _taylor(name: str, degree: int, at_zero) -> tuple:
+    """(c_0, ..., c_degree) of evaluator ``name``: c_j is its j-th x-derivative
+    evaluator's value ``at_zero(derivative name)`` over j!."""
+    coefs = []
+    for j in range(degree + 1):
+        coefs.append(at_zero(name) / math.factorial(j))
+        name += "x" if "_" in name else "_x"
+    return tuple(coefs)
+
+
+def horner(coefs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] x^j into ``out`` by Horner's rule, scalar state: each
+    coefficient a scalar or an array that broadcasts against x.  Degree 1 is
+    fl(c_1 x) + c_0, the operation order of a formula written ``a * x + c``,
+    so such a formula and its Taylor tables agree bit for bit."""
+    if len(coefs) == 1:
+        np.copyto(out, coefs[0])
+        return out
+    np.multiply(coefs[-1], x, out=out)
+    for j in range(len(coefs) - 2, -1, -1):
+        out += coefs[j]
+        if j:
+            out *= x
+    return out
 
 
 def _scalar_problem(name, b, sigma, f, h, b_x, sigma_x, f_x, h_x, b_xx, sigma_xx,

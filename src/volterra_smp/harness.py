@@ -37,8 +37,8 @@ from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residuals, duality_stats,
                            perturb_control)
-from .simulate import (BrownianEnsemble, _xi_table, cnorm, lift_tally, sample_brownian,
-                       simulate_sve)
+from .simulate import (BrownianEnsemble, _xi_table, cnorm, forcing_source, lift_tally,
+                       sample_brownian, simulate_sve)
 from .stats import fit_loglog
 from .variation import SpikeSpec, remainder_rates
 
@@ -591,7 +591,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                        f"slope {dj_fit['eps_slope']:.3f} (se {dj_fit['se_slope']:.3f})"))
     lift = {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
             "processes": 1 + 3 * len(res["bundles"])}
-    timing = {"lift": lift, "tabulated": list(res["bundles"][0].tabulated)}
+    timing = {"lift": lift, "tabulated": dict(res["bundles"][0].tabulated)}
     return ExperimentResult("rates", tables, checks, extras={"timing": timing})
 
 
@@ -762,7 +762,7 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     timing = {"lift": {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
                        "processes": 4},
               "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)},
-              "pair_terms": res["pair_terms"], "tabulated": list(res["bundle"].tabulated)}
+              "pair_terms": res["pair_terms"], "tabulated": dict(res["bundle"].tabulated)}
     return ExperimentResult("duality", tables, checks, extras={"timing": timing})
 
 
@@ -909,8 +909,9 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     failed ``problem`` check when the coefficients fail their self-test, and a
     failed ``solver`` check when a solve does not contract, goes non-finite or
     cannot allocate its arrays.  Its timing records each stage it read, built
-    or taken from the config's memo, and the retained ranks and worst
-    condition of the regression solves it made."""
+    or taken from the config's memo, where the reference state it built read
+    its forcing (Taylor "tables" or "evaluators"), and the retained ranks and
+    worst condition of the regression solves it made."""
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
@@ -928,6 +929,8 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
         timing.setdefault("lift", {}).update(tally)
     if stages:
         timing["stages"] = stages
+    if stages.get("x_hat") == "built":
+        timing["x_hat_forcing"] = forcing_source(config.stage("problem"), config.stage("u_hat"))
     if regressions:
         timing["lsmc"] = {key: pick(r[key] for r in regressions) for key, pick in
                           (("rank_min", min), ("rank_max", max), ("cond_max", max))}

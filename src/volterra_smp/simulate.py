@@ -13,11 +13,11 @@ coincide with the direct left-point recursion driven by the atom kernel
 K_hat(t) = sum_k w_k e^{-theta_k t} M_k, as an algebraic identity.
 
 ``LiftStep`` moves Y once per block of L steps (L = 1 is the recursion
-above).  With the drives d_j = (F^b_{m0+j} dt, F^s_{m0+j} dW_{m0+j}) of a
+above).  With the drives d_j = (F^b_{m0+j}, F^s_{m0+j} dW_{m0+j}) of a
 block that starts at m0, unrolling the recursion gives, for 0 <= i <= L,
 
-    Y_{m0+i} = D^i Y_{m0} + sum_{j<i} D^{i-j} [M_b | M_s] d_j,
-    X_{m0+i} = xi + rho_i + sum_{j<i} [K_hat_b((i-j) dt) | K_hat_s((i-j) dt)] d_j,
+    Y_{m0+i} = D^i Y_{m0} + sum_{j<i} D^{i-j} [M_b dt | M_s] d_j,
+    X_{m0+i} = xi + rho_i + sum_{j<i} [K_hat_b((i-j) dt) dt | K_hat_s((i-j) dt)] d_j,
     rho_i    = sum_k w_k d_k^i Y_{m0,k}.
 
 So inside a block X comes from the history terms rho_i (one gemm per slab
@@ -26,7 +26,9 @@ K_hat(l dt), l < L; at the block end one scaling by D^L and one rank-2nL
 gemm over the stored drives move Y, and X_{m0+L} is rho_0 of the next
 block.  The first identity also serves readers of a mid-block Y, without
 moving the block.  The identities are exact; the
-blocked and the per-step forms differ by rounding only.
+blocked and the per-step forms differ by rounding only.  The step dt sits in
+the drift operators, not in the drives: where dt is a power of two (every
+bundled grid) that is the same arithmetic, bit for bit, as scaling F^b.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .coefficients import CoefficientSet, ControlPath
+from .coefficients import CoefficientSet, ControlPath, coeff_tables, horner
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, kernel_eval
 from .rng import normal_matrix
@@ -89,7 +91,32 @@ def _kernel_table(kernel, which: str, grid: TimeGrid) -> np.ndarray:
     return np.asarray([kernel_eval(kernel, which, t) for t in ts])
 
 
+def forcing_source(coeffs: CoefficientSet, control: ControlPath) -> str:
+    """Where the forward forcing reads b and sigma: "tables", their Taylor
+    tables in x, for a scalar state along a deterministic control when the
+    tags fix both degrees; else "evaluators", one call per step."""
+    degrees = coeffs.tags.state_degrees()
+    tabulated = (coeffs.dim == 1 and control.deterministic
+                 and "b" in degrees and "sigma" in degrees)
+    return "tables" if tabulated else "evaluators"
+
+
+def _taylor_rows(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid, names) -> list:
+    """Scalar state: per name of tag-fixed degree d, its Taylor coefficients
+    along the control as (N+1, d+1) rows, row m = (c_0, ..., c_d) at step m."""
+    degrees = coeffs.tags.state_degrees()
+    return [np.stack([c.reshape(-1) for c in (tab if degrees[name] else (tab,))], 1)
+            for name, tab in zip(names, coeff_tables(coeffs, control, grid, names))]
+
+
 def _forcing_from_controls(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid):
+    if forcing_source(coeffs, control) == "tables":
+        b, s = _taylor_rows(coeffs, control, grid, ("b", "sigma"))
+
+        def forcing(m: int, x: np.ndarray):
+            return horner(b[m], x, np.empty(x.shape)), horner(s[m], x, np.empty(x.shape))
+        return forcing
+
     def forcing(m: int, x: np.ndarray):
         t = m * grid.dt
         u = control.at(m)
@@ -132,10 +159,11 @@ class LiftStep:
     co-simulated process, row k n + c holding coordinate c at node k over the
     P paths.  Y is moved once per block of L = block_steps(K) steps; inside a
     block the state comes from the atom-kernel lag table (see the module
-    docstring).  Per step the caller writes the forcings into ``drives()``
-    and calls ``advance``; ``state(g)`` reads a slab's lift state at the
-    current step without moving the block.  Each slab is computed alone, so
-    no slab's bits depend on how many are stacked or advanced.
+    docstring).  Per step the caller writes the forcings F^b and F^s into
+    ``drives()`` and calls ``advance``, which scales F^s by dW; ``state(g)``
+    reads a slab's lift state at the current step without moving the block.
+    Each slab is computed alone, so no slab's bits depend on how many are
+    stacked or advanced.
 
     The path axis of every buffer is padded to a multiple of 8 with paths
     whose increments and forcings stay 0.  OpenBLAS computes the last rows of
@@ -149,12 +177,12 @@ class LiftStep:
         L = block_steps(K)
         P = dW.shape[0]
         P8 = -(-P // 8) * 8
-        self.n, self.L, self.P, self.dt, self.dW, self.m = n, L, P, dt, dW, 0
-        ops = np.concatenate([kernel.mb, kernel.msigma], 2)             # (K, n, 2n)
-        opsK = ops.reshape(K * n, 2 * n)                                 # [M_b | M_s]
+        self.n, self.L, self.P, self.dW, self.m = n, L, P, dW, 0
+        ops = np.concatenate([kernel.mb * dt, kernel.msigma], 2)        # (K, n, 2n)
+        opsK = ops.reshape(K * n, 2 * n)                                 # [M_b dt | M_s]
         dpow = np.exp(-np.outer(np.arange(L + 1), kernel.nodes) * dt)   # (L+1, K): d^i
         rows = np.repeat(dpow, n, axis=1)                                # (L+1, K n)
-        # block end: Y <- carry Y + sum_j D^{L-j} [M_b | M_s] drive_j.  The
+        # block end: Y <- carry Y + sum_j D^{L-j} [M_b dt | M_s] drive_j.  The
         # per-step lift (L = 1) decays after adding instead, as before.
         self.carry = rows[L, :, None] if L > 1 else None
         self.decay = None if L > 1 else rows[1, :, None]
@@ -165,7 +193,7 @@ class LiftStep:
         for c in range(n):
             hist[:, c, :, c] = kernel.weights * dpow[:L]
         self.hist = np.asfortranarray(hist.reshape(L * n, K * n).T)   # (K n, L n)
-        # lag table K_hat(l dt) = sum_k w_k d_k^l [M_b,k | M_s,k], l < L; in-block
+        # lag table K_hat(l dt) = sum_k w_k d_k^l [M_b,k dt | M_s,k], l < L; in-block
         # sums X_{m0+i+1} - rho_{i+1} = lags[i] . drive[:2n(i+1)], i = 0..L-2
         lag = np.einsum("lk,kab->lab", kernel.weights * dpow[:L], ops)   # (L, n, 2n)
         self.lags = [np.concatenate(lag[i + 1:0:-1], 1) for i in range(L - 1)]
@@ -203,8 +231,7 @@ class LiftStep:
         if i == 0:
             nb = min(L, self.dW.shape[1] - m)
             np.copyto(self.dw_block[:nb, :self.P], self.dW[:, m:m + nb].T)
-        Fb, Fs = self._slots()
-        Fb[:G] *= self.dt
+        Fs = self._slots()[1]
         Fs[:G] *= self.dw_block[i]
         if i == L - 1:
             self._end_block(G)
@@ -365,7 +392,9 @@ def lift_along(coeffs: CoefficientSet, control: ControlPath,
     """The lift of a given state path X (paths, N+1, n): Y driven by the
     forcings at X, step-major (N+1, K, n, paths).  Where X is the simulated
     state of this control and ensemble, Y equals ``simulate_lift``'s bit for
-    bit, whatever the forcing term xi."""
+    bit, whatever the forcing term xi.  The coefficients' self-test runs
+    first, as in ``simulate_lift``: the forcing tables rest on their tags."""
+    coeffs.self_test()
     grid = ens.grid
     forcing = _forcing_from_controls(coeffs, control, grid)
     _, Y = run_lift(kernel, grid, ens.dW, lambda m, _x: forcing(m, X[:, m]),

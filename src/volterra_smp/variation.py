@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath, coeff_tables
+from .coefficients import CoefficientSet, ControlPath, horner
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, knorm_eps
-from .simulate import BrownianEnsemble, LiftStep, _xi_table
+from .simulate import BrownianEnsemble, LiftStep, _taylor_rows, _xi_table
 from .stats import fit_loglog, mc_mean_se
 
 NORM_KEYS = ("dX", "X1", "dX1", "X2", "dX12")
@@ -59,7 +59,7 @@ class VariationBundle:
     cost_increment: np.ndarray  # per-path J(u^eps) - J(u_hat) sample
     terminal: dict = field(default_factory=dict)  # per-path terminal values
     tables: dict = field(default_factory=dict)    # full paths when stored
-    tabulated: tuple = ()       # evaluators read from coeff_tables, not per step
+    tabulated: dict = field(default_factory=dict)  # name -> degree of its Taylor tables
 
     def j12(self) -> tuple[float, float]:
         return mc_mean_se(self.j12_terms)
@@ -81,12 +81,14 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     slots.  The reference derivatives are evaluated once per step for all
     spikes.  The spikes share one value ``v``.
 
-    Every evaluator the structural tags make state-free is read from one
-    ``coeff_tables`` call per control (u_hat and v), after
-    ``CoefficientSet.self_test`` has checked the tags; only the others are
-    evaluated per step, and each bundle's ``tabulated`` names the tabulated
-    ones.  A Hessian term whose tabulated Hessian is zero along u_hat would
-    add exact zeros and is skipped.
+    Every evaluator whose degree in x the structural tags fix is read from
+    its Taylor tables (one ``coeff_tables`` call per control, u_hat and v,
+    after ``CoefficientSet.self_test`` has checked the tags) by ``horner``,
+    at X_hat, at the spiked states and along v on the windows; only the
+    others are evaluated per step, and each bundle's ``tabulated`` maps the
+    tabulated ones to their degrees.  A Hessian term whose tabulated Hessian
+    is zero along u_hat would add exact zeros and is skipped.  The running
+    integrals are scaled by dt once, at the end.
 
     ``observer(m, Y1, Y2, forcings, cv)`` sees the first spike before each
     advance at j_start <= m < N (before, X1 = X2 = 0): its lift states from
@@ -108,85 +110,83 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     j_start = int(win[:, 0].min())
     xi_tab = _xi_table(xi, grid, 1)[:, 0]
     du = v.values.shape[-1]
+    steps = np.arange(N + 1)[:, None]
+    active_at = (win[:, 0] <= steps) & (steps < win[:, 1])   # (N+1, S)
 
-    # name -> its tables along (u_hat, v); rows lack the path axis, so every
-    # read below indexes the trailing axes only.  The self-test checks the
-    # tags the tables rest on.
+    # name -> Taylor rows along u_hat and along v, (N+1, d+1), and per step
+    # the spiked states' coefficient columns, (N+1, d+1, S, 1): v's on the
+    # active windows, else u_hat's.  The self-test checks the tags first.
     coeffs.self_test()
-    tabulated = coeffs.tags.state_free_evaluators()
-    tabs = dict(zip(tabulated, zip(coeff_tables(coeffs, u_hat, grid, tabulated),
-                                   coeff_tables(coeffs, v, grid, tabulated))))
+    tabulated = coeffs.tags.state_degrees()
+    taylor = {}
+    for name, tu, tv in zip(tabulated, _taylor_rows(coeffs, u_hat, grid, tabulated),
+                            _taylor_rows(coeffs, v, grid, tabulated)):
+        cols = np.where(active_at[:, None, :], tv[:, :, None], tu[:, :, None])
+        taylor[name] = (tu, tv, cols[..., None])
 
-    def at(m, names, x, along=0):
-        """The evaluators ``names`` at step m along u_hat (0) or v (1), at x."""
-        u = (u_hat, v)[along].at(m)
-        return {name: tabs[name][along][m] if name in tabs
-                else getattr(coeffs, name)(m * dt, u, x) for name in names}
+    def value(name, m, x, along, out=None):
+        """Evaluator ``name`` at step m and states x along u_hat (0), along v
+        (1) or, on the (S, P) spiked states, along each spike's control (2);
+        into ``out`` when given, else a scalar where the table is of degree 0."""
+        if name in taylor:
+            coefs = taylor[name][along][m]
+            if out is None and len(coefs) == 1:
+                return coefs[0]
+            return horner(coefs, x, np.empty(x.shape) if out is None else out)
+        if along == 2:
+            u = np.where(active_at[m, :, None, None], np.broadcast_to(v.at(m), (P, du)),
+                         np.broadcast_to(u_hat.at(m), (P, du))).reshape(S * P, du)
+        else:
+            u = (u_hat, v)[along].at(m)
+        val = getattr(coeffs, name)(m * dt, u, x.reshape(-1, 1)).reshape(x.shape)
+        if out is None:
+            return val
+        out[...] = val
+        return out
 
     hessians = tuple(name for name in ("b_xx", "sigma_xx", "f_xx")
-                     if name not in tabs or np.any(tabs[name][0]))
-    at_hat = ("b", "sigma", "b_x", "sigma_x", "f", "f_x") + hessians
-    spiked_evaluated = [name for name in ("b", "sigma", "f") if name not in tabs]
+                     if name not in taylor or np.any(taylor[name][0]))
 
     G = 1 + 3 * S
     lift = LiftStep(kernel, dt, ens.dW, G)
     X = lift.x[:, 0]   # the lift's output rows: each advance rewrites them in place
     X[0] = xi_tab[0]
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
+    X12 = X[1 + S:].reshape(2, S, P)
 
-    # dX, X1, dX1, X2, dX12 in NORM_KEYS order.  Nothing reads them before the
-    # next step's advance, so until then their rows are that step's scratch:
-    # the loop allocates no (S, P) products.
-    diffs = np.empty((len(NORM_KEYS), S, P))
-    work, xe = diffs[:2], diffs[4]
-    sup_sq = np.zeros((len(NORM_KEYS), S))   # sup over steps of the path sums of diffs^2
+    # dX, dX1, dX12.  Nothing reads them before the next step's advance, so
+    # until then their rows are that step's scratch: the loop allocates no
+    # (S, P) products.
+    diffs = np.empty((3, S, P))
+    work = diffs[:2]
+    rows = ("dX", "dX1", "dX12", "X1", "X2")
+    sup_sq = np.zeros((len(rows), S))   # sup over steps of the path sums of squares
     sq = np.empty_like(sup_sq)
-    j12_run = np.zeros((S, P))   # running f-expansion integral
-    dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
-    delta_f = np.zeros((S, P))   # running spike integral of delta f
-    tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
+    j12_run = np.zeros((S, P))   # running f-expansion integral, over dt
+    dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat), over dt
+    delta_f = np.zeros((S, P))   # running spike integral of delta f, over dt
+    tables = np.zeros((len(rows), S, P, N + 1)) if store else None
 
     for m in range(j_start):
-        ch = at(m, ("b", "sigma"), xh[:, None])
         Fb, Fs = (f[:, 0] for f in lift.drives())
-        Fb[0], Fs[0] = ch["b"][..., 0], ch["sigma"][..., 0]
+        value("b", m, xh, 0, Fb[0])
+        value("sigma", m, xh, 0, Fs[0])
         lift.advance(1)
         xh += xi_tab[m + 1]
     lift.fork(0, slice(1, 1 + S))   # X^eps = X_hat here, X1 = X2 = 0
 
-    def spiked(name):
-        """Evaluator ``name`` at the S spiked states of the current step, (S, P)
-        or, tabulated, (S, 1)."""
-        if name in tabs:
-            return np.where(active[:, None], tabs[name][1][m], tabs[name][0][m])
-        return getattr(coeffs, name)(t, ue, xe_col).reshape(S, P)
-
-    ue_key = None
     for m in range(j_start, N):
-        t, u_h, v_m = m * dt, u_hat.at(m), v.at(m)
-        active = (win[:, 0] <= m) & (m < win[:, 1])
-        ch = at(m, at_hat, xh[:, None])
-        bxh, sxh = ch["b_x"][..., 0, 0], ch["sigma_x"][..., 0, 0]
+        active = active_at[m]
         # forcings go straight into the lift's drive slots for this step
         Fb, Fs = (f[:, 0] for f in lift.drives())
         F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
-        Fb[0], Fs[0] = ch["b"][..., 0], ch["sigma"][..., 0]
+        bh, sh = value("b", m, xh, 0, Fb[0]), value("sigma", m, xh, 0, Fs[0])
+        bxh, sxh = value("b_x", m, xh, 0), value("sigma_x", m, xh, 0)
+        fh, fxh = value("f", m, xh, 0), value("f_x", m, xh, 0)
 
-        # spiked state forcing (full nonlinear coefficients at X^eps); the
-        # control rows change only with the active windows and the controls,
-        # and off every window they are u_hat's one value
-        if spiked_evaluated:
-            key = (active.tobytes(), u_h.tobytes(), v_m.tobytes())
-            if key != ue_key:
-                ue_key = key
-                ue = u_h if not active.any() else np.where(
-                    active[:, None, None], np.broadcast_to(v_m, (P, du)),
-                    np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
-            np.copyto(xe, Xe)
-            xe_col = xe.reshape(S * P, 1)
-
-        Fb[1:1 + S] = spiked("b")
-        Fs[1:1 + S] = spiked("sigma")
+        # spiked state forcing (full nonlinear coefficients at X^eps)
+        value("b", m, Xe, 2, Fb[1:1 + S])
+        value("sigma", m, Xe, 2, Fs[1:1 + S])
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
         np.multiply(bxh, X1, out=F1b)
@@ -194,53 +194,54 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         for F2, d1, d2 in ((F2b, bxh, "b_xx"), (F2s, sxh, "sigma_xx")):
             np.multiply(d1, X2, out=F2)                          # d1 X2 + (d2 / 2) X1 X1
             if d2 in hessians:
-                np.multiply(0.5 * ch[d2][..., 0, 0, 0], X1, out=work[0])
+                np.multiply(0.5 * value(d2, m, xh, 0), X1, out=work[0])
                 work[0] *= X1
                 F2 += work[0]
         cv = {}
         if active.any():
-            cv = at(m, ("b", "sigma", "b_x", "sigma_x", "f"), xh[:, None], along=1)
-            cv = {"db": cv["b"][..., 0] - Fb[0], "ds": cv["sigma"][..., 0] - Fs[0],
-                  "dbx": cv["b_x"][..., 0, 0] - bxh, "dsx": cv["sigma_x"][..., 0, 0] - sxh,
-                  "df": cv["f"] - ch["f"]}
+            cv = {"db": value("b", m, xh, 1) - bh, "ds": value("sigma", m, xh, 1) - sh,
+                  "dbx": value("b_x", m, xh, 1) - bxh, "dsx": value("sigma_x", m, xh, 1) - sxh,
+                  "df": value("f", m, xh, 1) - fh}
             F1b[active] += cv["db"]
             F1s[active] += cv["ds"]
             F2b[active] += cv["dbx"] * X1[active]
             F2s[active] += cv["dsx"] * X1[active]
-            delta_f[active] += cv["df"] * dt
+            delta_f[active] += cv["df"]
         if observer is not None:
             observer(m, lift.state(1 + S), lift.state(1 + 2 * S),
                      (F1b[0], F1s[0], F2b[0], F2s[0]), cv if active[0] else {})
 
         # running cost pieces (left-point rule)
-        # j12_run += (f_x (X1 + X2) + (f_xx / 2) X1 X1) dt, in that operation order
+        # j12_run += f_x (X1 + X2) + (f_xx / 2) X1 X1, in that operation order
         np.add(X1, X2, out=work[0])
-        work[0] *= ch["f_x"][..., 0]
+        work[0] *= fxh
         if "f_xx" in hessians:
-            np.multiply(0.5 * ch["f_xx"][..., 0, 0], X1, out=work[1])
+            np.multiply(0.5 * value("f_xx", m, xh, 0), X1, out=work[1])
             work[1] *= X1
             work[0] += work[1]
-        work[0] *= dt
         j12_run += work[0]
-        np.subtract(spiked("f"), ch["f"], out=work[0])
-        work[0] *= dt
+        value("f", m, Xe, 2, work[0])
+        work[0] -= fh
         dcost_f += work[0]
 
         lift.advance()
         X[:1 + S] += xi_tab[m + 1]
         np.subtract(Xe, xh, out=diffs[0])
-        diffs[1], diffs[3] = X1, X2
-        np.subtract(diffs[0], X1, out=diffs[2])
-        np.subtract(diffs[2], X2, out=diffs[4])
+        np.subtract(diffs[0], X1, out=diffs[1])
+        np.subtract(diffs[1], X2, out=diffs[2])
         if store:
-            tables[..., m + 1] = diffs
-        np.einsum("ksp,ksp->ks", diffs, diffs, out=sq)
+            tables[:3, ..., m + 1] = diffs
+            tables[3:, ..., m + 1] = X12
+        np.einsum("ksp,ksp->ks", diffs, diffs, out=sq[:3])
+        np.einsum("ksp,ksp->ks", X12, X12, out=sq[3:])
         np.maximum(sup_sq, sq, out=sup_sq)
     # keep the final states and drop the lift: its buffers need not be held
     # while the bundles are built
     X = X.copy()
     xh, Xe, X1, X2 = X[0], X[1:1 + S], X[1 + S:1 + 2 * S], X[1 + 2 * S:]
     del lift
+    for run in (j12_run, dcost_f, delta_f):
+        run *= dt
 
     xT = xh[:, None]
     hx = coeffs.h_x(xT)[:, 0]
@@ -248,13 +249,13 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     j12_terms = hx * (X1 + X2) + 0.5 * hxx * X1 * X1 + j12_run + delta_f
     cost_inc = coeffs.h(Xe.reshape(S * P, 1)).reshape(S, P) - coeffs.h(xT) + dcost_f
     # the sup of the means is the mean of the sup: dividing by P is monotone
-    sup_mom = sup_sq / P
+    sup_mom = dict(zip(rows, sup_sq / P))
     return [VariationBundle(
         spike=sp, eps_snapped=(j1 - j0) * dt,
-        norms={k: float(sup_mom[i, s]) ** 0.5 for i, k in enumerate(NORM_KEYS)},
+        norms={k: float(sup_mom[k][s]) ** 0.5 for k in NORM_KEYS},
         j12_terms=j12_terms[s], cost_increment=cost_inc[s],
         terminal={"X1_T": X1[s].copy(), "X12_T": X1[s] + X2[s], "Xhat_T": xh.copy()},
-        tables={} if tables is None else dict(zip(NORM_KEYS, tables[:, s])),
+        tables={} if tables is None else {k: tables[rows.index(k), s] for k in NORM_KEYS},
         tabulated=tabulated,
     ) for s, (sp, (j0, j1)) in enumerate(zip(spikes, win))]
 

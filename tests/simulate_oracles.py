@@ -2,7 +2,8 @@
 
 ``PerStepLift`` is the lift step as it was before ``simulate.LiftStep`` moved
 Y once per block: every step each slab gets a rank-2n dgemm, the decay
-scaling and the fixed-order node sum.  The property tests drive it and the
+scaling and the fixed-order node sum.  Like the blocked lift it carries dt in
+the drift operators, so the two take the same drives.  The property tests drive it and the
 blocked lift with the same forcings and compare states and lift states.
 
 ``volterra_convolve`` is the discrete Volterra convolution of a per-path
@@ -22,26 +23,26 @@ from volterra_smp.simulate import BrownianEnsemble, _kernel_table
 
 @dataclass(frozen=True)
 class PerStepLift:
-    """Y_g <- diag(e^{-theta dt}) (Y_g + [M_b | M_s] [F_b dt ; F_s dW]) on a
+    """Y_g <- diag(e^{-theta dt}) (Y_g + [M_b dt | M_s] [F_b ; F_s dW]) on a
     (G, K n, P) stack, in place; returns X = sum_k w_k Y_k, (G, n, P)."""
 
-    ops: np.ndarray      # (2n, K n) Fortran order, [M_b | M_s]^T
+    ops: np.ndarray      # (2n, K n) Fortran order, [M_b dt | M_s]^T
     decay: np.ndarray    # (K n, 1)
     weights: np.ndarray  # (K,)
-    dt: float
 
     @classmethod
     def of(cls, kernel, dt: float) -> "PerStepLift":
         K, n = kernel.n_nodes, kernel.dim
-        ops = np.concatenate([kernel.mb.reshape(K * n, n), kernel.msigma.reshape(K * n, n)], 1)
+        ops = np.concatenate([(kernel.mb * dt).reshape(K * n, n),
+                              kernel.msigma.reshape(K * n, n)], 1)
         decay = np.repeat(np.exp(-kernel.nodes * dt), n)[:, None]
-        return cls(np.asfortranarray(ops.T), decay, kernel.weights, dt)
+        return cls(np.asfortranarray(ops.T), decay, kernel.weights)
 
     def __call__(self, Y: np.ndarray, Fb, Fs, dW: np.ndarray) -> np.ndarray:
         (G, Kn, P), K = Y.shape, self.weights.size
         n = Kn // K
         drive = np.empty((G, 2 * n, P))
-        np.multiply(Fb, self.dt, out=drive[:, :n])
+        drive[:, :n] = Fb
         np.multiply(Fs, np.ascontiguousarray(dW), out=drive[:, n:])
         X = np.empty((G, n, P))
         for g in range(G):

@@ -477,7 +477,13 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
                                         "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
     assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
     # lq_linear_cost: linear dynamics and a running cost linear in x
-    assert timings["rates"]["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
+    assert timings["rates"]["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0,
+                                             "b_xx": 0, "sigma_xx": 0, "f": 1, "f_x": 0,
+                                             "f_xx": 0}
+    # simulate builds the reference state, and duality its own on the largest
+    # ensemble, both from the Taylor tables of b and sigma
+    built = {name: rec["x_hat_forcing"] for name, rec in timings.items() if "x_hat_forcing" in rec}
+    assert built == {"simulate": "tables", "duality": "tables"}
 
 
 @pytest.mark.parametrize("kernel, columns", [({"n_nodes": 4}, 5),
@@ -519,7 +525,9 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
     # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
     assert record["pair_terms"] == "none"
-    assert record["tabulated"] == ["b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_xx"]
+    assert record["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0, "b_xx": 0,
+                                   "sigma_xx": 0, "f": 1, "f_x": 0, "f_xx": 0}
+    assert record["x_hat_forcing"] == "tables"
 
 
 def test_rates_table_fits_no_slope_to_identically_zero_quantities():

@@ -11,8 +11,9 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp.simulate import (LiftStep, block_steps, cnorm, sample_brownian, simulate_lift,
-                                   simulate_sve)
+from volterra_smp import simulate
+from volterra_smp.simulate import (LiftStep, _xi_table, block_steps, cnorm, forcing_source,
+                                   run_lift, sample_brownian, simulate_lift, simulate_sve)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -222,6 +223,55 @@ def _state_coeffs(n: int) -> CoefficientSet:
         f=none, h=none, b_x=none, sigma_x=none, f_x=none, h_x=none,
         b_xx=none, sigma_xx=none, f_xx=none, h_xx=none,
         control_domain=ControlDomain(np.zeros((1, 1))))
+
+
+def test_untagged_and_per_path_forcings_never_reach_the_tables(grid, monkeypatch):
+    # _state_coeffs keeps the default tags, which fix f's degree alone, and its
+    # f is None; a vector state or a per-path control keeps the evaluators too
+    rng = np.random.default_rng(6)
+    e = sample_brownian(grid, 8, 8)
+    u = ControlPath.constant(0.1, grid)
+    lq = make_problem("lq_linear_cost")
+    tabulated = simulate_sve(lq, u, constant_kernel(), 0.3, e)
+
+    def refuse(*args):
+        raise AssertionError("the forward forcing built coefficient tables")
+    monkeypatch.setattr(simulate, "coeff_tables", refuse)
+    for n in (1, 2):
+        kern = DiscreteLaplaceKernel(nodes=[0.0, 0.5, 4.0], weights=[0.2, 0.3, 0.5],
+                                     mb=rng.normal(size=(3, n, n)),
+                                     msigma=rng.normal(size=(3, n, n)))
+        coeffs, xi = _state_coeffs(n), np.linspace(0.4, -0.2, n)
+        assert forcing_source(coeffs, u) == "evaluators"
+        Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
+        Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
+        assert np.max(np.abs(Xl - Xd)) <= 1e-10
+        assert np.array_equal(simulate_lift(coeffs, u, kern, xi, e, self_test=False)[1], Xl)
+    per_path = ControlPath(np.full((8, grid.n_steps + 1, 1), 0.1), deterministic=False)
+    assert forcing_source(lq, per_path) == "evaluators"
+    assert simulate_sve(lq, per_path, constant_kernel(), 0.3, e).tobytes() == tabulated.tobytes()
+
+
+@pytest.mark.parametrize("name", ["lq_linear_cost", "state_free_quadratic", "bilinear_lq"])
+def test_tabulated_forcing_matches_the_evaluators(name):
+    # simulate_sve reads b and sigma from their Taylor tables; one evaluator
+    # call per step gives the same bytes where the formulas read a * x + c,
+    # and agrees at roundoff on bilinear_lq
+    grid = TimeGrid(1.0, 64)
+    kern = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 8)
+    coeffs = make_problem(name)
+    u = ControlPath(np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_steps + 1))
+    e = sample_brownian(grid, 203, 5)
+
+    def evaluators(m, x):
+        return coeffs.b(m * grid.dt, u.at(m), x), coeffs.sigma(m * grid.dt, u.at(m), x)
+    assert forcing_source(coeffs, u) == "tables"
+    X = simulate_sve(coeffs, u, kern, 0.3, e)
+    ref, _ = run_lift(kern, grid, e.dW, evaluators, _xi_table(0.3, grid, 1))
+    if name == "bilinear_lq":
+        assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
+    else:
+        assert X.tobytes() == ref.tobytes()
 
 
 def test_vector_lift_matches_direct(grid):

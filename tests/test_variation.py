@@ -249,7 +249,7 @@ def _nonlinear():
 def test_cosimulation_matches_loop_oracle(n_nodes, zero_node, name, n_steps, n_spikes, store,
                                           seed):
     # random atom kernels and spikes; the controls step between a few values,
-    # so the spiked-control rows are kept over some steps and rebuilt at others
+    # so each spike's Taylor coefficients switch between u_hat's and v's
     rng = np.random.default_rng(seed)
     nodes = np.cumsum(rng.uniform(0.2, 8.0, n_nodes))
     if zero_node:
@@ -281,4 +281,4 @@ def test_cosimulation_matches_loop_oracle(n_nodes, zero_node, name, n_steps, n_s
         assert b.tables.keys() == o.tables.keys()
         assert all(_agrees(b.tables[k], o.tables[k]) for k in b.tables)
         assert b.terminal["Xhat_T"].tobytes() == x_hat.tobytes()
-        assert b.tabulated == coeffs.tags.state_free_evaluators()
+        assert b.tabulated == coeffs.tags.state_degrees()

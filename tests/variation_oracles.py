@@ -1,21 +1,29 @@
-"""The spike co-simulation loop with every coefficient evaluated per step
-(test-only oracle).
+"""The spike co-simulation loop in its plainest form (test-only oracle).
 
-Every coefficient is evaluated at the current states, the Hessian forcing
-terms always run, the spiked-control rows are rebuilt each step and the
-sup-moments are means of squared copies.  The tests compare
-``variation._spike_cosimulation``, which reads the state-free coefficients
-from tables, with it.
+Every coefficient is taken per step at the current states, one spike at a
+time: from its Taylor tables where the tags fix its degree in x (the tables
+the co-simulation reads, so that both do the same arithmetic on the states),
+else from its evaluator.  The Hessian forcing terms always run, each running
+integral is scaled by dt every step and the sup-moments are means of squared
+copies.  The tests compare ``variation._spike_cosimulation`` with it.
 """
 
 import numpy as np
 
-from volterra_smp.simulate import LiftStep, _xi_table
+from volterra_smp.coefficients import horner
+from volterra_smp.simulate import LiftStep, _taylor_rows, _xi_table
 from volterra_smp.variation import NORM_KEYS, VariationBundle
 
+NAMES = "b sigma b_x sigma_x b_xx sigma_xx f f_x f_xx"
 
-def _coeff_eval(coeffs, t, u, x, names="b sigma b_x sigma_x b_xx sigma_xx f f_x f_xx"):
-    return {name: getattr(coeffs, name)(t, u, x) for name in names.split()}
+
+def _coeff_eval(coeffs, taylor, control, m, dt, x, names=NAMES):
+    """name -> its (P,) values at step m along ``control`` at the states x
+    (P,): by Horner from ``taylor`` (name -> Taylor rows along the control)
+    where it has the name, else by one evaluator call."""
+    return {name: horner(taylor[name][m], x, np.empty(x.shape)) if name in taylor
+            else getattr(coeffs, name)(m * dt, control.at(m), x[:, None]).reshape(x.shape)
+            for name in names.split()}
 
 
 def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
@@ -28,8 +36,7 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     and X^eps = X_hat exactly, so at that index the spiked slabs take the
     reference slab's block state (``LiftStep.fork``) and the X1, X2 slabs
     start from zero.  The forcings are written straight into the lift's drive
-    slots.  The reference derivatives are evaluated once per step for all
-    spikes.  The spikes share one value ``v``.
+    slots.  The spikes share one value ``v``.
 
     ``observer(m, Y1, Y2, forcings, cv)`` sees the first spike before each
     advance at j_start <= m < N (before, X1 = X2 = 0): its lift states from
@@ -48,7 +55,10 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     win = np.array([sp.window(grid) for sp in spikes])  # (S, 2)
     j_start = int(win[:, 0].min())
     xi_tab = _xi_table(xi, grid, 1)[:, 0]
-    du = v.values.shape[-1]
+    coeffs.self_test()
+    degrees = coeffs.tags.state_degrees()
+    tab_u, tab_v = (dict(zip(degrees, _taylor_rows(coeffs, c, grid, degrees)))
+                    for c in (u_hat, v))
 
     G = 1 + 3 * S
     lift = LiftStep(kernel, dt, ens.dW, G)
@@ -58,9 +68,9 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
 
     # dX, X1, dX1, X2, dX12 in NORM_KEYS order, squared in place once stored.
     # Nothing reads them before the next step's advance, so until then their
-    # rows are that step's scratch: the loop allocates no (S, P) products.
+    # rows are that step's scratch.
     diffs = np.empty((len(NORM_KEYS), S, P))
-    work, xe = diffs[:2], diffs[4]
+    work = diffs[:2]
     sup_mom = np.zeros((len(NORM_KEYS), S))
     j12_run = np.zeros((S, P))   # running f-expansion integral
     dcost_f = np.zeros((S, P))   # running f(u^eps, X^eps) - f(u_hat, X_hat)
@@ -68,44 +78,43 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     tables = np.zeros((len(NORM_KEYS), S, P, N + 1)) if store else None
 
     for m in range(j_start):
-        ch = _coeff_eval(coeffs, m * dt, u_hat.at(m), xh[:, None], "b sigma")
+        ch = _coeff_eval(coeffs, tab_u, u_hat, m, dt, xh, "b sigma")
         Fb, Fs = (f[:, 0] for f in lift.drives())
-        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+        Fb[0], Fs[0] = ch["b"], ch["sigma"]
         lift.advance(1)
         xh += xi_tab[m + 1]
     lift.fork(0, slice(1, 1 + S))   # X^eps = X_hat here, X1 = X2 = 0
 
     for m in range(j_start, N):
-        t, u_h = m * dt, u_hat.at(m)
         active = (win[:, 0] <= m) & (m < win[:, 1])
-        ch = _coeff_eval(coeffs, t, u_h, xh[:, None])
-        bxh, sxh = ch["b_x"][:, 0, 0], ch["sigma_x"][:, 0, 0]
+        ch = _coeff_eval(coeffs, tab_u, u_hat, m, dt, xh)
+        bxh, sxh = ch["b_x"], ch["sigma_x"]
         # forcings go straight into the lift's drive slots for this step
         Fb, Fs = (f[:, 0] for f in lift.drives())
         F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
-        Fb[0], Fs[0] = ch["b"][:, 0], ch["sigma"][:, 0]
+        Fb[0], Fs[0] = ch["b"], ch["sigma"]
 
-        # spiked state forcing (full nonlinear coefficients at X^eps)
-        ue = np.where(active[:, None, None], np.broadcast_to(v.at(m), (P, du)),
-                      np.broadcast_to(u_h, (P, du))).reshape(S * P, du)
-        np.copyto(xe, Xe)
-        xe_col = xe.reshape(S * P, 1)
-        Fb[1:1 + S] = coeffs.b(t, ue, xe_col).reshape(S, P)
-        Fs[1:1 + S] = coeffs.sigma(t, ue, xe_col).reshape(S, P)
+        # spiked state forcing (full nonlinear coefficients at X^eps), and
+        # the running cost at X^eps, one spike at a time
+        fe = np.empty((S, P))
+        for s in range(S):
+            ce = (_coeff_eval(coeffs, tab_v, v, m, dt, Xe[s], "b sigma f") if active[s]
+                  else _coeff_eval(coeffs, tab_u, u_hat, m, dt, Xe[s], "b sigma f"))
+            Fb[1 + s], Fs[1 + s], fe[s] = ce["b"], ce["sigma"], ce["f"]
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
         np.multiply(bxh, X1, out=F1b)
         np.multiply(sxh, X1, out=F1s)
         for F2, d1, d2 in ((F2b, bxh, ch["b_xx"]), (F2s, sxh, ch["sigma_xx"])):
             np.multiply(d1, X2, out=F2)                          # d1 X2 + (d2 / 2) X1 X1
-            np.multiply(0.5 * d2[:, 0, 0, 0], X1, out=work[0])
+            np.multiply(0.5 * d2, X1, out=work[0])
             work[0] *= X1
             F2 += work[0]
         cv = {}
         if active.any():
-            cv = _coeff_eval(coeffs, t, v.at(m), xh[:, None], "b sigma b_x sigma_x f")
-            cv = {"db": cv["b"][:, 0] - Fb[0], "ds": cv["sigma"][:, 0] - Fs[0],
-                  "dbx": cv["b_x"][:, 0, 0] - bxh, "dsx": cv["sigma_x"][:, 0, 0] - sxh,
+            cv = _coeff_eval(coeffs, tab_v, v, m, dt, xh, "b sigma b_x sigma_x f")
+            cv = {"db": cv["b"] - Fb[0], "ds": cv["sigma"] - Fs[0],
+                  "dbx": cv["b_x"] - bxh, "dsx": cv["sigma_x"] - sxh,
                   "df": cv["f"] - ch["f"]}
             F1b[active] += cv["db"]
             F1s[active] += cv["ds"]
@@ -119,13 +128,13 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         # running cost pieces (left-point rule)
         # j12_run += (f_x (X1 + X2) + (f_xx / 2) X1 X1) dt, in that operation order
         np.add(X1, X2, out=work[0])
-        work[0] *= ch["f_x"][:, 0]
-        np.multiply(0.5 * ch["f_xx"][:, 0, 0], X1, out=work[1])
+        work[0] *= ch["f_x"]
+        np.multiply(0.5 * ch["f_xx"], X1, out=work[1])
         work[1] *= X1
         work[0] += work[1]
         work[0] *= dt
         j12_run += work[0]
-        np.subtract(coeffs.f(t, ue, xe_col).reshape(S, P), ch["f"], out=work[0])
+        np.subtract(fe, ch["f"], out=work[0])
         work[0] *= dt
         dcost_f += work[0]
 
