@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammainc
 
 from .grids import TimeGrid
-from .kernels import discounted_sweep, step_decay_weight
+from .kernels import discounted_sweep, gamma_fn, step_decay_weight
 from .simulate import BrownianEnsemble
 
 
@@ -257,6 +256,7 @@ def _exp_power_step_integrals(c: float, alpha: float, grid: TimeGrid) -> np.ndar
         return (np.exp(-c * s_left) - np.exp(-c * s_right)) / c
     if c == 0.0:
         return (s_right ** (1.0 + alpha) - s_left ** (1.0 + alpha)) / (1.0 + alpha)
+    from scipy.special import gammainc   # a slow import that only this branch needs
     a = 1.0 + alpha
     scale = gamma_fn(a) / c ** a
     return scale * (gammainc(a, c * s_right) - gammainc(a, c * s_left))

@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import numbers
+import os
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -269,6 +270,31 @@ def _build(keys: str, build, *args):
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
+# duality's display SE at these path counts must shrink as 1/sqrt(paths), so it
+# runs every config on at least the largest of them
+DUALITY_PATH_SWEEP = (1000, 4000, 16000)
+
+
+def _check_sizes(cfg: dict) -> None:
+    """Refuse, before anything is allocated, a grid whose Brownian increment
+    table (paths x steps) or lift slab (nodes x paths) of doubles would not
+    fit in physical memory, at the path count ``duality`` runs."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf here: nothing to compare with
+        return
+    paths = max(cfg["grid"]["n_paths"], *DUALITY_PATH_SWEEP)
+    at_paths = f"max(grid.n_paths, {max(DUALITY_PATH_SWEEP)}) = {paths}"
+    nodes = cfg["kernel"]["n_nodes"] if cfg["kernel"]["family"] == "fractional" else 1
+    for block, table, cells in (
+            ("grid", f"increment table of {at_paths} x grid.n_steps = {cfg['grid']['n_steps']}",
+             paths * cfg["grid"]["n_steps"]),
+            ("kernel", f"lift slab of kernel.n_nodes = {nodes} x {at_paths}", nodes * paths)):
+        if 8 * cells > memory:
+            raise ConfigError(f"{block}: the {table} doubles needs {8 * cells / 2 ** 30:.3g} GiB, "
+                              f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
+
+
 def resolve_config(source=None, seed=None, n_paths=None, n_steps=None) -> ExperimentConfig:
     """Check ``source`` against ``SCHEMA`` and fill in the defaults.
 
@@ -293,6 +319,7 @@ def resolve_config(source=None, seed=None, n_paths=None, n_steps=None) -> Experi
             cfg["grid"][key] = _check(f"grid.{key}", SCHEMA["grid"][key][1], val)
     # every problem.params key obeys its rule; the config keeps only the keys given
     _resolve(_PARAMS[cfg["problem"]["name"]], cfg["problem"]["params"], "problem.params")
+    _check_sizes(cfg)
     config = ExperimentConfig(**{**cfg, "seed": int(cfg["seed"])})
     grid = config.make_grid()          # the rules hold T > 0 and n_steps >= 2
     _build("kernel", config.stage, "kernel")
@@ -714,16 +741,28 @@ def _contraction_ratios(d) -> list:
     return [d[i + 1] / d[i] for i in range(2, len(d) - 1) if d[i] > 0]
 
 
+def _display_check(order: str, r: dict) -> tuple:
+    """The display residual's mean within 3 standard errors of 0.  Without
+    noise (SE exactly 0) the mean is roundoff alone, so it is held to the exact
+    identities' bound instead: 1e-8 on their max(1, max |lhs|) scale."""
+    mean, se = r["display_mean"], r["display_se"]
+    if se > 0:
+        return f"{order}_display_3se", abs(mean) <= 3 * se, f"mean {mean:.3e}, se {se:.3e}"
+    rel = abs(mean) / r["scale"]
+    return (f"{order}_display_3se", rel <= 1e-8,
+            f"mean {mean:.3e}, se 0 (no noise): |mean| / scale {rel:.3e} against the exact "
+            f"bound 1e-8")
+
+
 def run_duality(config: ExperimentConfig) -> ExperimentResult:
     """Both duality identities at the config's path count and the first-order
     display SE at 1000, 4000 and 16000 paths, all from one co-simulation on
     the largest ensemble: each smaller ensemble of the same seed is a prefix
     of it, and so are its states, adjoint tables and residuals."""
     prov = _provenance(config)
-    path_sweep = (1000, 4000, 16000)     # the standard error must shrink as 1/sqrt(paths)
     n_paths = config.grid["n_paths"]
     # the same stages as the config's own, built on the largest ensemble
-    big = replace(config, grid={**config.grid, "n_paths": max(n_paths, *path_sweep)})
+    big = replace(config, grid={**config.grid, "n_paths": max(n_paths, *DUALITY_PATH_SWEEP)})
     kern, coeffs, ens = big.stage("kernel"), big.stage("problem"), big.stage("ensemble")
     grid = ens.grid
     eps = config.spike["eps_list"][min(1, len(config.spike["eps_list"]) - 1)]
@@ -735,33 +774,31 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     checks = [
         ("first_exact", r1["exact_max"] <= 1e-8, f"max pathwise {r1['exact_max']:.3e}"),
         ("second_exact", r2["exact_max"] <= 1e-8, f"max pathwise {r2['exact_max']:.3e}"),
-        ("first_display_3se", abs(r1["display_mean"]) <= 3 * max(r1["display_se"], 1e-300),
-         f"mean {r1['display_mean']:.3e}, se {r1['display_se']:.3e}"),
-        ("second_display_3se", abs(r2["display_mean"]) <= 3 * max(r2["display_se"], 1e-300),
-         f"mean {r2['display_mean']:.3e}, se {r2['display_se']:.3e}"),
+        _display_check("first", r1),
+        _display_check("second", r2),
     ]
     rows = [("first", "exact_max", r1["exact_max"], 0.0),
             ("first", "display", r1["display_mean"], r1["display_se"]),
             ("second", "exact_max", r2["exact_max"], 0.0),
             ("second", "display", r2["display_mean"], r2["display_se"])]
     ses = []
-    for n in path_sweep:
+    for n in DUALITY_PATH_SWEEP:
         rr = duality_stats(res["first"], n)
         ses.append(rr["display_se"])
         rows.append(("first_sweep", f"display@{n}", rr["display_mean"], rr["display_se"]))
     if min(ses) > 0:
-        fit = fit_loglog(np.asarray(path_sweep, dtype=float), np.asarray(ses))
+        fit = fit_loglog(np.asarray(DUALITY_PATH_SWEEP, dtype=float), np.asarray(ses))
         checks.append(("se_shrinks_sqrt_paths", abs(fit["slope"] + 0.5) <= 0.15,
                        f"log-log SE slope {fit['slope']:.3f} (target -0.5 +- 0.15)"))
     else:   # no log-log fit: a noise-free display residual has SE 0 at every count
         checks.append(("se_shrinks_sqrt_paths", max(ses) == 0.0,
                        "display SE " + ", ".join(f"{se:.3e}" for se in ses)
-                       + f" at {path_sweep} paths"))
+                       + f" at {DUALITY_PATH_SWEEP} paths"))
     tables = {"duality": ResultTable("duality", ["order", "kind", "value", "se"],
                                      rows, prov)}
     timing = {"lift": {"paths": ens.n_paths, "steps": grid.n_steps, "nodes": kern.n_nodes,
                        "processes": 4},
-              "prefixes": {"checks": n_paths, "se_sweep": list(path_sweep)},
+              "prefixes": {"checks": n_paths, "se_sweep": list(DUALITY_PATH_SWEEP)},
               "pair_terms": res["pair_terms"], "tabulated": dict(res["bundle"].tabulated)}
     return ExperimentResult("duality", tables, checks, extras={"timing": timing})
 

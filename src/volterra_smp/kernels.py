@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "AnalyticKernel",
@@ -32,6 +31,47 @@ __all__ = [
     "knorm_eps",
     "quadrature_error",
 ]
+
+
+# Rational fit of Gamma(2 + x) on 0 <= x < 1, highest power first (Cephes)
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def gamma_fn(x: float) -> float:
+    """Gamma(x) for 0 < x <= 33, bit for bit the Cephes ``Gamma`` that
+    ``scipy.special.gamma`` evaluates, in the same operation order.
+
+    A port rather than ``math.gamma``, whose last bit differs on most
+    arguments (Gamma(0.9), Gamma(1/3)), so that the kernel factors keep their
+    bits without importing ``scipy.special``.  Raises ValueError outside
+    (0, 33] and on NaN; Cephes switches to Stirling's formula above 33.
+    """
+    x = float(x)
+    if not 0.0 < x <= 33.0:
+        raise ValueError(f"gamma_fn covers 0 < x <= 33, got {x!r}")
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p = q = 0.0
+    for c in _GAMMA_P:
+        p = p * x + c
+    for c in _GAMMA_Q:
+        q = q * x + c
+    return z * p / q
 
 
 @dataclass(frozen=True)

@@ -175,12 +175,13 @@ def duality_residuals(coeffs: CoefficientSet, spike: SpikeSpec, adj: AdjointSolu
 def duality_stats(order: dict, n_paths: int | None = None) -> dict:
     """Statistics of one order of ``duality_residuals`` over its first
     ``n_paths`` paths (all by default): the largest exact residual relative to
-    max(1, max |lhs|), and the display residual's mean and standard error."""
+    ``scale`` = max(1, max |lhs|), and the display residual's mean and
+    standard error."""
     lhs, exact, display = (order[key][:n_paths] for key in ("lhs", "exact", "display"))
     mean, se = mc_mean_se(display)
     scale = max(1.0, float(np.max(np.abs(lhs))))
     return {"exact_max": float(np.max(np.abs(exact))) / scale,
-            "display_mean": mean, "display_se": se}
+            "display_mean": mean, "display_se": se, "scale": scale}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .coefficients import CoefficientSet, ControlPath, coeff_tables, horner
 from .grids import TimeGrid
@@ -173,6 +172,8 @@ class LiftStep:
 
     def __init__(self, kernel: DiscreteLaplaceKernel, dt: float, dW: np.ndarray,
                  n_slabs: int = 1):
+        from scipy.linalg.blas import dgemm   # a slow import: load it with the first lift
+        self._dgemm = dgemm
         K, n = kernel.n_nodes, kernel.dim
         L = block_steps(K)
         P = dW.shape[0]
@@ -249,6 +250,7 @@ class LiftStep:
 
     def _end_block(self, G: int) -> None:
         """Move Y to the block end and fill rho for the next block."""
+        dgemm = self._dgemm
         for g in range(G):
             if self.carry is not None:
                 self.Y[g] *= self.carry
@@ -267,8 +269,8 @@ class LiftStep:
         i = self.m % self.L
         Yi = self.Y[g] * self.rows[i, :, None]       # D^i Y_{m0}
         if i:   # += reads[i] . drive, accumulated in place (the bits of a separate sum)
-            dgemm(1.0, self.drive[g, :2 * self.n * i].T, self.reads[i].T, beta=1.0, c=Yi.T,
-                  overwrite_c=True)
+            self._dgemm(1.0, self.drive[g, :2 * self.n * i].T, self.reads[i].T, beta=1.0,
+                        c=Yi.T, overwrite_c=True)
         return Yi
 
     def fork(self, src: int, dst: slice) -> None:

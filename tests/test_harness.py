@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,15 +447,17 @@ def test_problem_params_typed_from_the_builder_defaults():
 
 
 def test_cli_memory_error_is_failed_check(tmp_path, capsys, monkeypatch):
-    # the real sample would ask for n_paths x n_steps doubles (1.46 TiB); never allocate it
+    # a stage that cannot allocate its arrays, here the sampler made to refuse;
+    # a grid beyond physical memory is refused before this, as a config error
+    # (test_grid_beyond_physical_memory_is_refused_before_allocating)
     def refuse(grid, n_paths, seed):
         raise MemoryError(f"Unable to allocate array with shape ({n_paths}, {grid.n_steps})")
 
     monkeypatch.setattr(harness, "sample_brownian", refuse)
-    code, _ = _cli(tmp_path, "adjoint", {"grid": {"n_steps": 100000000}})
+    code, _ = _cli(tmp_path, "adjoint", {"grid": {"n_steps": 16}})
     assert code == 1
     assert ("[FAIL] adjoint/solver: MemoryError: Unable to allocate array with shape "
-            "(2000, 100000000)") in capsys.readouterr().out
+            "(2000, 16)") in capsys.readouterr().out
 
 
 def test_sidecar_records_solve_path_and_lift_size(tmp_path):
@@ -898,13 +901,45 @@ def test_out_csv_file_writes_primary_and_secondary_tables(tmp_path):
 
 
 def test_unallocatable_node_count_is_a_config_error(tmp_path, capsys):
-    # 10**13 nodes: numpy refuses the first node table before allocating any of
-    # it.  Counts of 10**8 to 10**10 would allocate gigabytes or run the per-cell
-    # loop of build_fractional_lift for minutes, so they are not tried.
+    # 10**13 nodes: the size check refuses the lift slab before the kernel
+    # builder allocates its first node table.
     code, _ = _cli(tmp_path, "kernels", {"kernel": {"n_nodes": 10 ** 13}})
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: kernel:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("raw, keys", [
+    ({"grid": {"n_paths": 10 ** 9, "n_steps": 10 ** 9}}, ("grid:", "grid.n_paths", "grid.n_steps")),
+    ({"grid": {"n_steps": 10 ** 9}, "kernel": {"family": "constant"}},
+     ("grid:", "grid.n_paths", "grid.n_steps")),
+    ({"kernel": {"n_nodes": 10 ** 9}}, ("kernel:", "kernel.n_nodes", "grid.n_paths")),
+    ({"kernel": {"n_nodes": 10 ** 8}, "grid": {"n_paths": 10 ** 4, "n_steps": 16}},
+     ("kernel:", "kernel.n_nodes", "max(grid.n_paths, 16000) = 16000")),
+], ids=["paths_and_steps", "steps", "nodes", "nodes_at_duality_paths"])
+def test_grid_beyond_physical_memory_is_refused_before_allocating(raw, keys):
+    """A grid whose increment table or lift slab, at duality's path count,
+    needs more than physical memory is a config error naming its keys, raised
+    before any table is allocated (these sizes would run for minutes or fail
+    to allocate)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            resolve_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    msg = str(info.value)
+    assert all(key in msg for key in keys) and "physical memory" in msg, msg
+    assert peak < 2 ** 20, peak
+
+
+def test_cli_refuses_an_oversized_path_override(tmp_path, capsys):
+    from volterra_smp.cli import main
+    code = main(["kernels", "--paths", str(10 ** 12), "--out", str(tmp_path / "res")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: grid:") and "Traceback" not in err, err
 
 
 _FINITE = st.floats(-3.0, 3.0)
@@ -963,22 +998,37 @@ def test_cli_ends_in_a_verdict_on_tiny_valid_configs(config, experiment):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("experiment, raw, check, passed, detail", [
+@pytest.mark.parametrize("experiment, raw, expected", [
     ("mp-check", {"grid": {"n_paths": 32, "n_steps": 12}},
-     "skipped", True, "divisible by 8"),
+     [("skipped", True, "divisible by 8")]),
     ("mp-check", {"problem": {"name": "zero"}},
-     "perturbation_fails_on_interval", False, "none is left to perturb it with"),
+     [("perturbation_fails_on_interval", False, "none is left to perturb it with")]),
     ("duality", {"problem": {"name": "lq_linear_cost", "params": {"s0": 0.0, "s1": 0.0}}},
-     "se_shrinks_sqrt_paths", True, "display SE 0.000e+00, 0.000e+00, 0.000e+00"),
+     [("se_shrinks_sqrt_paths", True, "display SE 0.000e+00, 0.000e+00, 0.000e+00"),
+      ("first_display_3se", True, "se 0 (no noise): |mean| / scale"),
+      ("second_display_3se", True, "against the exact bound 1e-8")]),
 ], ids=["mp_off_grid_interval", "mp_one_control_value", "duality_noise_free_display"])
-def test_degenerate_configs_end_in_a_named_check(experiment, raw, check, passed, detail):
+def test_degenerate_configs_end_in_a_named_check(experiment, raw, expected):
     """Inputs that once ended as a traceback or as a failure with no reason: an
     mp-check interval [T/4, 3T/8] off the grid nodes (a traceback), a one-point
     control domain with nothing to perturb with (violations on [nan, nan]), and
     a duality display residual without noise, whose SEs admit no log-log fit
-    (a traceback)."""
+    (a traceback) and whose roundoff mean failed the 3-SE test at SE 0."""
     cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 16},
                           "kernel": {"family": "constant", "alpha": 0.0}, **raw})
     res = run_experiment(experiment, cfg)[experiment]
     found = {name: (ok, text) for name, ok, text in res.checks}
-    assert found[check][0] is passed and detail in found[check][1], found
+    for check, passed, detail in expected:
+        assert found[check][0] is passed and detail in found[check][1], found
+
+
+def test_noisy_display_residual_keeps_the_3se_test():
+    """Where the display SE is nonzero the check is |mean| <= 3 SE, as before."""
+    cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 16},
+                          "kernel": {"family": "constant", "alpha": 0.0}})
+    res = run_experiment("duality", cfg)["duality"]
+    rows = {(r[0], r[1]): r for r in res.tables["duality"].rows}
+    mean, se = rows[("first", "display")][2:]
+    found = {name: (ok, text) for name, ok, text in res.checks}
+    assert se > 0 and found["first_display_3se"] == (abs(mean) <= 3 * se,
+                                                     f"mean {mean:.3e}, se {se:.3e}")

@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
 import kernels_oracles
+from volterra_smp.harness import resolve_config
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel,
                                   build_fractional_lift, constant_kernel,
-                                  discounted_sweep, exponential_kernel, kernel_eval,
+                                  discounted_sweep, exponential_kernel,
+                                  gamma_fn as kernels_gamma, kernel_eval,
                                   knorm_eps, quadrature_error, step_decay_weight)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def test_delta_atom_is_constant_kernel():
@@ -161,9 +167,46 @@ def test_discounted_sweep_equals_per_step_loop_bit_for_bit(rate_axes, n_nodes, s
 
 
 def test_package_import_leaves_the_quadrature_module_unloaded():
-    # only knorm_eps's quadrature branch needs scipy.integrate, and it imports it there
+    """Importing the package and building every bundled config's kernel (the
+    benchmark's set-up) loads no scipy module: only knorm_eps's quadrature,
+    bsde's weighted integrals and the first LiftStep import from scipy."""
     import subprocess
     import sys
-    code = "import sys, volterra_smp.harness; assert 'scipy.integrate' not in sys.modules"
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import volterra_smp.harness, volterra_smp.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        f"for p in sorted(Path({str(CONFIGS)!r}).glob('*.json')):\n"
+        "    volterra_smp.harness.resolve_config(p).make_kernel()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _bundled_gamma_arguments() -> list:
+    """beta and 1 - beta of every bundled kernel, and 1 +- alpha of every
+    bundled kernel and of bsde-check's instances (alpha = 0, 1/3)."""
+    args, alphas = set(), {0.0, 1.0 / 3.0}
+    for path in CONFIGS.glob("*.json"):
+        k = resolve_config(path).kernel
+        alphas.add(k["alpha"])
+        args |= {v for beta in (k["beta_b"], k["beta_sigma"]) for v in (beta, 1.0 - beta)}
+    return sorted(args | {1.0 + a for a in alphas} | {1.0 - a for a in alphas})
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(0.0, 33.0, exclude_min=True),
+                   st.floats(-300.0, np.log10(33.0)).map(lambda e: min(10.0 ** e, 33.0)),
+                   st.integers(1, 33).map(float),
+                   st.sampled_from(_bundled_gamma_arguments())))
+def test_gamma_port_equals_scipy_bit_for_bit(x):
+    assert kernels_gamma(x) == gamma_fn(x), x
+
+
+@pytest.mark.parametrize("x", [0.0, -0.5, -3.0, 33.000000000000004, 171.0, np.inf, np.nan])
+def test_gamma_port_refuses_arguments_outside_its_range(x):
+    with pytest.raises(ValueError, match="0 < x <= 33"):
+        kernels_gamma(x)
