@@ -11,13 +11,19 @@ sorted by path.  With two: one line per file whose bytes differ
 such line, else 0.  Under a CSV that differs, one indented line per numeric
 column gives the largest absolute deviation of its cells
 (``  <column>  max |dev| <value>``; NaN against NaN counts as equal), or one
-line gives the two shapes when the columns or the row counts differ.
+line gives the two shapes when the columns or the row counts differ.  Under
+a ``summary.json`` that differs, one indented line per check whose pass flag
+or detail changed gives both details
+(``  <experiment>/<check>  <old detail> -> <new detail>``): each prefixed
+by ``[PASS]`` or ``[FAIL]`` when the flag changed, ``(none)`` for a side
+without that check.
 ``timings.json`` holds wall-clock values and is left out in both modes, so
 two runs whose outputs are byte-identical print the same digests and no
 differences.
 """
 
 import hashlib
+import json
 import math
 import sys
 from pathlib import Path
@@ -58,6 +64,26 @@ def deviations(path_a: Path, path_b: Path) -> list:
     return lines
 
 
+def check_changes(path_a: Path, path_b: Path) -> list:
+    """The checks of two summary.json files whose pass flag or detail changed."""
+    def checks(path):
+        return {f"{exp}/{check['name']}": (check["passed"], check["detail"])
+                for exp, res in json.loads(path.read_text()).items()
+                for check in res["checks"]}
+    a, b = checks(path_a), checks(path_b)
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        old, new = a.get(key), b.get(key)
+        if old == new:
+            continue
+        flagged = old is None or new is None or old[0] != new[0]
+        old_text, new_text = ("(none)" if side is None
+                              else f"[{'PASS' if side[0] else 'FAIL'}] {side[1]}" if flagged
+                              else side[1] for side in (old, new))
+        lines.append(f"  {key}  {old_text} -> {new_text}")
+    return lines
+
+
 def differences(root_a: Path, root_b: Path) -> list:
     a, b = _hashes(root_a), _hashes(root_b)
     lines = []
@@ -70,6 +96,8 @@ def differences(root_a: Path, root_b: Path) -> list:
             lines.append(f"differs  {rel}")
             if rel.endswith(".csv"):
                 lines += deviations(root_a / rel, root_b / rel)
+            elif Path(rel).name == "summary.json":
+                lines += check_changes(root_a / rel, root_b / rel)
     return lines
 
 

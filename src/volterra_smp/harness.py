@@ -37,7 +37,7 @@ from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel
                       knorm_eps, quadrature_error, sweep_factors)
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residuals, duality_stats,
-                           perturb_control)
+                           gap_tables, perturb_control)
 from .simulate import (BrownianEnsemble, _xi_table, cnorm, forcing_source, lift_tally,
                        sample_brownian, simulate_sve)
 from .stats import fit_loglog
@@ -278,7 +278,9 @@ DUALITY_PATH_SWEEP = (1000, 4000, 16000)
 def _check_sizes(cfg: dict) -> None:
     """Refuse, before anything is allocated, a grid whose Brownian increment
     table (paths x steps) or lift slab (nodes x paths) of doubles would not
-    fit in physical memory, at the path count ``duality`` runs."""
+    fit in physical memory, at the path count ``duality`` runs, or whose one
+    pair-field table of the second-order adjoint ((steps + 1) x nodes^2)
+    would not."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):   # no sysconf here: nothing to compare with
@@ -286,10 +288,12 @@ def _check_sizes(cfg: dict) -> None:
     paths = max(cfg["grid"]["n_paths"], *DUALITY_PATH_SWEEP)
     at_paths = f"max(grid.n_paths, {max(DUALITY_PATH_SWEEP)}) = {paths}"
     nodes = cfg["kernel"]["n_nodes"] if cfg["kernel"]["family"] == "fractional" else 1
+    steps = cfg["grid"]["n_steps"]
     for block, table, cells in (
-            ("grid", f"increment table of {at_paths} x grid.n_steps = {cfg['grid']['n_steps']}",
-             paths * cfg["grid"]["n_steps"]),
-            ("kernel", f"lift slab of kernel.n_nodes = {nodes} x {at_paths}", nodes * paths)):
+            ("grid", f"increment table of {at_paths} x grid.n_steps = {steps}", paths * steps),
+            ("kernel", f"lift slab of kernel.n_nodes = {nodes} x {at_paths}", nodes * paths),
+            ("kernel", f"pair-field table of (grid.n_steps + 1) = {steps + 1} x "
+                       f"kernel.n_nodes^2 = {nodes}^2", (steps + 1) * nodes * nodes)):
         if 8 * cells > memory:
             raise ConfigError(f"{block}: the {table} doubles needs {8 * cells / 2 ** 30:.3g} GiB, "
                               f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
@@ -807,20 +811,27 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     kern, coeffs, ens = config.stage("kernel"), config.stage("problem"), config.stage("ensemble")
     grid, xi = ens.grid, config.solver["xi"]
+    u_pts = coeffs.control_domain.points
     checks = []
+    reports = []
 
     # the controls here are not the reference control, so their solves are not
     # stages; mp-check runs only on the deterministic solve path, which reads
-    # no state, so the first solve needs no simulation
+    # no state, and a state is simulated only where the gap tables read one
+    def check(u: ControlPath) -> tuple:
+        """The variational inequality along ``u``, its gap tables and its state
+        (None where the gap reads none); each adjoint is dropped once used:
+        three alive at once set the RSS peak."""
+        tabs = gap_tables(coeffs, u, u_pts, grid)
+        x = simulate_sve(coeffs, u, kern, xi, ens) if tabs.state_degree else None
+        adj = assemble_adjoints(coeffs, u, x, kern, ens, tol=PICARD_TOL)
+        reports.append(check_variational_inequality(coeffs, u, adj, u_pts, ens, x, tables=tabs))
+        return reports[-1], tabs, x
+
     u0 = ControlPath.constant(0.0, grid, du=coeffs.du)
-    adj0 = assemble_adjoints(coeffs, u0, None, kern, ens, tol=PICARD_TOL)
-    u_hat = construct_argmax_control(coeffs, adj0, grid)
-    del adj0      # each adjoint is dropped once used: three alive at once set the RSS peak
-    x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
-    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, ens, tol=PICARD_TOL)
-    rep = check_variational_inequality(coeffs, u_hat, adj, coeffs.control_domain.points,
-                                       ens, x_hat)
-    del adj
+    u_hat = construct_argmax_control(coeffs, assemble_adjoints(coeffs, u0, None, kern, ens,
+                                                               tol=PICARD_TOL), grid)
+    rep, tabs, x_hat = check(u_hat)
     checks.append(("argmax_control_passes", rep.passed,
                    f"min gap {rep.min_gap:.3e} at {rep.min_location}"))
     if coeffs.tags.sigma_control_free:
@@ -830,7 +841,7 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     t_lo = 0.25 * grid.T
     t_hi = 0.375 * grid.T
     bad_value = None
-    for cand in coeffs.control_domain.points[:, 0]:
+    for cand in u_pts[:, 0]:
         if not np.any(np.isclose(u_hat.values[grid.index_of(t_lo):grid.index_of(t_hi), 0], cand)):
             bad_value = float(cand)
             break
@@ -838,11 +849,7 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
         checks.append(("perturbation_fails_on_interval", False, "u_hat takes every control "
                        "value on [T/4, 3T/8], so none is left to perturb it with"))
     else:
-        u_bad = perturb_control(u_hat, grid, t_lo, t_hi, bad_value)
-        x_bad = simulate_sve(coeffs, u_bad, kern, xi, ens)
-        adj_bad = assemble_adjoints(coeffs, u_bad, x_bad, kern, ens, tol=PICARD_TOL)
-        rep_bad = check_variational_inequality(coeffs, u_bad, adj_bad,
-                                               coeffs.control_domain.points, ens, x_bad)
+        rep_bad = check(perturb_control(u_hat, grid, t_lo, t_hi, bad_value))[0]
         viol = sorted({t for (t, v, g, s, ok) in rep_bad.rows if not ok})
         localized = (not rep_bad.passed and viol
                      and min(viol) >= t_lo - 1e-12 and max(viol) < t_hi - 1e-12)
@@ -853,11 +860,14 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
     tables = {"mp": ResultTable("mp", ["t", "v", "gap", "se", "pass"], rep.rows, prov)}
 
     if kern.n_nodes == 1 and kern.nodes[0] == 0.0:
-        cl = classical_adjoint_gaps(coeffs, u_hat, coeffs.control_domain.points, grid, x_hat)
+        cl = classical_adjoint_gaps(coeffs, u_hat, u_pts, grid, x_hat, tables=tabs)
         gaps_field = {(t, v): g for (t, v, g, s, ok) in rep.rows}
         dev = max(abs(gaps_field[key] - cl["gaps"][key]) for key in cl["gaps"])
         checks.append(("classical_reference_match", dev <= 1e-10, f"max gap deviation {dev:.3e}"))
-    return ExperimentResult("mp-check", tables, checks)
+    gap = {"state_degree": max(r.state_degree for r in reports),
+           "per_path": any(r.per_path for r in reports),
+           "states_simulated": sum(r.state_degree > 0 for r in reports)}
+    return ExperimentResult("mp-check", tables, checks, extras={"timing": {"gap": gap}})
 
 
 def run_bsvie_check(config: ExperimentConfig) -> ExperimentResult:

@@ -19,6 +19,10 @@ the same seed over a prefix of those vectors.
 Backward integrands are evaluated left-point through the discounted fields
 p~_m = E_m[e^{-theta dt} p_{m+1}] (and the pair analogue), which is the exact
 object produced by the discrete product rule.
+
+The variational inequality, its classical reference and the argmax control
+read b, sigma and f from their Taylor tables in x along each control
+(``gap_tables``), so a gap that does not depend on x reads no state.
 """
 
 from __future__ import annotations
@@ -199,7 +203,12 @@ class MPReport:
     alpha: float
     alpha_hypothesis: bool     # True when the kernel singularity index is 1/3
     max_quadratic_term: float = 0.0
+    state_degree: int = 0      # highest power of x the gap read; 0: it read no state
+    per_path: bool = False     # the gap took one value per path
     notes: str = ""
+
+
+_H_NAMES = ("b", "sigma", "f")
 
 
 def _control_points(u_grid) -> np.ndarray:
@@ -208,71 +217,141 @@ def _control_points(u_grid) -> np.ndarray:
     return u_pts.T if u_pts.shape[0] == 1 and u_pts.shape[1] > 1 else u_pts
 
 
-def _step_blocks(N: int, n_v: int, x_hat: np.ndarray, u_pts: np.ndarray):
-    """Blocks of grid steps 0..N-1 whose stacked (step, control, path) rows make
-    arrays near 512 KB: larger arrays fall out of the cache and run slower than
-    one step at a time."""
-    paths, n = x_hat.shape[0], x_hat.shape[-1]
-    block = max(1, 2 ** 16 // ((n_v + 1) * paths * max(n, u_pts.shape[1])))
-    return (np.arange(m0, min(m0 + block, N)) for m0 in range(0, N, block))
+def _hamiltonian_tables(coeffs: CoefficientSet, grid: TimeGrid, controls) -> dict:
+    """name -> (c_0, ..., c_d) for b, sigma and f: their Taylor coefficients
+    in x along each deterministic control of ``controls``, stacked on axis 1,
+    (N+1, len(controls)) + the evaluator's shape, from one ``coeff_tables``
+    call per control.  Raises ``ValueError`` naming an evaluator whose degree
+    in x the tags leave open."""
+    degrees = coeffs.tags.state_degrees()
+    for name in _H_NAMES:
+        if name not in degrees:
+            raise ValueError(f"the Hamiltonian tables need the degree in x of {name}, "
+                             f"which the tags of {coeffs.name!r} leave open")
+    along = [coeff_tables(coeffs, u, grid, _H_NAMES) for u in controls]
+    return {name: tuple(np.stack(cs, axis=1) for cs in
+                        zip(*(tab if degrees[name] else (tab,) for tab in tabs)))
+            for name, tabs in zip(_H_NAMES, zip(*along))}
 
 
-def _stacked_rows(u_hat: ControlPath, u_pts: np.ndarray, x_hat: np.ndarray,
-                  ms: np.ndarray, dt: float) -> tuple:
-    """One (t, u, x) row per (step in ``ms``, control, path): per step, block 0
-    holds the paths at u_hat and block i + 1 those at control point i.
-    Returns the (B, n_v + 1, paths) shape and the three row arrays."""
-    (n_v, du), (paths, n) = u_pts.shape, (x_hat.shape[0], x_hat.shape[-1])
-    shape = (ms.size, n_v + 1, paths)
-    u_rows = np.empty(shape + (du,))
-    u_rows[:, 0] = (u_hat.values[ms][:, None] if u_hat.deterministic
-                    else u_hat.values[:, ms].swapaxes(0, 1))
-    u_rows[:, 1:] = u_pts[:, None, :]
-    t_rows = np.repeat(ms * dt, (n_v + 1) * paths)
-    x_rows = np.broadcast_to(x_hat[:, ms].swapaxes(0, 1)[:, None], shape + (n,))
-    return shape, (t_rows, u_rows.reshape(-1, du), x_rows.reshape(-1, n))
+@dataclass(frozen=True)
+class GapTables:
+    """The Taylor coefficients in x of b(u_hat) - b(v), sigma(u_hat) - sigma(v)
+    and f(u_hat) - f(v), (N, n_v) + the evaluator's shape each: steps 0..N-1
+    on axis 0, the control points ``u_pts`` on axis 1.  Each tuple ends at
+    its last degree with a nonzero coefficient (or at c_0)."""
+
+    u_pts: np.ndarray          # (n_v, du)
+    db: tuple
+    dsigma: tuple
+    df: tuple
+
+    @property
+    def state_degree(self) -> int:
+        """The highest power of x the gap reads; 0 where it reads no state."""
+        return max(len(self.db), len(self.dsigma), len(self.df)) - 1
+
+
+def gap_tables(coeffs: CoefficientSet, u_hat: ControlPath, u_grid,
+               grid: TimeGrid) -> GapTables:
+    """``GapTables`` between a deterministic control ``u_hat`` and each point
+    of ``u_grid``, from n_v + 1 ``coeff_tables`` calls: one along u_hat and
+    one along each constant control point."""
+    u_pts = _control_points(u_grid)
+    N = grid.n_steps
+    tabs = _hamiltonian_tables(coeffs, grid, [u_hat] + [ControlPath.constant(v, grid, coeffs.du)
+                                                        for v in u_pts])
+
+    def differences(coefs):
+        d = [c[:N, :1] - c[:N, 1:] for c in coefs]
+        while len(d) > 1 and not np.any(d[-1]):
+            d.pop()
+        return tuple(d)
+    return GapTables(u_pts, *(differences(tabs[name]) for name in _H_NAMES))
+
+
+def _taylor_at(coefs, x: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] x^j by Horner's rule at a block's states x (B, 1, P, n):
+    each step contracts the running sum's last axis with x.  For scalar state
+    this is the arithmetic of ``coefficients.horner``."""
+    out = coefs[-1]
+    for c in coefs[-2::-1]:
+        xs = x.reshape(x.shape[:3] + (1,) * (out.ndim - 4) + x.shape[3:])
+        out = np.sum(out * xs, axis=-1) + c
+    return out
+
+
+def _gap_stats(tabs: GapTables, contractions, x_hat: np.ndarray | None,
+               ab_paths: int) -> tuple:
+    """Mean and SE over paths of the gap H(u_hat) - H(v) - 1/2 <R dsigma, dsigma>
+    at every (step m, control point i), row m * n_v + i; the largest spread of
+    one cell over its paths; the largest |1/2 <R dsigma, dsigma>|.
+
+    ``contractions(ms)`` gives (Ab, Aq, R) at the steps ``ms``: Ab (B, n), or
+    (B, ab_paths, n) when it takes one value per path, Aq (B, n), R (B, n, n).
+    A difference of degree 0 is one value per cell, so where all of them are
+    and Ab is deterministic, the gap of a cell is one number: its mean, with
+    SE and spread 0.  Else the terms that read x are evaluated on ``x_hat``
+    (paths, N+1, n) in blocks of steps whose arrays stay near 512 KB: larger
+    arrays fall out of the cache and run slower than one step at a time.
+    """
+    degree = tabs.state_degree
+    if degree and x_hat is None:
+        raise ValueError(f"the gap is of degree {degree} in x here, so it needs the state x_hat")
+    (N, n_v), n = tabs.db[0].shape[:2], tabs.db[0].shape[-1]
+    paths = x_hat.shape[0] if degree else ab_paths
+    block = max(1, 2 ** 16 // ((n_v + 1) * paths * n))
+    means, ses = [], []
+    spread = max_quad = 0.0
+    for m0 in range(0, N, block):
+        ms = np.arange(m0, min(m0 + block, N))
+        B = ms.size
+        x = x_hat[:, ms].swapaxes(0, 1)[:, None] if degree else None      # (B, 1, P, n)
+
+        def at(coefs):     # (B, n_v, 1 or P) + the evaluator's shape
+            coefs = [c[ms][:, :, None] for c in coefs]
+            return coefs[0] if len(coefs) == 1 else _taylor_at(coefs, x)
+        db, ds, df = at(tabs.db), at(tabs.dsigma), at(tabs.df)
+        Ab, Aq, R = contractions(ms)
+        quad = 0.5 * np.einsum("...a,...ab,...b->...", ds, R[:, None, None], ds)
+        gaps = (np.sum(Ab.reshape(B, 1, -1, n) * db, axis=-1)
+                + np.sum(Aq[:, None, None] * ds, axis=-1) - df - quad)
+        max_quad = max(max_quad, float(np.max(np.abs(quad))))
+        spread = max(spread, float(np.max(np.max(gaps, axis=2) - np.min(gaps, axis=2))))
+        block_means, block_ses = mc_mean_se_rows(gaps.reshape(B * n_v, -1))
+        means.append(block_means)
+        ses.append(block_ses)
+    return np.concatenate(means), np.concatenate(ses), spread, max_quad
 
 
 def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
                                  adjoints: AdjointSolution, u_grid: np.ndarray,
-                                 ens: BrownianEnsemble, x_hat: np.ndarray,
-                                 tol_margin: float = 1e-8,
-                                 se_margin: float = 3.0) -> MPReport:
+                                 ens: BrownianEnsemble, x_hat: np.ndarray | None = None,
+                                 tol_margin: float = 1e-8, se_margin: float = 3.0,
+                                 tables: GapTables | None = None) -> MPReport:
     """Minimum over (t, v) of H-hat(u_hat_t) - H-hat(v).
 
+    The gaps come from ``gap_tables`` (``tables``, else built here) along
+    the deterministic control u_hat; the reference state ``x_hat`` is read
+    only where they depend on x (``GapTables.state_degree`` > 0) and may be
+    None elsewhere.
     Deterministic case (path spread below 1e-12): PASS iff min >= -tol_margin;
     stochastic case: PASS iff min >= -se_margin * SE at the minimizing cell.
     Grid times exclude t = T.
     """
     grid = ens.grid
     N = grid.n_steps
-    u_pts = _control_points(u_grid)
-    n_v, (paths, n) = u_pts.shape[0], (x_hat.shape[0], x_hat.shape[-1])
+    tabs = gap_tables(coeffs, u_hat, u_grid, grid) if tables is None else tables
+    u_pts = tabs.u_pts
+    n_v = u_pts.shape[0]
 
-    means, ses = [], []
-    spread = 0.0
-    max_quad = 0.0
-    for ms in _step_blocks(N, n_v, x_hat, u_pts):
-        B = ms.size
-        shape, (t_rows, u_rows, x_rows) = _stacked_rows(u_hat, u_pts, x_hat, ms, grid.dt)
-        sig = coeffs.sigma(t_rows, u_rows, x_rows).reshape(shape + (n,))
-        Ab, Aq = adjoints.first_contractions_at(ms)   # (B, [paths,] n)
-        h = _hamiltonian_of(Ab.reshape(B, 1, -1, n), Aq.reshape(B, 1, -1, n),
-                            coeffs.b(t_rows, u_rows, x_rows).reshape(shape + (n,)), sig,
-                            coeffs.f(t_rows, u_rows, x_rows).reshape(shape))
-        gap_sigma = (sig[:, :1] - sig[:, 1:]).reshape(B, n_v * paths, n)
-        quad = 0.5 * np.einsum("spa,sab,spb->sp", gap_sigma, adjoints.risk_matrix_at(ms),
-                               gap_sigma)
-        gaps = h[:, :1] - h[:, 1:] - quad.reshape(B, n_v, paths)
-        max_quad = max(max_quad, float(np.max(np.abs(quad))))
-        spread = max(spread, float(np.max(np.max(gaps, axis=2) - np.min(gaps, axis=2))))
-        block_means, block_ses = mc_mean_se_rows(gaps.reshape(B * n_v, paths))
-        means.append(block_means)
-        ses.append(block_ses)
+    def contractions(ms):
+        return (*adjoints.first_contractions_at(ms), adjoints.risk_matrix_at(ms))
+    ab_paths = 1 if adjoints.Ab1 is None else ens.n_paths
+    means, ses, spread, max_quad = _gap_stats(tabs, contractions, x_hat, ab_paths)
 
     rows = list(zip(np.repeat(np.arange(N) * grid.dt, n_v).tolist(),
-                    np.tile(u_pts[:, 0], N).tolist(),
-                    np.concatenate(means).tolist(), np.concatenate(ses).tolist()))
+                    np.tile(u_pts[:, 0], N).tolist(), means.tolist(), ses.tolist()))
     min_gap = np.inf
     min_loc = (0.0, None)
     min_se = 0.0
@@ -289,7 +368,8 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
                     passed=bool(passed), deterministic=deterministic,
                     tol_margin=margin, alpha=alpha,
                     alpha_hypothesis=bool(abs(alpha - 1.0 / 3.0) < 1e-12),
-                    max_quadratic_term=max_quad,
+                    max_quadratic_term=max_quad, state_degree=tabs.state_degree,
+                    per_path=bool(tabs.state_degree) or ab_paths > 1,
                     notes="" if abs(alpha - 1.0 / 3.0) < 1e-12 else
                     "kernel singularity index differs from 1/3: inequality "
                     "checked outside the theorem hypothesis (flag only)")
@@ -300,20 +380,22 @@ def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,
     """Pointwise maximizer of the risk-adjusted Hamiltonian over the control grid.
 
     Valid when the control-dependent part of the Hamiltonian is state-free
-    (the bundled linear-cost problem), so the maximizer is deterministic.
+    (the bundled linear-cost problem), so the maximizer is deterministic: it
+    maximizes the Hamiltonian at x = 0, read from the c_0 tables of b, sigma
+    and f along each control point.
     """
     if adjoints.Ab1 is not None:
         raise ValueError("the argmax control needs deterministic adjoint contractions")
     u_pts = coeffs.control_domain.points
-    N, n_v = grid.n_steps, u_pts.shape[0]
-    # one evaluation for every (step, control point), row m * n_v + i; the last
-    # step reuses the contractions of step N - 1
-    steps = np.repeat(np.minimum(np.arange(N + 1), N - 1), n_v)
-    h = hamiltonian(coeffs, np.repeat(np.arange(N + 1) * grid.dt, n_v),
-                    np.tile(u_pts, (N + 1, 1)), np.zeros((steps.size, coeffs.dim)),
-                    adjoints.Ab0[steps], adjoints.Aq0[steps])
+    N = grid.n_steps
+    tabs = _hamiltonian_tables(coeffs, grid, [ControlPath.constant(v, grid, coeffs.du)
+                                              for v in u_pts])
+    # the last step reuses the contractions of step N - 1
+    steps = np.minimum(np.arange(N + 1), N - 1)
+    h = _hamiltonian_of(adjoints.Ab0[steps, None], adjoints.Aq0[steps, None],
+                        *(tabs[name][0] for name in _H_NAMES))
     # argmax takes the first of equal maxima, as the strict comparison did
-    return ControlPath(u_pts[np.argmax(h.reshape(N + 1, n_v), axis=1)], deterministic=True)
+    return ControlPath(u_pts[np.argmax(h, axis=1)], deterministic=True)
 
 
 def perturb_control(u: ControlPath, grid: TimeGrid, t_lo: float, t_hi: float,
@@ -330,13 +412,16 @@ def perturb_control(u: ControlPath, grid: TimeGrid, t_lo: float, t_hi: float,
 # ---------------------------------------------------------------------------
 
 def classical_adjoint_gaps(coeffs: CoefficientSet, u_hat: ControlPath,
-                        u_grid: np.ndarray, grid: TimeGrid,
-                        x_hat: np.ndarray) -> dict:
+                           u_grid: np.ndarray, grid: TimeGrid,
+                           x_hat: np.ndarray | None = None,
+                           tables: GapTables | None = None) -> dict:
     """Directly-solved classical adjoints and inequality gaps (scalar state).
 
     Solves the two backward equations with the same implicit left-point
     convention as the field solver at decay rate zero, without any grid
-    machinery: a per-step scalar solve.  Deterministic data only.
+    machinery: a per-step scalar solve.  Deterministic data only.  The gaps
+    read ``gap_tables`` (``tables``, else built here) and the state ``x_hat``
+    only where they depend on x, as in ``check_variational_inequality``.
     """
     if coeffs.dim != 1:
         raise NotImplementedError("classical reference checker is scalar-state")
@@ -352,17 +437,8 @@ def classical_adjoint_gaps(coeffs: CoefficientSet, u_hat: ControlPath,
         p[m] = (p[m + 1] - dt * fx[m]) / (1.0 - dt * bx[m])
         P[m] = (P[m + 1] - dt * fxx[m]) / (1.0 - dt * (2.0 * bx[m] + sx[m] ** 2))
 
-    u_pts = _control_points(u_grid)
-    n_v = u_pts.shape[0]
-    gaps = {}
-    for ms in _step_blocks(N, n_v, x_hat, u_pts):
-        shape, (t_rows, u_rows, x_rows) = _stacked_rows(u_hat, u_pts, x_hat, ms, dt)
-        sig = coeffs.sigma(t_rows, u_rows, x_rows).reshape(shape)
-        h = _hamiltonian_of(np.repeat(p[ms], shape[1] * shape[2])[:, None], 0.0,
-                            coeffs.b(t_rows, u_rows, x_rows), sig.reshape(-1, 1),
-                            coeffs.f(t_rows, u_rows, x_rows)).reshape(shape)
-        dsig = sig[:, :1] - sig[:, 1:]
-        g = np.mean(h[:, :1] - h[:, 1:] - 0.5 * P[ms, None, None] * dsig ** 2, axis=2)
-        for m, row in zip(ms.tolist(), g.tolist()):
-            gaps.update(((m * dt, float(v[0])), gm) for v, gm in zip(u_pts, row))
-    return {"p": p, "P": P, "gaps": gaps}
+    tabs = gap_tables(coeffs, u_hat, u_grid, grid) if tables is None else tables
+    means = _gap_stats(tabs, lambda ms: (p[ms, None], np.zeros((ms.size, 1)), P[ms, None, None]),
+                       x_hat, 1)[0]
+    keys = ((m * dt, float(v[0])) for m in range(N) for v in tabs.u_pts)
+    return {"p": p, "P": P, "gaps": dict(zip(keys, means.tolist()))}

@@ -1,11 +1,18 @@
 """Reference loop forms of the variational-inequality check, the classical
 inequality gaps and the argmax control (test-only oracles).
 
-One round of coefficient calls per (step, control point), as all three were
-first written.  ``maxprinciple.check_variational_inequality`` and
-``maxprinciple.classical_adjoint_gaps`` evaluate blocks of steps with every
-control point at once and ``maxprinciple.construct_argmax_control`` every
-(step, control point) pair at once; the tests compare the results exactly.
+``check_variational_inequality`` and ``classical_adjoint_gaps`` make one
+round of coefficient calls per (step, control point) at the reference
+states, as both were first written: they are the reference that the
+tabulated gaps of ``maxprinciple`` are compared with at roundoff.
+``check_variational_inequality_on_tables`` and
+``classical_adjoint_gaps_on_tables`` loop over (step, control point) on the
+tables that ``maxprinciple.gap_tables`` builds (scalar state), evaluating each
+difference of degree >= 1 by ``coefficients.horner`` at the states of one
+step; the tests compare them with ``maxprinciple`` exactly.
+``construct_argmax_control`` makes one Hamiltonian call per (step, control
+point); ``maxprinciple.construct_argmax_control`` reads every pair from its
+tables at once, and the tests compare the results exactly.
 
 ``j12_gap_sweep`` compares the cost expansion J12 of the forward expansion
 processes with its adjoint representation (minus the mean spike integral of
@@ -24,7 +31,7 @@ import numpy as np
 
 from volterra_smp import maxprinciple
 from volterra_smp.bsee import AdjointSolution
-from volterra_smp.coefficients import CoefficientSet, ControlPath
+from volterra_smp.coefficients import CoefficientSet, ControlPath, horner
 from volterra_smp.kernels import step_decay_weight
 from volterra_smp.maxprinciple import MPReport, hamiltonian
 from volterra_smp.stats import fit_loglog, mc_mean_se
@@ -39,9 +46,6 @@ def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
     if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
         u_pts = u_pts.T
     rows = []
-    min_gap = np.inf
-    min_loc = (0.0, None)
-    min_se = 0.0
     spread = 0.0
     max_quad = 0.0
     for m in range(N):
@@ -60,20 +64,67 @@ def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
             max_quad = max(max_quad, float(np.max(np.abs(quad))))
             gmean, gse = mc_mean_se(gaps)
             spread = max(spread, float(np.max(gaps) - np.min(gaps)))
-            rows.append((t, float(v[0]), gmean, gse, True))
-            if gmean < min_gap:
-                min_gap, min_loc, min_se = gmean, (t, float(v[0])), gse
+            rows.append((t, float(v[0]), gmean, gse))
+    return _report(rows, spread, max_quad, adjoints, tol_margin, se_margin)
+
+
+def _report(rows, spread, max_quad, adjoints, tol_margin, se_margin, **extra) -> MPReport:
+    """The report of (t, v, gap mean, gap SE) rows in step-major order: the
+    first minimum, the pass flags, and the margins of the deterministic
+    (spread below 1e-12) or the stochastic case."""
+    min_gap = np.inf
+    min_loc = (0.0, None)
+    min_se = 0.0
+    for t, v, gmean, gse in rows:
+        if gmean < min_gap:
+            min_gap, min_loc, min_se = gmean, (t, v), gse
     deterministic = spread < 1e-12
     margin = tol_margin if deterministic else se_margin * min_se
     passed = min_gap >= -margin
     rows = [(t, v, g, s, g >= -(tol_margin if deterministic else se_margin * max(s, 0.0)))
-            for (t, v, g, s, _) in rows]
+            for (t, v, g, s) in rows]
     alpha = adjoints.kernel.alpha
     return MPReport(rows=rows, min_gap=float(min_gap), min_location=min_loc,
                     passed=bool(passed), deterministic=deterministic,
                     tol_margin=margin, alpha=alpha,
                     alpha_hypothesis=bool(abs(alpha - 1.0 / 3.0) < 1e-12),
-                    max_quadratic_term=max_quad)
+                    max_quadratic_term=max_quad, **extra)
+
+
+def _cell_gap(tabs, m: int, i: int, Ab, Aq, R, x: np.ndarray):
+    """The gap of cell (step m, control point i) from the scalar-state tables:
+    a float where no term reads x or a per-path Ab, else one value per path.
+    Each difference of degree >= 1 is evaluated by ``horner`` at the states x."""
+    def at(coefs):
+        cs = [float(c[m, i].reshape(-1)[0]) for c in coefs]
+        return cs[0] if len(cs) == 1 else horner(cs, x, np.empty(x.shape))
+    db, ds, df = at(tabs.db), at(tabs.dsigma), at(tabs.df)
+    quad = 0.5 * (ds * R * ds)
+    return Ab * db + Aq * ds - df - quad, quad
+
+
+def check_variational_inequality_on_tables(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
+                                           tol_margin=1e-8, se_margin=3.0) -> MPReport:
+    """``maxprinciple.check_variational_inequality`` (scalar state) as one
+    loop over (step, control point) on the same tables."""
+    grid = ens.grid
+    tabs = maxprinciple.gap_tables(coeffs, u_hat, u_grid, grid)
+    rows = []
+    spread = max_quad = 0.0
+    for m in range(grid.n_steps):
+        Ab, Aq = adjoints.first_contractions_at(m)
+        Ab = Ab[..., 0] if Ab.ndim > 1 else float(Ab[0])
+        R = float(adjoints.risk_matrix_at(m)[0, 0])
+        x = None if x_hat is None else x_hat[:, m, 0]
+        for i, v in enumerate(tabs.u_pts):
+            gap, quad = _cell_gap(tabs, m, i, Ab, float(Aq[0]), R, x)
+            gap = np.atleast_1d(gap)
+            max_quad = max(max_quad, float(np.max(np.abs(quad))))
+            spread = max(spread, float(np.max(gap) - np.min(gap)))
+            rows.append((m * grid.dt, float(v[0]), *mc_mean_se(gap)))
+    per_path = tabs.state_degree > 0 or adjoints.Ab1 is not None
+    return _report(rows, spread, max_quad, adjoints, tol_margin, se_margin,
+                   state_degree=tabs.state_degree, per_path=per_path)
 
 
 def construct_argmax_control(coeffs, adjoints, grid) -> ControlPath:
@@ -114,8 +165,8 @@ def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: Control
 def classical_adjoint_gaps(coeffs, u_hat, u_grid, grid, x_hat) -> dict:
     """The inequality gaps of ``maxprinciple.classical_adjoint_gaps`` with one
     Hamiltonian and one sigma call per (step, control point), on its adjoints."""
-    from volterra_smp.maxprinciple import classical_adjoint_gaps as stacked
-    ref = stacked(coeffs, u_hat, u_grid, grid, x_hat)
+    from volterra_smp.maxprinciple import classical_adjoint_gaps as tabulated
+    ref = tabulated(coeffs, u_hat, u_grid, grid, x_hat)
     p, P = ref["p"], ref["P"]
     u_pts = np.atleast_2d(np.asarray(u_grid, dtype=float))
     if u_pts.shape[0] == 1 and u_pts.shape[1] > 1:
@@ -131,6 +182,22 @@ def classical_adjoint_gaps(coeffs, u_hat, u_grid, grid, x_hat) -> dict:
             h_v = hamiltonian(coeffs, t, v, x_m, p[m], 0.0)
             dsig = sig_hat - coeffs.sigma(t, v, x_m)
             gaps[(t, float(v[0]))] = float(np.mean(h_hat - h_v - 0.5 * P[m] * dsig[:, 0] ** 2))
+    return {"p": p, "P": P, "gaps": gaps}
+
+
+def classical_adjoint_gaps_on_tables(coeffs, u_hat, u_grid, grid, x_hat) -> dict:
+    """The gaps of ``maxprinciple.classical_adjoint_gaps`` as one loop over
+    (step, control point) on its tables and its adjoints."""
+    from volterra_smp.maxprinciple import classical_adjoint_gaps as tabulated
+    ref = tabulated(coeffs, u_hat, u_grid, grid, x_hat)
+    p, P = ref["p"], ref["P"]
+    tabs = maxprinciple.gap_tables(coeffs, u_hat, u_grid, grid)
+    gaps = {}
+    for m in range(grid.n_steps):
+        x = None if x_hat is None else x_hat[:, m, 0]
+        for i, v in enumerate(tabs.u_pts):
+            gap = _cell_gap(tabs, m, i, p[m], 0.0, P[m], x)[0]
+            gaps[(m * grid.dt, float(v[0]))] = float(np.mean(np.atleast_1d(gap)))
     return {"p": p, "P": P, "gaps": gaps}
 
 

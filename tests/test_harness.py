@@ -731,14 +731,23 @@ def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
                               capture_output=True, text=True)
 
     # moved.csv: the same x written with other digits, y off by 0.25 at most, a
-    # NaN on both sides, a text column; grown.csv gains a row
+    # NaN on both sides, a text column; grown.csv gains a row; in summary.json
+    # one detail moves, one check fails, one is left as it was and one is new
     moved = "# seed=1\nname,x,y,z\na,{},1.0,nan\nb,2.0,{},1e-300\n"
+
+    def summary(*checks):
+        return json.dumps({"mp-check": {"passed": True, "checks": [
+            {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks]}})
     for side, files in (("a", {"same.csv": "1\n", "moved.csv": moved.format("0.1", "-0.5"),
                                "grown.csv": "t\n1\n", "gone.json": "{}",
+                               "summary.json": summary(("kept", True, "0"), ("moved", True, "1"),
+                                                       ("flipped", True, "2")),
                                "cfg/timings.json": '{"wall_s": 1.0}'}),
                         ("b", {"same.csv": "1\n",
                                "moved.csv": moved.format("0.10000000000000001", "-0.25"),
                                "grown.csv": "t\n1\n2\n", "cfg/new.csv": "x\n",
+                               "summary.json": summary(("kept", True, "0"), ("moved", True, "1.5"),
+                                                       ("flipped", False, "2"), ("new", True, "3")),
                                "cfg/timings.json": '{"wall_s": 2.0}'})):
         for name, text in files.items():
             (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
@@ -748,7 +757,9 @@ def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
     assert proc.stdout.splitlines() == [
         "only in B  cfg/new.csv", "only in A  gone.json", "differs  grown.csv",
         "  shape 1 x 1 -> 1 x 2", "differs  moved.csv", "  x  max |dev| 0.000e+00",
-        "  y  max |dev| 2.500e-01", "  z  max |dev| 0.000e+00"]
+        "  y  max |dev| 2.500e-01", "  z  max |dev| 0.000e+00", "differs  summary.json",
+        "  mp-check/flipped  [PASS] 2 -> [FAIL] 2", "  mp-check/moved  1 -> 1.5",
+        "  mp-check/new  (none) -> [PASS] 3"]
     # a tree against itself, and against a copy that differs only in its timings
     shutil.copytree(tmp_path / "a", tmp_path / "c")
     (tmp_path / "c" / "cfg" / "timings.json").write_text('{"wall_s": 4.0}')
@@ -768,6 +779,20 @@ def test_sidecar_records_table_write_time(tmp_path):
     assert all(isinstance(r["write_s"], float) and r["write_s"] >= 0.0 for r in timings.values())
     assert timings["simulate"]["write_s"] > 0.0       # it writes the states table
     assert "write_s" not in results["simulate"].extras["timing"]
+
+
+def test_mp_check_simulates_no_state_where_the_gap_reads_none(tmp_path):
+    # a small classical_sde: lq_linear_cost's slopes in x do not move with the
+    # control, so its gap is free of x and mp-check needs no state
+    cfg = resolve_config({"kernel": {"family": "constant", "alpha": 0.0},
+                          "grid": {"n_paths": 32, "n_steps": 16}})
+    results = run_experiment("mp-check", cfg)
+    write_results(results, cfg, tmp_path)
+    assert results["mp-check"].passed
+    assert all(row[3] == 0.0 for row in results["mp-check"].tables["mp"].rows)
+    timing = json.loads((tmp_path / "timings.json").read_text())["mp-check"]
+    assert timing["gap"] == {"state_degree": 0, "per_path": False, "states_simulated": 0}
+    assert "lift" not in timing       # the lift tally made no updates
 
 
 @pytest.mark.parametrize("text, name", [
@@ -916,12 +941,16 @@ def test_unallocatable_node_count_is_a_config_error(tmp_path, capsys):
     ({"kernel": {"n_nodes": 10 ** 9}}, ("kernel:", "kernel.n_nodes", "grid.n_paths")),
     ({"kernel": {"n_nodes": 10 ** 8}, "grid": {"n_paths": 10 ** 4, "n_steps": 16}},
      ("kernel:", "kernel.n_nodes", "max(grid.n_paths, 16000) = 16000")),
-], ids=["paths_and_steps", "steps", "nodes", "nodes_at_duality_paths"])
+    # the increment table and the lift slab (16000 x 10^4 doubles each, 1.2 GiB)
+    # fit; one pair-field table of (10^4 + 1) x 10^8 doubles (7.3 TiB) does not
+    ({"kernel": {"n_nodes": 10 ** 4}, "grid": {"n_steps": 10 ** 4}},
+     ("kernel:", "kernel.n_nodes", "grid.n_steps", "pair-field")),
+], ids=["paths_and_steps", "steps", "nodes", "nodes_at_duality_paths", "pair_field_nodes"])
 def test_grid_beyond_physical_memory_is_refused_before_allocating(raw, keys):
-    """A grid whose increment table or lift slab, at duality's path count,
-    needs more than physical memory is a config error naming its keys, raised
-    before any table is allocated (these sizes would run for minutes or fail
-    to allocate)."""
+    """A grid whose increment table or lift slab, at duality's path count, or
+    whose pair-field table needs more than physical memory is a config error
+    naming its keys, raised before any table is allocated (these sizes would
+    run for minutes or fail to allocate)."""
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError) as info:

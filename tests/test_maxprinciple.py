@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import maxprinciple_oracles as mp_oracle
 from volterra_smp.bsee import assemble_adjoints
-from volterra_smp.coefficients import ControlPath, make_problem
+from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
+                                       StructuralTags, make_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift
 from volterra_smp.maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                                        construct_argmax_control, duality_residuals,
-                                       duality_stats, hamiltonian, perturb_control)
+                                       duality_stats, gap_tables, hamiltonian,
+                                       perturb_control)
 from volterra_smp.simulate import sample_brownian, simulate_sve
 from volterra_smp.stats import mc_mean_se, mc_mean_se_rows
 from volterra_smp.variation import SpikeSpec
@@ -215,7 +219,8 @@ def test_classical_gaps_match_loop_oracle(n_steps, n_paths, lq, delta_kernel):
                          grid.t[2 * n_steps // 3], 1.0)
     xh = simulate_sve(lq, uh, delta_kernel, 0.4, e)
     args = (lq, uh, lq.control_domain.points, grid, xh)
-    cl, ref = classical_adjoint_gaps(*args), mp_oracle.classical_adjoint_gaps(*args)
+    cl = classical_adjoint_gaps(*args)
+    ref = mp_oracle.classical_adjoint_gaps_on_tables(*args)
     assert list(cl["gaps"].items()) == list(ref["gaps"].items())
 
 
@@ -345,7 +350,7 @@ def test_exact_duality_residuals_vanish_on_random_atom_kernels(n_nodes, n_steps,
 def _assert_same_report(rep, ref):
     assert rep.rows == ref.rows
     for attr in ("min_gap", "min_location", "passed", "deterministic", "tol_margin",
-                 "max_quadratic_term"):
+                 "max_quadratic_term", "state_degree", "per_path"):
         assert getattr(rep, attr) == getattr(ref, attr), attr
 
 
@@ -360,7 +365,7 @@ def test_vi_check_matches_loop_oracle_on_bundled_lq(grid, lq, frac_kernel, ens):
         adj = assemble_adjoints(lq, u, xh, frac_kernel, ens, tol=1e-13)
         args = (lq, u, adj, lq.control_domain.points, ens, xh)
         _assert_same_report(check_variational_inequality(*args),
-                            mp_oracle.check_variational_inequality(*args))
+                            mp_oracle.check_variational_inequality_on_tables(*args))
 
 
 def test_vi_check_matches_loop_oracle_on_per_path_adjoint(grid, state_free, frac_kernel, ens):
@@ -371,7 +376,8 @@ def test_vi_check_matches_loop_oracle_on_per_path_adjoint(grid, state_free, frac
     args = (state_free, uh, adj, state_free.control_domain.points, ens, xh)
     rep = check_variational_inequality(*args)
     assert rep.max_quadratic_term > 0.0 and not rep.deterministic
-    _assert_same_report(rep, mp_oracle.check_variational_inequality(*args))
+    assert rep.per_path and rep.state_degree == 0
+    _assert_same_report(rep, mp_oracle.check_variational_inequality_on_tables(*args))
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,7 +419,8 @@ def test_argmax_control_first_control_point_wins_a_tie(grid, delta_kernel, ens):
 @pytest.mark.parametrize("name, u_val", [("lq_linear_cost", 0.5), ("state_free_quadratic", 0.2)],
                          ids=["deterministic", "affine"])
 def test_blocked_vi_check_matches_loop_oracle(n_steps, n_paths, name, u_val, frac_kernel):
-    # a block holds 2**16 // (6 * paths) steps: 109, 3 and 1 here, against 13, 37 and 5 steps
+    # where the gap takes one value per path (the affine field's Ab), a block holds
+    # 2**16 // (6 * paths) steps: 109, 3 and 1 here, against 13, 37 and 5 steps
     pr = make_problem(name)
     grid = TimeGrid(1.0, n_steps)
     e = sample_brownian(grid, n_paths, 4242)
@@ -423,4 +430,124 @@ def test_blocked_vi_check_matches_loop_oracle(n_steps, n_paths, name, u_val, fra
     adj = assemble_adjoints(pr, uh, xh, frac_kernel, e, tol=1e-13)
     args = (pr, uh, adj, pr.control_domain.points, e, xh)
     _assert_same_report(check_variational_inequality(*args),
-                        mp_oracle.check_variational_inequality(*args))
+                        mp_oracle.check_variational_inequality_on_tables(*args))
+
+
+def _assert_gaps_close(rep, ref):
+    """The gap means of two reports agree within 1e-13 of the largest |gap|."""
+    assert [row[:2] for row in rep.rows] == [row[:2] for row in ref.rows]
+    gaps, ref_gaps = (np.array([row[2] for row in r.rows]) for r in (rep, ref))
+    scale = np.max(np.abs(ref_gaps))
+    assert scale > 0.0
+    assert np.max(np.abs(gaps - ref_gaps)) <= 1e-13 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), fractional=st.booleans())
+def test_table_gaps_match_evaluator_loops_on_random_linear_cost_problems(
+        seed, fractional, frac_kernel, delta_kernel):
+    # slopes in x that do not move with u: the gap is free of x, so the tables
+    # read no state and each cell is one number, against per-path evaluator calls
+    rng = np.random.default_rng(seed)
+    kernel = frac_kernel if fractional else delta_kernel
+    pr = make_problem("lq_linear_cost", b1=rng.uniform(-1, 1), b2=rng.uniform(-2, 2),
+                      s1=rng.uniform(-1, 1), s0=rng.uniform(-1, 1), c1=rng.uniform(-1, 1),
+                      r=rng.uniform(0.1, 3), ch=rng.uniform(-2, 2),
+                      u_grid=tuple(rng.uniform(-2, 2, rng.integers(1, 7))))
+    grid = TimeGrid(1.0, 32)
+    e = sample_brownian(grid, 64, seed)
+    uh = ControlPath(rng.uniform(-1, 1, (grid.n_steps + 1, 1)))
+    pts = pr.control_domain.points
+    adj = assemble_adjoints(pr, uh, None, kernel, e)
+    xh = simulate_sve(pr, uh, kernel, 0.3, e)
+    rep = check_variational_inequality(pr, uh, adj, pts, e)
+    assert rep.state_degree == 0 and not rep.per_path and rep.deterministic
+    assert all(row[3] == 0.0 for row in rep.rows)
+    _assert_gaps_close(rep, mp_oracle.check_variational_inequality(pr, uh, adj, pts, e, xh))
+    if not fractional:
+        cl = classical_adjoint_gaps(pr, uh, pts, grid)["gaps"]
+        ref = mp_oracle.classical_adjoint_gaps(pr, uh, pts, grid, xh)["gaps"]
+        assert list(cl) == list(ref)
+        scale = max(map(abs, ref.values()))
+        assert max(abs(cl[key] - ref[key]) for key in ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name, lsmc, u_val, xi, degree", [
+    ("state_free_quadratic", False, 0.2, 0.2, 0), ("bilinear_lq", True, 0.1, 0.3, 1)],
+    ids=["per_path_ab", "bilinear_lsmc"])
+def test_table_gaps_match_evaluator_loops(name, lsmc, u_val, xi, degree, grid, ens, frac_kernel):
+    # the affine field's Ab takes one value per path; bilinear_lq's slopes in x
+    # move with u, a gap of degree 1 in x plus a risk term of degree 2
+    pr = make_problem(name)
+    e = ens.first_paths(200)
+    uh = perturb_control(ControlPath.constant(u_val, grid), grid, 0.25, 0.5, -1.0)
+    xh = simulate_sve(pr, uh, frac_kernel, xi, e)
+    adj = assemble_adjoints(pr, uh, xh, frac_kernel, e, lsmc=lsmc)
+    args = (pr, uh, adj, pr.control_domain.points, e)
+    rep = check_variational_inequality(*args, xh)
+    assert rep.per_path and rep.state_degree == degree and rep.max_quadratic_term > 0.0
+    _assert_gaps_close(rep, mp_oracle.check_variational_inequality(*args, xh))
+    _assert_same_report(rep, mp_oracle.check_variational_inequality_on_tables(*args, xh))
+    if degree:
+        with pytest.raises(ValueError, match="degree 1 in x here, so it needs the state x_hat"):
+            check_variational_inequality(*args)
+    else:
+        assert check_variational_inequality(*args).rows == rep.rows
+
+
+def _planar_problem() -> CoefficientSet:
+    """A 2-d linear-in-state problem whose drift and diffusion slopes move
+    with the control, with linear costs: the deterministic solve path, and a
+    gap of degree 1 in x."""
+    A, B = np.array([[-0.4, 0.3], [0.1, -0.6]]), np.array([[0.2, 0.0], [-0.1, 0.3]])
+    S, C = np.array([[0.2, 0.1], [0.0, 0.3]]), np.array([[0.1, -0.2], [0.2, 0.1]])
+    bu, s0, c, hl = np.array([1.0, -0.5]), np.array([0.3, 0.2]), np.array([0.6, -0.3]), \
+        np.array([1.0, 0.5])
+
+    def col(u):            # (du,) or (rows, du) -> (1 or rows, 1)
+        return np.asarray(u, dtype=float).reshape(-1, 1)
+
+    def slope(M0, M1):
+        return lambda t, u, x: np.broadcast_to(M0 + col(u)[:, :, None] * M1, (len(x), 2, 2))
+
+    def zeros(*shape):
+        return lambda t, u, x: np.zeros((len(x),) + shape)
+    return CoefficientSet(
+        dim=2, du=1,
+        b=lambda t, u, x: x @ A.T + col(u) * (x @ B.T + bu),
+        sigma=lambda t, u, x: x @ S.T + s0 + col(u) * (x @ C.T),
+        f=lambda t, u, x: x @ c + 0.4 * col(u)[:, 0] ** 2, h=lambda x: x @ hl,
+        b_x=slope(A, B), sigma_x=slope(S, C),
+        f_x=lambda t, u, x: np.broadcast_to(c, x.shape), h_x=lambda x: np.broadcast_to(hl, x.shape),
+        b_xx=zeros(2, 2, 2), sigma_xx=zeros(2, 2, 2), f_xx=zeros(2, 2),
+        h_xx=lambda x: np.zeros((len(x), 2, 2)),
+        control_domain=ControlDomain(np.array([[-1.0], [0.0], [0.5], [1.0]])),
+        tags=StructuralTags(linear_in_state=True, f_state_degree=1, h_degree=1), name="planar")
+
+
+def test_table_gaps_match_evaluator_loops_on_a_planar_problem(grid, ens):
+    pr = _planar_problem()
+    k = DiscreteLaplaceKernel(nodes=[0.0, 1.5], weights=[0.6, 0.4],
+                              mb=np.stack([0.5 * np.eye(2), np.eye(2)]),
+                              msigma=np.stack([0.4 * np.eye(2), 0.3 * np.eye(2)]))
+    e = ens.first_paths(200)
+    uh = perturb_control(ControlPath.constant(0.5, grid), grid, 0.25, 0.5, -1.0)
+    xh = simulate_sve(pr, uh, k, 0.3, e)
+    adj = assemble_adjoints(pr, uh, None, k, e)
+    args = (pr, uh, adj, pr.control_domain.points, e, xh)
+    rep = check_variational_inequality(*args)
+    assert rep.state_degree == 1 and rep.per_path
+    _assert_gaps_close(rep, mp_oracle.check_variational_inequality(*args))
+
+
+def test_gap_tables_name_an_untagged_evaluator(grid, lq, ens, delta_kernel):
+    # (a gap that reads x without x_hat: test_table_gaps_match_evaluator_loops)
+    uh = ControlPath.constant(0.5, grid)
+    pts = lq.control_domain.points
+    for tags, name in ((StructuralTags(f_state_degree=1), "b"),
+                       (StructuralTags(linear_in_state=True, f_state_degree=3), "f")):
+        with pytest.raises(ValueError, match=f"degree in x of {name},"):
+            gap_tables(replace(lq, tags=tags), uh, pts, grid)
+    adj = assemble_adjoints(lq, uh, None, delta_kernel, ens)
+    with pytest.raises(ValueError, match="degree in x of b,"):
+        construct_argmax_control(replace(lq, tags=StructuralTags(f_state_degree=1)), adj, grid)
