@@ -18,6 +18,7 @@ from math import comb
 
 import numpy as np
 
+from .coefficients import horner
 from .grids import TimeGrid
 from .kernels import discounted_sweep, gamma_fn, step_decay_weight
 from .simulate import BrownianEnsemble
@@ -127,17 +128,6 @@ def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.stack([x ** k for k in range(degree + 1)], axis=1)
 
 
-def _poly_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[m, k] x[:, m]^k for every column m, by Horner's rule;
-    x is (paths, M), coef (M, degree + 1) with degree >= 1."""
-    out = np.multiply(x, coef[:, -1])
-    for k in range(coef.shape[1] - 2, -1, -1):
-        out += coef[:, k]
-        if k:
-            out *= x
-    return out
-
-
 def _gaussian_poly_shift(coef: np.ndarray, var: float) -> np.ndarray:
     """Coefficients of E[poly(x + Z)] for Z ~ N(0, var), poly given by coef.
 
@@ -188,7 +178,7 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
 
     In mode "later" only the terminal regression reads the paths: the
     coefficient recursion runs first, over N small vectors, and p and q are
-    then evaluated for every step at once.
+    then evaluated for every step at once by ``coefficients.horner``.
     """
     if degree < 1:
         raise ValueError("basis degree must be >= 1")
@@ -210,9 +200,9 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
             slope[m] = dec * _gaussian_poly_weighted(coef[m + 1], dt)    # E_m[poly dW] / dt
             coef[m] = dec * cond
             coef[m, 0] += om * inst.generator[m]
-        p = _poly_columns(W, coef)
+        p = horner(coef.T, W, np.empty(W.shape))
         p[:, N] = terminal
-        q = _poly_columns(W, slope)
+        q = horner(slope.T, W, np.empty(W.shape))
         q[:, N] = 0.0
         return {"p": p, "q": q, "mode": mode, "degree": degree}
 

@@ -21,8 +21,6 @@ terminal cost exactly (Z = conditional mean of the terminal state).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,7 +311,7 @@ def assemble_first_adjoint(
     path = choose_solve_path(tags, lsmc, u_hat.deterministic)
 
     if path == "deterministic":
-        bx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "f_x"))
+        (bx,), (fx,) = coeff_tables(coeffs, u_hat, grid, ("b_x", "f_x"))
         phi = np.broadcast_to(-coeffs.h_x(np.zeros((1, n)))[0], (K, n)).copy()
 
         def gen_map(P):
@@ -331,7 +329,7 @@ def assemble_first_adjoint(
         if x_hat is None:
             raise ValueError("the affine path needs the simulated reference state")
         N = grid.n_steps
-        b_tab, s_tab, fx = coeff_tables(coeffs, u_hat, grid, ("b", "sigma", "f_x"))
+        (b_tab,), (s_tab,), (fx,) = coeff_tables(coeffs, u_hat, grid, ("b", "sigma", "f_x"))
         b_tab, s_tab = b_tab[:, 0], s_tab[:, 0]
         # Z_m = E_m[X_T]; the deterministic forcing offset is recovered from
         # the simulated terminal state, which must match Z_T pathwise.  The
@@ -367,7 +365,8 @@ def _tables_along(coeffs, u_hat, grid, x_hat, names) -> list:
     one call with the rows of every step stacked."""
     degrees = coeffs.tags.state_degrees()
     free = [nm for nm in names if degrees.get(nm) == 0]
-    tabs = dict(zip(free, coeff_tables(coeffs, u_hat, grid, free))) if u_hat.deterministic else {}
+    tabs = ({nm: c for nm, (c,) in zip(free, coeff_tables(coeffs, u_hat, grid, free))}
+            if u_hat.deterministic else {})
     paths, N1 = x_hat.shape[:2]
     stacked = [nm for nm in names if nm not in tabs]
     if stacked:
@@ -385,21 +384,6 @@ def _retained_basis(design: np.ndarray) -> tuple:
     U, s, _ = np.linalg.svd(design, full_matrices=False)
     r = int(np.count_nonzero(s > 1e-8 * s[0]))
     return U[:, :r], float(s[0] / s[r - 1])
-
-
-_REGRESSIONS: ContextVar[list | None] = ContextVar("regressions", default=None)
-
-
-@contextmanager
-def regression_log():
-    """Collect the ``FirstOrderField.regression`` record of every regression
-    solve made inside the ``with`` body, in solve order."""
-    log = []
-    token = _REGRESSIONS.set(log)
-    try:
-        yield log
-    finally:
-        _REGRESSIONS.reset(token)
 
 
 def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSolution:
@@ -452,9 +436,6 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
         G0[m] = np.mean(g)
     regression = {"rank_min": int(ranks.min()), "rank_max": int(ranks.max()),
                   "cond_max": float(conds.max())}
-    log = _REGRESSIONS.get()
-    if log is not None:
-        log.append(regression)
     fld = FirstOrderField(grid=grid, P0=P0, Q0=Q0, G0=G0, regression=regression)
     return AdjointSolution(kernel=kernel, grid=grid, first=fld,
                            u_hat=u_hat, solve_path="lsmc").finalize()
@@ -483,7 +464,7 @@ def assemble_second_adjoint(
     grid = ens.grid
     n = coeffs.dim
     K = kernel.n_nodes
-    bx, sx, fxx = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
+    (bx,), (sx,), (fxx,) = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     hxx = coeffs.h_xx(np.zeros((1, n)))[0]
     phi = np.broadcast_to(-hxx, (K, K, n, n)).copy()
     # x-free second derivatives of b, sigma vanish under the supported tags,

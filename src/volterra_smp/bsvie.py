@@ -104,9 +104,8 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
     """Max-abs residuals of the two Volterra-form equations over the grid."""
     grid = tuple_.grid
     N = grid.n_steps
-    bx, sx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
-    if isinstance(fx, tuple):   # f_x moves with x: the residual reads it at x = 0
-        fx = fx[0]
+    # where f_x moves with x, the residual reads it at x = 0: its c_0
+    (bx,), (sx,), (fx, *_) = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
@@ -245,7 +244,7 @@ def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
         if int(r_subgrid) < 4:
             raise ValueError("r sub-grid needs at least 4 points")
         r_idx = np.unique(np.linspace(1, N, int(r_subgrid)).astype(int))
-    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
+    (bx,), (sx,), (fxx,) = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     P3 = -fxx + sx * adjoints.Rss[:, 0, 0] * sx
@@ -299,7 +298,7 @@ def bsvie_residual_second(tuple2: BSVIESecondTuple, coeffs,
     """
     grid = tuple2.grid
     N, dt = grid.n_steps, grid.dt
-    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
+    (bx,), (sx,), (fxx,) = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")

@@ -34,7 +34,6 @@ class StructuralTags:
 
     linear_in_state: bool = False     # b_x, sigma_x independent of x; b_xx = sigma_xx = 0
     state_free: bool = False          # b, sigma independent of x entirely
-    control_affine: bool = False      # b, sigma affine in u
     sigma_control_free: bool = False  # sigma independent of u
     f_state_degree: int = 2           # 0: x-free, 1: linear in x, 2: quadratic in x
     h_degree: int = 2                 # 1: linear terminal cost, 2: quadratic
@@ -200,29 +199,31 @@ class ControlPath:
 
 
 def coeff_tables(coeffs: CoefficientSet, u: ControlPath, grid: TimeGrid, names) -> tuple:
-    """Tables along a deterministic control, one entry per name in ``names``.
-
-    Row m is at (t_m, u_m) and the zero state.  A name whose degree d >= 1 in
-    x the tags fix (``StructuralTags.state_degrees``) gets its Taylor
-    coefficients (c_0, ..., c_d), c_j = (d^j phi / dx^j) / j! at x = 0, from
-    the evaluator and its derivative evaluators, each in that evaluator's own
-    shape; any other name gets its own table, which is exact where the tags
-    make it state-free.  Each evaluator is one call with the N+1 grid times
-    stacked along the path axis.
+    """Taylor tables in x along a deterministic control, one entry per name in
+    ``names``: the tuple (c_0, ..., c_d) of that evaluator's coefficients, d
+    its degree in x that the tags fix (``StructuralTags.state_degrees``), so
+    degree 0 gives a 1-tuple.  c_j = (d^j phi / dx^j) / j! at x = 0, from the
+    evaluator and its derivative evaluators, each in that evaluator's own
+    shape with row m at (t_m, u_m).  Each evaluator is one call with the N+1
+    grid times stacked along the path axis.  Raises ``ValueError`` naming an
+    evaluator whose degree in x the tags leave open.
     """
     if not u.deterministic:
         raise ValueError("deterministic solve paths need a deterministic reference control")
+    degrees = coeffs.tags.state_degrees()
+    for name in names:
+        if name not in degrees:
+            raise ValueError(f"the Taylor tables need the degree in x of {name}, "
+                             f"which the tags of {coeffs.name!r} leave open")
     t = np.arange(grid.n_steps + 1) * grid.dt
     x0 = np.zeros((grid.n_steps + 1, coeffs.dim))
-    degrees = coeffs.tags.state_degrees()
     tables = {}
 
     def table(name):
         if name not in tables:
             tables[name] = getattr(coeffs, name)(t, u.values, x0)
         return tables[name]
-    return tuple(_taylor(name, degrees[name], table) if degrees.get(name, 0) else table(name)
-                 for name in names)
+    return tuple(_taylor(name, degrees[name], table) for name in names)
 
 
 def _taylor(name: str, degree: int, at_zero) -> tuple:
@@ -318,8 +319,8 @@ def lq_linear_cost(b1=0.5, b2=1.0, s1=0.3, s0=0.4, c1=0.6, r=2.5, ch=1.0,
         b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
         f_xx=lambda t, u, x: 0.0, h_xx=lambda x: 0.0,
         u_grid=u_grid,
-        tags=StructuralTags(linear_in_state=True, control_affine=True,
-                            sigma_control_free=True, f_state_degree=1, h_degree=1),
+        tags=StructuralTags(linear_in_state=True, sigma_control_free=True,
+                            f_state_degree=1, h_degree=1),
         kappa=max(abs(b1), abs(s1)),
     )
 
@@ -343,8 +344,7 @@ def state_free_quadratic(b0=0.1, b2=1.0, s0=0.3, s2=0.8, r=0.4, h2=1.2, h1=0.5,
         b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
         f_xx=lambda t, u, x: 0.0, h_xx=lambda x: h2,
         u_grid=u_grid,
-        tags=StructuralTags(state_free=True, control_affine=True,
-                            f_state_degree=0, h_degree=2),
+        tags=StructuralTags(state_free=True, f_state_degree=0, h_degree=2),
         kappa=0.0,
     )
 
@@ -385,8 +385,8 @@ def zero_problem(u_grid=(0.0,)) -> CoefficientSet:
         b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
         f_xx=lambda t, u, x: 0.0, h_xx=lambda x: 0.0,
         u_grid=u_grid,
-        tags=StructuralTags(linear_in_state=True, state_free=True, control_affine=True,
-                            sigma_control_free=True, f_state_degree=0, h_degree=1),
+        tags=StructuralTags(linear_in_state=True, state_free=True, sigma_control_free=True,
+                            f_state_degree=0, h_degree=1),
         kappa=0.0,
     )
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bsde import (BSDEInstance, apriori_ratio, lsmc_relative_error,
                    martingale_check, solve_bsde_closedform)
-from .bsee import PicardError, assemble_adjoints, choose_solve_path, regression_log
+from .bsee import PicardError, assemble_adjoints, assemble_first_adjoint, choose_solve_path
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
@@ -829,8 +829,9 @@ def run_mp_check(config: ExperimentConfig) -> ExperimentResult:
         return reports[-1], tabs, x
 
     u0 = ControlPath.constant(0.0, grid, du=coeffs.du)
-    u_hat = construct_argmax_control(coeffs, assemble_adjoints(coeffs, u0, None, kern, ens,
-                                                               tol=PICARD_TOL), grid)
+    # the argmax reads the first-order contractions alone
+    u_hat = construct_argmax_control(coeffs, assemble_first_adjoint(coeffs, u0, None, kern, ens,
+                                                                    tol=PICARD_TOL), grid)
     rep, tabs, x_hat = check(u_hat)
     checks.append(("argmax_control_passes", rep.passed,
                    f"min gap {rep.min_gap:.3e} at {rep.min_location}"))
@@ -958,12 +959,12 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     cannot allocate its arrays.  Its timing records each stage it read, built
     or taken from the config's memo, where the reference state it built read
     its forcing (Taylor "tables" or "evaluators"), and the retained ranks and
-    worst condition of the regression solves it made."""
+    worst condition of the regression solve of the adjoints stage it built."""
     ok, why = _applies(name, config)
     if not ok:
         return ExperimentResult(name, {}, [("skipped", True, why)])
     t0 = time.perf_counter()
-    with lift_tally() as tally, _stage_log() as stages, regression_log() as regressions:
+    with lift_tally() as tally, _stage_log() as stages:
         try:
             res = RUNNERS[name](config)
         except SelfTestError as exc:
@@ -978,9 +979,9 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
         timing["stages"] = stages
     if stages.get("x_hat") == "built":
         timing["x_hat_forcing"] = forcing_source(config.stage("problem"), config.stage("u_hat"))
-    if regressions:
-        timing["lsmc"] = {key: pick(r[key] for r in regressions) for key, pick in
-                          (("rank_min", min), ("rank_max", max), ("cond_max", max))}
+    # every regression solve of the experiments is the adjoints stage's
+    if stages.get("adjoints") == "built" and (record := config.stage("adjoints").first.regression):
+        timing["lsmc"] = record
     return res
 
 

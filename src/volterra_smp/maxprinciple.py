@@ -221,16 +221,9 @@ def _hamiltonian_tables(coeffs: CoefficientSet, grid: TimeGrid, controls) -> dic
     """name -> (c_0, ..., c_d) for b, sigma and f: their Taylor coefficients
     in x along each deterministic control of ``controls``, stacked on axis 1,
     (N+1, len(controls)) + the evaluator's shape, from one ``coeff_tables``
-    call per control.  Raises ``ValueError`` naming an evaluator whose degree
-    in x the tags leave open."""
-    degrees = coeffs.tags.state_degrees()
-    for name in _H_NAMES:
-        if name not in degrees:
-            raise ValueError(f"the Hamiltonian tables need the degree in x of {name}, "
-                             f"which the tags of {coeffs.name!r} leave open")
+    call per control."""
     along = [coeff_tables(coeffs, u, grid, _H_NAMES) for u in controls]
-    return {name: tuple(np.stack(cs, axis=1) for cs in
-                        zip(*(tab if degrees[name] else (tab,) for tab in tabs)))
+    return {name: tuple(np.stack(cs, axis=1) for cs in zip(*tabs))
             for name, tabs in zip(_H_NAMES, zip(*along))}
 
 
@@ -427,7 +420,8 @@ def classical_adjoint_gaps(coeffs: CoefficientSet, u_hat: ControlPath,
         raise NotImplementedError("classical reference checker is scalar-state")
     N, dt = grid.n_steps, grid.dt
     x0 = np.zeros((1, 1))
-    bx, sx, fx, fxx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x", "f_xx"))
+    (bx,), (sx,), (fx,), (fxx,) = coeff_tables(coeffs, u_hat, grid,
+                                               ("b_x", "sigma_x", "f_x", "f_xx"))
     bx, sx, fx, fxx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0], fxx[:, 0, 0]
     p = np.empty(N + 1)
     P = np.empty(N + 1)

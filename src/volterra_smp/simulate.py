@@ -103,9 +103,8 @@ def forcing_source(coeffs: CoefficientSet, control: ControlPath) -> str:
 def _taylor_rows(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid, names) -> list:
     """Scalar state: per name of tag-fixed degree d, its Taylor coefficients
     along the control as (N+1, d+1) rows, row m = (c_0, ..., c_d) at step m."""
-    degrees = coeffs.tags.state_degrees()
-    return [np.stack([c.reshape(-1) for c in (tab if degrees[name] else (tab,))], 1)
-            for name, tab in zip(names, coeff_tables(coeffs, control, grid, names))]
+    return [np.stack([c.reshape(-1) for c in coefs], 1)
+            for coefs in coeff_tables(coeffs, control, grid, names)]
 
 
 def _forcing_from_controls(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid):

@@ -67,7 +67,7 @@ def second_adjoint_einsum(coeffs, first, kernel, ens, tol=1e-13, max_iter=200) -
     n = coeffs.dim
     K = kernel.n_nodes
     w, mb, ms = kernel.weights, kernel.mb, kernel.msigma
-    bx, sx, fxx = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
+    (bx,), (sx,), (fxx,) = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     phi = np.broadcast_to(-coeffs.h_xx(np.zeros((1, n)))[0], (K, K, n, n)).copy()
 
     def gen_map(P):

@@ -17,9 +17,8 @@ from volterra_smp.kernels import step_decay_weight
 def bsvie_residual_first(tuple_, coeffs, u_hat, kernel, ens=None) -> dict:
     grid = tuple_.grid
     N = grid.n_steps
-    bx, sx, fx = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
-    if isinstance(fx, tuple):   # f_x moves with x: the residual reads it at x = 0
-        fx = fx[0]
+    # where f_x moves with x, the residual reads it at x = 0: its c_0
+    (bx,), (sx,), (fx, *_) = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
     ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
@@ -73,7 +72,7 @@ def m_constraint_residual_first(tuple_, ens) -> float:
 def bsvie_residual_second(tuple2, coeffs, adjoints, kernel) -> dict:
     grid = tuple2.grid
     N, dt = grid.n_steps, grid.dt
-    bx, sx, fxx = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
+    (bx,), (sx,), (fxx,) = coeff_tables(coeffs, adjoints.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
     bx, sx, fxx = bx[:, 0, 0], sx[:, 0, 0], fxx[:, 0, 0]
     hxx = coeffs.h_xx(np.zeros((1, 1)))[0, 0, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")

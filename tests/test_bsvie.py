@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from volterra_smp.bsvie import (BSVIEFirstTuple, bsee_to_bsvie_first, bsee_to_bs
                                 bsvie_residual_first, bsvie_residual_second,
                                 m_constraint_residual_first, reconstruct_first_field,
                                 reconstruct_second_field)
-from volterra_smp.coefficients import ControlPath, make_problem
+from volterra_smp.coefficients import ControlPath, StructuralTags, make_problem
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, constant_kernel, exponential_kernel
 from volterra_smp.simulate import sample_brownian, simulate_sve
@@ -50,6 +52,15 @@ def test_first_bridge_zero_problem(grid, kernel0, ens):
     tup = bsee_to_bsvie_first(adj, kernel0)
     assert np.max(np.abs(tup.p1_0)) == 0.0
     assert np.max(np.abs(tup.p2_0)) == 0.0
+
+
+def test_first_residual_refuses_an_untagged_problem(grid, lq, delta_kernel, ens):
+    # it reads b_x, sigma_x and f_x at x = 0, which is exact for b_x and
+    # sigma_x only where the tags fix their degree
+    uh, xh, adj = solve(lq, delta_kernel, grid, ens)
+    tup = bsee_to_bsvie_first(adj, delta_kernel)
+    with pytest.raises(ValueError, match="degree in x of b_x,"):
+        bsvie_residual_first(tup, replace(lq, tags=StructuralTags()), uh, delta_kernel, ens)
 
 
 def test_first_bridge_rejects_singular_kernel(grid, lq, frac_kernel, ens):

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,12 +33,20 @@ def test_coeff_tables_equal_per_step_evaluation_bit_for_bit(name, seed, n_steps)
     grid = TimeGrid(float(rng.uniform(0.1, 3.0)), n_steps)
     u = ControlPath(rng.uniform(-2.0, 2.0, (n_steps + 1, coeffs.du)))
     x0 = np.zeros((1, coeffs.dim))
-    for fn_name, table in zip(EVALUATORS, coeff_tables(coeffs, u, grid, EVALUATORS)):
-        if isinstance(table, tuple):   # Taylor coefficients: c_0 is the table at x = 0
-            table = table[0]
+    degrees = coeffs.tags.state_degrees()
+    for fn_name, coefs in zip(EVALUATORS, coeff_tables(coeffs, u, grid, EVALUATORS)):
+        assert isinstance(coefs, tuple) and len(coefs) == degrees[fn_name] + 1, fn_name
+        table = coefs[0]   # c_0 is the table at x = 0
         fn = getattr(coeffs, fn_name)
         loop = np.stack([fn(m * grid.dt, u.at(m), x0)[0] for m in range(n_steps + 1)])
         assert table.shape == loop.shape and table.tobytes() == loop.tobytes(), fn_name
+
+
+def test_coeff_tables_refuse_a_degree_the_tags_leave_open(grid, lq):
+    # the default tags fix f's degree alone; every name is checked, not the first
+    u = ControlPath.constant(0.5, grid)
+    with pytest.raises(ValueError, match="degree in x of b_x, .*'lq_linear_cost'"):
+        coeff_tables(replace(lq, tags=StructuralTags()), u, grid, ("f", "b_x"))
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,8 +90,7 @@ def test_taylor_tables_reproduce_the_degree_tagged_evaluators(name, seed, n_step
     degrees = coeffs.tags.state_degrees()
     assert set(degrees) <= set(EVALUATORS)
     for fn_name, table in zip(degrees, coeff_tables(coeffs, u, grid, degrees)):
-        coefs = [np.repeat(c.reshape(-1), paths) for c in
-                 (table if degrees[fn_name] else (table,))]
+        coefs = [np.repeat(c.reshape(-1), paths) for c in table]
         assert len(coefs) == degrees[fn_name] + 1
         got = horner(coefs, x, np.empty(x.shape))
         want = getattr(coeffs, fn_name)(t, u_rows, x[:, None]).reshape(-1)

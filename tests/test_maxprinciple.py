@@ -551,3 +551,11 @@ def test_gap_tables_name_an_untagged_evaluator(grid, lq, ens, delta_kernel):
     adj = assemble_adjoints(lq, uh, None, delta_kernel, ens)
     with pytest.raises(ValueError, match="degree in x of b,"):
         construct_argmax_control(replace(lq, tags=StructuralTags(f_state_degree=1)), adj, grid)
+
+
+def test_classical_gaps_refuse_an_untagged_problem(grid, lq):
+    # they read b_x, sigma_x, f_x and f_xx at x = 0, which is exact only where
+    # the tags fix their degree
+    with pytest.raises(ValueError, match="degree in x of b_x,"):
+        classical_adjoint_gaps(replace(lq, tags=StructuralTags()), ControlPath.constant(0.5, grid),
+                               lq.control_domain.points, grid)
