@@ -157,7 +157,8 @@ def picard_bsee_solve(
     only P is iterated.  The rate tables and the norm weights are built once per solve.
     Stops when the weighted space-time distance (at the kernel's alpha)
     between successive iterates drops below tol; raises on iteration
-    exhaustion or three consecutive non-contracting steps.
+    exhaustion or three consecutive non-contracting steps, naming the field
+    (first-order or pair) and the iteration count.
     Returns the solved field with its iteration distances attached.
     """
     rates = kernel.nodes if order == 1 else kernel.pair_rates
@@ -169,6 +170,7 @@ def picard_bsee_solve(
     asym_max = 0.0
     bad_ratio = 0
     symmetrize = order == 2 and phi.shape[-1] > 1
+    field = "first-order" if order == 1 else "pair"
     for it in range(max_iter):
         P_new = discounted_sweep(rates, grid.dt, phi, generator_map(P), factors)
         if symmetrize:
@@ -180,7 +182,8 @@ def picard_bsee_solve(
         if len(distances) >= 2 and distances[-2] > 0:
             bad_ratio = bad_ratio + 1 if d / distances[-2] >= 1.0 else 0
             if bad_ratio >= 3 and d > tol:
-                raise PicardError(f"no contraction: distances {distances[-4:]}")
+                raise PicardError(f"no contraction of the {field} field after {it + 1} "
+                                  f"iterations: distances {distances[-4:]}")
         P = P_new
         if d < tol:
             if order == 1:
@@ -192,7 +195,8 @@ def picard_bsee_solve(
             return SecondOrderField(grid=grid, P=P, G=generator_map(P),
                                     asymmetry=asym_max, iterations=it + 1,
                                     distances=distances)
-    raise PicardError(f"max_iter={max_iter} exceeded, last distance {distances[-1]:.3e}")
+    raise PicardError(f"max_iter={max_iter} exceeded on the {field} field, "
+                      f"last distance {distances[-1]:.3e}")
 
 
 def _pair_transpose(P: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ L_hat(tau) = int_tau^{tau+dt} K_hat(s) ds, matching the backward solver
 algebra exactly.  With this convention the first-order residuals and the
 pair-level identities without state-derivative couplings vanish identically;
 coupled pair-level identities mix the two node scales and hold at O(dt).
+This holds for every atom kernel, singular lifts included; the weighted-
+integrability caveat of a singular kernel concerns the continuum BSVIE only.
 """
 
 from __future__ import annotations
@@ -56,15 +58,9 @@ def bsee_to_bsvie_first(adjoints: AdjointSolution, kernel: DiscreteLaplaceKernel
                         allow_singular: bool = False) -> BSVIEFirstTuple:
     """Repackage the first-order field; martingale parts from the solve path.
 
-    Rejected for singular kernels unless overridden: the Volterra-form
-    square-integrability convention is the regular-kernel one and the
-    weighted variant is not implemented.
+    Exact on every atom kernel, singular lifts included (a lift's kernel is
+    bounded at 0 for any node count); ``allow_singular`` is ignored.
     """
-    if kernel.alpha > 0 and not allow_singular:
-        raise ValueError(
-            "Volterra repackaging assumes a regular kernel (alpha = 0); "
-            "pass allow_singular=True to override (weighted-integrability caveat)"
-        )
     if kernel.dim != 1:
         raise NotImplementedError("Volterra bridge is scalar-state")
     fld = adjoints.first
@@ -92,10 +88,13 @@ def _kernel_scalar_tables(kernel: DiscreteLaplaceKernel, grid: TimeGrid, which: 
 def _lag_sums(L: np.ndarray, g: np.ndarray, stop: int) -> np.ndarray:
     """S[m] = sum_{k=m}^{stop-1} L[k-m] . g[k], m = 0..stop, for a lag table L and
     a grid table g; "." contracts L's trailing axes with g's next ones.  One dot
-    per m, so scalar tables reproduce the per-point np.dot bit for bit."""
+    per m, so scalar tables reproduce the per-point np.dot bit for bit; it is
+    the dot np.tensordot makes, without its per-call reshaping."""
     out = np.zeros((stop + 1,) + g.shape[L.ndim:])
+    flat = out.reshape(stop + 1, -1)
     for m in range(stop):
-        out[m] = np.tensordot(L[:stop - m], g[m:stop], axes=L.ndim)
+        np.dot(L[:stop - m].reshape(1, -1), g[m:stop].reshape(-1, flat.shape[1]),
+               out=flat[m:m + 1])
     return out
 
 
@@ -164,8 +163,9 @@ def reconstruct_first_field(tuple_: BSVIEFirstTuple, kernel: DiscreteLaplaceKern
     th, N, dt = kernel.nodes, grid.n_steps, grid.dt
     om = step_decay_weight(th, dt)
     P = np.exp(-th[None, :] * (grid.T - grid.t)[:, None]) * tuple_.p1_0[:, None]
+    decay = np.exp(-np.outer(th, np.arange(N) * dt))
     for m in range(N):
-        P[m] += om * (np.exp(-np.outer(th, np.arange(N - m) * dt)) @ tuple_.p2_0[m:N])
+        P[m] += om * (decay[:, :N - m] @ tuple_.p2_0[m:N])
     return P
 
 
@@ -229,9 +229,8 @@ def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
 
     r_subgrid is the size of the r-family sub-grid (>= 4), or "full" for all
     grid indices (needed for exact reconstructions of the pair field).
+    ``allow_singular`` is ignored, as in ``bsee_to_bsvie_first``.
     """
-    if kernel.alpha > 0 and not allow_singular:
-        raise ValueError("second-order bridge assumes a regular kernel; override to proceed")
     if adjoints.second is None:
         raise ValueError("second-order field not solved")
     if kernel.dim != 1:

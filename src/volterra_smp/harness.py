@@ -878,7 +878,7 @@ def run_bsvie_check(config: ExperimentConfig) -> ExperimentResult:
     grid = ens.grid
     checks = []
     rows = []
-    tup = bsee_to_bsvie_first(adj, kern, allow_singular=kern.alpha > 0)
+    tup = bsee_to_bsvie_first(adj, kern)
     res = bsvie_residual_first(tup, coeffs, u_hat, kern, ens)
     rows += [("first_line1", 0.0, res["res_line1"]), ("first_line2", 0.0, res["res_line2"])]
     checks.append(("first_order_residuals", max(res["res_line1"], res["res_line2"]) <= 1e-8,
@@ -893,8 +893,7 @@ def run_bsvie_check(config: ExperimentConfig) -> ExperimentResult:
         checks.append(("first_roundtrip", rt <= 1e-8, f"max field deviation {rt:.3e}"))
 
     tup2 = bsee_to_bsvie_second(coeffs, adj, kern, ens,
-                                r_subgrid=config.solver["r_subgrid"],
-                                allow_singular=kern.alpha > 0)
+                                r_subgrid=config.solver["r_subgrid"])
     res2 = bsvie_residual_second(tup2, coeffs, adj, kern)
     for key, val in res2.items():
         rows.append((f"second_{key}", 0.0, val))
@@ -938,17 +937,11 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
         return False, "needs a problem with deterministic, control-independent adjoint data"
     if name == "mp-check" and config.grid["n_steps"] % 8:
         return False, "its perturbation interval [T/4, 3T/8] needs grid.n_steps divisible by 8"
-    if name == "bsvie-check" and config.kernel["family"] == "fractional" \
-            and config.kernel["alpha"] > 0:
-        return False, "Volterra bridge assumes a regular kernel"
     if name in ("adjoint", "bsvie-check") and path is None:
         return False, "problem needs the regression solve path (solver.lsmc)"
     if name == "duality" and path not in ("deterministic", "affine"):
         return False, ("exact duality needs a closed-form first-order field; the "
                        "regression solve path only estimates it")
-    # no tag says a problem is identically zero
-    if name == "duality" and config.problem["name"] == "zero":
-        return False, "degenerate problem"
     return True, ""
 
 

@@ -104,8 +104,22 @@ def test_picard_reports_non_contraction(grid, delta_kernel):
     def expanding(P):
         return 10.0 * P + 1.0
 
-    with pytest.raises(PicardError):
+    with pytest.raises(PicardError, match="no contraction of the first-order field after"):
         picard_bsee_solve(delta_kernel, grid, phi, expanding, order=1, max_iter=60)
+
+
+def test_picard_error_names_the_pair_field(grid, delta_kernel):
+    # the pair solve fails with its own name, so a solver line tells it from
+    # a first-order failure of the same experiment
+    phi = np.ones((1, 1, 1, 1))
+
+    def expanding(P):
+        return 10.0 * P + 1.0
+
+    with pytest.raises(PicardError, match=r"^no contraction of the pair field after \d+ iter"):
+        picard_bsee_solve(delta_kernel, grid, phi, expanding, order=2, max_iter=60)
+    with pytest.raises(PicardError, match="^max_iter=2 exceeded on the pair field"):
+        picard_bsee_solve(delta_kernel, grid, phi, expanding, order=2, max_iter=2)
 
 
 def test_picard_geometric_decay_on_linear_problem(grid, lq, frac_kernel, ens):

@@ -16,10 +16,17 @@ from volterra_smp.kernels import DiscreteLaplaceKernel, constant_kernel, exponen
 from volterra_smp.simulate import sample_brownian, simulate_sve
 
 
-@pytest.fixture(scope="module", params=["constant", "exponential"])
-def kernel0(request):
-    return constant_kernel(alpha=0.0) if request.param == "constant" \
-        else exponential_kernel(2.0, alpha=0.0)
+@pytest.fixture(scope="module")
+def kernels0(frac_kernel):
+    """Two regular kernels and the lift of the singular one: the bridge
+    identities are the same discrete algebra on every atom kernel."""
+    return {"constant": constant_kernel(alpha=0.0),
+            "exponential": exponential_kernel(2.0, alpha=0.0), "fractional": frac_kernel}
+
+
+@pytest.fixture(scope="module", params=["constant", "exponential", "fractional"])
+def kernel0(request, kernels0):
+    return kernels0[request.param]
 
 
 def solve(problem, kernel, grid, ens, u_val=0.3, xi=0.4, **kw):
@@ -63,15 +70,6 @@ def test_first_residual_refuses_an_untagged_problem(grid, lq, delta_kernel, ens)
         bsvie_residual_first(tup, replace(lq, tags=StructuralTags()), uh, delta_kernel, ens)
 
 
-def test_first_bridge_rejects_singular_kernel(grid, lq, frac_kernel, ens):
-    uh, xh, adj = solve(lq, frac_kernel, grid, ens)
-    with pytest.raises(ValueError, match="regular kernel"):
-        bsee_to_bsvie_first(adj, frac_kernel)
-    tup = bsee_to_bsvie_first(adj, frac_kernel, allow_singular=True)
-    res = bsvie_residual_first(tup, lq, uh, frac_kernel, ens)
-    assert res["res_line2"] <= 1e-8  # same discrete algebra, caveat documented
-
-
 def test_first_bridge_perturbation_probe(grid, lq, kernel0, ens):
     uh, xh, adj = solve(lq, kernel0, grid, ens)
     tup = bsee_to_bsvie_first(adj, kernel0)
@@ -100,16 +98,16 @@ def test_q2_time_slice_constant_under_zero_coupling(grid, state_free, ens):
     assert tup.p2_1 is not None and np.all(tup.p2_1 == tup.p2_1[0])
 
 
-def test_second_bridge_quadratic_h_oracle(grid, state_free, ens):
-    k = constant_kernel(alpha=0.0)
-    uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)
-    tup2 = bsee_to_bsvie_second(state_free, adj, k, ens, r_subgrid=8)
-    # terminal Hessian is the constant h2 = 1.2
-    assert np.allclose(tup2.P1, -1.2)
-    res = bsvie_residual_second(tup2, state_free, adj, k)
-    assert max(res.values()) <= 1e-8
-    rec = reconstruct_second_field(tup2, k)
-    assert np.max(np.abs(rec - adj.second.P[:, :, :, 0, 0])) <= 1e-8
+def test_second_bridge_quadratic_h_oracle(grid, state_free, kernels0, ens):
+    for k in kernels0.values():
+        uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)
+        tup2 = bsee_to_bsvie_second(state_free, adj, k, ens, r_subgrid=8)
+        # terminal Hessian is the constant h2 = 1.2
+        assert np.allclose(tup2.P1, -1.2)
+        res = bsvie_residual_second(tup2, state_free, adj, k)
+        assert max(res.values()) <= 1e-8
+        rec = reconstruct_second_field(tup2, k)
+        assert np.max(np.abs(rec - adj.second.P[:, :, :, 0, 0])) <= 1e-8
 
 
 def test_second_bridge_subgrid_validation(grid, state_free, ens):
@@ -119,38 +117,37 @@ def test_second_bridge_subgrid_validation(grid, state_free, ens):
         bsee_to_bsvie_second(state_free, adj, k, ens, r_subgrid=3)
 
 
-def test_second_bridge_coupled_consistency_order(bilinear):
+def test_second_bridge_coupled_consistency_order(bilinear, frac_kernel):
     # with drift coupling the pair-level identities mix terminal-point and
     # step-integrated kernel scales: residuals shrink linearly with dt
-    from volterra_smp.grids import TimeGrid
-    k = exponential_kernel(1.5, alpha=0.0)
-    vals = []
-    for n in (64, 128):
-        grid = TimeGrid(1.0, n)
-        e = sample_brownian(grid, 100, 9)
-        uh = ControlPath.constant(0.3, grid)
-        xh = simulate_sve(bilinear, uh, k, 0.4, e)
-        adj = assemble_adjoints(bilinear, uh, xh, k, e, tol=1e-13, lsmc=True)
-        tup2 = bsee_to_bsvie_second(bilinear, adj, k, e, r_subgrid="full")
-        res = bsvie_residual_second(tup2, bilinear, adj, k)
-        assert max(res["res_eq1"], res["res_eq2"], res["res_eq4"]) <= 1e-10
-        rec = reconstruct_second_field(tup2, k)
-        vals.append((res["res_eq3"],
-                     float(np.max(np.abs(rec - adj.second.P[:, :, :, 0, 0])))))
-    assert vals[1][0] < 0.7 * vals[0][0]
-    assert vals[1][1] < 0.7 * vals[0][1]
+    for k in (exponential_kernel(1.5, alpha=0.0), frac_kernel):
+        vals = []
+        for n in (64, 128):
+            grid = TimeGrid(1.0, n)
+            e = sample_brownian(grid, 100, 9)
+            uh = ControlPath.constant(0.3, grid)
+            xh = simulate_sve(bilinear, uh, k, 0.4, e)
+            adj = assemble_adjoints(bilinear, uh, xh, k, e, tol=1e-13, lsmc=True)
+            tup2 = bsee_to_bsvie_second(bilinear, adj, k, e, r_subgrid="full")
+            res = bsvie_residual_second(tup2, bilinear, adj, k)
+            assert max(res["res_eq1"], res["res_eq2"], res["res_eq4"]) <= 1e-10
+            rec = reconstruct_second_field(tup2, k)
+            vals.append((res["res_eq3"],
+                         float(np.max(np.abs(rec - adj.second.P[:, :, :, 0, 0])))))
+        assert vals[1][0] < 0.7 * vals[0][0]
+        assert vals[1][1] < 0.7 * vals[0][1]
 
 
-def test_second_bridge_zero_problem(grid, ens):
-    k = constant_kernel(alpha=0.0)
+def test_second_bridge_zero_problem(grid, kernels0, ens):
     pr = make_problem("zero")
-    uh, xh, adj = solve(pr, k, grid, ens, xi=0.0)
-    tup2 = bsee_to_bsvie_second(pr, adj, k, ens, r_subgrid=4)
-    assert np.max(np.abs(tup2.P1)) == 0.0
-    assert np.max(np.abs(tup2.P2)) == 0.0
-    assert np.max(np.abs(tup2.P3)) == 0.0
-    res = bsvie_residual_second(tup2, pr, adj, k)
-    assert max(res.values()) == 0.0
+    for k in kernels0.values():
+        uh, xh, adj = solve(pr, k, grid, ens, xi=0.0)
+        tup2 = bsee_to_bsvie_second(pr, adj, k, ens, r_subgrid=4)
+        assert np.max(np.abs(tup2.P1)) == 0.0
+        assert np.max(np.abs(tup2.P2)) == 0.0
+        assert np.max(np.abs(tup2.P3)) == 0.0
+        res = bsvie_residual_second(tup2, pr, adj, k)
+        assert max(res.values()) == 0.0
 
 
 PROPERTY_CASES = {

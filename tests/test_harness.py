@@ -148,6 +148,9 @@ def test_cli_duality_on_regression_path_fails_closed(tmp_path):
     raw = REGRESSION
     ok, why = _applies("duality", resolve_config(raw))
     assert not ok and "regression" in why
+    # the skip guards a real failure: forced, the exact identity fails
+    checks = harness.RUNNERS["duality"](resolve_config(raw)).checks
+    assert {name: passed for name, passed, _ in checks}["first_exact"] is False
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(raw))
     proc = subprocess.run(
@@ -157,6 +160,52 @@ def test_cli_duality_on_regression_path_fails_closed(tmp_path):
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "duality/" in proc.stdout
+
+
+# the default kernel is the fractional lift with alpha = 1/3
+TINY = {"grid": {"n_paths": 32, "n_steps": 16}, "kernel": {"n_nodes": 4}}
+
+
+@pytest.mark.parametrize("experiment, raw, reason, failure", [
+    ("mp-check", {"problem": {"name": "state_free_quadratic"}},
+     "deterministic, control-independent", "affine path needs the simulated reference state"),
+    ("mp-check", {"problem": {"name": "bilinear_lq"}, "solver": {"lsmc": True}},
+     "deterministic, control-independent", "unsupported coefficient structure"),
+    ("mp-check", {"grid": {"n_paths": 32, "n_steps": 12}},
+     "divisible by 8", "time 0.375 is not a grid node"),
+    ("adjoint", {"problem": {"name": "bilinear_lq"}},
+     "solver.lsmc", "unsupported coefficient structure"),
+    ("bsvie-check", {"problem": {"name": "bilinear_lq"}},
+     "solver.lsmc", "unsupported coefficient structure"),
+], ids=["mp_affine", "mp_regression", "mp_off_grid_interval", "adjoint_no_path",
+        "bsvie_no_path"])
+def test_each_skip_guards_a_real_failure(experiment, raw, reason, failure):
+    cfg = resolve_config({**TINY, **raw})
+    ok, why = _applies(experiment, cfg)
+    assert not ok and reason in why
+    with pytest.raises(ValueError, match=failure):
+        harness.RUNNERS[experiment](cfg)
+
+
+@pytest.mark.parametrize("experiment, problem", [
+    ("bsvie-check", "lq_linear_cost"), ("bsvie-check", "state_free_quadratic"),
+    ("bsvie-check", "zero"), ("duality", "zero")])
+def test_dropped_skips_pass(experiment, problem):
+    # the bridge on the singular lift, and duality on the zero problem
+    cfg = resolve_config({**TINY, "problem": {"name": problem}})
+    res = run_experiment(experiment, cfg)[experiment]
+    assert res.passed and "skipped" not in [name for name, _, _ in res.checks]
+
+
+def test_bundled_configs_apply_every_experiment_but_one():
+    # a skip added or dropped on a bundled config shows up here
+    configs = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+    found = {p.stem: {exp: _applies(exp, resolve_config(p))[0] for exp in harness.RUNNERS}
+             for p in configs}
+    expected = {stem: dict.fromkeys(harness.RUNNERS, True)
+                for stem in ("classical_sde", "fractional_lq", "statefree_quadratic")}
+    expected["statefree_quadratic"]["mp-check"] = False
+    assert found == expected
 
 
 def _cli(tmp_path, experiment, raw):
@@ -270,7 +319,7 @@ def test_cli_bsde_check_records_its_sizes(tmp_path, capsys):
     assert rec["lsmc"] == {"later": 40, "now": [10, 40]}
 
 
-# regular kernel, so bsvie-check applies; 256 steps keep four spike widths for rates
+# a one-atom kernel keeps the stages cheap; 256 steps keep four spike widths for rates
 MEMO = {"grid": {"n_paths": 96, "n_steps": 256}, "kernel": {"family": "constant", "alpha": 0.0},
         "seed": 5}
 
@@ -504,8 +553,7 @@ def test_sidecar_records_regression_ranks_where_the_solve_was_built(tmp_path, ke
     assert record["rank_min"] == 1 and 1 < record["rank_max"] <= columns
     assert 1.0 <= record["cond_max"] < 1e8
     assert [name for name, rec in timings.items() if "lsmc" in rec] == ["adjoint", "bsde-check"]
-    if "family" in kernel:      # the bridge runs on the regular kernel only
-        assert timings["bsvie-check"]["stages"]["adjoints"] == "memo"
+    assert timings["bsvie-check"]["stages"]["adjoints"] == "memo"
 
 
 def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
