@@ -3,10 +3,13 @@
 The first-order field (p, q) repackages into a tuple (p1, q1, p2, q2):
 p1(t) is the conditional expectation of the terminal slope, p2(t) the field
 generator, q1 / q2(s, t) the martingale integrands, subject to the
-representation constraint p2(s) = E[p2(s)] + int_0^s q2(s, t) dW_t.  The
-second-order field repackages into (P1..P4) through an auxiliary field with
-terminal -h_xx and an r-indexed family on [0, r] collecting the Hessian and
-risk data at r.
+representation constraint p2(s) = E[p2(s)] + int_0^s q2(s, t) dW_t.  On every
+solve path the bridge reads, p2 is the deterministic generator table, so
+q2 = 0 and the tuple stores (p1, q1, p2) only.  The second-order field
+repackages into (P1..P4) through an auxiliary field with terminal -h_xx and
+an r-indexed family on [0, r] collecting the Hessian and risk data at r; one
+backward sweep solves them all, keeps one field row per solve and returns
+their generators.
 
 Quadrature convention: terminal kernel factors enter at point values
 K_hat(T - t) and generator integrals at exact step integrals
@@ -34,10 +37,11 @@ from .simulate import BrownianEnsemble
 
 @dataclass
 class BSVIEFirstTuple:
-    """(p1, q1, p2, q2) in the scalar deterministic or affine regime.
+    """(p1, q1, p2) in the scalar deterministic or affine regime; q2 = 0.
 
-    Affine regime: p1(t) = p1_0 + p1_1 Z_t, q2(s, t) = p2_1(s) vol(t); the
-    deterministic regime has all Z parts None.
+    p2 = p2_0 is the deterministic generator table on both regimes.  Affine
+    regime: p1(t) = p1_0 + p1_1 Z_t, q1 = p1_1 vol; the deterministic regime
+    has p1_1 and Z None.
     """
 
     grid: TimeGrid
@@ -45,8 +49,6 @@ class BSVIEFirstTuple:
     p2_0: np.ndarray
     q1: np.ndarray
     p1_1: np.ndarray | None = None
-    p2_1: np.ndarray | None = None
-    q2_vol: np.ndarray | None = None
     Z: object = None
 
     @property
@@ -73,8 +75,7 @@ def bsee_to_bsvie_first(adjoints: AdjointSolution, kernel: DiscreteLaplaceKernel
                                p2_0=p2_0, q1=np.zeros(N + 1))
     phi1 = fld.P1[N, 0, 0]
     return BSVIEFirstTuple(grid=grid, p1_0=np.full(N + 1, phi0), p2_0=p2_0,
-                           q1=phi1 * fld.Z.vol, p1_1=np.full(N + 1, phi1),
-                           p2_1=np.zeros(N + 1), q2_vol=fld.Z.vol, Z=fld.Z)
+                           q1=phi1 * fld.Z.vol, p1_1=np.full(N + 1, phi1), Z=fld.Z)
 
 
 def _kernel_scalar_tables(kernel: DiscreteLaplaceKernel, grid: TimeGrid, which: str):
@@ -107,21 +108,17 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
     (bx,), (sx,), (fx, *_) = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
-    ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
+    ks_pt, _ = _kernel_scalar_tables(kernel, grid, "sigma")
+    # p2 is deterministic, so its generator tail is one lag sum and q2 = 0
+    tail = bx * _lag_sums(kb_int, tuple_.p2_0, N)
 
     if tuple_.deterministic:
-        rhs = (-fx + bx * kb_pt[::-1] * tuple_.p1_0 + sx * ks_pt[::-1] * tuple_.q1
-               + bx * _lag_sums(kb_int, tuple_.p2_0, N))
+        rhs = -fx + bx * kb_pt[::-1] * tuple_.p1_0 + sx * ks_pt[::-1] * tuple_.q1 + tail
         return {"res_line1": 0.0, "res_line2": float(np.max(np.abs(tuple_.p2_0 - rhs)))}
 
     if ens is None:
         raise ValueError("affine residuals need the ensemble")
     Z = tuple_.Z.values
-    # the generator tail sum_{k>=m} of the affine field splits into three
-    # scalar lag sums: drift on E[p2], drift on the Z slope, diffusion on q2
-    tail0 = bx * _lag_sums(kb_int, tuple_.p2_0, N)
-    tail1 = bx * _lag_sums(kb_int, tuple_.p2_1, N)
-    tailq = sx * tuple_.q2_vol * _lag_sums(ks_int, tuple_.p2_1, N)
     terminal = tuple_.p1_0[N] + tuple_.p1_1[N] * Z[:, N]
     mart = np.zeros(ens.n_paths)  # sum_{k>=m} q1_k dW_k, accumulated backwards
     res1 = res2 = 0.0
@@ -130,28 +127,27 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
             mart += tuple_.q1[m] * ens.dW[:, m]
         p1_m = tuple_.p1_0[m] + tuple_.p1_1[m] * Z[:, m]
         res1 = max(res1, float(np.max(np.abs(p1_m - (terminal - mart)))))
-        p2_m = tuple_.p2_0[m] + tuple_.p2_1[m] * Z[:, m]
         rhs = (-fx[m] + bx[m] * kb_pt[N - m] * p1_m + sx[m] * ks_pt[N - m] * tuple_.q1[m]
-               + tail0[m] + tail1[m] * Z[:, m] + tailq[m])
-        res2 = max(res2, float(np.max(np.abs(p2_m - rhs))))
+               + tail[m])
+        res2 = max(res2, float(np.max(np.abs(tuple_.p2_0[m] - rhs))))
     return {"res_line1": res1, "res_line2": res2}
 
 
 def m_constraint_residual_first(tuple_: BSVIEFirstTuple, ens: BrownianEnsemble) -> float:
-    """Residual of p2(s) = E[p2(s)] + int_0^s q2(s, t) dW_t (and p1 likewise)."""
+    """Residual of the M-solution constraint p1(s) = E[p1(s)] + int_0^s p1_1 vol dW;
+    for p2 it holds exactly, p2 being deterministic (q2 = 0)."""
     if tuple_.deterministic:
         return 0.0
     N = tuple_.grid.n_steps
-    Z = tuple_.Z.values
-    lvl0 = np.stack([tuple_.p2_0, tuple_.p1_0])[:, :, None]  # (2, N+1, 1)
-    lvl1 = np.stack([tuple_.p2_1, tuple_.p1_1])[:, :, None]
+    Z, vol = tuple_.Z.values, tuple_.Z.vol
+    lvl0, lvl1 = tuple_.p1_0, tuple_.p1_1
     mart = np.zeros(ens.n_paths)  # sum_{t<s} vol_t dW_t, accumulated forwards
     worst = 0.0
     for s in range(N + 1):
         if s > 0:
-            mart += tuple_.q2_vol[s - 1] * ens.dW[:, s - 1]
-        val = lvl0[:, s] + lvl1[:, s] * Z[:, s]
-        dev = val - (lvl0[:, s] + lvl1[:, s] * Z[0, 0]) - lvl1[:, s] * mart
+            mart += vol[s - 1] * ens.dW[:, s - 1]
+        val = lvl0[s] + lvl1[s] * Z[:, s]
+        dev = val - (lvl0[s] + lvl1[s] * Z[0, 0]) - lvl1[s] * mart
         worst = max(worst, float(np.max(np.abs(dev))))
     return worst
 
@@ -180,38 +176,37 @@ class BSVIESecondTuple:
     P2: np.ndarray          # (N+1,)
     P3: np.ndarray          # (N+1,)
     r_indices: np.ndarray   # sub-grid indices carrying the r-family
-    P4: dict                # r_index -> (N+1,) table, valid for t < r
-    calP: np.ndarray        # (N+1, K) auxiliary field
-    sP: dict                # r_index -> (N+1, K)
+    P4: dict                # r_index -> (N+1,) generator of its r-family solve, for t < r
 
 
 def _solve_coupled_theta_fields(kernel: DiscreteLaplaceKernel, grid: TimeGrid,
                                 phi: np.ndarray, stops: np.ndarray, bx: np.ndarray):
-    """Backward scalar decay-grid fields with generator g_m = bx_m mu[Mb p_m].
+    """Generators of backward scalar decay-grid fields with g_m = bx_m mu[Mb p_m].
 
     Row i runs from phi[i] at grid index stops[i] back to 0, all rows in one
     sweep; the generator is theta-free, so the implicit left-point step is
-    one scalar solve per row.  Returns fields (R, N+1, K), generators (R, N+1).
+    one scalar solve per row.  The sweep keeps one (R, K) row of fields, the
+    current step's; returns the generators (R, N+1).
     """
     th = kernel.nodes
     wmb = kernel.weights * kernel.mb[:, 0, 0]
     N, dt = grid.n_steps, grid.dt
     dec, om = sweep_factors(th, dt)
     c1 = float(wmb @ om)
-    P = np.zeros((len(stops), N + 1, th.size))
+    P = np.zeros((len(stops), th.size))
     G = np.zeros((len(stops), N + 1))
     for m in range(N, -1, -1):
         start, live = stops == m, stops > m
-        P[start, m] = phi[start]
+        P[start] = phi[start]
         G[start, m] = bx[m] * (phi[start] @ wmb)  # terminal limit of the generator
         if live.any():
             denom = 1.0 - bx[m] * c1
             if abs(denom) < 1e-12:
                 raise ZeroDivisionError("degenerate implicit step in decay-grid solve")
-            base = dec * P[live, m + 1]
+            base = dec * P[live]
             G[live, m] = bx[m] * (base @ wmb) / denom
-            P[live, m] = base + om * G[live, m][:, None]
-    return P, G
+            P[live] = base + om * G[live, m][:, None]
+    return G
 
 
 def _r_terminals(kernel: DiscreteLaplaceKernel, adjoints: AdjointSolution,
@@ -249,11 +244,9 @@ def bsee_to_bsvie_second(coeffs, adjoints: AdjointSolution,
     P3 = -fxx + sx * adjoints.Rss[:, 0, 0] * sx
     # one sweep for the auxiliary field (terminal -h_xx at T) and the r-family
     phi = np.vstack([np.full(kernel.n_nodes, -hxx), _r_terminals(kernel, adjoints, P3, bx, r_idx)])
-    fields, gens = _solve_coupled_theta_fields(kernel, grid, phi, np.r_[N, r_idx], bx)
-    keys = r_idx.tolist()
+    gens = _solve_coupled_theta_fields(kernel, grid, phi, np.r_[N, r_idx], bx)
     return BSVIESecondTuple(grid=grid, P1=np.full(N + 1, -hxx), P2=gens[0], P3=P3,
-                            r_indices=r_idx, P4=dict(zip(keys, gens[1:])), calP=fields[0],
-                            sP=dict(zip(keys, fields[1:])))
+                            r_indices=r_idx, P4=dict(zip(r_idx.tolist(), gens[1:])))
 
 
 def _lag_decay(th: np.ndarray, dt: float, n: int) -> np.ndarray:

@@ -200,12 +200,9 @@ class MPReport:
     passed: bool
     deterministic: bool
     tol_margin: float
-    alpha: float
-    alpha_hypothesis: bool     # True when the kernel singularity index is 1/3
     max_quadratic_term: float = 0.0
     state_degree: int = 0      # highest power of x the gap read; 0: it read no state
     per_path: bool = False     # the gap took one value per path
-    notes: str = ""
 
 
 _H_NAMES = ("b", "sigma", "f")
@@ -356,16 +353,10 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     passed = min_gap >= -margin
     rows = [(t, v, g, s, g >= -(tol_margin if deterministic else se_margin * max(s, 0.0)))
             for (t, v, g, s) in rows]
-    alpha = adjoints.kernel.alpha
     return MPReport(rows=rows, min_gap=float(min_gap), min_location=min_loc,
-                    passed=bool(passed), deterministic=deterministic,
-                    tol_margin=margin, alpha=alpha,
-                    alpha_hypothesis=bool(abs(alpha - 1.0 / 3.0) < 1e-12),
+                    passed=bool(passed), deterministic=deterministic, tol_margin=margin,
                     max_quadratic_term=max_quad, state_degree=tabs.state_degree,
-                    per_path=bool(tabs.state_degree) or ab_paths > 1,
-                    notes="" if abs(alpha - 1.0 / 3.0) < 1e-12 else
-                    "kernel singularity index differs from 1/3: inequality "
-                    "checked outside the theorem hypothesis (flag only)")
+                    per_path=bool(tabs.state_degree) or ab_paths > 1)
 
 
 def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,

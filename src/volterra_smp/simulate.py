@@ -321,13 +321,13 @@ def run_lift(kernel: DiscreteLaplaceKernel, grid: TimeGrid, dW: np.ndarray,
     return X, None if Ytab is None else Ytab.reshape(N + 1, K, n, paths)
 
 
-def run_direct(kernel, which_pair: tuple[str, str], grid: TimeGrid, dW: np.ndarray,
-               forcing: Callable, xi: np.ndarray) -> np.ndarray:
+def run_direct(kernel, grid: TimeGrid, dW: np.ndarray, forcing: Callable,
+               xi: np.ndarray) -> np.ndarray:
     """Direct left-point Volterra recursion, O(N^2) per path block."""
     paths = dW.shape[0]
     N = grid.n_steps
-    kb = _kernel_table(kernel, which_pair[0], grid)
-    ks = _kernel_table(kernel, which_pair[1], grid)
+    kb = _kernel_table(kernel, "b", grid)
+    ks = _kernel_table(kernel, "sigma", grid)
     n = kb.shape[1]
     X = np.empty((paths, N + 1, n))
     X[:, 0] = xi[0]
@@ -367,7 +367,7 @@ def simulate_sve(coeffs: CoefficientSet, control: ControlPath, kernel, xi,
         X, _ = run_lift(kernel, grid, ens.dW, forcing, xi_tab)
         return X
     if mode == "direct":
-        return run_direct(kernel, ("b", "sigma"), grid, ens.dW, forcing, xi_tab)
+        return run_direct(kernel, grid, ens.dW, forcing, xi_tab)
     raise ValueError("mode must be 'auto', 'lift' or 'direct'")
 
 

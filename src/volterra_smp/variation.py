@@ -290,9 +290,7 @@ def remainder_rates(
     bundles = _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens)
 
     # ||K_b||_{1,eps} + ||K_sigma||_{2,eps}, closed form when available
-    analytic = kernel.analytic_b is not None
-    kb, ks = (kernel.analytic_b, kernel.analytic_sigma) if analytic else (kernel, kernel)
-    kn = [knorm_eps(kb, "b", 1.0, float(eps)) + knorm_eps(ks, "sigma", 2.0, float(eps))
+    kn = [knorm_eps(kernel, "b", 1.0, float(eps)) + knorm_eps(kernel, "sigma", 2.0, float(eps))
           for eps in eps_arr]
 
     rows = []
@@ -324,5 +322,5 @@ def remainder_rates(
         f = fit_loglog(eps_arr, dj_abs)
         dj_fit = {"eps_slope": f["slope"], "r2": f["r2"], "se_slope": f["se_slope"]}
 
-    return {"rows": rows, "fits": fits, "eps": eps_arr, "knorm": np.asarray(kn),
-            "delta_j12": dj_rows, "delta_j12_fit": dj_fit, "bundles": bundles}
+    return {"rows": rows, "fits": fits, "delta_j12": dj_rows, "delta_j12_fit": dj_fit,
+            "bundles": bundles}

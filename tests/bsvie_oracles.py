@@ -21,7 +21,7 @@ def bsvie_residual_first(tuple_, coeffs, u_hat, kernel, ens=None) -> dict:
     (bx,), (sx,), (fx, *_) = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
     kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
-    ks_pt, ks_int = _kernel_scalar_tables(kernel, grid, "sigma")
+    ks_pt, _ = _kernel_scalar_tables(kernel, grid, "sigma")
 
     if tuple_.deterministic:
         res1 = 0.0
@@ -41,15 +41,13 @@ def bsvie_residual_first(tuple_, coeffs, u_hat, kernel, ens=None) -> dict:
         p1_m = tuple_.p1_0[m] + tuple_.p1_1[m] * Z[:, m]
         mart = np.sum(tuple_.q1[None, m:N] * ens.dW[:, m:], axis=1) if m < N else 0.0
         res1 = max(res1, float(np.max(np.abs(p1_m - (terminal - mart)))))
-        p2_m = tuple_.p2_0[m] + tuple_.p2_1[m] * Z[:, m]
-        tail = np.zeros(ens.n_paths)
+        # p2 is deterministic (q2 = 0): its generator tail has no Z part
+        tail = 0.0
         for k in range(m, N):
-            e_p2 = tuple_.p2_0[k] + tuple_.p2_1[k] * Z[:, m]
-            q2 = tuple_.p2_1[k] * tuple_.q2_vol[m]
-            tail += bx[m] * kb_int[k - m] * e_p2 + sx[m] * ks_int[k - m] * q2
+            tail += bx[m] * kb_int[k - m] * tuple_.p2_0[k]
         rhs = (-fx[m] + bx[m] * kb_pt[N - m] * p1_m
                + sx[m] * ks_pt[N - m] * tuple_.q1[m] + tail)
-        res2 = max(res2, float(np.max(np.abs(p2_m - rhs))))
+        res2 = max(res2, float(np.max(np.abs(tuple_.p2_0[m] - rhs))))
     return {"res_line1": res1, "res_line2": res2}
 
 
@@ -59,13 +57,13 @@ def m_constraint_residual_first(tuple_, ens) -> float:
     N = tuple_.grid.n_steps
     Z = tuple_.Z.values
     z0 = float(Z[0, 0])
+    lvl0, lvl1 = tuple_.p1_0, tuple_.p1_1
     worst = 0.0
     for s in range(N + 1):
-        for lvl0, lvl1 in ((tuple_.p2_0, tuple_.p2_1), (tuple_.p1_0, tuple_.p1_1)):
-            val = lvl0[s] + lvl1[s] * Z[:, s]
-            mart = np.sum((lvl1[s] * tuple_.q2_vol[None, :s]) * ens.dW[:, :s], axis=1) \
-                if s > 0 else 0.0
-            worst = max(worst, float(np.max(np.abs(val - (lvl0[s] + lvl1[s] * z0) - mart))))
+        val = lvl0[s] + lvl1[s] * Z[:, s]
+        mart = np.sum((lvl1[s] * tuple_.Z.vol[None, :s]) * ens.dW[:, :s], axis=1) \
+            if s > 0 else 0.0
+        worst = max(worst, float(np.max(np.abs(val - (lvl0[s] + lvl1[s] * z0) - mart))))
     return worst
 
 

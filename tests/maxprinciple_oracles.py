@@ -65,10 +65,10 @@ def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
             gmean, gse = mc_mean_se(gaps)
             spread = max(spread, float(np.max(gaps) - np.min(gaps)))
             rows.append((t, float(v[0]), gmean, gse))
-    return _report(rows, spread, max_quad, adjoints, tol_margin, se_margin)
+    return _report(rows, spread, max_quad, tol_margin, se_margin)
 
 
-def _report(rows, spread, max_quad, adjoints, tol_margin, se_margin, **extra) -> MPReport:
+def _report(rows, spread, max_quad, tol_margin, se_margin, **extra) -> MPReport:
     """The report of (t, v, gap mean, gap SE) rows in step-major order: the
     first minimum, the pass flags, and the margins of the deterministic
     (spread below 1e-12) or the stochastic case."""
@@ -83,12 +83,9 @@ def _report(rows, spread, max_quad, adjoints, tol_margin, se_margin, **extra) ->
     passed = min_gap >= -margin
     rows = [(t, v, g, s, g >= -(tol_margin if deterministic else se_margin * max(s, 0.0)))
             for (t, v, g, s) in rows]
-    alpha = adjoints.kernel.alpha
     return MPReport(rows=rows, min_gap=float(min_gap), min_location=min_loc,
                     passed=bool(passed), deterministic=deterministic,
-                    tol_margin=margin, alpha=alpha,
-                    alpha_hypothesis=bool(abs(alpha - 1.0 / 3.0) < 1e-12),
-                    max_quadratic_term=max_quad, **extra)
+                    tol_margin=margin, max_quadratic_term=max_quad, **extra)
 
 
 def _cell_gap(tabs, m: int, i: int, Ab, Aq, R, x: np.ndarray):
@@ -123,7 +120,7 @@ def check_variational_inequality_on_tables(coeffs, u_hat, adjoints, u_grid, ens,
             spread = max(spread, float(np.max(gap) - np.min(gap)))
             rows.append((m * grid.dt, float(v[0]), *mc_mean_se(gap)))
     per_path = tabs.state_degree > 0 or adjoints.Ab1 is not None
-    return _report(rows, spread, max_quad, adjoints, tol_margin, se_margin,
+    return _report(rows, spread, max_quad, tol_margin, se_margin,
                    state_degree=tabs.state_degree, per_path=per_path)
 
 

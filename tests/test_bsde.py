@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,12 +175,10 @@ def test_bsde_checks_match_oracles(log_kappa, alpha, c, a, n_steps, n_paths, deg
 
     pairs = [(sol.p_values(ens), sol.q_values(ens)), (sol.det, sol.q),
              (later["p"], later["q"])]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # one path: no standard error
-        for p, q in pairs:
-            got = martingale_check(p, q, inst.generator, inst.kappa, ens)
-            ref = bsde_oracles.martingale_check(p, q, inst.generator, inst.kappa, ens)
-            assert all(_same_bytes(got[k], ref[k]) for k in ref)
+    for p, q in pairs:
+        got = martingale_check(p, q, inst.generator, inst.kappa, ens)
+        ref = bsde_oracles.martingale_check(p, q, inst.generator, inst.kappa, ens)
+        assert got.keys() == ref.keys() and all(_same_bytes(got[k], ref[k]) for k in ref)
 
 
 def test_instance_validation(grid):

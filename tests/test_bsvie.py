@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from volterra_smp.bsvie import (BSVIEFirstTuple, bsee_to_bsvie_first, bsee_to_bs
                                 reconstruct_second_field)
 from volterra_smp.coefficients import ControlPath, StructuralTags, make_problem
 from volterra_smp.grids import TimeGrid
-from volterra_smp.kernels import DiscreteLaplaceKernel, constant_kernel, exponential_kernel
+from volterra_smp.kernels import (DiscreteLaplaceKernel, build_fractional_lift, constant_kernel,
+                                  exponential_kernel)
 from volterra_smp.simulate import sample_brownian, simulate_sve
 
 
@@ -89,15 +91,6 @@ def test_first_bridge_affine_regime(grid, state_free, kernel0, ens):
     assert m_constraint_residual_first(tup, ens) <= 1e-8
 
 
-def test_q2_time_slice_constant_under_zero_coupling(grid, state_free, ens):
-    # with a constant kernel and no couplings the martingale integrand of
-    # p2(s) inherits a vol table independent of s: q2(s, t) = p2_1(s) vol(t)
-    k = constant_kernel(alpha=0.0)
-    uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)
-    tup = bsee_to_bsvie_first(adj, k)
-    assert tup.p2_1 is not None and np.all(tup.p2_1 == tup.p2_1[0])
-
-
 def test_second_bridge_quadratic_h_oracle(grid, state_free, kernels0, ens):
     for k in kernels0.values():
         uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)
@@ -115,6 +108,25 @@ def test_second_bridge_subgrid_validation(grid, state_free, ens):
     uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)
     with pytest.raises(ValueError, match="at least 4"):
         bsee_to_bsvie_second(state_free, adj, k, ens, r_subgrid=3)
+
+
+def test_second_bridge_full_r_family_holds_no_field_table(lq):
+    # the full r-family has R = N + 1 rows: an (R, N+1, K) field table would
+    # take (N+1)^2 K floats, 16 MiB here; the sweep keeps one (R, K) row and
+    # the (R, N+1) generators, about 2 MiB
+    grid = TimeGrid(1.0, 512)
+    k = build_fractional_lift(0.8, 0.9, None, 1e-2, 1e4, 8, alpha=1.0 / 3.0)
+    e = sample_brownian(grid, 16, 5)
+    uh, xh, adj = solve(lq, k, grid, e)
+    assert adj.solve_path == "deterministic"
+    tracemalloc.start()
+    try:
+        tup2 = bsee_to_bsvie_second(lq, adj, k, e, r_subgrid="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tup2.P4) == grid.n_steps
+    assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_second_bridge_coupled_consistency_order(bilinear, frac_kernel):

@@ -187,18 +187,6 @@ def test_vi_argmax_passes_and_perturbation_fails(grid, lq, delta_kernel, ens):
     assert min(viol) >= 0.25 and max(viol) < 0.375
 
 
-def test_vi_alpha_hypothesis_flag(grid, lq, frac_kernel, delta_kernel, ens):
-    uh = ControlPath.constant(0.5, grid)
-    xh = simulate_sve(lq, uh, frac_kernel, 0.4, ens)
-    adj = assemble_adjoints(lq, uh, xh, frac_kernel, ens)
-    rep = check_variational_inequality(lq, uh, adj, lq.control_domain.points, ens, xh)
-    assert rep.alpha_hypothesis  # bundled fractional kernel carries index 1/3
-    adj0 = assemble_adjoints(lq, uh, simulate_sve(lq, uh, delta_kernel, 0.4, ens),
-                             delta_kernel, ens)
-    rep0 = check_variational_inequality(lq, uh, adj0, lq.control_domain.points, ens, xh)
-    assert not rep0.alpha_hypothesis and "flag only" in rep0.notes
-
-
 def test_classical_reference_matches_field_checker(grid, lq, delta_kernel, ens):
     uh = ControlPath.constant(-0.5, grid)
     xh = simulate_sve(lq, uh, delta_kernel, 0.4, ens)
