@@ -120,40 +120,27 @@ def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.stack([x ** k for k in range(degree + 1)], axis=1)
 
 
-def _gaussian_poly_shift(coef: np.ndarray, var: float) -> np.ndarray:
-    """Coefficients of E[poly(x + Z)] for Z ~ N(0, var), poly given by coef.
+def _gaussian_poly_conditioning(coef: np.ndarray, var: float) -> tuple:
+    """Coefficients of E[poly(x + Z)] and of E[poly(x + Z) Z] / var for
+    Z ~ N(0, var), poly given by coef.
 
-    E[(x+Z)^k] = sum_j C(k,j) m_{k-j} x^j with m_i the centered moments.
+    E[(x+Z)^k] = sum_j C(k,j) m_{k-j} x^j with m_i the centered moments, and
+    E[(x+Z)^k Z] picks the moment m_{k-j+1} instead.
     """
-    d = coef.size - 1
-    moments = np.zeros(d + 1)
-    moments[0] = 1.0
-    for i in range(2, d + 1, 2):
-        moments[i] = moments[i - 2] * (i - 1) * var
-    out = np.zeros_like(coef)
-    for k in range(d + 1):
-        if coef[k] == 0.0:
-            continue
-        for j in range(k + 1):
-            out[j] += coef[k] * comb(k, j) * moments[k - j]
-    return out
-
-
-def _gaussian_poly_weighted(coef: np.ndarray, var: float) -> np.ndarray:
-    """Coefficients of E[poly(x + Z) Z] / var for Z ~ N(0, var)."""
     d = coef.size - 1
     moments = np.zeros(d + 2)
     moments[0] = 1.0
     for i in range(2, d + 2, 2):
         moments[i] = moments[i - 2] * (i - 1) * var
-    out = np.zeros_like(coef)
+    shift = np.zeros_like(coef)
+    weighted = np.zeros_like(coef)
     for k in range(d + 1):
         if coef[k] == 0.0:
             continue
         for j in range(k + 1):
-            # E[(x+Z)^k Z] picks the moment m_{k-j+1}
-            out[j] += coef[k] * comb(k, j) * moments[k - j + 1] / var
-    return out
+            shift[j] += coef[k] * comb(k, j) * moments[k - j]
+            weighted[j] += coef[k] * comb(k, j) * moments[k - j + 1] / var
+    return shift, weighted
 
 
 def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
@@ -188,8 +175,9 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
         slope = np.zeros((N + 1, degree + 1))
         coef[N], *_ = np.linalg.lstsq(_poly_design(W[:, N], degree), terminal, rcond=None)
         for m in range(N - 1, -1, -1):
-            cond = _gaussian_poly_shift(coef[m + 1], dt)                 # E_m[poly(W_{m+1})]
-            slope[m] = dec * _gaussian_poly_weighted(coef[m + 1], dt)    # E_m[poly dW] / dt
+            # E_m[poly(W_{m+1})] and E_m[poly dW] / dt
+            cond, weighted = _gaussian_poly_conditioning(coef[m + 1], dt)
+            slope[m] = dec * weighted
             coef[m] = dec * cond
             coef[m, 0] += om * inst.generator[m]
         p = horner(coef.T, W, np.empty(W.shape))

@@ -82,10 +82,6 @@ class FirstOrderField:
     # regression solve path: rank_min, rank_max and cond_max of its designs
     regression: dict | None = None
 
-    @property
-    def deterministic(self) -> bool:
-        return self.P1 is None
-
 
 @dataclass
 class SecondOrderField:

@@ -34,10 +34,6 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args.config, seed=args.seed, n_paths=args.paths,
                                 n_steps=args.steps)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         results = run_experiment(args.experiment, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -67,10 +67,6 @@ class ControlDomain:
             raise ValueError("control grid must be (V, du)")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -93,20 +89,22 @@ class CoefficientSet:
     kappa: float = 1.0
     name: str = "custom"
 
-    def self_test(self, seed: int = 7, n_points: int = 16, rel_tol: float = 1e-6) -> None:
+    def self_test(self) -> None:
         """Check derivative evaluators against central finite differences, and
         the tags: each evaluator they call state-free takes one value at two
         different states, and under ``linear_in_state`` (or ``state_free``)
-        b_xx and sigma_xx vanish.  Raises ``SelfTestError`` naming the
+        b_xx and sigma_xx vanish.  The checks read 16 random points (seed 7)
+        at relative tolerance 1e-6.  Raises ``SelfTestError`` naming the
         evaluator."""
-        rng = scalar_rng(seed, tag=101)
+        n_points, rel_tol = 16, 1e-6
+        rng = scalar_rng(7, tag=101)
         n, du = self.dim, self.du
         t = rng.uniform(0.0, 1.0)
         u = rng.normal(size=(n_points, du))
         x = rng.normal(size=(n_points, n))
         eps = 1e-5
 
-        def fd_grad(fn, vec_out: bool):
+        def fd_grad(fn):
             cols = []
             for j in range(n):
                 dx = np.zeros((n_points, n))
@@ -116,9 +114,9 @@ class CoefficientSet:
             return stacked
 
         checks = [
-            (fd_grad(self.b, True), self.b_x(t, u, x), "b_x"),
-            (fd_grad(self.sigma, True), self.sigma_x(t, u, x), "sigma_x"),
-            (fd_grad(self.f, False), self.f_x(t, u, x), "f_x"),
+            (fd_grad(self.b), self.b_x(t, u, x), "b_x"),
+            (fd_grad(self.sigma), self.sigma_x(t, u, x), "sigma_x"),
+            (fd_grad(self.f), self.f_x(t, u, x), "f_x"),
         ]
         hx_fd = []
         for j in range(n):

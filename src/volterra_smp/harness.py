@@ -507,10 +507,10 @@ def run_kernels(config: ExperimentConfig) -> ExperimentResult:
 
     norm_rows = []
     ok_norm = True
-    for which, beta in (("b", config.kernel["beta_b"]), ("sigma", config.kernel["beta_sigma"])):
-        ana = kern.analytic_b if which == "b" else kern.analytic_sigma
+    for which in ("b", "sigma"):
+        ana = kern.analytic(which)
         for q in (1.0, 2.0):
-            if q * (beta - 1.0) + 1.0 <= 0:
+            if q * (ana.beta - 1.0) + 1.0 <= 0:
                 continue
             for eps in (0.05, 0.2, 0.8):
                 closed = knorm_eps(ana, which, q, eps)
@@ -530,10 +530,10 @@ def run_simulate(config: ExperimentConfig) -> ExperimentResult:
     ens, X = config.stage("ensemble"), config.stage("x_hat")
     grid, xi = ens.grid, config.solver["xi"]
     checks = []
+    # the lift's first rows are its run on the first paths, bit for bit
     ens_sub = ens.first_paths(min(ens.n_paths, 64))
-    Xl = simulate_sve(coeffs, u_hat, kern, xi, ens_sub, mode="lift", self_test=False)
     Xd = simulate_sve(coeffs, u_hat, kern, xi, ens_sub, mode="direct", self_test=False)
-    dev = float(np.max(np.abs(Xl - Xd)))
+    dev = float(np.max(np.abs(X[:ens_sub.n_paths] - Xd)))
     checks.append(("lift_direct_identity", dev <= 1e-10, f"max deviation {dev:.3e}"))
 
     cap = min(ens.n_paths, 256)
@@ -562,18 +562,20 @@ def _rate_targets(config: ExperimentConfig, coeffs) -> dict:
     return {"X1": base, "dX1": 2 * base, "dX12": 3 * base, "dX": base, "X2": 2 * base}
 
 
+def _rate_widths(config: ExperimentConfig) -> list:
+    """The spike widths of the rate sweep: those spanning >= 4 grid steps."""
+    dt = config.make_grid().dt
+    return [e for e in config.spike["eps_list"] if round(e / dt) >= 4]
+
+
 def run_rates(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     kern, coeffs, u_hat = config.stage("kernel"), config.stage("problem"), config.stage("u_hat")
     ens = config.stage("ensemble")
     grid = ens.grid
     v = ControlPath.constant(config.spike["v"], grid, du=coeffs.du)
-    eps_list = [e for e in config.spike["eps_list"] if round(e / grid.dt) >= 4]
-    if len(eps_list) < 4:
-        return ExperimentResult("rates", {}, [
-            ("skipped", True, "fewer than 4 spike widths span >= 4 grid steps")])
     res = remainder_rates(coeffs, kern, u_hat, v, config.spike["tau"],
-                          eps_list, config.solver["xi"], ens)
+                          _rate_widths(config), config.solver["xi"], ens)
     targets = _rate_targets(config, coeffs)
     nan = float("nan")
     norm_scale = {}
@@ -939,6 +941,8 @@ def _applies(name: str, config: ExperimentConfig) -> tuple[bool, str]:
         return False, "its perturbation interval [T/4, 3T/8] needs grid.n_steps divisible by 8"
     if name in ("adjoint", "bsvie-check") and path is None:
         return False, "problem needs the regression solve path (solver.lsmc)"
+    if name == "rates" and len(_rate_widths(config)) < 4:
+        return False, "fewer than 4 spike widths span >= 4 grid steps"
     if name == "duality" and path not in ("deterministic", "affine"):
         return False, ("exact duality needs a closed-form first-order field; the "
                        "regression solve path only estimates it")

@@ -27,7 +27,6 @@ __all__ = [
     "build_fractional_lift",
     "constant_kernel",
     "exponential_kernel",
-    "kernel_eval",
     "knorm_eps",
     "quadrature_error",
 ]
@@ -100,10 +99,6 @@ class AnalyticKernel:
         elif self.family != "constant":
             raise ValueError(f"unknown kernel family {self.family!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
     def scalar(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.family == "fractional":
@@ -114,8 +109,13 @@ class AnalyticKernel:
             return np.ones_like(t)
         return np.exp(-self.lam * t)
 
-    def eval(self, t: float) -> np.ndarray:
-        return float(self.scalar(np.asarray(t))) * self.factor
+    def eval(self, which: str, t) -> np.ndarray:
+        """k(t) times the factor: (n, n) for a time, (T, n, n) for an array of
+        times.  ``which`` is unused: one profile serves both channels."""
+        return np.multiply.outer(self.scalar(t), self.factor)
+
+    def analytic(self, which: str) -> "AnalyticKernel":
+        return self
 
 
 @dataclass(frozen=True)
@@ -370,24 +370,10 @@ def build_fractional_lift(
     )
 
 
-def kernel_eval(kernel, which: str = "b", t: float = 1.0) -> np.ndarray:
-    """Evaluate K_b or K_sigma at time t as an (n, n) matrix."""
-    if isinstance(kernel, AnalyticKernel):
-        return kernel.eval(t)
-    if isinstance(kernel, DiscreteLaplaceKernel):
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("t must be nonnegative")
-        return kernel.eval(which, t)
-    raise TypeError(f"unsupported kernel type {type(kernel)!r}")
-
-
 def _frobenius_profile(kernel, which: str):
     """Scalar t -> |K(t)|_F together with an optional closed-form tag."""
-    if isinstance(kernel, AnalyticKernel):
-        ana = kernel
-    else:
-        ana = kernel.analytic(which)
-    if isinstance(kernel, DiscreteLaplaceKernel) and ana is None:
+    ana = kernel.analytic(which)
+    if ana is None:
         def profile(t):
             return np.sqrt(np.sum(kernel.eval(which, t) ** 2, axis=(-2, -1)))
         return profile, None
@@ -444,7 +430,7 @@ def quadrature_error(kernel: DiscreteLaplaceKernel, t_grid, which: str = "b") ->
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be positive (analytic family may be singular at 0)")
     khat = kernel.eval(which, t_grid)
-    kexact = ana.scalar(t_grid)[:, None, None] * ana.factor[None]
+    kexact = ana.eval(which, t_grid)
     abs_err = np.sqrt(np.sum((khat - kexact) ** 2, axis=(-2, -1)))
     scale = np.sqrt(np.sum(kexact ** 2, axis=(-2, -1)))
     rel_err = abs_err / scale

@@ -317,7 +317,6 @@ def _gap_stats(tabs: GapTables, contractions, x_hat: np.ndarray | None,
 def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
                                  adjoints: AdjointSolution, u_grid: np.ndarray,
                                  ens: BrownianEnsemble, x_hat: np.ndarray | None = None,
-                                 tol_margin: float = 1e-8, se_margin: float = 3.0,
                                  tables: GapTables | None = None) -> MPReport:
     """Minimum over (t, v) of H-hat(u_hat_t) - H-hat(v).
 
@@ -325,8 +324,9 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     the deterministic control u_hat; the reference state ``x_hat`` is read
     only where they depend on x (``GapTables.state_degree`` > 0) and may be
     None elsewhere.
-    Deterministic case (path spread below 1e-12): PASS iff min >= -tol_margin;
-    stochastic case: PASS iff min >= -se_margin * SE at the minimizing cell.
+    Deterministic case (path spread below 1e-12): PASS iff min >= -1e-8;
+    stochastic case: PASS iff min >= -3 SE at the minimizing cell.  The
+    report's ``tol_margin`` records the bound the verdict used.
     Grid times exclude t = T.
     """
     grid = ens.grid
@@ -349,9 +349,9 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
         if gmean < min_gap:
             min_gap, min_loc, min_se = gmean, (t, v), gse
     deterministic = spread < 1e-12
-    margin = tol_margin if deterministic else se_margin * min_se
+    margin = 1e-8 if deterministic else 3.0 * min_se
     passed = min_gap >= -margin
-    rows = [(t, v, g, s, g >= -(tol_margin if deterministic else se_margin * max(s, 0.0)))
+    rows = [(t, v, g, s, g >= -(1e-8 if deterministic else 3.0 * max(s, 0.0)))
             for (t, v, g, s) in rows]
     return MPReport(rows=rows, min_gap=float(min_gap), min_location=min_loc,
                     passed=bool(passed), deterministic=deterministic, tol_margin=margin,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, ControlPath, coeff_tables, horner
 from .grids import TimeGrid
-from .kernels import DiscreteLaplaceKernel, kernel_eval
+from .kernels import DiscreteLaplaceKernel
 from .rng import normal_matrix
 
 
@@ -84,10 +84,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemble
 
 def _kernel_table(kernel, which: str, grid: TimeGrid) -> np.ndarray:
     """K(j*dt) for j = 1..n_steps, shape (n_steps, n, n)."""
-    ts = grid.dt * np.arange(1, grid.n_steps + 1)
-    if isinstance(kernel, DiscreteLaplaceKernel):
-        return kernel.eval(which, ts)
-    return np.asarray([kernel_eval(kernel, which, t) for t in ts])
+    return kernel.eval(which, grid.dt * np.arange(1, grid.n_steps + 1))
 
 
 def forcing_source(coeffs: CoefficientSet, control: ControlPath) -> str:
@@ -404,13 +401,12 @@ def lift_along(coeffs: CoefficientSet, control: ControlPath,
 
 
 def cnorm(states: np.ndarray, p: float = 2.0) -> float:
-    """sup over grid times of the Monte Carlo p-th moment root E[|X_t|^p]^{1/p}."""
+    """sup over grid times of the Monte Carlo p-th moment root E[|X_t|^p]^{1/p}
+    of a (paths, N+1, n) state table."""
     if p < 2:
         raise ValueError("p must be >= 2")
     X = np.asarray(states, dtype=float)
     if X.size == 0:
         raise ValueError("empty ensemble")
-    if X.ndim == 2:
-        X = X[:, :, None]
     mag = np.sqrt(np.sum(X * X, axis=2))
     return float(np.max(np.mean(mag ** p, axis=0) ** (1.0 / p)))

@@ -28,7 +28,6 @@ from .simulate import BrownianEnsemble, LiftStep, _taylor_rows, _xi_table
 from .stats import fit_loglog, mc_mean_se
 
 NORM_KEYS = ("dX", "X1", "dX1", "X2", "dX12")
-EXPECTED_POWER = {"dX": 1, "X1": 1, "dX1": 2, "X2": 2, "dX12": 3}
 
 
 @dataclass(frozen=True)

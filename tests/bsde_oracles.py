@@ -11,8 +11,7 @@ property tests compare the module against them.
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from volterra_smp.bsde import (_exp_power_step_integrals, _gaussian_poly_shift,
-                               _gaussian_poly_weighted)
+from volterra_smp.bsde import _exp_power_step_integrals, _gaussian_poly_conditioning
 from volterra_smp.kernels import step_decay_weight
 
 
@@ -49,8 +48,7 @@ def solve_bsde_lsmc(inst, ens, degree=1, mode="later") -> dict:
         X = _poly_design(W[:, N], degree)
         coef, *_ = np.linalg.lstsq(X, terminal, rcond=None)
         for m in range(N - 1, -1, -1):
-            cond = _gaussian_poly_shift(coef, dt)
-            slope = _gaussian_poly_weighted(coef, dt)
+            cond, slope = _gaussian_poly_conditioning(coef, dt)
             pm_det = _poly_design(W[:, m], degree) @ cond
             q[:, m] = dec * (_poly_design(W[:, m], degree) @ slope)
             p[:, m] = dec * pm_det + om * inst.generator[m]

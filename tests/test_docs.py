@@ -50,3 +50,12 @@ def test_readme_cites_only_names_that_exist():
                 break
             obj = getattr(obj, attr)
     assert missing == []
+
+
+def test_every_export_resolves():
+    exported = {}
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"volterra_smp.{name}")
+        exported[name] = getattr(module, "__all__", ())
+        assert [attr for attr in exported[name] if not hasattr(module, attr)] == [], name
+    assert exported["kernels"], "kernels exports nothing; the check reads no __all__"

@@ -177,8 +177,11 @@ TINY = {"grid": {"n_paths": 32, "n_steps": 16}, "kernel": {"n_nodes": 4}}
      "solver.lsmc", "unsupported coefficient structure"),
     ("bsvie-check", {"problem": {"name": "bilinear_lq"}},
      "solver.lsmc", "unsupported coefficient structure"),
+    # on 16 steps of 1/16, three of these widths span >= 4 steps
+    ("rates", {"spike": {"eps_list": [0.5, 0.375, 0.25, 0.125]}},
+     "fewer than 4 spike widths", "need at least 4 eps values"),
 ], ids=["mp_affine", "mp_regression", "mp_off_grid_interval", "adjoint_no_path",
-        "bsvie_no_path"])
+        "bsvie_no_path", "rates_three_widths"])
 def test_each_skip_guards_a_real_failure(experiment, raw, reason, failure):
     cfg = resolve_config({**TINY, **raw})
     ok, why = _applies(experiment, cfg)
@@ -261,6 +264,9 @@ def test_cli_solver_error_is_failed_check(tmp_path, capsys):
     ({"spike": {"tau": "a"}}, "spike.tau must be"), ({"spike": {"tau": 0.99}}, "spike.tau"),
     ({"spike": {"eps_list": []}}, "spike.eps_list must be"),
     ({"solver": {"xi": [1, 2, 3]}}, "solver.xi"), ({"solver": {"xi": "a"}}, "solver.xi must be"),
+    ({"solver": {"xi": [[0.1, 0.2]] * 65}},
+     "solver.xi against grid.n_steps and the problem dimension: forcing table must have "
+     "shape (n_steps + 1, n)"),
     # the Picard tolerance and iteration cap and the regression degree are not settable
     ({"solver": {"tol": "x"}}, "unknown key solver.tol"),
     ({"solver": {"tol": 0}}, "unknown key solver.tol"),
@@ -270,7 +276,7 @@ def test_cli_solver_error_is_failed_check(tmp_path, capsys):
     ({"solver": {"lsmc": "yes"}}, "solver.lsmc must be"),
 ], ids=["seed_string", "seed_negative", "seed_float", "u_hat_string", "v_string",
         "tau_string", "spike_past_horizon", "eps_list_empty", "xi_wrong_length",
-        "xi_string", "tol_string", "tol_zero", "max_iter_string", "basis_degree_zero",
+        "xi_string", "xi_table_two_columns", "tol_string", "tol_zero", "max_iter_string", "basis_degree_zero",
         "r_subgrid_small", "lsmc_string"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, raw, message):
     code, _ = _cli(tmp_path, "adjoint", {**SMALL, **raw})
@@ -345,9 +351,9 @@ def test_config_samples_its_ensemble_once(monkeypatch):
     for exp in ("simulate", "rates", "adjoint", "bsvie-check"):
         assert run_experiment(exp, cfg)[exp].passed
     # one ensemble, one reference state and one adjoint solve; simulate's
-    # lift/direct check runs on its own 64 paths
+    # lift/direct check runs the direct recursion on the first 64 paths
     assert brownian == [96]
-    assert sve == [96, 64, 64] and adjoints == [96]
+    assert sve == [96, 64] and adjoints == [96]
     ens = cfg.stage("ensemble")
     assert ens is cfg.stage("ensemble") and cfg.stage("x_hat") is cfg.stages["x_hat"]
     with pytest.raises(ValueError):
@@ -390,11 +396,8 @@ def test_simulate_sub_ensemble_is_a_fresh_sample(monkeypatch):
     monkeypatch.setattr(harness, "simulate_sve", recording)
     cfg = resolve_config(MEMO)
     harness.RUNNERS["simulate"](cfg)
-    subs = [e for e in seen if e.n_paths == 64]
-    assert len(subs) == 2
-    fresh = sample_brownian(cfg.make_grid(), 64, cfg.seed)
-    for e in subs:
-        assert e.dW.tobytes() == fresh.dW.tobytes()
+    (sub,) = [e for e in seen if e.n_paths == 64]
+    assert sub.dW.tobytes() == sample_brownian(cfg.make_grid(), 64, cfg.seed).dW.tobytes()
 
 
 def _json_flags(node):
@@ -527,7 +530,7 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
     # blocks of 4 steps; slab 0 alone before the spikes at step 32, all 13 after
     assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13,
                                         "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
-    assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 2 * 128 // 4}
+    assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 128 // 4}
     # lq_linear_cost: linear dynamics and a running cost linear in x
     assert timings["rates"]["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0,
                                              "b_xx": 0, "sigma_xx": 0, "f": 1, "f_x": 0,
@@ -596,6 +599,17 @@ def test_rates_table_fits_no_slope_to_identically_zero_quantities():
             assert norm > 0.01 and np.isfinite(slope) and 0.9 < r2 <= 1.0, quantity
             fitted.add(quantity)
     assert fitted == {"X1", "dX"}
+
+
+def test_rates_table_fits_the_superlinear_slope_of_a_nonzero_expansion_gap():
+    # bilinear_lq: the cost expansion is not exact, so delta J gets a slope
+    cfg = resolve_config({"grid": {"n_paths": 400, "n_steps": 128}, "kernel": {"n_nodes": 8},
+                          "problem": {"name": "bilinear_lq"},
+                          "spike": {"eps_list": [0.25, 0.125, 0.0625, 0.03125]}, "seed": 5})
+    res = run_experiment("rates", cfg)["rates"]
+    checks = {name: (ok, detail) for name, ok, detail in res.checks}
+    assert checks["delta_j12_superlinear"] == (True, "slope 1.924 (se 0.133)")
+    assert all(np.isfinite(row[4]) for row in res.tables["rates"].rows)
 
 
 @pytest.mark.parametrize("exp", ["rates", "simulate"])
@@ -1033,7 +1047,9 @@ def _tiny_configs(draw):
     params = draw(st.fixed_dictionaries({}, optional={
         key: st.lists(_FINITE, min_size=1, max_size=4) if isinstance(default, tuple) else _FINITE
         for key, (default, _) in harness._PARAMS[name].items()}))
-    xi = draw(st.one_of(_FINITE, st.lists(_FINITE, min_size=n_steps + 1, max_size=n_steps + 1)))
+    xi = draw(st.one_of(_FINITE, st.lists(_FINITE, min_size=n_steps + 1, max_size=n_steps + 1),
+                        st.lists(st.lists(_FINITE, min_size=1, max_size=1),
+                                 min_size=n_steps + 1, max_size=n_steps + 1)))
     family = draw(st.sampled_from(["fractional", "constant", "exponential"]))
     # a fractional lift needs an admissible gamma: beta_b > (1 - alpha) / 2 and
     # beta_sigma > 1 - alpha / 2, which alpha = 0 rules out

@@ -10,7 +10,7 @@ from volterra_smp.harness import resolve_config
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel,
                                   build_fractional_lift, constant_kernel,
                                   discounted_sweep, exponential_kernel,
-                                  gamma_fn as kernels_gamma, kernel_eval,
+                                  gamma_fn as kernels_gamma,
                                   knorm_eps, quadrature_error, step_decay_weight)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -19,7 +19,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 def test_delta_atom_is_constant_kernel():
     k = constant_kernel(matrix=2.0 * np.eye(1))
     for t in (0.0, 0.3, 1.7):
-        assert kernel_eval(k, "b", t)[0, 0] == pytest.approx(2.0, abs=0)
+        assert k.eval("b", t)[0, 0] == pytest.approx(2.0, abs=0)
 
 
 def test_two_atom_sum_exact():
@@ -27,26 +27,26 @@ def test_two_atom_sum_exact():
                               mb=np.ones((2, 1, 1)), msigma=np.ones((2, 1, 1)))
     t = 0.7
     expect = 0.3 * (np.exp(-0.5 * t) + np.exp(-2.0 * t))
-    assert kernel_eval(k, "b", t)[0, 0] == pytest.approx(expect, rel=1e-15)
+    assert k.eval("b", t)[0, 0] == pytest.approx(expect, rel=1e-15)
 
 
 def test_fractional_eval_matches_power_law():
     # direct evaluation of the analytic profile at beta = 0.7, t = 0.5
     ana = AnalyticKernel("fractional", beta=0.7)
-    assert ana.eval(0.5)[0, 0] == pytest.approx(0.5 ** (-0.3) / gamma_fn(0.7), rel=1e-14)
+    assert ana.eval("b", 0.5)[0, 0] == pytest.approx(0.5 ** (-0.3) / gamma_fn(0.7), rel=1e-14)
     k = build_fractional_lift(0.7, 0.7, 0.55, 1e-3, 1e5, 100, alpha=0.75)
-    assert kernel_eval(k, "b", 0.5)[0, 0] == pytest.approx(0.5 ** (-0.3) / gamma_fn(0.7), rel=1e-3)
+    assert k.eval("b", 0.5)[0, 0] == pytest.approx(0.5 ** (-0.3) / gamma_fn(0.7), rel=1e-3)
 
 
 def test_fractional_beta_one_degenerates_to_constant():
     ana = AnalyticKernel("fractional", beta=1.0 - 1e-12)
-    assert ana.eval(0.37)[0, 0] == pytest.approx(1.0, rel=1e-9)
+    assert ana.eval("b", 0.37)[0, 0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fractional_eval_at_zero_rejected():
     ana = AnalyticKernel("fractional", beta=0.7)
     with pytest.raises(ValueError):
-        ana.eval(0.0)
+        ana.eval("b", 0.0)
 
 
 def test_exponential_single_atom_exact():
@@ -74,7 +74,7 @@ def test_quadrature_error_requires_reference():
 def test_complete_monotonicity_on_grid(frac_kernel):
     # nonnegative factors: values and first differences are non-increasing
     ts = np.linspace(0.05, 2.0, 60)
-    vals = np.array([kernel_eval(frac_kernel, "b", t)[0, 0] for t in ts])
+    vals = np.array([frac_kernel.eval("b", t)[0, 0] for t in ts])
     assert np.all(np.diff(vals) <= 0)
     assert np.all(np.diff(np.diff(vals)) >= -1e-12)
 
