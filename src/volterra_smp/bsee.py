@@ -288,9 +288,6 @@ class AdjointSolution:
             Ab = Ab[..., None, :] + self.Ab1[m][..., None, :] * z[..., None]
         return Ab, self.Aq0[m]
 
-    def risk_matrix_at(self, m) -> np.ndarray:
-        return self.Rss[m]
-
 
 def assemble_first_adjoint(
     coeffs: CoefficientSet,

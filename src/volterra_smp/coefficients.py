@@ -3,6 +3,8 @@
 A ``CoefficientSet`` packages the drift b, diffusion sigma, running cost f and
 terminal cost h together with their first and second state derivatives and a
 set of structural tags that the adjoint assemblers use to pick a solve path.
+The bundled problems are coefficient arrays: ``polynomial_problem`` derives
+every evaluator, derivative and tag from them.
 All evaluators are vectorized over paths: ``t`` is a grid time, or one per
 row, ``u`` has shape (du,) or (paths, du), ``x`` has shape (paths, n).  A
 row need not be a path: ``coeff_tables`` stacks the grid times along it.
@@ -13,6 +15,7 @@ so the quadratic form <phi_xx X, X> is einsum("pijk,pj,pk->pi").
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,19 +27,19 @@ from .rng import scalar_rng
 
 
 class SelfTestError(ValueError):
-    """A coefficient set whose evaluators disagree with their derivatives or
-    with its structural tags."""
+    """A coefficient set whose evaluators disagree with their derivatives."""
 
 
 @dataclass(frozen=True)
 class StructuralTags:
-    """Declared structure used to dispatch adjoint solve paths."""
+    """Structure used to dispatch adjoint solve paths: derived from the arrays
+    by ``polynomial_problem``, declared by a set built by hand."""
 
     linear_in_state: bool = False     # b_x, sigma_x independent of x; b_xx = sigma_xx = 0
     state_free: bool = False          # b, sigma independent of x entirely
     sigma_control_free: bool = False  # sigma independent of u
     f_state_degree: int = 2           # 0: x-free, 1: linear in x, 2: quadratic in x
-    h_degree: int = 2                 # 1: linear terminal cost, 2: quadratic
+    h_degree: int = 2                 # 0: constant, 1: linear terminal cost, 2: quadratic
 
     def state_degrees(self) -> dict:
         """Degree in x of each running evaluator whose degree these tags fix,
@@ -90,12 +93,9 @@ class CoefficientSet:
     name: str = "custom"
 
     def self_test(self) -> None:
-        """Check derivative evaluators against central finite differences, and
-        the tags: each evaluator they call state-free takes one value at two
-        different states, and under ``linear_in_state`` (or ``state_free``)
-        b_xx and sigma_xx vanish.  The checks read 16 random points (seed 7)
-        at relative tolerance 1e-6.  Raises ``SelfTestError`` naming the
-        evaluator."""
+        """Check the first-derivative evaluators against central finite
+        differences at 16 random points (seed 7), relative tolerance 1e-6.
+        Raises ``SelfTestError`` naming the evaluator."""
         n_points, rel_tol = 16, 1e-6
         rng = scalar_rng(7, tag=101)
         n, du = self.dim, self.du
@@ -131,33 +131,6 @@ class CoefficientSet:
             if err > rel_tol:
                 raise SelfTestError(f"derivative self-test failed for {label}: "
                                     f"rel err {err:.3e}")
-
-        degrees = self.tags.state_degrees()
-        x_far = x + rng.normal(size=x.shape) + 1.0
-        for label in [name for name, d in degrees.items() if d == 0]:
-            fn = getattr(self, label)
-            here, there = fn(t, u, x), fn(t, u, x_far)
-            err = np.max(np.abs(here - there)) / np.maximum(np.max(np.abs(here)), 1.0)
-            if err > rel_tol:
-                raise SelfTestError(f"tag self-test failed for {label}: the tags make it "
-                                    f"state-free, but it moves with x (rel {err:.3e})")
-            if label in ("b_xx", "sigma_xx") and np.max(np.abs(here)) > rel_tol:
-                raise SelfTestError(f"tag self-test failed for {label}: the tags make it "
-                                    f"vanish, but it reads {np.max(np.abs(here)):.3e}")
-        if n != 1:   # Taylor tables in x are read for scalar state only
-            return
-        x0 = np.zeros_like(x)
-        for label, d in degrees.items():
-            if d == 0:
-                continue
-            coefs = _taylor(label, d, lambda name: getattr(self, name)(t, u, x0).reshape(-1))
-            here = getattr(self, label)(t, u, x).reshape(-1)
-            err = (np.max(np.abs(horner(coefs, x[:, 0], np.empty(n_points)) - here))
-                   / np.maximum(np.max(np.abs(here)), 1.0))
-            if err > rel_tol:
-                raise SelfTestError(f"tag self-test failed for {label}: the tags make it of "
-                                    f"degree {d} in x, but its Taylor polynomial at x = 0 "
-                                    f"misses it (rel {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -282,14 +255,9 @@ def _scalar_problem(name, b, sigma, f, h, b_x, sigma_x, f_x, h_x, b_xx, sigma_xx
             return shaped(fn(x1), x1, index)
         return wrapped
 
-    def hterm(fn):
-        def wrapped(x):
-            return np.asarray(fn(np.asarray(x, dtype=float)[:, 0]), dtype=float)
-        return wrapped
-
     return CoefficientSet(
         dim=1, du=1,
-        b=running(b, 1), sigma=running(sigma, 1), f=running(f, 0), h=hterm(h),
+        b=running(b, 1), sigma=running(sigma, 1), f=running(f, 0), h=terminal(h, 0),
         b_x=running(b_x, 2), sigma_x=running(sigma_x, 2), f_x=running(f_x, 1),
         h_x=terminal(h_x, 1), b_xx=running(b_xx, 3), sigma_xx=running(sigma_xx, 3),
         f_xx=running(f_xx, 2), h_xx=terminal(h_xx, 2),
@@ -298,95 +266,102 @@ def _scalar_problem(name, b, sigma, f, h, b_x, sigma_x, f_x, h_x, b_xx, sigma_xx
     )
 
 
+def polynomial_problem(name, b, sigma, f, h, u_grid) -> CoefficientSet:
+    """A scalar problem from coefficient arrays: ``b``, ``sigma`` and ``f`` as
+    c[i][j], the coefficient of x^i u^j (rows may differ in length), and
+    ``h`` as c[i], the coefficient of x^i.
+
+    Every evaluator and its x-derivatives sum the (differentiated) array's
+    nonzero monomials, the highest power of x first, each term computed as
+    fl(...fl(c x) x ... u).  The tags read the arrays: ``state_free`` and
+    ``linear_in_state`` when no power of x above 0, resp. 1, appears in b or
+    sigma; ``sigma_control_free`` when sigma has no u term; ``f_state_degree``
+    and ``h_degree`` are the highest power of x that appears (0 if none).
+    ``kappa`` is the largest |b_x| and |sigma_x| at x = 0 over the control
+    grid.
+    """
+    h = [[c] for c in h]
+    derived = {}
+    for label, c in (("b", b), ("sigma", sigma), ("f", f), ("h", h)):
+        for suffix in ("", "_x", "_xx"):
+            derived[label + suffix] = _monomial_sum(c)
+            c = [[i * cij for cij in row] for i, row in enumerate(c)][1:]
+    x_degree = max(_top_power(b, 0), _top_power(sigma, 0))
+    tags = StructuralTags(linear_in_state=x_degree <= 1, state_free=x_degree == 0,
+                          sigma_control_free=_top_power(sigma, 1) == 0,
+                          f_state_degree=_top_power(f, 0), h_degree=_top_power(h, 0))
+    u_pts = np.asarray(u_grid, dtype=float)
+    kappa = max(float(np.max(np.abs(derived[key](0.0, u_pts, 0.0)), initial=0.0))
+                for key in ("b_x", "sigma_x"))
+    for key in ("h", "h_x", "h_xx"):
+        derived[key] = functools.partial(derived[key], None, None)
+    return _scalar_problem(name, u_grid=u_grid, tags=tags, kappa=kappa, **derived)
+
+
+def _monomial_sum(c):
+    """phi(t, u, x) = sum of c[i][j] x^i u^j over the nonzero entries, the
+    highest power of x first; 0.0 when there is none."""
+    terms = [(cij, i, j) for i in range(len(c) - 1, -1, -1)
+             for j, cij in enumerate(c[i]) if cij != 0]
+
+    def phi(t, u, x):
+        total = 0.0
+        for k, (term, i, j) in enumerate(terms):
+            for factor in (x,) * i + (u,) * j:
+                term = term * factor
+            total = term if k == 0 else total + term
+        return total
+    return phi
+
+
+def _top_power(c, axis: int) -> int:
+    """The highest power of x (axis 0) or u (axis 1) with a nonzero entry."""
+    return max(((i, j)[axis] for i, row in enumerate(c) for j, cij in enumerate(row)
+                if cij != 0), default=0)
+
+
 def lq_linear_cost(b1=0.5, b2=1.0, s1=0.3, s0=0.4, c1=0.6, r=2.5, ch=1.0,
                    u_grid=(-1.0, -0.5, 0.0, 0.5, 1.0)) -> CoefficientSet:
-    """Linear dynamics, control-free diffusion, linear-in-state costs.
+    """b = b1 x + b2 u, sigma = s1 x + s0, f = c1 x + r u^2 / 2, h = ch x.
 
     All adjoint data (h_x, f_x, b_x, sigma_x) are deterministic, so the
     adjoint fields are deterministic tables; the diffusion gap vanishes and
     the risk-adjustment term drops out of the inequality checks.
     """
-    return _scalar_problem(
-        "lq_linear_cost",
-        b=lambda t, u, x: b1 * x + b2 * u,
-        sigma=lambda t, u, x: s1 * x + s0,
-        f=lambda t, u, x: c1 * x + 0.5 * r * u * u,
-        h=lambda x: ch * x,
-        b_x=lambda t, u, x: b1, sigma_x=lambda t, u, x: s1,
-        f_x=lambda t, u, x: c1, h_x=lambda x: ch,
-        b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
-        f_xx=lambda t, u, x: 0.0, h_xx=lambda x: 0.0,
-        u_grid=u_grid,
-        tags=StructuralTags(linear_in_state=True, sigma_control_free=True,
-                            f_state_degree=1, h_degree=1),
-        kappa=max(abs(b1), abs(s1)),
-    )
+    return polynomial_problem("lq_linear_cost", b=[[0.0, b2], [b1]], sigma=[[s0], [s1]],
+                              f=[[0.0, 0.0, 0.5 * r], [c1]], h=[0.0, ch], u_grid=u_grid)
 
 
 def state_free_quadratic(b0=0.1, b2=1.0, s0=0.3, s2=0.8, r=0.4, h2=1.2, h1=0.5,
                          u_grid=(-1.0, -0.5, 0.0, 0.5, 1.0)) -> CoefficientSet:
-    """State-free controlled dynamics with a quadratic terminal cost.
+    """b = b0 + b2 u, sigma = s0 + s2 u, f = r u^2 / 2, h = h2 x^2 / 2 + h1 x.
 
     The first-order adjoint field is a closed-form affine function of the
     conditional mean of the terminal state; the second-order field is
     deterministic and nonzero, so the risk-adjustment term is exercised.
     """
-    return _scalar_problem(
-        "state_free_quadratic",
-        b=lambda t, u, x: b0 + b2 * u + 0.0 * x,
-        sigma=lambda t, u, x: s0 + s2 * u + 0.0 * x,
-        f=lambda t, u, x: 0.5 * r * u * u + 0.0 * x,
-        h=lambda x: 0.5 * h2 * x * x + h1 * x,
-        b_x=lambda t, u, x: 0.0, sigma_x=lambda t, u, x: 0.0,
-        f_x=lambda t, u, x: 0.0, h_x=lambda x: h2 * x + h1,
-        b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
-        f_xx=lambda t, u, x: 0.0, h_xx=lambda x: h2,
-        u_grid=u_grid,
-        tags=StructuralTags(state_free=True, f_state_degree=0, h_degree=2),
-        kappa=0.0,
-    )
+    return polynomial_problem("state_free_quadratic", b=[[b0, b2]], sigma=[[s0, s2]],
+                              f=[[0.0, 0.0, 0.5 * r]], h=[0.0, h1, 0.5 * h2], u_grid=u_grid)
 
 
 def bilinear_lq(b1=0.3, b2=0.3, b3=0.1, s1=0.2, s2=0.9, s3=0.7,
                 qx=0.6, r=0.3, h2=1.0, h1=0.4,
                 u_grid=(-1.0, -0.5, 0.0, 0.5, 1.0)) -> CoefficientSet:
-    """Linear-in-state dynamics with control/state interaction terms.
+    """b = b1 x + (b2 + b3 x) u, sigma = s1 x + (s2 + s3 x) u,
+    f = (qx x^2 + r u^2) / 2, h = h2 x^2 / 2 + h1 x.
 
     The interaction terms make the state derivatives control dependent
     (delta b_x, delta sigma_x nonzero under a spike), which activates the
     second-order variational process and the quadratic remainder orders.
     """
-    return _scalar_problem(
-        "bilinear_lq",
-        b=lambda t, u, x: b1 * x + (b2 + b3 * x) * u,
-        sigma=lambda t, u, x: s1 * x + (s2 + s3 * x) * u,
-        f=lambda t, u, x: 0.5 * (qx * x * x + r * u * u),
-        h=lambda x: 0.5 * h2 * x * x + h1 * x,
-        b_x=lambda t, u, x: b1 + b3 * u, sigma_x=lambda t, u, x: s1 + s3 * u,
-        f_x=lambda t, u, x: qx * x, h_x=lambda x: h2 * x + h1,
-        b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
-        f_xx=lambda t, u, x: qx, h_xx=lambda x: h2,
-        u_grid=u_grid,
-        tags=StructuralTags(linear_in_state=True, f_state_degree=2, h_degree=2),
-        kappa=max(abs(b1) + abs(b3), abs(s1) + abs(s3)),
-    )
+    return polynomial_problem("bilinear_lq", b=[[0.0, b2], [b1, b3]], sigma=[[0.0, s2], [s1, s3]],
+                              f=[[0.0, 0.0, 0.5 * r], [], [0.5 * qx]], h=[0.0, h1, 0.5 * h2],
+                              u_grid=u_grid)
 
 
 def zero_problem(u_grid=(0.0,)) -> CoefficientSet:
     """All coefficients identically zero; every derived object vanishes."""
-    return _scalar_problem(
-        "zero",
-        b=lambda t, u, x: 0.0 * x, sigma=lambda t, u, x: 0.0 * x,
-        f=lambda t, u, x: 0.0 * x, h=lambda x: 0.0 * x,
-        b_x=lambda t, u, x: 0.0, sigma_x=lambda t, u, x: 0.0,
-        f_x=lambda t, u, x: 0.0, h_x=lambda x: 0.0,
-        b_xx=lambda t, u, x: 0.0, sigma_xx=lambda t, u, x: 0.0,
-        f_xx=lambda t, u, x: 0.0, h_xx=lambda x: 0.0,
-        u_grid=u_grid,
-        tags=StructuralTags(linear_in_state=True, state_free=True, sigma_control_free=True,
-                            f_state_degree=0, h_degree=1),
-        kappa=0.0,
-    )
+    return polynomial_problem("zero", b=[], sigma=[], f=[], h=[], u_grid=u_grid)
 
 
 PROBLEMS = {

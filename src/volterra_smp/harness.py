@@ -684,6 +684,22 @@ def run_bsde_check(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("bsde-check", tables, checks, extras={"timing": timing})
 
 
+def _node_recursion_residuals(adj) -> dict:
+    """Largest residual of the per-node recursion of the first-order field,
+    per part: P0, and on the affine path P1 and Q0."""
+    dec, om = sweep_factors(adj.kernel.nodes, adj.grid.dt)
+    P0 = adj.first.P0[:, :, 0]
+    G0 = adj.first.G0[:, :, 0]
+    resid = {"P0": P0[:-1] - dec[None, :] * P0[1:] - om[None, :] * G0[:-1]}
+    if adj.first.P1 is not None:
+        # affine path: the Z coefficient P1 has no generator, and Q0 = e^{-theta dt} P1 vol
+        P1 = adj.first.P1[:, :, 0]
+        resid["P1"] = P1[:-1] - dec[None, :] * P1[1:]
+        resid["Q0"] = (adj.first.Q0[:-1, :, 0]
+                       - dec[None, :] * P1[1:] * adj.first.Z.vol[:-1, None])
+    return {part: float(np.max(np.abs(r))) for part, r in resid.items()}
+
+
 def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
     prov = _provenance(config)
     adj = config.stage("adjoints")
@@ -701,25 +717,14 @@ def run_adjoint(config: ExperimentConfig) -> ExperimentResult:
                    f"{len(d2)} iterations, worst ratio from #3 "
                    f"{max(ratios2) if ratios2 else 0.0:.3f}"))
 
-    # per-node recursion residual of the first-order field
-    th = adj.kernel.nodes
-    dec, om = sweep_factors(th, grid.dt)
-    P0 = adj.first.P0[:, :, 0]
-    G0 = adj.first.G0[:, :, 0]
-    resid = {"P0": P0[:-1] - dec[None, :] * P0[1:] - om[None, :] * G0[:-1]}
-    if adj.first.P1 is not None:
-        # affine path: the Z coefficient P1 has no generator, and Q0 = e^{-theta dt} P1 vol
-        P1 = adj.first.P1[:, :, 0]
-        resid["P1"] = P1[:-1] - dec[None, :] * P1[1:]
-        resid["Q0"] = (adj.first.Q0[:-1, :, 0]
-                       - dec[None, :] * P1[1:] * adj.first.Z.vol[:-1, None])
-    res = {part: float(np.max(np.abs(r))) for part, r in resid.items()}
+    res = _node_recursion_residuals(adj)
     node_res = max(res.values())
     detail = f"max {node_res:.3e}"
     if len(res) > 1:
         detail += " (" + ", ".join(f"{part} {r:.3e}" for part, r in res.items()) + ")"
     checks.append(("node_recursion_residual", node_res <= 1e-10, detail))
 
+    th = adj.kernel.nodes
     K = th.size
     m_p = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 16))
     m_P = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))

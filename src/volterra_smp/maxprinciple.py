@@ -336,7 +336,7 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
     n_v = u_pts.shape[0]
 
     def contractions(ms):
-        return (*adjoints.first_contractions_at(ms), adjoints.risk_matrix_at(ms))
+        return (*adjoints.first_contractions_at(ms), adjoints.Rss[ms])
     ab_paths = 1 if adjoints.Ab1 is None else ens.n_paths
     means, ses, spread, max_quad = _gap_stats(tabs, contractions, x_hat, ab_paths)
 

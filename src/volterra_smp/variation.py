@@ -82,7 +82,7 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
 
     Every evaluator whose degree in x the structural tags fix is read from
     its Taylor tables (one ``coeff_tables`` call per control, u_hat and v,
-    after ``CoefficientSet.self_test`` has checked the tags) by ``horner``,
+    after ``CoefficientSet.self_test``) by ``horner``,
     at X_hat, at the spiked states and along v on the windows; only the
     others are evaluated per step, and each bundle's ``tabulated`` maps the
     tabulated ones to their degrees.  A Hessian term whose tabulated Hessian
@@ -114,7 +114,7 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
 
     # name -> Taylor rows along u_hat and along v, (N+1, d+1), and per step
     # the spiked states' coefficient columns, (N+1, d+1, S, 1): v's on the
-    # active windows, else u_hat's.  The self-test checks the tags first.
+    # active windows, else u_hat's.
     coeffs.self_test()
     tabulated = coeffs.tags.state_degrees()
     taylor = {}

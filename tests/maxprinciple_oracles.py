@@ -52,7 +52,7 @@ def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,
         t = m * grid.dt
         x_m = x_hat[:, m]
         Ab, Aq = adjoints.first_contractions_at(m)
-        R = adjoints.risk_matrix_at(m)
+        R = adjoints.Rss[m]
         u_h = u_hat.at(m)
         h_hat = hamiltonian(coeffs, t, u_h, x_m, Ab, Aq)
         sig_hat = coeffs.sigma(t, u_h, x_m)
@@ -111,7 +111,7 @@ def check_variational_inequality_on_tables(coeffs, u_hat, adjoints, u_grid, ens,
     for m in range(grid.n_steps):
         Ab, Aq = adjoints.first_contractions_at(m)
         Ab = Ab[..., 0] if Ab.ndim > 1 else float(Ab[0])
-        R = float(adjoints.risk_matrix_at(m)[0, 0])
+        R = float(adjoints.Rss[m][0, 0])
         x = None if x_hat is None else x_hat[:, m, 0]
         for i, v in enumerate(tabs.u_pts):
             gap, quad = _cell_gap(tabs, m, i, Ab, float(Aq[0]), R, x)
@@ -209,7 +209,7 @@ def hfunction(coeffs: CoefficientSet, adjoints: AdjointSolution, t: float, v,
     """
     m = adjoints.grid.index_of(t)
     Ab, Aq = adjoints.first_contractions_at(m)
-    R = adjoints.risk_matrix_at(m)
+    R = adjoints.Rss[m]
     x = np.atleast_2d(np.asarray(x_hat, dtype=float))
     base = hamiltonian(coeffs, t, v, x, Ab, Aq)
     gap_sigma = coeffs.sigma(t, u_hat_t, x) - coeffs.sigma(t, v, x)

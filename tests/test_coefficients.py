@@ -3,13 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import coefficients_oracles
 
+from volterra_smp.bsee import assemble_adjoints, choose_solve_path
 from volterra_smp.coefficients import (PROBLEMS, ControlPath, SelfTestError, StructuralTags,
-                                      _scalar_problem, coeff_tables, horner, make_problem)
+                                      _scalar_problem, coeff_tables, horner, make_problem,
+                                      polynomial_problem)
 from volterra_smp.grids import TimeGrid
+from volterra_smp.harness import _node_recursion_residuals
+from volterra_smp.kernels import DiscreteLaplaceKernel
+from volterra_smp.maxprinciple import duality_residuals, duality_stats
+from volterra_smp.simulate import sample_brownian, simulate_sve
+from volterra_smp.variation import SpikeSpec
 
 EVALUATORS = ("b", "sigma", "f", "b_x", "sigma_x", "f_x", "b_xx", "sigma_xx", "f_xx")
 
@@ -55,19 +62,70 @@ def test_coeff_tables_refuse_a_degree_the_tags_leave_open(grid, lq):
        t_per_row=st.booleans())
 def test_evaluators_equal_the_broadcasting_wrappers_byte_for_byte(name, seed, rows, u_form,
                                                                   t_per_row):
+    # the hand-written formulas give the same bytes in _scalar_problem as in
+    # the oracle's broadcasting wrappers; the arrays give the same bytes on
+    # lq_linear_cost and state_free_quadratic, the same values on zero (whose
+    # formulas write -0.0 where the arrays add no term), and on bilinear_lq
+    # b and sigma within 4 ulps of their terms, since b1 x + (b2 + b3 x) u
+    # groups them otherwise
     rng = np.random.default_rng(seed)
     params = _random_params(name, rng)
-    lean, oracle = make_problem(name, **params), coefficients_oracles.make_problem(name, **params)
+    built = make_problem(name, **params)
+    hand = coefficients_oracles.make_problem(name, **params)
+    lean = coefficients_oracles.make_problem(name, wrap=_scalar_problem, **params)
     x = rng.normal(size=(rows, 1)) * 10.0 ** rng.uniform(-3, 3)
     x[rng.random(rows) < 0.2] = -0.0
-    u = {"scalar": float(rng.normal()), "du": rng.normal(size=lean.du),
-         "rows": rng.normal(size=(rows, lean.du))}[u_form]
+    u = {"scalar": float(rng.normal()), "du": rng.normal(size=built.du),
+         "rows": rng.normal(size=(rows, built.du))}[u_form]
     t = rng.uniform(0.0, 2.0, rows) if t_per_row else float(rng.uniform(0.0, 2.0))
     for fn_name in EVALUATORS + ("h", "h_x", "h_xx"):
         args = (x,) if fn_name.startswith("h") else (t, u, x)
-        got, want = getattr(lean, fn_name)(*args), getattr(oracle, fn_name)(*args)
-        assert (got.shape, got.dtype) == (want.shape, want.dtype), fn_name
-        assert got.tobytes() == want.tobytes(), fn_name
+        want = getattr(hand, fn_name)(*args)
+        got, wrapped = getattr(built, fn_name)(*args), getattr(lean, fn_name)(*args)
+        for arr in (got, wrapped):
+            assert (arr.shape, arr.dtype) == (want.shape, want.dtype), fn_name
+        assert wrapped.tobytes() == want.tobytes(), fn_name
+        if name == "zero":
+            assert np.array_equal(got, want), fn_name
+        elif name == "bilinear_lq" and fn_name in ("b", "sigma"):
+            c1, c2, c3 = (params[k] for k in (("b1", "b2", "b3") if fn_name == "b"
+                                               else ("s1", "s2", "s3")))
+            terms = np.abs(c1 * x) + np.abs(u) * (abs(c2) + np.abs(c3 * x))
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * terms), fn_name
+        else:
+            assert got.tobytes() == want.tobytes(), fn_name
+
+
+# fields where the derived tags are tighter than the hand ones at default
+# parameters; no reader of the tags sees the difference: every one reads
+# linear_in_state or state_free together, and h_degree <= 1
+TIGHTER_AT_DEFAULTS = {"state_free_quadratic": {"linear_in_state": True},
+                       "zero": {"h_degree": 0}}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_derived_tags_and_kappa_equal_the_hand_ones_at_default_params(name):
+    built, hand = make_problem(name), coefficients_oracles.make_problem(name)
+    assert built.tags == replace(hand.tags, **TIGHTER_AT_DEFAULTS.get(name, {}))
+    assert built.tags.state_degrees() == hand.tags.state_degrees()
+    for lsmc in (False, True):
+        assert (choose_solve_path(built.tags, lsmc, True)
+                == choose_solve_path(hand.tags, lsmc, True))
+    assert built.kappa == hand.kappa
+
+
+def test_a_zero_parameter_tightens_the_derived_tags():
+    # s2 = 0 leaves sigma = s0 free of u, and h2 = 0 leaves h linear, which
+    # takes the deterministic solve path instead of the affine one
+    built = make_problem("state_free_quadratic", s2=0.0)
+    hand = coefficients_oracles.make_problem("state_free_quadratic", s2=0.0)
+    assert built.tags.sigma_control_free and not hand.tags.sigma_control_free
+    assert built.tags == replace(hand.tags, linear_in_state=True, sigma_control_free=True)
+    built = make_problem("state_free_quadratic", h2=0.0)
+    hand = coefficients_oracles.make_problem("state_free_quadratic", h2=0.0)
+    assert (built.tags.h_degree, hand.tags.h_degree) == (1, 2)
+    assert choose_solve_path(built.tags, False, True) == "deterministic"
+    assert choose_solve_path(hand.tags, False, True) == "affine"
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,5 +192,68 @@ def mis_tagged(case: str):
 
 @pytest.mark.parametrize("case", ["b_x", "b_xx", "b", "f_x", "f_xx", "f"])
 def test_self_test_fails_closed_on_wrong_tags(case):
+    # the derivative self-test passes: only the tag probes see a declared tag
+    # that the evaluators break
+    coeffs = mis_tagged(case)
+    coeffs.self_test()
     with pytest.raises(SelfTestError, match=f"tag self-test failed for {case}:"):
-        mis_tagged(case).self_test()
+        coefficients_oracles.tag_self_test(coeffs)
+
+
+def _array(x_degree: int, terminal: bool = False):
+    """Coefficient arrays of x_degree + 1 rows, each of degree <= 2 in u (an
+    empty row is zero), with some entries exactly zero."""
+    entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    row = entry if terminal else st.lists(entry, max_size=3)
+    return st.lists(row, min_size=x_degree + 1, max_size=x_degree + 1)
+
+
+@st.composite
+def _problem_arrays(draw):
+    """b, sigma, f, h, most drawn at degrees that admit the deterministic or
+    the affine solve path (the affine one with an x^2 term in h); a zero
+    entry may lower any other degree."""
+    shape = draw(st.sampled_from(["deterministic", "affine", "any"]))
+    state = 0 if shape == "affine" else 1
+    h = draw(_array(1 if shape == "deterministic" else 2, terminal=True))
+    if shape == "affine":
+        h[-1] = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return (draw(_array(state)), draw(_array(state)), draw(_array(2 if shape == "any" else 1)),
+            h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=_problem_arrays(), n_nodes=st.integers(1, 4), n_steps=st.integers(4, 16),
+       seed=st.integers(0, 10 ** 6))
+def test_random_arrays_keep_the_exact_identities(arrays, n_nodes, n_steps, seed):
+    # the derived tags pass the tag probes and the derivatives the
+    # self-test; lift equals direct; on the deterministic and affine solve
+    # paths the first-order field meets its node recursion and both duality
+    # identities hold
+    coeffs = polynomial_problem("random", *arrays, u_grid=(-1.0, 0.0, 1.0))
+    coefficients_oracles.tag_self_test(coeffs)
+    coeffs.self_test()
+    rng = np.random.default_rng(seed)
+    kern = DiscreteLaplaceKernel(nodes=np.cumsum(rng.uniform(0.2, 8.0, n_nodes)),
+                                 weights=rng.uniform(0.1, 1.0, n_nodes),
+                                 mb=rng.uniform(0.1, 1.0, n_nodes),
+                                 msigma=rng.uniform(0.1, 1.0, n_nodes))
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, 16, seed)
+    u_hat = ControlPath(rng.uniform(-1.0, 1.0, n_steps + 1))
+    xi = float(rng.uniform(-1.0, 1.0))
+    x_hat = simulate_sve(coeffs, u_hat, kern, xi, e, mode="lift")
+    x_direct = simulate_sve(coeffs, u_hat, kern, xi, e, mode="direct")
+    assert np.max(np.abs(x_hat - x_direct)) <= 1e-10
+    path = choose_solve_path(coeffs.tags, False, True)
+    event(f"solve path {path}")
+    if path not in ("deterministic", "affine"):
+        return
+    adj = assemble_adjoints(coeffs, u_hat, x_hat, kern, e)
+    assert max(_node_recursion_residuals(adj).values()) <= 1e-10
+    j0 = int(rng.integers(0, n_steps))
+    spike = SpikeSpec(tau=j0 * grid.dt, eps=int(rng.integers(1, n_steps - j0 + 1)) * grid.dt,
+                      v=ControlPath.constant(float(rng.uniform(-1.0, 1.0)), grid))
+    res = duality_residuals(coeffs, spike, adj, e, x_hat, xi=xi)
+    assert duality_stats(res["first"])["exact_max"] <= 1e-8
+    assert duality_stats(res["second"])["exact_max"] <= 1e-8

@@ -6,15 +6,17 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 import harness_oracles
 from volterra_smp import harness
+from volterra_smp.coefficients import make_problem
 from volterra_smp.harness import (ConfigError, ResultTable, _applies, read_result_table,
                                   resolve_config, run_experiment, write_results)
 from volterra_smp.simulate import sample_brownian
@@ -614,15 +616,15 @@ def test_rates_table_fits_the_superlinear_slope_of_a_nonzero_expansion_gap():
 
 @pytest.mark.parametrize("exp", ["rates", "simulate"])
 def test_mis_tagged_problem_is_a_failed_check(exp):
-    # a linear_in_state tag on a drift whose b_x moves with x: every reader of
-    # the coefficients fails closed before it builds a table
-    from test_coefficients import mis_tagged
+    # a hand-built set whose b_x reads 0.8 while b's slope is 0.5: every
+    # reader of the coefficients fails closed before it builds a table
+    lq = make_problem("lq_linear_cost")
     cfg = resolve_config({"grid": {"n_paths": 64, "n_steps": 128},
                           "spike": {"eps_list": [0.25, 0.125, 0.0625, 0.03125]}})
-    cfg.stages["problem"] = mis_tagged("b_x")
+    cfg.stages["problem"] = replace(lq, b_x=make_problem("lq_linear_cost", b1=0.8).b_x)
     (line,) = run_experiment(exp, cfg)[exp].summary_lines()
-    assert line.startswith(f"[FAIL] {exp}/problem: SelfTestError: tag self-test failed for "
-                           "b_x: the tags make it state-free, but it moves with x")
+    assert line.startswith(f"[FAIL] {exp}/problem: SelfTestError: derivative self-test failed "
+                           "for b_x: rel err")
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -1066,7 +1068,7 @@ def _tiny_configs(draw):
         "problem": {"name": name, "params": params},
         "grid": {"T": T, "n_steps": n_steps, "n_paths": draw(st.integers(1, 64))},
         "spike": {"tau": draw(st.floats(0.0, 0.5 * T)),
-                  "eps_list": draw(st.lists(st.floats(T / 64, 0.5 * T), min_size=1, max_size=3)),
+                  "eps_list": draw(st.lists(st.floats(T / 64, 0.5 * T), min_size=1, max_size=5)),
                   "u_hat": draw(_FINITE), "v": draw(_FINITE)},
         "solver": {"lsmc": draw(st.booleans()), "xi": xi,
                    "r_subgrid": draw(st.one_of(st.just("full"), st.integers(4, 40)))},
@@ -1074,9 +1076,26 @@ def _tiny_configs(draw):
     }
 
 
+# four spike widths of 4 to 8 steps of 1/16: the rate sweep runs
+_RATES_EXAMPLE = {
+    "kernel": {"family": "fractional", "alpha": 0.5, "beta_b": 0.8, "beta_sigma": 0.9,
+               "theta_min": 0.01, "theta_max": 100.0, "n_nodes": 4, "lam": 1.0},
+    "problem": {"name": "bilinear_lq", "params": {}},
+    "grid": {"T": 1.0, "n_steps": 16, "n_paths": 32},
+    "spike": {"tau": 0.25, "eps_list": [0.5, 0.375, 0.3125, 0.25], "u_hat": 0.1, "v": 1.0},
+    "solver": {"lsmc": False, "xi": 0.3, "r_subgrid": 8},
+    "seed": 3,
+}
+
+
+def test_rates_example_reaches_the_rate_sweep():
+    assert _applies("rates", resolve_config(_RATES_EXAMPLE)) == (True, "")
+
+
 @settings(max_examples=50, deadline=None)
 @given(config=_tiny_configs(),
        experiment=st.sampled_from([e for e in harness.EXPERIMENTS if e != "all"]))
+@example(config=_RATES_EXAMPLE, experiment="rates")
 def test_cli_ends_in_a_verdict_on_tiny_valid_configs(config, experiment):
     """Every kernel family and problem, ``solver.lsmc`` on and off and
     ``solver.xi`` a scalar or a table: one experiment through the CLI exits 0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coefficients_oracles
 import maxprinciple_oracles as mp_oracle
 from volterra_smp.bsee import assemble_adjoints
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
@@ -79,7 +80,7 @@ def test_state_free_hfunction_closed_form(grid, state_free, frac_kernel, ens):
     adj = assemble_adjoints(state_free, uh, xh, frac_kernel, ens)
     m = grid.index_of(0.5)
     Ab, Aq = adj.first_contractions_at(m)
-    R = adj.risk_matrix_at(m)[0, 0]
+    R = adj.Rss[m][0, 0]
     p = state_free
     b0, b2, s0, s2, r = 0.1, 1.0, 0.3, 0.8, 0.4
     for v in (-0.5, 0.3, 1.0):
@@ -515,6 +516,7 @@ def _planar_problem() -> CoefficientSet:
 
 def test_table_gaps_match_evaluator_loops_on_a_planar_problem(grid, ens):
     pr = _planar_problem()
+    coefficients_oracles.tag_self_test(pr)   # its tags are declared by hand
     k = DiscreteLaplaceKernel(nodes=[0.0, 1.5], weights=[0.6, 0.4],
                               mb=np.stack([0.5 * np.eye(2), np.eye(2)]),
                               msigma=np.stack([0.4 * np.eye(2), 0.3 * np.eye(2)]))

@@ -11,7 +11,7 @@ import variation_oracles
 import volterra_smp
 from simulate_oracles import volterra_convolve
 from volterra_smp.coefficients import (PROBLEMS, ControlPath, StructuralTags, _scalar_problem,
-                                      make_problem)
+                                      make_problem, polynomial_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift
 from volterra_smp.simulate import sample_brownian, simulate_sve
@@ -85,6 +85,21 @@ def test_j12_zero_for_zero_costs(grid, frac_kernel, ens):
     b = _spike_cosimulation(pr, frac_kernel, u, [spike], 0.3, ens)[0]
     j12, _ = b.j12()
     assert j12 == 0.0
+
+
+def test_constant_terminal_cost_runs_the_cosimulation(grid, frac_kernel, ens):
+    # h = 0.5 reads one value per path, so the cost increments and J12 terms
+    # are those of h = 0 bit for bit
+    arrays = dict(b=[[0.0, 0.3], [0.3, 0.1]], sigma=[[0.0, 0.9], [0.2, 0.7]],
+                  f=[[0.0, 0.0, 0.15], [], [0.3]], u_grid=(-1.0, 1.0))
+    u = ControlPath.constant(0.1, grid)
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, grid))
+    got, want = (_spike_cosimulation(polynomial_problem(name, h=h, **arrays), frac_kernel, u,
+                                     [spike], 0.3, ens)[0]
+                 for name, h in (("h_half", [0.5]), ("h_zero", [])))
+    assert got.cost_increment.tobytes() == want.cost_increment.tobytes()
+    assert got.j12_terms.tobytes() == want.j12_terms.tobytes()
+    assert np.any(got.cost_increment != 0.0)
 
 
 def test_monotone_norm_ordering_small_eps(grid, bilinear, frac_kernel):
