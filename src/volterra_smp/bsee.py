@@ -45,11 +45,11 @@ class GaussianMartingale:
     @classmethod
     def terminal_state_mean(cls, kernel: DiscreteLaplaceKernel, grid: TimeGrid,
                             ens: BrownianEnsemble, b_tab: np.ndarray,
-                            s_tab: np.ndarray, xi_T: float) -> "GaussianMartingale":
-        """E_m[X_T] for the state-free scalar state equation.
+                            s_tab: np.ndarray) -> "GaussianMartingale":
+        """E_m[X_T] for the state-free scalar state equation without forcing.
 
         b_tab, s_tab are deterministic (N+1,) drift/diffusion content tables;
-        the discrete terminal state is xi_T + sum_j Kb(T-t_j) b_j dt
+        without forcing the discrete terminal state is sum_j Kb(T-t_j) b_j dt
         + sum_j Ks(T-t_j) s_j dW_j, so the conditional mean is a Gaussian
         martingale with vol_m = Ks(T - t_m) s_m.
         """
@@ -57,7 +57,7 @@ class GaussianMartingale:
         ts = grid.T - grid.t[:-1]  # T - t_j >= dt
         kb = kernel.eval("b", ts)[:, 0, 0]
         ks = kernel.eval("sigma", ts)[:, 0, 0]
-        mean0 = xi_T + float(np.sum(kb * b_tab[:-1]) * grid.dt)
+        mean0 = float(np.sum(kb * b_tab[:-1]) * grid.dt) + 0.0   # a -0.0 sum reads 0.0
         vol = np.zeros(N + 1)
         vol[:-1] = ks * s_tab[:-1]
         vals = np.empty((ens.n_paths, N + 1))
@@ -331,7 +331,7 @@ def assemble_first_adjoint(
         # Z_m = E_m[X_T]; the deterministic forcing offset is recovered from
         # the simulated terminal state, which must match Z_T pathwise.  The
         # first path's offset is the shift, so it does not depend on the path count.
-        Z = GaussianMartingale.terminal_state_mean(kernel, grid, ens, b_tab, s_tab, 0.0)
+        Z = GaussianMartingale.terminal_state_mean(kernel, grid, ens, b_tab, s_tab)
         offsets = x_hat[:, -1, 0] - Z.values[:, -1]
         shift = float(offsets[0])
         if float(np.max(np.abs(offsets - shift))) > 1e-8 * max(1.0, abs(shift)):

@@ -177,7 +177,7 @@ class DiscreteLaplaceKernel:
     def factors(self, which: str) -> np.ndarray:
         if which == "b":
             return self.mb
-        if which in ("sigma", "s"):
+        if which == "sigma":
             return self.msigma
         raise ValueError("which must be 'b' or 'sigma'")
 
@@ -244,9 +244,9 @@ def discounted_sweep(rates, dt: float, terminal, gen: np.ndarray, factors=None) 
     return out
 
 
-def constant_kernel(matrix=None, dim: int = 1, alpha: float = 0.0) -> DiscreteLaplaceKernel:
-    """Single atom at theta = 0: K(t) = matrix for all t (classical case)."""
-    m = np.eye(dim) if matrix is None else np.atleast_2d(np.asarray(matrix, dtype=float))
+def constant_kernel(matrix=None, alpha: float = 0.0) -> DiscreteLaplaceKernel:
+    """Single atom at theta = 0: K(t) = matrix (default I_1) for all t (classical case)."""
+    m = np.eye(1) if matrix is None else np.atleast_2d(np.asarray(matrix, dtype=float))
     return DiscreteLaplaceKernel(
         nodes=np.array([0.0]),
         weights=np.array([1.0]),
@@ -258,11 +258,11 @@ def constant_kernel(matrix=None, dim: int = 1, alpha: float = 0.0) -> DiscreteLa
     )
 
 
-def exponential_kernel(lam: float, matrix=None, dim: int = 1, alpha: float = 0.0) -> DiscreteLaplaceKernel:
-    """Single atom at theta = lam: K(t) = exp(-lam t) * matrix."""
+def exponential_kernel(lam: float, alpha: float = 0.0) -> DiscreteLaplaceKernel:
+    """Single scalar atom at theta = lam: K(t) = exp(-lam t)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    m = np.eye(dim) if matrix is None else np.atleast_2d(np.asarray(matrix, dtype=float))
+    m = np.eye(1)
     return DiscreteLaplaceKernel(
         nodes=np.array([float(lam)]),
         weights=np.array([1.0]),
@@ -295,7 +295,6 @@ def build_fractional_lift(
     theta_max: float,
     n_nodes: int,
     alpha: float = 1.0 / 3.0,
-    dim: int = 1,
 ) -> DiscreteLaplaceKernel:
     """Finite-atom approximation of the fractional kernel pair.
 
@@ -303,7 +302,7 @@ def build_fractional_lift(
     band around node i, with the first cell extended down to 0 so that no
     singular mass is lost.  Weights are exact cell masses of
     theta^{-gamma} dtheta and the matrix factors are cell mu-averages of the
-    fractional densities, times the identity.
+    fractional densities, for scalar state.
     """
     if not (0.0 < beta_b < 1.0):
         raise ValueError("constraint violated: 0 < beta_b < 1")
@@ -358,7 +357,7 @@ def build_fractional_lift(
                          f"{theta_min} to theta_max={theta_max} gives cell masses or "
                          f"factor averages that are not positive and finite")
 
-    eye = np.eye(dim)
+    eye = np.eye(1)
     return DiscreteLaplaceKernel(
         nodes=nodes,
         weights=weights,

@@ -144,28 +144,26 @@ class _DualityAccumulator:
 
 
 def duality_residuals(coeffs: CoefficientSet, spike: SpikeSpec, adj: AdjointSolution,
-                      ens: BrownianEnsemble, x_hat: np.ndarray, xi=0.0) -> dict:
+                      ens: BrownianEnsemble, xi=0.0) -> dict:
     """Both duality identities and the adjoint representation of J12 from one
     spike co-simulation.
 
     Per path: under "first", the pairing ``lhs`` = -h_x(X_T) X^{12}_T and its
     ``exact`` and ``display`` residuals against the expansion; under "second"
-    (only when ``adj.second`` is solved) the same for -h_xx(X_T) (X^1_T)^2;
+    (only when ``adj.second`` is solved) the same for -h_xx(X_T) (X^1_T)^2,
+    with h_x and h_xx at the co-simulated reference state X_T;
     ``spike_adjoint``, the spike integral of the Hamiltonian/risk terms on the
     adjoint contractions (minus its mean represents ``bundle.j12()`` up to
     terms of higher order than eps); the variation ``bundle``; and
     ``pair_terms``, which pair-field terms ran (see ``_DualityAccumulator``).
     Every vector's first n entries are those of the same call on
     ``ens.first_paths(n)``, so ``duality_stats`` over a prefix is the
-    statistic of the smaller ensemble.  ``x_hat`` must be the reference state
-    that the co-simulation computes (to 1e-10).
+    statistic of the smaller ensemble.
     """
     acc = _DualityAccumulator(adj=adj, ens=ens)
     bundle = _spike_cosimulation(coeffs, adj.kernel, adj.u_hat, [spike], xi, ens,
                                  observer=acc)[0]
-    xT = x_hat[:, -1]
-    if not np.allclose(xT[:, 0], bundle.terminal["Xhat_T"], rtol=0, atol=1e-10):
-        raise ValueError("x_hat is not the reference state of these inputs")
+    xT = bundle.terminal["Xhat_T"][:, None]
     lhs = {"first": -coeffs.h_x(xT)[:, 0] * bundle.terminal["X12_T"]}
     if adj.second is not None:
         X1T = bundle.terminal["X1_T"]

@@ -142,13 +142,13 @@ def construct_argmax_control(coeffs, adjoints, grid) -> ControlPath:
     return ControlPath(vals, deterministic=True)
 
 
-def j12_gap_sweep(coeffs, adjoints, ens, x_hat, tau: float, eps_list, v: ControlPath,
+def j12_gap_sweep(coeffs, adjoints, ens, tau: float, eps_list, v: ControlPath,
                   xi=0.0) -> dict:
     """|gap| against eps across a sweep, with the fitted log-log slope."""
     rows = []
     for eps in eps_list:
         spike = SpikeSpec(tau=tau, eps=float(eps), v=v)
-        r = maxprinciple.duality_residuals(coeffs, spike, adjoints, ens, x_hat, xi=xi)
+        r = maxprinciple.duality_residuals(coeffs, spike, adjoints, ens, xi=xi)
         j12_direct, _ = r["bundle"].j12()
         j12_adjoint, _ = mc_mean_se(-r["spike_adjoint"])
         rows.append({"eps": float(eps), "j12_direct": j12_direct,

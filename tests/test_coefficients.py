@@ -254,6 +254,6 @@ def test_random_arrays_keep_the_exact_identities(arrays, n_nodes, n_steps, seed)
     j0 = int(rng.integers(0, n_steps))
     spike = SpikeSpec(tau=j0 * grid.dt, eps=int(rng.integers(1, n_steps - j0 + 1)) * grid.dt,
                       v=ControlPath.constant(float(rng.uniform(-1.0, 1.0)), grid))
-    res = duality_residuals(coeffs, spike, adj, e, x_hat, xi=xi)
+    res = duality_residuals(coeffs, spike, adj, e, xi=xi)
     assert duality_stats(res["first"])["exact_max"] <= 1e-8
     assert duality_stats(res["second"])["exact_max"] <= 1e-8

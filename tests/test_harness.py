@@ -16,10 +16,12 @@ from hypothesis.extra import numpy as npst
 
 import harness_oracles
 from volterra_smp import harness
-from volterra_smp.coefficients import make_problem
+from volterra_smp.coefficients import ControlPath, make_problem
 from volterra_smp.harness import (ConfigError, ResultTable, _applies, read_result_table,
                                   resolve_config, run_experiment, write_results)
-from volterra_smp.simulate import sample_brownian
+from volterra_smp.maxprinciple import duality_residuals
+from volterra_smp.simulate import sample_brownian, simulate_sve
+from volterra_smp.variation import SpikeSpec
 
 SMALL = {
     "grid": {"n_paths": 200, "n_steps": 64},
@@ -372,8 +374,43 @@ def test_duality_builds_its_own_stages_on_the_largest_ensemble(monkeypatch):
     adjoints = _counting(monkeypatch, "assemble_adjoints")
     res = run_experiment("duality", cfg)["duality"]
     assert res.passed and res.tables["duality"].provenance["config_hash"] == cfg.hash()
-    assert brownian == sve == adjoints == [16000]
+    # the deterministic solve reads no reference state, and the co-simulation
+    # computes its own, so no state is simulated
+    assert brownian == adjoints == [16000] and sve == []
     assert cfg.stage("ensemble").n_paths == 96
+
+
+# one tiny config on each solve path of the adjoints
+_SOLVE_PATHS = {
+    "deterministic": {"problem": {"name": "lq_linear_cost"}},
+    "affine": {"problem": {"name": "state_free_quadratic"}},
+    "lsmc": {"problem": {"name": "bilinear_lq"}, "solver": {"lsmc": True}},
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SOLVE_PATHS))
+def test_duality_co_simulates_the_reference_state_bit_for_bit(path):
+    # duality reads h_x and h_xx at the co-simulated X_hat_T, which is the
+    # simulated reference state's last column, bit for bit
+    cfg = resolve_config({**TINY, **_SOLVE_PATHS[path]})
+    kern, coeffs, u_hat, ens, adj = (cfg.stage(name) for name in (
+        "kernel", "problem", "u_hat", "ensemble", "adjoints"))
+    assert adj.solve_path == path
+    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(1.0, ens.grid, du=coeffs.du))
+    xi = cfg.solver["xi"]
+    bundle = duality_residuals(coeffs, spike, adj, ens, xi=xi)["bundle"]
+    x_hat = simulate_sve(coeffs, u_hat, kern, xi, ens)
+    assert bundle.terminal["Xhat_T"].tobytes() == x_hat[:, -1, 0].tobytes()
+
+
+@pytest.mark.parametrize("path, builds", [("deterministic", False), ("affine", True)])
+def test_duality_builds_the_reference_state_only_where_its_solve_reads_it(tmp_path, path,
+                                                                           builds):
+    cfg = resolve_config({**TINY, **_SOLVE_PATHS[path]})
+    write_results(run_experiment("duality", cfg), cfg, tmp_path)
+    record = json.loads((tmp_path / "timings.json").read_text())["duality"]
+    assert record["stages"]["adjoints"] == "built"
+    assert ("x_hat" in record["stages"]) is builds and ("x_hat_forcing" in record) is builds
 
 
 def test_ensemble_memo_is_per_config_object():
@@ -427,13 +464,17 @@ def test_summary_flags_are_json_booleans_and_sidecar_records_timing(tmp_path):
         "kernel": "memo", "problem": "memo", "u_hat": "built", "ensemble": "built",
         "x_hat": "built"}
     assert timings["bsde-check"]["stages"] == {"ensemble": "memo"}
-    # a stage's builder reads the stages it rests on
+    # a stage's builder reads the stages it rests on; the deterministic solve
+    # of the adjoints reads no reference state
     assert timings["adjoint"]["stages"] == {
-        "adjoints": "built", "problem": "memo", "u_hat": "memo", "x_hat": "memo",
-        "kernel": "memo", "ensemble": "memo"}
+        "adjoints": "built", "problem": "memo", "u_hat": "memo", "kernel": "memo",
+        "ensemble": "memo"}
     assert timings["mp-check"]["stages"] == {"kernel": "memo", "problem": "memo",
                                              "ensemble": "memo"}
-    assert timings["duality"]["stages"]["adjoints"] == "built"
+    # duality builds its own stages on the largest ensemble
+    assert timings["duality"]["stages"] == {
+        "kernel": "built", "problem": "built", "ensemble": "built", "u_hat": "built",
+        "adjoints": "built"}
 
 
 def test_run_all_bytes_repeat_with_fresh_configs(tmp_path):
@@ -537,10 +578,10 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
     assert timings["rates"]["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0,
                                              "b_xx": 0, "sigma_xx": 0, "f": 1, "f_x": 0,
                                              "f_xx": 0}
-    # simulate builds the reference state, and duality its own on the largest
-    # ensemble, both from the Taylor tables of b and sigma
+    # simulate builds the reference state from the Taylor tables of b and
+    # sigma; duality co-simulates its own, and the deterministic solve reads none
     built = {name: rec["x_hat_forcing"] for name, rec in timings.items() if "x_hat_forcing" in rec}
-    assert built == {"simulate": "tables", "duality": "tables"}
+    assert built == {"simulate": "tables"}
 
 
 @pytest.mark.parametrize("kernel, columns", [({"n_nodes": 4}, 5),
@@ -574,16 +615,16 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     assert proc.returncode in (0, 1), proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
     record = json.loads((tmp_path / "res" / "timings.json").read_text())["duality"]
-    # blocks of 4 steps: simulate_sve's 4, then slab 0 alone up to the spike at
-    # step 4 and all four slabs for the 12 steps after it
+    # blocks of 4 steps: slab 0 alone up to the spike at step 4 and all four
+    # slabs for the 12 steps after it
     assert record["lift"] == {"paths": 16000, "steps": 16, "nodes": 4, "processes": 4,
-                              "block_steps": 4, "y_updates": 4 + 1 + 3 * 4}
+                              "block_steps": 4, "y_updates": 1 + 3 * 4}
     assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
     # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
     assert record["pair_terms"] == "none"
     assert record["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0, "b_xx": 0,
                                    "sigma_xx": 0, "f": 1, "f_x": 0, "f_xx": 0}
-    assert record["x_hat_forcing"] == "tables"
+    assert "x_hat" not in record["stages"] and "x_hat_forcing" not in record
 
 
 def test_rates_table_fits_no_slope_to_identically_zero_quantities():
@@ -1092,13 +1133,13 @@ def test_rates_example_reaches_the_rate_sweep():
     assert _applies("rates", resolve_config(_RATES_EXAMPLE)) == (True, "")
 
 
-@settings(max_examples=50, deadline=None)
-@given(config=_tiny_configs(),
-       experiment=st.sampled_from([e for e in harness.EXPERIMENTS if e != "all"]))
-@example(config=_RATES_EXAMPLE, experiment="rates")
-def test_cli_ends_in_a_verdict_on_tiny_valid_configs(config, experiment):
+@pytest.mark.parametrize("experiment", [e for e in harness.EXPERIMENTS if e != "all"])
+@settings(max_examples=7, deadline=None)
+@given(config=_tiny_configs())
+@example(config=_RATES_EXAMPLE)
+def test_cli_ends_in_a_verdict_on_tiny_valid_configs(experiment, config):
     """Every kernel family and problem, ``solver.lsmc`` on and off and
-    ``solver.xi`` a scalar or a table: one experiment through the CLI exits 0,
+    ``solver.xi`` a scalar or a table: each experiment through the CLI exits 0,
     1 or 2, exit 2 is a config error, and nothing ends as a traceback.
     ``duality`` always runs a 16000-path ensemble, at most 32 steps here."""
     err = io.StringIO()

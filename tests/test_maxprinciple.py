@@ -97,7 +97,7 @@ def test_duality_zero_problem_exact_zero(grid, frac_kernel):
     xh = simulate_sve(pr, uh, frac_kernel, 0.0, e)
     adj = assemble_adjoints(pr, uh, xh, frac_kernel, e)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=uh)
-    res = duality_residuals(pr, spike, adj, e, xh, xi=0.0)
+    res = duality_residuals(pr, spike, adj, e, xi=0.0)
     r = duality_stats(res["first"])
     assert r["exact_max"] == 0.0 and float(np.mean(res["first"]["lhs"])) == 0.0
 
@@ -107,7 +107,7 @@ def test_duality_spike_with_same_control_zero(grid, lq, frac_kernel, ens):
     xh = simulate_sve(lq, uh, frac_kernel, 0.4, ens)
     adj = assemble_adjoints(lq, uh, xh, frac_kernel, ens)
     spike = SpikeSpec(tau=0.25, eps=0.125, v=uh)
-    res = duality_residuals(lq, spike, adj, ens, xh, xi=0.4)
+    res = duality_residuals(lq, spike, adj, ens, xi=0.4)
     r = duality_stats(res["first"])
     assert abs(float(np.mean(res["first"]["lhs"]))) == 0.0
     assert r["exact_max"] <= 1e-12
@@ -118,7 +118,7 @@ def test_duality_exactness_both_orders(grid, state_free, frac_kernel, ens):
     xh = simulate_sve(state_free, uh, frac_kernel, 0.2, ens)
     adj = assemble_adjoints(state_free, uh, xh, frac_kernel, ens)
     spike = SpikeSpec(tau=0.25, eps=0.0625, v=ControlPath.constant(0.9, grid))
-    res = duality_residuals(state_free, spike, adj, ens, xh, xi=0.2)
+    res = duality_residuals(state_free, spike, adj, ens, xi=0.2)
     r1, r2 = duality_stats(res["first"]), duality_stats(res["second"])
     assert r1["exact_max"] <= 1e-12
     assert r2["exact_max"] <= 1e-12
@@ -131,7 +131,7 @@ def test_j12_representation_zero_spike(grid, state_free, frac_kernel, ens):
     xh = simulate_sve(state_free, uh, frac_kernel, 0.2, ens)
     adj = assemble_adjoints(state_free, uh, xh, frac_kernel, ens)
     spike = SpikeSpec(tau=0.25, eps=0.0625, v=uh)
-    res = duality_residuals(state_free, spike, adj, ens, xh, xi=0.2)
+    res = duality_residuals(state_free, spike, adj, ens, xi=0.2)
     j12_direct, _ = res["bundle"].j12()
     j12_adjoint, _ = mc_mean_se(-res["spike_adjoint"])
     assert j12_direct == 0.0 and j12_adjoint == 0.0
@@ -154,7 +154,7 @@ def test_j12_gap_superlinear_state_free(state_free, frac_kernel):
     v = ControlPath.constant(0.9, grid)
     xh = simulate_sve(state_free, uh, frac_kernel, 0.2, e)
     adj = assemble_adjoints(state_free, uh, xh, frac_kernel, e)
-    sweep = mp_oracle.j12_gap_sweep(state_free, adj, e, xh, 0.25,
+    sweep = mp_oracle.j12_gap_sweep(state_free, adj, e, 0.25,
                                     [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6], v, xi=0.2)
     assert sweep["fit"] is not None
     assert sweep["fit"]["slope"] + 0.2 > 1.0
@@ -221,7 +221,7 @@ def test_duality_residual_bitwise_reproducible(grid, state_free, frac_kernel):
         xh = simulate_sve(state_free, uh, frac_kernel, 0.2, e)
         adj = assemble_adjoints(state_free, uh, xh, frac_kernel, e)
         spike = SpikeSpec(tau=0.25, eps=0.0625, v=ControlPath.constant(0.9, grid))
-        r = duality_stats(duality_residuals(state_free, spike, adj, e, xh, xi=0.2)["first"])
+        r = duality_stats(duality_residuals(state_free, spike, adj, e, xi=0.2)["first"])
         vals.append(r["display_mean"])
     assert vals[0] == vals[1]
 
@@ -239,7 +239,7 @@ def test_duality_residuals_are_prefix_exact(name, u_val, v_val, xi):
 
     def run(e):   # every per-path vector of the result, by name
         xh = simulate_sve(pr, uh, kern, xi, e)
-        res = duality_residuals(pr, spike, assemble_adjoints(pr, uh, xh, kern, e), e, xh, xi=xi)
+        res = duality_residuals(pr, spike, assemble_adjoints(pr, uh, xh, kern, e), e, xi=xi)
         return {"spike_adjoint": res["spike_adjoint"], "j12": res["bundle"].j12_terms,
                 **{f"{order}/{key}": vec for order in ("first", "second")
                    for key, vec in res[order].items()}}
@@ -263,7 +263,7 @@ def test_duality_residuals_match_loop_oracle(name, lsmc, u_val, v_val, xi, pair_
     spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(v_val, grid))
     xh = simulate_sve(pr, uh, frac_kernel, xi, e)
     adj = assemble_adjoints(pr, uh, xh, frac_kernel, e, lsmc=lsmc)
-    res = duality_residuals(pr, spike, adj, e, xh, xi=xi)
+    res = duality_residuals(pr, spike, adj, e, xi=xi)
     ref = mp_oracle.duality_residuals(pr, spike, adj, e, xh, xi=xi)
     assert res["pair_terms"] == pair_terms
     if pair_terms == "none":
@@ -279,17 +279,6 @@ def test_duality_residuals_match_loop_oracle(name, lsmc, u_val, v_val, xi, pair_
                 (order, key)
     sa, sa_ref = res["spike_adjoint"], ref["spike_adjoint"]
     assert np.max(np.abs(sa - sa_ref)) <= 1e-12 * np.max(np.abs(sa_ref))
-
-
-def test_duality_rejects_foreign_reference_state(grid, lq, frac_kernel):
-    e = sample_brownian(grid, 16, 23)
-    uh = ControlPath.constant(0.5, grid)
-    spike = SpikeSpec(tau=0.25, eps=0.125, v=ControlPath.constant(-0.5, grid))
-    xh = simulate_sve(lq, uh, frac_kernel, 0.4, e)
-    adj = assemble_adjoints(lq, uh, xh, frac_kernel, e)
-    x_other = simulate_sve(lq, uh, frac_kernel, 0.5, e)
-    with pytest.raises(ValueError, match="reference state"):
-        duality_residuals(lq, spike, adj, e, x_other, xi=0.4)
 
 
 _DUALITY_CASES = {
@@ -330,7 +319,7 @@ def test_exact_duality_residuals_vanish_on_random_atom_kernels(n_nodes, n_steps,
     e = sample_brownian(grid, 64, seed)
     xh = simulate_sve(pr, uh, k, xi, e)
     adj = assemble_adjoints(pr, uh, xh, k, e, lsmc=lsmc)
-    res = duality_residuals(pr, spike, adj, e, xh, xi=xi)
+    res = duality_residuals(pr, spike, adj, e, xi=xi)
     if not lsmc:
         assert duality_stats(res["first"])["exact_max"] <= 1e-8
     assert duality_stats(res["second"])["exact_max"] <= 1e-8
