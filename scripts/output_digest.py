@@ -2,7 +2,7 @@
 """Digest output trees, or list the files in which two trees differ.
 
     python scripts/output_digest.py OUT_DIR
-    python scripts/output_digest.py OUT_A OUT_B
+    python scripts/output_digest.py OUT_A OUT_B [--tol REL]
 
 With one directory: one line per file, ``<sha256>  <path relative to OUT_DIR>``,
 sorted by path.  With two: one line per file whose bytes differ
@@ -20,6 +20,15 @@ without that check.
 ``timings.json`` holds wall-clock values and is left out in both modes, so
 two runs whose outputs are byte-identical print the same digests and no
 differences.
+
+With ``--tol REL`` the listing is the same, but the exit code compares the
+trees by verdict and by tolerance instead of by bytes: it is 0 when no file
+is in only one tree, every CSV that differs keeps its shape, its text cells
+and, in each numeric column, every cell within REL times the largest
+finite |value| of that column in either tree (NaN equal to NaN), and every
+``summary.json`` that differs keeps each check's pass flag; else 1.  Any
+other file that differs fails.  This is the comparison across machines and
+BLAS builds, where the last bits of a result may move.
 """
 
 import hashlib
@@ -64,13 +73,34 @@ def deviations(path_a: Path, path_b: Path) -> list:
     return lines
 
 
+def within(path_a: Path, path_b: Path, tol: float) -> bool:
+    """Whether two CSVs have one shape, equal text cells and, per numeric
+    column, every cell within ``tol`` times the column's largest |value|."""
+    (cols_a, rows_a), (cols_b, rows_b) = _table(path_a), _table(path_b)
+    if cols_a != cols_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return False
+    for j in range(len(cols_a)):
+        col_a, col_b = [r[j] for r in rows_a], [r[j] for r in rows_b]
+        try:
+            num_a, num_b = [float(c) for c in col_a], [float(c) for c in col_b]
+        except ValueError:
+            if col_a != col_b:        # a column of text
+                return False
+            continue
+        scale = max((abs(v) for v in num_a + num_b if math.isfinite(v)), default=0.0)
+        if any(not _deviation(a, b) <= tol * scale for a, b in zip(num_a, num_b)):
+            return False
+    return True
+
+
+def _checks(path: Path) -> dict:
+    return {f"{exp}/{check['name']}": (check["passed"], check["detail"])
+            for exp, res in json.loads(path.read_text()).items() for check in res["checks"]}
+
+
 def check_changes(path_a: Path, path_b: Path) -> list:
     """The checks of two summary.json files whose pass flag or detail changed."""
-    def checks(path):
-        return {f"{exp}/{check['name']}": (check["passed"], check["detail"])
-                for exp, res in json.loads(path.read_text()).items()
-                for check in res["checks"]}
-    a, b = checks(path_a), checks(path_b)
+    a, b = _checks(path_a), _checks(path_b)
     lines = []
     for key in sorted(a.keys() | b.keys()):
         old, new = a.get(key), b.get(key)
@@ -84,36 +114,53 @@ def check_changes(path_a: Path, path_b: Path) -> list:
     return lines
 
 
-def differences(root_a: Path, root_b: Path) -> list:
+def differences(root_a: Path, root_b: Path, tol: float | None = None) -> tuple:
+    """The listing of the files that differ, and whether the trees agree: in
+    bytes, or with ``tol`` by verdict and within that tolerance."""
     a, b = _hashes(root_a), _hashes(root_b)
     lines = []
+    agree = True
     for rel in sorted(a.keys() | b.keys()):
-        if rel not in b:
-            lines.append(f"only in A  {rel}")
-        elif rel not in a:
-            lines.append(f"only in B  {rel}")
+        fa, fb = root_a / rel, root_b / rel
+        if rel not in b or rel not in a:
+            lines.append(f"only in {'A' if rel in a else 'B'}  {rel}")
+            agree = False
         elif a[rel] != b[rel]:
             lines.append(f"differs  {rel}")
             if rel.endswith(".csv"):
-                lines += deviations(root_a / rel, root_b / rel)
+                lines += deviations(fa, fb)
+                agree = agree and tol is not None and within(fa, fb, tol)
             elif Path(rel).name == "summary.json":
-                lines += check_changes(root_a / rel, root_b / rel)
-    return lines
+                lines += check_changes(fa, fb)
+                flags_a, flags_b = ({k: v[0] for k, v in _checks(f).items()} for f in (fa, fb))
+                agree = agree and tol is not None and flags_a == flags_b
+            else:
+                agree = False
+    return lines, agree
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) not in (1, 2) or not all(Path(a).is_dir() for a in args):
+    args = list(sys.argv[1:] if argv is None else argv)
+    tol = None
+    if "--tol" in args:
+        i = args.index("--tol")
+        try:
+            tol = float(args[i + 1])
+        except (IndexError, ValueError):
+            tol = math.nan
+        del args[i:i + 2]
+    if (len(args) not in (1, 2) or not all(Path(a).is_dir() for a in args)
+            or (tol is not None and not (len(args) == 2 and tol >= 0))):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     if len(args) == 1:
         for line in digests(Path(args[0])):
             print(line)
         return 0
-    lines = differences(Path(args[0]), Path(args[1]))
+    lines, agree = differences(Path(args[0]), Path(args[1]), tol)
     for line in lines:
         print(line)
-    return 1 if lines else 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

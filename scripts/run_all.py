@@ -2,14 +2,16 @@
 """Run the full experiment battery on the three bundled configurations.
 
 Writes one output directory per configuration under --out (default ./out)
-and exits nonzero if any experiment check fails.
+and exits nonzero if any experiment check fails: 2, before any experiment
+runs, if those directories cannot be made.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from volterra_smp.harness import resolve_config, run_experiment, write_results
+from volterra_smp.harness import (ConfigError, prepare_output, resolve_config, run_experiment,
+                                  write_results)
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = sorted((HERE / "configs").glob("*.json"))
@@ -21,6 +23,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
+    try:
+        for cfg_path in CONFIGS:
+            prepare_output(Path(args.out) / cfg_path.stem, single=False)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     failed = False
     for cfg_path in CONFIGS:
         config = resolve_config(cfg_path, seed=args.seed)

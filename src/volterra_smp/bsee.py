@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath, StructuralTags, coeff_tables
+from .coefficients import CoefficientSet, ControlPath, StructuralTags, coeff_tables, readers
 from .grids import TimeGrid, hnorm_weight, weighted_norm
 from .kernels import DiscreteLaplaceKernel, discounted_sweep, sweep_factors
 from .simulate import BrownianEnsemble, lift_along
@@ -355,26 +355,6 @@ def assemble_first_adjoint(
     )
 
 
-def _tables_along(coeffs, u_hat, grid, x_hat, names) -> list:
-    """Scalar evaluators along the reference pair (u_hat, x_hat), one table per
-    name, (N+1, 1) or (N+1, paths): from one ``coeff_tables`` call for the
-    names the tags make state-free along a deterministic control, else from
-    one call with the rows of every step stacked."""
-    degrees = coeffs.tags.state_degrees()
-    free = [nm for nm in names if degrees.get(nm) == 0]
-    tabs = ({nm: c for nm, (c,) in zip(free, coeff_tables(coeffs, u_hat, grid, free))}
-            if u_hat.deterministic else {})
-    paths, N1 = x_hat.shape[:2]
-    stacked = [nm for nm in names if nm not in tabs]
-    if stacked:
-        t = np.repeat(grid.t, paths)
-        u = (np.repeat(u_hat.values, paths, axis=0) if u_hat.deterministic
-             else u_hat.values.transpose(1, 0, 2).reshape(N1 * paths, -1))
-        x = x_hat.transpose(1, 0, 2).reshape(N1 * paths, -1)
-        tabs.update((nm, getattr(coeffs, nm)(t, u, x)) for nm in stacked)
-    return [tabs[nm].reshape(N1, -1) for nm in names]
-
-
 def _retained_basis(design: np.ndarray) -> tuple:
     """(U_r, s_0 / s_{r-1}) of the thin SVD design = U s V^T: the left singular
     vectors with s > 1e-8 s_0, the rank rule of least squares at rcond 1e-8."""
@@ -407,7 +387,7 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
     N, dt = grid.n_steps, grid.dt
     K, paths = kernel.n_nodes, ens.n_paths
     Y = lift_along(coeffs, u_hat, kernel, x_hat, ens)[:, :, 0]        # (N+1, K, paths)
-    bx, sx, fx = _tables_along(coeffs, u_hat, grid, x_hat, ("b_x", "sigma_x", "f_x"))
+    bx, sx, fx = readers(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
     dec, om = sweep_factors(kernel.nodes, dt)
     mb = kernel.mb[:, 0, 0] * kernel.weights
     ms = kernel.msigma[:, 0, 0] * kernel.weights
@@ -426,7 +406,8 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
         disc = p * dec
         p_tilde = Ur @ (Ur.T @ disc)
         q_ms = Ur @ (Ur.T @ ((disc @ ms) * dw_dt[m]))                   # mu[M_s q_m]
-        g = bx[m] * (p_tilde @ mb) + sx[m] * q_ms - fx[m]
+        xm = x_hat[:, m, 0]
+        g = bx(m, xm) * (p_tilde @ mb) + sx(m, xm) * q_ms - fx(m, xm)
         p = p_tilde + om * g[:, None]
         P0[m, :, 0] = np.mean(p, axis=0)
         Q0[m, :, 0] = (Ur @ (Ur.sum(axis=0) / paths) * dw_dt[m]) @ disc

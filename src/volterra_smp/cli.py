@@ -13,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import EXPERIMENTS, ConfigError, resolve_config, run_experiment, write_results
+from .harness import (EXPERIMENTS, ConfigError, prepare_output, resolve_config, run_experiment,
+                      write_results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,6 +35,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args.config, seed=args.seed, n_paths=args.paths,
                                 n_steps=args.steps)
+        prepare_output(Path(args.out), single=args.experiment != "all")
         results = run_experiment(args.experiment, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

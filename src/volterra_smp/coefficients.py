@@ -169,32 +169,98 @@ class ControlPath:
         return (self.values.shape[0] if self.deterministic else self.values.shape[1]) - 1
 
 
-def coeff_tables(coeffs: CoefficientSet, u: ControlPath, grid: TimeGrid, names) -> tuple:
+def coeff_tables(coeffs: CoefficientSet, controls, grid: TimeGrid, names) -> tuple:
     """Taylor tables in x along a deterministic control, one entry per name in
     ``names``: the tuple (c_0, ..., c_d) of that evaluator's coefficients, d
     its degree in x that the tags fix (``StructuralTags.state_degrees``), so
     degree 0 gives a 1-tuple.  c_j = (d^j phi / dx^j) / j! at x = 0, from the
     evaluator and its derivative evaluators, each in that evaluator's own
-    shape with row m at (t_m, u_m).  Each evaluator is one call with the N+1
-    grid times stacked along the path axis.  Raises ``ValueError`` naming an
-    evaluator whose degree in x the tags leave open.
+    shape with row m at (t_m, u_m); along a sequence of C controls, stacked
+    on axis 1, (N+1, C) + that shape.  Each evaluator is one call, every row
+    stacked on the path axis.  Raises ``ValueError`` naming an evaluator
+    whose degree in x the tags leave open.
     """
-    if not u.deterministic:
+    stacked = not isinstance(controls, ControlPath)
+    us = controls if stacked else (controls,)
+    if not all(u.deterministic for u in us):
         raise ValueError("deterministic solve paths need a deterministic reference control")
     degrees = coeffs.tags.state_degrees()
     for name in names:
         if name not in degrees:
             raise ValueError(f"the Taylor tables need the degree in x of {name}, "
                              f"which the tags of {coeffs.name!r} leave open")
-    t = np.arange(grid.n_steps + 1) * grid.dt
-    x0 = np.zeros((grid.n_steps + 1, coeffs.dim))
+    lead = (grid.n_steps + 1, len(us)) if stacked else (grid.n_steps + 1,)
+    t = np.repeat(np.arange(grid.n_steps + 1) * grid.dt, len(us))
+    u = np.stack([u.values for u in us], 1).reshape(t.size, -1)
+    x0 = np.zeros((t.size, coeffs.dim))
     tables = {}
 
     def table(name):
         if name not in tables:
-            tables[name] = getattr(coeffs, name)(t, u.values, x0)
+            val = getattr(coeffs, name)(t, u, x0)
+            tables[name] = val.reshape(lead + val.shape[1:])
         return tables[name]
     return tuple(_taylor(name, degrees[name], table) for name in names)
+
+
+def table_degrees(coeffs: CoefficientSet, controls) -> dict:
+    """name -> degree in x of each evaluator that ``readers`` reads from its
+    Taylor tables along ``controls``: every one whose degree the tags fix,
+    for a scalar state along deterministic controls; {} elsewhere."""
+    us = (controls,) if isinstance(controls, ControlPath) else controls
+    if coeffs.dim != 1 or not all(u.deterministic for u in us):
+        return {}
+    return coeffs.tags.state_degrees()
+
+
+def readers(coeffs: CoefficientSet, controls, grid: TimeGrid, names) -> tuple:
+    """One step function ``read(m, x, out=None)`` per name in ``names``: that
+    running evaluator at (t_m, u_m, x), into ``out`` when given.  ``controls``
+    is a ``ControlPath`` or, for a scalar state, a sequence of C deterministic
+    ones, control c for the states x[c] of x (C, P).  A scalar state's value
+    takes the shape of x, a vector state's (x (rows, n)) the evaluator's.
+    A name that ``table_degrees`` lists is read by ``horner`` from its Taylor
+    rows (``coeff_tables``), (N+1, d+1) or, stacked, (N+1, d+1, C, 1), kept
+    as the step function's ``taylor``; without ``out`` a degree-0 row comes
+    back as is.  Any other name calls its evaluator, and ``taylor`` is None.
+    """
+    degrees = table_degrees(coeffs, controls)
+    tabulated = [name for name in names if name in degrees]
+    taylor = dict(zip(tabulated, coeff_tables(coeffs, controls, grid, tabulated)
+                      if tabulated else ()))
+    shape = (grid.n_steps + 1,) + (() if isinstance(controls, ControlPath) else (len(controls), 1))
+    return tuple(_table_reader(np.stack([c.reshape(shape) for c in taylor[name]], 1))
+                 if name in taylor else
+                 _evaluator_reader(getattr(coeffs, name), controls, grid.dt, coeffs.dim == 1)
+                 for name in names)
+
+
+def _table_reader(rows: np.ndarray):
+    def read(m, x, out=None):
+        coefs = rows[m]
+        if out is None:
+            if len(coefs) == 1:
+                return coefs[0]
+            out = np.empty(x.shape)
+        return horner(coefs, x, out)
+    read.taylor = rows
+    return read
+
+
+def _evaluator_reader(fn, controls, dt: float, scalar: bool):
+    stacked = not isinstance(controls, ControlPath)
+    U = np.stack([u.values for u in controls], 1) if stacked else None    # (N+1, C, du)
+
+    def read(m, x, out=None):
+        u = (np.broadcast_to(U[m][:, None], x.shape + U.shape[2:]).reshape(x.size, -1)
+             if stacked else controls.at(m))
+        val = fn(m * dt, u, x.reshape(-1, 1)).reshape(x.shape) if scalar else fn(m * dt, u, x)
+        if out is None:
+            return val
+        out[...] = val
+        return out
+    read.taylor = None
+    return read
 
 
 def _taylor(name: str, degree: int, at_zero) -> tuple:

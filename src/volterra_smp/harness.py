@@ -31,15 +31,15 @@ from .bsee import PicardError, assemble_adjoints, assemble_first_adjoint, choose
 from .bsvie import (bsee_to_bsvie_first, bsee_to_bsvie_second, bsvie_residual_first,
                     bsvie_residual_second, m_constraint_residual_first,
                     reconstruct_first_field, reconstruct_second_field)
-from .coefficients import PROBLEMS, ControlPath, SelfTestError, make_problem
+from .coefficients import PROBLEMS, ControlPath, SelfTestError, make_problem, table_degrees
 from .grids import TimeGrid
 from .kernels import (build_fractional_lift, constant_kernel, exponential_kernel,
                       knorm_eps, quadrature_error, sweep_factors)
 from .maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                            construct_argmax_control, duality_residuals, duality_stats,
                            gap_tables, perturb_control)
-from .simulate import (BrownianEnsemble, _xi_table, cnorm, forcing_source, lift_tally,
-                       sample_brownian, simulate_sve)
+from .simulate import (BrownianEnsemble, cnorm, lift_tally, sample_brownian, simulate_sve,
+                       xi_table)
 from .stats import fit_loglog
 from .variation import SpikeSpec, remainder_rates
 
@@ -104,7 +104,7 @@ SCHEMA = {
     "grid": {
         "T": (1.0, _POSITIVE),
         "n_steps": (256, _integer(2)),
-        "n_paths": (2000, _integer(1)),
+        "n_paths": (2000, _integer(2)),      # one path has no standard error
     },
     "spike": {
         "tau": (0.25, _REAL),
@@ -334,7 +334,7 @@ def resolve_config(source=None, seed=None, n_paths=None, n_steps=None) -> Experi
     spike, xi = config.spike, config.solver["xi"]
     if isinstance(xi, (list, tuple)):  # a scalar fits every problem; build no table for it
         _build("solver.xi against grid.n_steps and the problem dimension",
-               _xi_table, xi, grid, coeffs.dim)
+               xi_table, xi, grid, coeffs.dim)
     for eps in spike["eps_list"]:
         _build("spike.tau and spike.eps_list against grid.T",
                SpikeSpec(tau=spike["tau"], eps=eps, v=None).window, grid)
@@ -982,7 +982,8 @@ def _run_one(name: str, config: ExperimentConfig) -> ExperimentResult:
     if stages:
         timing["stages"] = stages
     if stages.get("x_hat") == "built":
-        timing["x_hat_forcing"] = forcing_source(config.stage("problem"), config.stage("u_hat"))
+        tabulated = table_degrees(config.stage("problem"), config.stage("u_hat"))
+        timing["x_hat_forcing"] = "tables" if {"b", "sigma"} <= tabulated.keys() else "evaluators"
     # every regression solve of the experiments is the adjoints stage's
     if stages.get("adjoints") == "built" and (record := config.stage("adjoints").first.regression):
         timing["lsmc"] = record
@@ -994,6 +995,15 @@ def run_experiment(name: str, config: ExperimentConfig) -> dict:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     return {exp: _run_one(exp, config) for exp in (RUNNERS if name == "all" else (name,))}
+
+
+def prepare_output(out: Path, single: bool) -> None:
+    """Make the directory ``write_results`` writes to (for a .csv ``out`` of a
+    single experiment, its parent), or raise ``ConfigError`` saying why not."""
+    try:
+        (out.parent if single and out.suffix == ".csv" else out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def write_results(results: dict, config: ExperimentConfig, out: Path) -> list:

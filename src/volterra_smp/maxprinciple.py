@@ -212,16 +212,6 @@ def _control_points(u_grid) -> np.ndarray:
     return u_pts.T if u_pts.shape[0] == 1 and u_pts.shape[1] > 1 else u_pts
 
 
-def _hamiltonian_tables(coeffs: CoefficientSet, grid: TimeGrid, controls) -> dict:
-    """name -> (c_0, ..., c_d) for b, sigma and f: their Taylor coefficients
-    in x along each deterministic control of ``controls``, stacked on axis 1,
-    (N+1, len(controls)) + the evaluator's shape, from one ``coeff_tables``
-    call per control."""
-    along = [coeff_tables(coeffs, u, grid, _H_NAMES) for u in controls]
-    return {name: tuple(np.stack(cs, axis=1) for cs in zip(*tabs))
-            for name, tabs in zip(_H_NAMES, zip(*along))}
-
-
 @dataclass(frozen=True)
 class GapTables:
     """The Taylor coefficients in x of b(u_hat) - b(v), sigma(u_hat) - sigma(v)
@@ -243,19 +233,19 @@ class GapTables:
 def gap_tables(coeffs: CoefficientSet, u_hat: ControlPath, u_grid,
                grid: TimeGrid) -> GapTables:
     """``GapTables`` between a deterministic control ``u_hat`` and each point
-    of ``u_grid``, from n_v + 1 ``coeff_tables`` calls: one along u_hat and
-    one along each constant control point."""
+    of ``u_grid``, from one ``coeff_tables`` call along u_hat and each
+    constant control point, stacked."""
     u_pts = _control_points(u_grid)
     N = grid.n_steps
-    tabs = _hamiltonian_tables(coeffs, grid, [u_hat] + [ControlPath.constant(v, grid, coeffs.du)
-                                                        for v in u_pts])
+    tabs = coeff_tables(coeffs, [u_hat] + [ControlPath.constant(v, grid, coeffs.du)
+                                           for v in u_pts], grid, _H_NAMES)
 
     def differences(coefs):
         d = [c[:N, :1] - c[:N, 1:] for c in coefs]
         while len(d) > 1 and not np.any(d[-1]):
             d.pop()
         return tuple(d)
-    return GapTables(u_pts, *(differences(tabs[name]) for name in _H_NAMES))
+    return GapTables(u_pts, *map(differences, tabs))
 
 
 def _taylor_at(coefs, x: np.ndarray) -> np.ndarray:
@@ -370,12 +360,12 @@ def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,
         raise ValueError("the argmax control needs deterministic adjoint contractions")
     u_pts = coeffs.control_domain.points
     N = grid.n_steps
-    tabs = _hamiltonian_tables(coeffs, grid, [ControlPath.constant(v, grid, coeffs.du)
-                                              for v in u_pts])
+    tabs = coeff_tables(coeffs, [ControlPath.constant(v, grid, coeffs.du) for v in u_pts],
+                        grid, _H_NAMES)
     # the last step reuses the contractions of step N - 1
     steps = np.minimum(np.arange(N + 1), N - 1)
     h = _hamiltonian_of(adjoints.Ab0[steps, None], adjoints.Aq0[steps, None],
-                        *(tabs[name][0] for name in _H_NAMES))
+                        *(coefs[0] for coefs in tabs))
     # argmax takes the first of equal maxima, as the strict comparison did
     return ControlPath(u_pts[np.argmax(h, axis=1)], deterministic=True)
 

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath, coeff_tables, horner
+from .coefficients import CoefficientSet, ControlPath, readers
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel
 from .rng import normal_matrix
@@ -87,39 +87,13 @@ def _kernel_table(kernel, which: str, grid: TimeGrid) -> np.ndarray:
     return kernel.eval(which, grid.dt * np.arange(1, grid.n_steps + 1))
 
 
-def forcing_source(coeffs: CoefficientSet, control: ControlPath) -> str:
-    """Where the forward forcing reads b and sigma: "tables", their Taylor
-    tables in x, for a scalar state along a deterministic control when the
-    tags fix both degrees; else "evaluators", one call per step."""
-    degrees = coeffs.tags.state_degrees()
-    tabulated = (coeffs.dim == 1 and control.deterministic
-                 and "b" in degrees and "sigma" in degrees)
-    return "tables" if tabulated else "evaluators"
+def _forcing(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid) -> Callable:
+    """forcing(m, X_m) -> (b, sigma) at step m along the control."""
+    b, sigma = readers(coeffs, control, grid, ("b", "sigma"))
+    return lambda m, x: (b(m, x), sigma(m, x))
 
 
-def _taylor_rows(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid, names) -> list:
-    """Scalar state: per name of tag-fixed degree d, its Taylor coefficients
-    along the control as (N+1, d+1) rows, row m = (c_0, ..., c_d) at step m."""
-    return [np.stack([c.reshape(-1) for c in coefs], 1)
-            for coefs in coeff_tables(coeffs, control, grid, names)]
-
-
-def _forcing_from_controls(coeffs: CoefficientSet, control: ControlPath, grid: TimeGrid):
-    if forcing_source(coeffs, control) == "tables":
-        b, s = _taylor_rows(coeffs, control, grid, ("b", "sigma"))
-
-        def forcing(m: int, x: np.ndarray):
-            return horner(b[m], x, np.empty(x.shape)), horner(s[m], x, np.empty(x.shape))
-        return forcing
-
-    def forcing(m: int, x: np.ndarray):
-        t = m * grid.dt
-        u = control.at(m)
-        return coeffs.b(t, u, x), coeffs.sigma(t, u, x)
-    return forcing
-
-
-def _xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
+def xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
     """Forcing term as an (N+1, n) deterministic table."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0:
@@ -354,8 +328,8 @@ def simulate_sve(coeffs: CoefficientSet, control: ControlPath, kernel, xi,
     if self_test:
         coeffs.self_test()
     grid = ens.grid
-    xi_tab = _xi_table(xi, grid, coeffs.dim)
-    forcing = _forcing_from_controls(coeffs, control, grid)
+    xi_tab = xi_table(xi, grid, coeffs.dim)
+    forcing = _forcing(coeffs, control, grid)
     if mode == "auto":
         mode = "lift" if isinstance(kernel, DiscreteLaplaceKernel) else "direct"
     if mode == "lift":
@@ -378,8 +352,8 @@ def simulate_lift(coeffs: CoefficientSet, control: ControlPath,
     if self_test:
         coeffs.self_test()
     grid = ens.grid
-    xi_tab = _xi_table(xi, grid, coeffs.dim)
-    forcing = _forcing_from_controls(coeffs, control, grid)
+    xi_tab = xi_table(xi, grid, coeffs.dim)
+    forcing = _forcing(coeffs, control, grid)
     X, Y = run_lift(kernel, grid, ens.dW, forcing, xi_tab, store_lift=True)
     return Y.transpose(3, 0, 1, 2), X
 
@@ -394,7 +368,7 @@ def lift_along(coeffs: CoefficientSet, control: ControlPath,
     first, as in ``simulate_lift``: the forcing tables rest on their tags."""
     coeffs.self_test()
     grid = ens.grid
-    forcing = _forcing_from_controls(coeffs, control, grid)
+    forcing = _forcing(coeffs, control, grid)
     _, Y = run_lift(kernel, grid, ens.dW, lambda m, _x: forcing(m, X[:, m]),
                     np.zeros((grid.n_steps + 1, coeffs.dim)), store_lift=True)
     return Y

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlPath, horner
+from .coefficients import CoefficientSet, ControlPath, readers, table_degrees
 from .grids import TimeGrid
 from .kernels import DiscreteLaplaceKernel, knorm_eps
-from .simulate import BrownianEnsemble, LiftStep, _taylor_rows, _xi_table
+from .simulate import BrownianEnsemble, LiftStep, xi_table
 from .stats import fit_loglog, mc_mean_se
 
 NORM_KEYS = ("dX", "X1", "dX1", "X2", "dX12")
+_NAMES = ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx", "f", "f_x", "f_xx")
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,13 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
     slots.  The reference derivatives are evaluated once per step for all
     spikes.  The spikes share one value ``v``.
 
-    Every evaluator whose degree in x the structural tags fix is read from
-    its Taylor tables (one ``coeff_tables`` call per control, u_hat and v,
-    after ``CoefficientSet.self_test``) by ``horner``,
-    at X_hat, at the spiked states and along v on the windows; only the
-    others are evaluated per step, and each bundle's ``tabulated`` maps the
-    tabulated ones to their degrees.  A Hessian term whose tabulated Hessian
-    is zero along u_hat would add exact zeros and is skipped.  The running
-    integrals are scaled by dt once, at the end.
+    The coefficients come from ``coefficients.readers`` (after
+    ``CoefficientSet.self_test``): along u_hat and along v at X_hat, and
+    along the S spiked controls, stacked, at the spiked states.  Each
+    bundle's ``tabulated`` maps those read from Taylor tables to their
+    degrees.  A Hessian term whose tabulated Hessian is zero along u_hat
+    would add exact zeros and is skipped.  The running integrals are scaled
+    by dt once, at the end.
 
     ``observer(m, Y1, Y2, forcings, cv)`` sees the first spike before each
     advance at j_start <= m < N (before, X1 = X2 = 0): its lift states from
@@ -107,44 +107,20 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         raise ValueError("the co-simulation needs deterministic control tables")
     win = np.array([sp.window(grid) for sp in spikes])  # (S, 2)
     j_start = int(win[:, 0].min())
-    xi_tab = _xi_table(xi, grid, 1)[:, 0]
-    du = v.values.shape[-1]
+    xi_tab = xi_table(xi, grid, 1)[:, 0]
     steps = np.arange(N + 1)[:, None]
     active_at = (win[:, 0] <= steps) & (steps < win[:, 1])   # (N+1, S)
 
-    # name -> Taylor rows along u_hat and along v, (N+1, d+1), and per step
-    # the spiked states' coefficient columns, (N+1, d+1, S, 1): v's on the
-    # active windows, else u_hat's.
     coeffs.self_test()
-    tabulated = coeffs.tags.state_degrees()
-    taylor = {}
-    for name, tu, tv in zip(tabulated, _taylor_rows(coeffs, u_hat, grid, tabulated),
-                            _taylor_rows(coeffs, v, grid, tabulated)):
-        cols = np.where(active_at[:, None, :], tv[:, :, None], tu[:, :, None])
-        taylor[name] = (tu, tv, cols[..., None])
-
-    def value(name, m, x, along, out=None):
-        """Evaluator ``name`` at step m and states x along u_hat (0), along v
-        (1) or, on the (S, P) spiked states, along each spike's control (2);
-        into ``out`` when given, else a scalar where the table is of degree 0."""
-        if name in taylor:
-            coefs = taylor[name][along][m]
-            if out is None and len(coefs) == 1:
-                return coefs[0]
-            return horner(coefs, x, np.empty(x.shape) if out is None else out)
-        if along == 2:
-            u = np.where(active_at[m, :, None, None], np.broadcast_to(v.at(m), (P, du)),
-                         np.broadcast_to(u_hat.at(m), (P, du))).reshape(S * P, du)
-        else:
-            u = (u_hat, v)[along].at(m)
-        val = getattr(coeffs, name)(m * dt, u, x.reshape(-1, 1)).reshape(x.shape)
-        if out is None:
-            return val
-        out[...] = val
-        return out
-
-    hessians = tuple(name for name in ("b_xx", "sigma_xx", "f_xx")
-                     if name not in taylor or np.any(taylor[name][0]))
+    b_h, s_h, bx_h, sx_h, bxx_h, sxx_h, f_h, fx_h, fxx_h = readers(coeffs, u_hat, grid, _NAMES)
+    b_v, s_v, bx_v, sx_v, f_v = readers(coeffs, v, grid, ("b", "sigma", "b_x", "sigma_x", "f"))
+    spiked = [ControlPath(np.where(active_at[:, s, None], v.values, u_hat.values))
+              for s in range(S)]
+    b_e, s_e, f_e = readers(coeffs, spiked, grid, ("b", "sigma", "f"))
+    tabulated = table_degrees(coeffs, u_hat)
+    # a Hessian term whose tables are zero along u_hat would add exact zeros
+    bxx_h, sxx_h, fxx_h = (rd if rd.taylor is None or np.any(rd.taylor) else None
+                           for rd in (bxx_h, sxx_h, fxx_h))
 
     G = 1 + 3 * S
     lift = LiftStep(kernel, dt, ens.dW, G)
@@ -168,8 +144,8 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
 
     for m in range(j_start):
         Fb, Fs = (f[:, 0] for f in lift.drives())
-        value("b", m, xh, 0, Fb[0])
-        value("sigma", m, xh, 0, Fs[0])
+        b_h(m, xh, Fb[0])
+        s_h(m, xh, Fs[0])
         lift.advance(1)
         xh += xi_tab[m + 1]
     lift.fork(0, slice(1, 1 + S))   # X^eps = X_hat here, X1 = X2 = 0
@@ -179,28 +155,27 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         # forcings go straight into the lift's drive slots for this step
         Fb, Fs = (f[:, 0] for f in lift.drives())
         F1b, F1s, F2b, F2s = Fb[1 + S:1 + 2 * S], Fs[1 + S:1 + 2 * S], Fb[1 + 2 * S:], Fs[1 + 2 * S:]
-        bh, sh = value("b", m, xh, 0, Fb[0]), value("sigma", m, xh, 0, Fs[0])
-        bxh, sxh = value("b_x", m, xh, 0), value("sigma_x", m, xh, 0)
-        fh, fxh = value("f", m, xh, 0), value("f_x", m, xh, 0)
+        bh, sh = b_h(m, xh, Fb[0]), s_h(m, xh, Fs[0])
+        bxh, sxh = bx_h(m, xh), sx_h(m, xh)
+        fh, fxh = f_h(m, xh), fx_h(m, xh)
 
         # spiked state forcing (full nonlinear coefficients at X^eps)
-        value("b", m, Xe, 2, Fb[1:1 + S])
-        value("sigma", m, Xe, 2, Fs[1:1 + S])
+        b_e(m, Xe, Fb[1:1 + S])
+        s_e(m, Xe, Fs[1:1 + S])
 
         # first/second-order forcings with frozen derivatives at (u_hat, X_hat)
         np.multiply(bxh, X1, out=F1b)
         np.multiply(sxh, X1, out=F1s)
-        for F2, d1, d2 in ((F2b, bxh, "b_xx"), (F2s, sxh, "sigma_xx")):
+        for F2, d1, d2 in ((F2b, bxh, bxx_h), (F2s, sxh, sxx_h)):
             np.multiply(d1, X2, out=F2)                          # d1 X2 + (d2 / 2) X1 X1
-            if d2 in hessians:
-                np.multiply(0.5 * value(d2, m, xh, 0), X1, out=work[0])
+            if d2 is not None:
+                np.multiply(0.5 * d2(m, xh), X1, out=work[0])
                 work[0] *= X1
                 F2 += work[0]
         cv = {}
         if active.any():
-            cv = {"db": value("b", m, xh, 1) - bh, "ds": value("sigma", m, xh, 1) - sh,
-                  "dbx": value("b_x", m, xh, 1) - bxh, "dsx": value("sigma_x", m, xh, 1) - sxh,
-                  "df": value("f", m, xh, 1) - fh}
+            cv = {"db": b_v(m, xh) - bh, "ds": s_v(m, xh) - sh,
+                  "dbx": bx_v(m, xh) - bxh, "dsx": sx_v(m, xh) - sxh, "df": f_v(m, xh) - fh}
             F1b[active] += cv["db"]
             F1s[active] += cv["ds"]
             F2b[active] += cv["dbx"] * X1[active]
@@ -214,12 +189,12 @@ def _spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         # j12_run += f_x (X1 + X2) + (f_xx / 2) X1 X1, in that operation order
         np.add(X1, X2, out=work[0])
         work[0] *= fxh
-        if "f_xx" in hessians:
-            np.multiply(0.5 * value("f_xx", m, xh, 0), X1, out=work[1])
+        if fxx_h is not None:
+            np.multiply(0.5 * fxx_h(m, xh), X1, out=work[1])
             work[1] *= X1
             work[0] += work[1]
         j12_run += work[0]
-        value("f", m, Xe, 2, work[0])
+        f_e(m, Xe, work[0])
         work[0] -= fh
         dcost_f += work[0]
 

@@ -10,7 +10,7 @@ import coefficients_oracles
 from volterra_smp.bsee import assemble_adjoints, choose_solve_path
 from volterra_smp.coefficients import (PROBLEMS, ControlPath, SelfTestError, StructuralTags,
                                       _scalar_problem, coeff_tables, horner, make_problem,
-                                      polynomial_problem)
+                                      polynomial_problem, readers)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.harness import _node_recursion_residuals
 from volterra_smp.kernels import DiscreteLaplaceKernel
@@ -47,6 +47,41 @@ def test_coeff_tables_equal_per_step_evaluation_bit_for_bit(name, seed, n_steps)
         fn = getattr(coeffs, fn_name)
         loop = np.stack([fn(m * grid.dt, u.at(m), x0)[0] for m in range(n_steps + 1)])
         assert table.shape == loop.shape and table.tobytes() == loop.tobytes(), fn_name
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["lq_linear_cost", "state_free_quadratic", "bilinear_lq"]),
+       seed=st.integers(0, 10 ** 6), n_steps=st.integers(2, 24),
+       n_controls=st.integers(1, 4), paths=st.integers(1, 9))
+def test_readers_read_the_tables_of_each_control(name, seed, n_steps, n_controls, paths):
+    # alone and stacked, a reader gives one coeff_tables + horner per control
+    # bit for bit; that is the evaluator's value bit for bit where every
+    # formula reads a * x + c, and within 4 ulps on bilinear_lq of its
+    # evaluator at |u|, |x| (every default coefficient is positive, so that is
+    # the sum of the monomials' magnitudes)
+    rng = np.random.default_rng(seed)
+    coeffs = make_problem(name)
+    grid = TimeGrid(float(rng.uniform(0.1, 3.0)), n_steps)
+    controls = [ControlPath(rng.uniform(-1.0, 1.0, (n_steps + 1, 1))) for _ in range(n_controls)]
+    x = rng.normal(size=(n_steps + 1, n_controls, paths)) * 10.0 ** rng.uniform(-2, 2)
+    stacked = readers(coeffs, controls, grid, EVALUATORS)
+    for c, u in enumerate(controls):
+        alone = readers(coeffs, u, grid, EVALUATORS)
+        tables = coeff_tables(coeffs, u, grid, EVALUATORS)
+        for fn_name, in_stack, read, coefs in zip(EVALUATORS, stacked, alone, tables):
+            fn = getattr(coeffs, fn_name)
+            for m in range(n_steps + 1):
+                xm = x[m, c]
+                want = horner([cj[m].reshape(()) for cj in coefs], xm, np.empty(paths))
+                got = in_stack(m, x[m], np.empty((n_controls, paths)))[c]
+                assert got.tobytes() == want.tobytes(), fn_name
+                assert np.broadcast_to(read(m, xm), xm.shape).tobytes() == want.tobytes()
+                value = fn(m * grid.dt, u.at(m), xm[:, None]).reshape(paths)
+                if name == "bilinear_lq":
+                    scale = fn(m * grid.dt, np.abs(u.at(m)), np.abs(xm)[:, None]).reshape(paths)
+                    assert np.all(np.abs(want - value) <= 4 * np.spacing(scale)), fn_name
+                else:
+                    assert want.tobytes() == value.tobytes(), fn_name
 
 
 def test_coeff_tables_refuse_a_degree_the_tags_leave_open(grid, lq):

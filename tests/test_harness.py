@@ -278,10 +278,11 @@ def test_cli_solver_error_is_failed_check(tmp_path, capsys):
     ({"solver": {"basis_degree": 0}}, "unknown key solver.basis_degree"),
     ({"solver": {"r_subgrid": 2}}, "solver.r_subgrid must be"),
     ({"solver": {"lsmc": "yes"}}, "solver.lsmc must be"),
+    ({"grid": {"n_paths": 1, "n_steps": 16}}, "grid.n_paths must be an integer >= 2"),
 ], ids=["seed_string", "seed_negative", "seed_float", "u_hat_string", "v_string",
         "tau_string", "spike_past_horizon", "eps_list_empty", "xi_wrong_length",
         "xi_string", "xi_table_two_columns", "tol_string", "tol_zero", "max_iter_string", "basis_degree_zero",
-        "r_subgrid_small", "lsmc_string"])
+        "r_subgrid_small", "lsmc_string", "one_path"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, raw, message):
     code, _ = _cli(tmp_path, "adjoint", {**SMALL, **raw})
     assert code == 2
@@ -828,6 +829,31 @@ def test_output_digest_lists_every_output_but_the_timings(tmp_path):
                                         for n in sorted(files)]
 
 
+def test_output_digest_compares_by_verdict_and_tolerance(tmp_path):
+    # b: one cell 1 ulp off; c: a pass flag flipped; d: a text cell changed
+    script = Path(harness.__file__).resolve().parents[2] / "scripts" / "output_digest.py"
+    x = 0.3
+    trees = {"a": (repr(x), "a", True), "b": (repr(float(np.nextafter(x, 1.0))), "a", True),
+             "c": (repr(x), "a", False), "d": (repr(x), "z", True)}
+    for side, (cell, text, flag) in trees.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "t.csv").write_text(f"# seed=1\nname,x,y\n{text},{cell},-2.0\n")
+        (tmp_path / side / "summary.json").write_text(json.dumps(
+            {"rates": {"passed": flag, "checks": [{"name": "c", "passed": flag, "detail": "d"}]}}))
+
+    def run(side, *tol):
+        proc = subprocess.run([sys.executable, str(script), str(tmp_path / "a"),
+                               str(tmp_path / side), *tol], capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+    byte_code, listing = run("b")
+    assert byte_code == 1 and listing.startswith("differs  t.csv\n"), listing
+    assert run("b", "--tol", "1e-12") == (0, listing)
+    assert run("b", "--tol", "0") == (1, listing)
+    for side in ("c", "d"):
+        assert run(side)[0] == 1 and run(side, "--tol", "1e-12")[0] == 1, side
+    assert run("b", "--tol", "x")[0] == 2
+
+
 def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
     script = Path(harness.__file__).resolve().parents[2] / "scripts" / "output_digest.py"
 
@@ -918,7 +944,7 @@ def test_cli_malformed_config_fails_closed(tmp_path, capsys, text, name):
 
 @pytest.mark.parametrize("override, name", [
     ({"n_paths": 3.7}, "grid.n_paths"), ({"n_steps": True}, "grid.n_steps"),
-    ({"seed": "7"}, "seed"), ({"n_paths": 0}, "grid.n_paths")])
+    ({"seed": "7"}, "seed"), ({"n_paths": 0}, "grid.n_paths"), ({"n_paths": 1}, "grid.n_paths")])
 def test_overrides_obey_the_schema_rules(override, name):
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         resolve_config(None, **override)
@@ -1076,16 +1102,41 @@ def test_cli_refuses_an_oversized_path_override(tmp_path, capsys):
     assert err.startswith("config error: grid:") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, under):
+    # refused before any experiment runs, by the CLI and by run_all.py
+    from volterra_smp.cli import main
+    blocker = tmp_path / "README.md"
+    blocker.write_text("text\n")
+    out = blocker / "x" if under else blocker
+    code = main(["kernels", "--out", str(out), "--paths", "8", "--steps", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: --out {out}: ") and "Traceback" not in err, err
+    script = Path(harness.__file__).resolve().parents[2] / "scripts" / "run_all.py"
+    proc = subprocess.run([sys.executable, str(script), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert proc.stderr.startswith(f"config error: --out {out}") and "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("summary.json"))
+
+
 _FINITE = st.floats(-3.0, 3.0)
 
 
 @st.composite
 def _tiny_configs(draw):
-    """A valid config at tiny sizes: <= 32 steps, <= 64 paths, <= 6 nodes.
+    """A valid config at tiny sizes: <= 32 steps, 2 to 64 paths, <= 6 nodes.
     Cross-key constraints (the beta and gamma ranges, the spike window) mostly
-    hold, so most draws reach the experiment."""
+    hold, so most draws reach the experiment.  Most draws sweep 4 to 6
+    distinct spike widths k T / n_steps, 4 <= k <= n_steps / 2, so that the
+    rate sweep runs; the others draw widths it may skip."""
     T = draw(st.floats(0.25, 2.0))
-    n_steps = draw(st.one_of(st.integers(2, 32), st.sampled_from([8, 16, 32])))
+    n_steps = draw(st.one_of(st.integers(2, 32), st.sampled_from([16, 32])))
+    eps_list = st.lists(st.floats(T / 64, 0.5 * T), min_size=1, max_size=5)
+    if n_steps >= 14 and draw(st.sampled_from([True, True, True, False])):
+        eps_list = st.lists(st.integers(4, n_steps // 2), min_size=4, max_size=6,
+                            unique=True).map(lambda ks: [k * T / n_steps for k in ks])
     name = draw(st.sampled_from(sorted(harness.PROBLEMS)))
     params = draw(st.fixed_dictionaries({}, optional={
         key: st.lists(_FINITE, min_size=1, max_size=4) if isinstance(default, tuple) else _FINITE
@@ -1107,9 +1158,8 @@ def _tiny_configs(draw):
                    "n_nodes": draw(st.integers(2, 6)),
                    "lam": draw(st.floats(0.1, 5.0))},
         "problem": {"name": name, "params": params},
-        "grid": {"T": T, "n_steps": n_steps, "n_paths": draw(st.integers(1, 64))},
-        "spike": {"tau": draw(st.floats(0.0, 0.5 * T)),
-                  "eps_list": draw(st.lists(st.floats(T / 64, 0.5 * T), min_size=1, max_size=5)),
+        "grid": {"T": T, "n_steps": n_steps, "n_paths": draw(st.integers(2, 64))},
+        "spike": {"tau": draw(st.floats(0.0, 0.5 * T)), "eps_list": draw(eps_list),
                   "u_hat": draw(_FINITE), "v": draw(_FINITE)},
         "solver": {"lsmc": draw(st.booleans()), "xi": xi,
                    "r_subgrid": draw(st.one_of(st.just("full"), st.integers(4, 40)))},

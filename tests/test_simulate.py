@@ -5,15 +5,15 @@ from scipy.special import gamma as gamma_fn
 
 import rng_oracles
 import simulate_oracles
+from volterra_smp import coefficients
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
-                                      StructuralTags, _scalar_problem, make_problem)
+                                      StructuralTags, _scalar_problem, make_problem, readers)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp import simulate
-from volterra_smp.simulate import (LiftStep, _xi_table, block_steps, cnorm, forcing_source,
-                                   run_lift, sample_brownian, simulate_lift, simulate_sve)
+from volterra_smp.simulate import (LiftStep, block_steps, cnorm, run_lift, sample_brownian,
+                                   simulate_lift, simulate_sve, xi_table)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -227,7 +227,8 @@ def _state_coeffs(n: int) -> CoefficientSet:
 
 def test_untagged_and_per_path_forcings_never_reach_the_tables(grid, monkeypatch):
     # _state_coeffs keeps the default tags, which fix f's degree alone, and its
-    # f is None; a vector state or a per-path control keeps the evaluators too
+    # f is None: its b and sigma are untagged names, and at n = 2 the vector
+    # state keeps the tagged f on its evaluator too, as does a per-path control
     rng = np.random.default_rng(6)
     e = sample_brownian(grid, 8, 8)
     u = ControlPath.constant(0.1, grid)
@@ -235,20 +236,21 @@ def test_untagged_and_per_path_forcings_never_reach_the_tables(grid, monkeypatch
     tabulated = simulate_sve(lq, u, constant_kernel(), 0.3, e)
 
     def refuse(*args):
-        raise AssertionError("the forward forcing built coefficient tables")
-    monkeypatch.setattr(simulate, "coeff_tables", refuse)
+        raise AssertionError("a reader built coefficient tables")
+    monkeypatch.setattr(coefficients, "coeff_tables", refuse)
     for n in (1, 2):
         kern = DiscreteLaplaceKernel(nodes=[0.0, 0.5, 4.0], weights=[0.2, 0.3, 0.5],
                                      mb=rng.normal(size=(3, n, n)),
                                      msigma=rng.normal(size=(3, n, n)))
         coeffs, xi = _state_coeffs(n), np.linspace(0.4, -0.2, n)
-        assert forcing_source(coeffs, u) == "evaluators"
+        names = ("b", "sigma") if n == 1 else ("b", "sigma", "f")
+        assert all(rd.taylor is None for rd in readers(coeffs, u, grid, names))
         Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
         Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
         assert np.max(np.abs(Xl - Xd)) <= 1e-10
         assert np.array_equal(simulate_lift(coeffs, u, kern, xi, e, self_test=False)[1], Xl)
     per_path = ControlPath(np.full((8, grid.n_steps + 1, 1), 0.1), deterministic=False)
-    assert forcing_source(lq, per_path) == "evaluators"
+    assert all(rd.taylor is None for rd in readers(lq, per_path, grid, ("b", "sigma", "f")))
     assert simulate_sve(lq, per_path, constant_kernel(), 0.3, e).tobytes() == tabulated.tobytes()
 
 
@@ -265,9 +267,9 @@ def test_tabulated_forcing_matches_the_evaluators(name):
 
     def evaluators(m, x):
         return coeffs.b(m * grid.dt, u.at(m), x), coeffs.sigma(m * grid.dt, u.at(m), x)
-    assert forcing_source(coeffs, u) == "tables"
+    assert all(rd.taylor is not None for rd in readers(coeffs, u, grid, ("b", "sigma")))
     X = simulate_sve(coeffs, u, kern, 0.3, e)
-    ref, _ = run_lift(kern, grid, e.dW, evaluators, _xi_table(0.3, grid, 1))
+    ref, _ = run_lift(kern, grid, e.dW, evaluators, xi_table(0.3, grid, 1))
     if name == "bilinear_lq":
         assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
     else:

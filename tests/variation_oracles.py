@@ -10,8 +10,8 @@ copies.  The tests compare ``variation._spike_cosimulation`` with it.
 
 import numpy as np
 
-from volterra_smp.coefficients import horner
-from volterra_smp.simulate import LiftStep, _taylor_rows, _xi_table
+from volterra_smp.coefficients import coeff_tables, horner
+from volterra_smp.simulate import LiftStep, xi_table
 from volterra_smp.variation import NORM_KEYS, VariationBundle
 
 NAMES = "b sigma b_x sigma_x b_xx sigma_xx f f_x f_xx"
@@ -24,6 +24,13 @@ def _coeff_eval(coeffs, taylor, control, m, dt, x, names=NAMES):
     return {name: horner(taylor[name][m], x, np.empty(x.shape)) if name in taylor
             else getattr(coeffs, name)(m * dt, control.at(m), x[:, None]).reshape(x.shape)
             for name in names.split()}
+
+
+def _taylor_rows(coeffs, control, grid, names) -> dict:
+    """name -> its Taylor coefficients in x along the control as (N+1, d+1)
+    rows, row m = (c_0, ..., c_d) at step m."""
+    return {name: np.stack([c.reshape(-1) for c in coefs], 1)
+            for name, coefs in zip(names, coeff_tables(coeffs, control, grid, names))}
 
 
 def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
@@ -54,11 +61,10 @@ def spike_cosimulation(coeffs, kernel, u_hat, spikes, xi, ens, store=False,
         raise ValueError("control tables must live on the simulation grid")
     win = np.array([sp.window(grid) for sp in spikes])  # (S, 2)
     j_start = int(win[:, 0].min())
-    xi_tab = _xi_table(xi, grid, 1)[:, 0]
+    xi_tab = xi_table(xi, grid, 1)[:, 0]
     coeffs.self_test()
     degrees = coeffs.tags.state_degrees()
-    tab_u, tab_v = (dict(zip(degrees, _taylor_rows(coeffs, c, grid, degrees)))
-                    for c in (u_hat, v))
+    tab_u, tab_v = (_taylor_rows(coeffs, c, grid, degrees) for c in (u_hat, v))
 
     G = 1 + 3 * S
     lift = LiftStep(kernel, dt, ens.dW, G)
