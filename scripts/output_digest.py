@@ -24,11 +24,12 @@ differences.
 With ``--tol REL`` the listing is the same, but the exit code compares the
 trees by verdict and by tolerance instead of by bytes: it is 0 when no file
 is in only one tree, every CSV that differs keeps its shape, its text cells
-and, in each numeric column, every cell within REL times the largest
-finite |value| of that column in either tree (NaN equal to NaN), and every
-``summary.json`` that differs keeps each check's pass flag; else 1.  Any
-other file that differs fails.  This is the comparison across machines and
-BLAS builds, where the last bits of a result may move.
+and, in each numeric column, every cell within REL times the column's
+scale (NaN equal to NaN), and every ``summary.json`` that differs keeps
+each check's pass flag; else 1.  Any other file that differs fails.  A
+column's scale is max(1, its largest finite |value| in either tree), so a
+column of roundoff near 0 is held to REL itself.  This is the comparison
+across machines and BLAS builds, where the last bits of a result may move.
 """
 
 import hashlib
@@ -75,7 +76,8 @@ def deviations(path_a: Path, path_b: Path) -> list:
 
 def within(path_a: Path, path_b: Path, tol: float) -> bool:
     """Whether two CSVs have one shape, equal text cells and, per numeric
-    column, every cell within ``tol`` times the column's largest |value|."""
+    column, every cell within ``tol`` times max(1, the column's largest
+    finite |value|)."""
     (cols_a, rows_a), (cols_b, rows_b) = _table(path_a), _table(path_b)
     if cols_a != cols_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return False
@@ -87,7 +89,7 @@ def within(path_a: Path, path_b: Path, tol: float) -> bool:
             if col_a != col_b:        # a column of text
                 return False
             continue
-        scale = max((abs(v) for v in num_a + num_b if math.isfinite(v)), default=0.0)
+        scale = max(1.0, max((abs(v) for v in num_a + num_b if math.isfinite(v)), default=0.0))
         if any(not _deviation(a, b) <= tol * scale for a, b in zip(num_a, num_b)):
             return False
     return True

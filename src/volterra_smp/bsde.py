@@ -13,14 +13,14 @@ tables; a least-squares Monte Carlo solver covers general terminals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .coefficients import horner
 from .grids import TimeGrid
-from .kernels import discounted_sweep, gamma_fn, step_decay_weight
+from .kernels import discounted_sweep, step_decay_weight
 from .simulate import BrownianEnsemble
 
 
@@ -138,8 +138,8 @@ def _gaussian_poly_conditioning(coef: np.ndarray, var: float) -> tuple:
         if coef[k] == 0.0:
             continue
         for j in range(k + 1):
-            shift[j] += coef[k] * comb(k, j) * moments[k - j]
-            weighted[j] += coef[k] * comb(k, j) * moments[k - j + 1] / var
+            shift[j] += coef[k] * math.comb(k, j) * moments[k - j]
+            weighted[j] += coef[k] * math.comb(k, j) * moments[k - j + 1] / var
     return shift, weighted
 
 
@@ -153,7 +153,8 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
     projects p_{m+1} on the basis at t_{m+1} and applies the exact one-step
     Gaussian conditioning of the polynomial basis, which is noise-free once
     the projection is exact.  Both regress on polynomials of the Brownian
-    path W_m.  Returns p and q as (paths, N+1) tables.
+    path W_m at rcond 1e-8 (``bsee``'s rank rule: keep the singular values
+    above 1e-8 s_0).  Returns p and q as (paths, N+1) tables.
 
     In mode "later" only the terminal regression reads the paths: the
     coefficient recursion runs first, over N small vectors, and p and q are
@@ -163,7 +164,6 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
         raise ValueError("basis degree must be >= 1")
     grid = inst.grid
     N, dt = grid.n_steps, grid.dt
-    paths = ens.n_paths
     W = ens.W
     terminal = inst.terminal_values(ens)
     dec = float(np.exp(-inst.kappa * dt))
@@ -173,7 +173,7 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
         # coef[m]: p_m as a polynomial of W_m; slope[m]: q_m likewise
         coef = np.empty((N + 1, degree + 1))
         slope = np.zeros((N + 1, degree + 1))
-        coef[N], *_ = np.linalg.lstsq(_poly_design(W[:, N], degree), terminal, rcond=None)
+        coef[N], *_ = np.linalg.lstsq(_poly_design(W[:, N], degree), terminal, rcond=1e-8)
         for m in range(N - 1, -1, -1):
             # E_m[poly(W_{m+1})] and E_m[poly dW] / dt
             cond, weighted = _gaussian_poly_conditioning(coef[m + 1], dt)
@@ -188,26 +188,15 @@ def solve_bsde_lsmc(inst: BSDEInstance, ens: BrownianEnsemble, degree: int = 1,
 
     if mode != "now":
         raise ValueError("mode must be 'now' or 'later'")
-    p = np.empty((paths, N + 1))
-    q = np.zeros((paths, N + 1))
+    p = np.empty(W.shape)
+    q = np.zeros(W.shape)
     p[:, N] = terminal
     for m in range(N - 1, -1, -1):
-        reg = W[:, m]
-        if np.std(reg) < 1e-14 * max(1.0, np.max(np.abs(reg))):
-            # constant regressor (e.g. W at t = 0): only the mean is estimable
-            X = np.ones((paths, 1))
-        else:
-            X = _poly_design(reg, degree)
-        # p and q targets on the same design: one least-squares solve, whose
-        # singular values give the design's condition number
+        # one design for p and q; at W_0 = 0 the rank rule keeps the constant alone
+        X = _poly_design(W[:, m], degree)
         targets = np.stack([dec * p[:, m + 1] + om * inst.generator[m],
                             dec * p[:, m + 1] * ens.dW[:, m] / dt], axis=1)
-        coef, _, _, sv = np.linalg.lstsq(X, targets, rcond=None)
-        cond_number = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        if cond_number > 1e12:
-            raise np.linalg.LinAlgError(
-                f"rank-deficient regression design at step {m}: cond = {cond_number:.3e}"
-            )
+        coef, *_ = np.linalg.lstsq(X, targets, rcond=1e-8)
         p[:, m], q[:, m] = (X @ coef).T
     return {"p": p, "q": q, "mode": mode, "degree": degree}
 
@@ -228,7 +217,7 @@ def _exp_power_step_integrals(c: float, alpha: float, grid: TimeGrid) -> np.ndar
         return (s_right ** (1.0 + alpha) - s_left ** (1.0 + alpha)) / (1.0 + alpha)
     from scipy.special import gammainc   # a slow import that only this branch needs
     a = 1.0 + alpha
-    scale = gamma_fn(a) / c ** a
+    scale = math.gamma(a) / c ** a
     return scale * (gammainc(a, c * s_right) - gammainc(a, c * s_left))
 
 
@@ -290,7 +279,7 @@ def apriori_ratio(inst: BSDEInstance, sol: ClosedFormSolution, ens: BrownianEnse
 
     h = inst.terminal_values(ens)
     g2w = np.sum(inst.generator[:-1] ** 2 * w0)
-    rhs = float(np.mean(h ** 2)) + gamma_fn(1.0 - alpha) / kappa ** (1.0 - alpha) * float(g2w)
+    rhs = float(np.mean(h ** 2)) + math.gamma(1.0 - alpha) / kappa ** (1.0 - alpha) * float(g2w)
 
     if rhs == 0.0:
         if lhs == 0.0:

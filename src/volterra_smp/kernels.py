@@ -17,6 +17,7 @@ percent-level accuracy targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,47 +31,6 @@ __all__ = [
     "knorm_eps",
     "quadrature_error",
 ]
-
-
-# Rational fit of Gamma(2 + x) on 0 <= x < 1, highest power first (Cephes)
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for 0 < x <= 33, bit for bit the Cephes ``Gamma`` that
-    ``scipy.special.gamma`` evaluates, in the same operation order.
-
-    A port rather than ``math.gamma``, whose last bit differs on most
-    arguments (Gamma(0.9), Gamma(1/3)), so that the kernel factors keep their
-    bits without importing ``scipy.special``.  Raises ValueError outside
-    (0, 33] and on NaN; Cephes switches to Stirling's formula above 33.
-    """
-    x = float(x)
-    if not 0.0 < x <= 33.0:
-        raise ValueError(f"gamma_fn covers 0 < x <= 33, got {x!r}")
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    p = q = 0.0
-    for c in _GAMMA_P:
-        p = p * x + c
-    for c in _GAMMA_Q:
-        q = q * x + c
-    return z * p / q
 
 
 @dataclass(frozen=True)
@@ -104,7 +64,7 @@ class AnalyticKernel:
         if self.family == "fractional":
             if np.any(t <= 0):
                 raise ValueError("fractional kernel is singular at t = 0")
-            return t ** (self.beta - 1.0) / gamma_fn(self.beta)
+            return t ** (self.beta - 1.0) / math.gamma(self.beta)
         if self.family == "constant":
             return np.ones_like(t)
         return np.exp(-self.lam * t)
@@ -344,8 +304,8 @@ def build_fractional_lift(
     weights = np.empty(n_nodes)
     avg_b = np.empty(n_nodes)
     avg_s = np.empty(n_nodes)
-    cb = 1.0 / (gamma_fn(beta_b) * gamma_fn(1.0 - beta_b))
-    cs = 1.0 / (gamma_fn(beta_sigma) * gamma_fn(1.0 - beta_sigma))
+    cb = 1.0 / (math.gamma(beta_b) * math.gamma(1.0 - beta_b))
+    cs = 1.0 / (math.gamma(beta_sigma) * math.gamma(1.0 - beta_sigma))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(n_nodes):
             a, b = edges[i], edges[i + 1]
@@ -403,7 +363,7 @@ def knorm_eps(kernel, which: str, q: float, eps: float, closed_form: bool = True
             )
         if closed_form:
             fnorm = np.sqrt(np.sum(ana.factor ** 2))
-            return float((eps ** ex / ex) ** (1.0 / q) * fnorm / gamma_fn(ana.beta))
+            return float((eps ** ex / ex) ** (1.0 / q) * fnorm / math.gamma(ana.beta))
     if ana is not None and closed_form:
         fnorm = np.sqrt(np.sum(ana.factor ** 2))
         if ana.family == "constant":

@@ -8,8 +8,9 @@ integrals and takes each integral as its own matrix-vector product,
 property tests compare the module against them.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from volterra_smp.bsde import _exp_power_step_integrals, _gaussian_poly_conditioning
 from volterra_smp.kernels import step_decay_weight
@@ -46,7 +47,7 @@ def solve_bsde_lsmc(inst, ens, degree=1, mode="later") -> dict:
     p[:, N] = terminal
     if mode == "later":
         X = _poly_design(W[:, N], degree)
-        coef, *_ = np.linalg.lstsq(X, terminal, rcond=None)
+        coef, *_ = np.linalg.lstsq(X, terminal, rcond=1e-8)
         for m in range(N - 1, -1, -1):
             cond, slope = _gaussian_poly_conditioning(coef, dt)
             pm_det = _poly_design(W[:, m], degree) @ cond
@@ -56,19 +57,10 @@ def solve_bsde_lsmc(inst, ens, degree=1, mode="later") -> dict:
             coef[0] += om * inst.generator[m]
         return {"p": p, "q": q, "mode": mode, "degree": degree}
     for m in range(N - 1, -1, -1):
-        reg = W[:, m]
-        if np.std(reg) < 1e-14 * max(1.0, np.max(np.abs(reg))):
-            X = np.ones((paths, 1))
-        else:
-            X = _poly_design(reg, degree)
-            sv = np.linalg.svd(X, compute_uv=False)
-            cond_number = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-            if cond_number > 1e12:
-                raise np.linalg.LinAlgError(
-                    f"rank-deficient regression design at step {m}: cond = {cond_number:.3e}")
+        X = _poly_design(W[:, m], degree)
         targets = np.stack([dec * p[:, m + 1] + om * inst.generator[m],
                             dec * p[:, m + 1] * ens.dW[:, m] / dt], axis=1)
-        coef, *_ = np.linalg.lstsq(X, targets, rcond=None)
+        coef, *_ = np.linalg.lstsq(X, targets, rcond=1e-8)
         p[:, m], q[:, m] = (X @ coef).T
     return {"p": p, "q": q, "mode": mode, "degree": degree}
 
@@ -107,7 +99,7 @@ def apriori_ratio(inst, sol, ens) -> dict:
     lhs = float(np.mean(lhs_paths))
     h = inst.terminal_values(ens)
     g2w = np.sum(inst.generator[:-1] ** 2 * w0)
-    rhs = float(np.mean(h ** 2)) + gamma_fn(1.0 - alpha) / kappa ** (1.0 - alpha) * float(g2w)
+    rhs = float(np.mean(h ** 2)) + math.gamma(1.0 - alpha) / kappa ** (1.0 - alpha) * float(g2w)
     if rhs == 0.0:
         if lhs == 0.0:
             return {"ratio": 0.0, "trivial": True, "lhs": 0.0, "rhs": 0.0}

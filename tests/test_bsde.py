@@ -108,15 +108,18 @@ def test_apriori_scale_invariance(c, kappa):
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
-def test_lsmc_now_rank_deficient_design_raises():
+def test_lsmc_now_keeps_the_constant_alone_on_a_near_singular_design():
     # W varies across paths (so the design has a slope column) but only by
-    # ~1e-13: the design [1, W_3] has condition number ~1e13
+    # ~1e-13: the design [1, W_m] has condition number ~1e13, and the rank
+    # rule (singular values above 1e-8 s_0) keeps the constant alone
     grid = TimeGrid(1.0, 4)
     dW = 1e-13 * np.random.default_rng(0).standard_normal((50, 4))
     ens = BrownianEnsemble(grid=grid, n_paths=50, seed=0, dW=dW)
     inst = BSDEInstance(grid, kappa=1.0, terminal_wt=1.0)
-    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient regression design at step 3"):
-        solve_bsde_lsmc(inst, ens, degree=1, mode="now")
+    sol = solve_bsde_lsmc(inst, ens, degree=1, mode="now")
+    for key in ("p", "q"):
+        table = sol[key][:, :-1]
+        assert np.all(np.isfinite(table)) and np.all(table == table[0]), key
 
 
 def _scaled_dev(new, ref):
@@ -164,14 +167,9 @@ def test_bsde_checks_match_oracles(log_kappa, alpha, c, a, n_steps, n_paths, deg
     assert _scaled_dev(later["p"], later_ref["p"]) <= 1e-13
     assert _scaled_dev(later["q"], later_ref["q"]) <= 1e-13
 
-    try:
-        now = solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
-    except np.linalg.LinAlgError as exc:
-        with pytest.raises(np.linalg.LinAlgError, match=str(exc).split(":")[0]):
-            bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
-    else:
-        now_ref = bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
-        assert _same_bytes(now["p"], now_ref["p"]) and _same_bytes(now["q"], now_ref["q"])
+    now = solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
+    now_ref = bsde_oracles.solve_bsde_lsmc(inst, ens, degree=degree, mode="now")
+    assert _same_bytes(now["p"], now_ref["p"]) and _same_bytes(now["q"], now_ref["q"])
 
     pairs = [(sol.p_values(ens), sol.q_values(ens)), (sol.det, sol.q),
              (later["p"], later["q"])]

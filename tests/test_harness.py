@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -830,14 +832,21 @@ def test_output_digest_lists_every_output_but_the_timings(tmp_path):
 
 
 def test_output_digest_compares_by_verdict_and_tolerance(tmp_path):
-    # b: one cell 1 ulp off; c: a pass flag flipped; d: a text cell changed
+    # b: one cell 1 ulp off; c: a pass flag flipped; d: a text cell changed;
+    # e: a cell of a column of roundoff moves by about 1 % of its largest
+    # |value|, 2.2e-16 in all; f: a cell moves 1e-3 -> 2e-3
     script = Path(harness.__file__).resolve().parents[2] / "scripts" / "output_digest.py"
     x = 0.3
     trees = {"a": (repr(x), "a", True), "b": (repr(float(np.nextafter(x, 1.0))), "a", True),
-             "c": (repr(x), "a", False), "d": (repr(x), "z", True)}
+             "c": (repr(x), "a", False), "d": (repr(x), "z", True),
+             "e": (repr(x), "a", True), "f": (repr(x), "a", True)}
+    roundoff = {"e": ("4.2188474935755949e-15", "1e-3"), "f": ("3.9968028886505635e-15", "2e-3")}
     for side, (cell, text, flag) in trees.items():
         (tmp_path / side).mkdir()
         (tmp_path / side / "t.csv").write_text(f"# seed=1\nname,x,y\n{text},{cell},-2.0\n")
+        residual, small = roundoff.get(side, ("3.9968028886505635e-15", "1e-3"))
+        (tmp_path / side / "r.csv").write_text(
+            f"residual,small\n2.3536728122053319e-14,1e-3\n{residual},{small}\n")
         (tmp_path / side / "summary.json").write_text(json.dumps(
             {"rates": {"passed": flag, "checks": [{"name": "c", "passed": flag, "detail": "d"}]}}))
 
@@ -849,9 +858,11 @@ def test_output_digest_compares_by_verdict_and_tolerance(tmp_path):
     assert byte_code == 1 and listing.startswith("differs  t.csv\n"), listing
     assert run("b", "--tol", "1e-12") == (0, listing)
     assert run("b", "--tol", "0") == (1, listing)
-    for side in ("c", "d"):
+    for side in ("c", "d", "f"):
         assert run(side)[0] == 1 and run(side, "--tol", "1e-12")[0] == 1, side
     assert run("b", "--tol", "x")[0] == 2
+    # a column's scale is max(1, its largest |value|)
+    assert run("e")[0] == 1 and run("e", "--tol", "1e-12")[0] == 0
 
 
 def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
@@ -899,6 +910,45 @@ def test_output_digest_lists_what_differs_between_two_trees(tmp_path):
         assert (proc.returncode, proc.stdout) == (0, "")
     assert run(tmp_path / "a", tmp_path / "b", tmp_path / "c").returncode == 2
     assert run(tmp_path / "a", tmp_path / "missing").returncode == 2
+
+
+def _dynamic_openblas() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot pick another BLAS core here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError) as exc:
+        return f"numpy reports no BLAS build configuration ({exc!r})"
+    config = blas.get("openblas configuration", "")
+    if platform.machine().lower() not in ("x86_64", "amd64") or "DYNAMIC_ARCH" not in config:
+        return (f"needs OpenBLAS built with DYNAMIC_ARCH on x86-64; numpy reports "
+                f"{blas.get('name')!r} ({config or 'no configuration'}) on {platform.machine()}")
+    return None
+
+
+def test_outputs_keep_verdicts_and_tolerance_on_another_blas_core(tmp_path):
+    # the bundled fractional config at 64 paths and 32 steps, once on the
+    # BLAS core OpenBLAS picks and once on Prescott (SSE3, on any x86-64)
+    reason = _dynamic_openblas()
+    if reason is not None:
+        pytest.skip(reason)
+    root = Path(harness.__file__).resolve().parents[2]
+    summaries = []
+    for side, extra in (("native", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "volterra_smp.cli", "all",
+             "--config", str(root / "scripts" / "configs" / "fractional_lq.json"),
+             "--paths", "64", "--steps", "32", "--out", str(tmp_path / side)],
+            env={**os.environ, **extra}, capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        summaries.append({(exp, check["name"]): check["passed"]
+                          for exp, res in json.loads((tmp_path / side / "summary.json")
+                                                     .read_text()).items()
+                          for check in res["checks"]})
+    assert summaries[0] == summaries[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "output_digest.py"),
+                           str(tmp_path / "native"), str(tmp_path / "prescott"),
+                           "--tol", "1e-12"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_sidecar_records_table_write_time(tmp_path):

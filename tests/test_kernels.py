@@ -6,11 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
 import kernels_oracles
-from volterra_smp.harness import resolve_config
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel,
                                   build_fractional_lift, constant_kernel,
                                   discounted_sweep, exponential_kernel,
-                                  gamma_fn as kernels_gamma,
                                   knorm_eps, quadrature_error, step_decay_weight)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -93,6 +91,19 @@ def test_knorm_fractional_closed_form():
     expect = eps ** 0.25 / (np.sqrt(0.5) * gamma_fn(0.75))
     assert knorm_eps(ana, "b", 2.0, eps) == pytest.approx(expect, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("which", ["b", "sigma"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.8])
+def test_knorm_of_an_atom_kernel_without_reference_matches_the_closed_form(which, q, eps):
+    # one atom at theta = 2 with unit weight and factors is exp(-2 t), but
+    # without an analytic reference knorm_eps integrates its profile
+    atom = DiscreteLaplaceKernel(nodes=np.array([2.0]), weights=np.array([1.0]),
+                                 mb=np.ones((1, 1, 1)), msigma=np.ones((1, 1, 1)))
+    assert atom.analytic(which) is None
+    expect = knorm_eps(exponential_kernel(2.0), which, q, eps)
+    assert knorm_eps(atom, which, q, eps) == pytest.approx(expect, rel=1e-12)
 
 @pytest.mark.parametrize("beta,q,member", [
     (0.4, 1.5, True), (1 / 3 + 1e-9, 1.5, True), (0.3, 1.5, False),
@@ -185,28 +196,3 @@ def test_package_import_leaves_the_quadrature_module_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
-
-def _bundled_gamma_arguments() -> list:
-    """beta and 1 - beta of every bundled kernel, and 1 +- alpha of every
-    bundled kernel and of bsde-check's instances (alpha = 0, 1/3)."""
-    args, alphas = set(), {0.0, 1.0 / 3.0}
-    for path in CONFIGS.glob("*.json"):
-        k = resolve_config(path).kernel
-        alphas.add(k["alpha"])
-        args |= {v for beta in (k["beta_b"], k["beta_sigma"]) for v in (beta, 1.0 - beta)}
-    return sorted(args | {1.0 + a for a in alphas} | {1.0 - a for a in alphas})
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=st.one_of(st.floats(0.0, 33.0, exclude_min=True),
-                   st.floats(-300.0, np.log10(33.0)).map(lambda e: min(10.0 ** e, 33.0)),
-                   st.integers(1, 33).map(float),
-                   st.sampled_from(_bundled_gamma_arguments())))
-def test_gamma_port_equals_scipy_bit_for_bit(x):
-    assert kernels_gamma(x) == gamma_fn(x), x
-
-
-@pytest.mark.parametrize("x", [0.0, -0.5, -3.0, 33.000000000000004, 171.0, np.inf, np.nan])
-def test_gamma_port_refuses_arguments_outside_its_range(x):
-    with pytest.raises(ValueError, match="0 < x <= 33"):
-        kernels_gamma(x)
