@@ -43,16 +43,16 @@ class GaussianMartingale:
     vol: np.ndarray     # (N+1,), last entry unused
 
     @classmethod
-    def terminal_state_mean(cls, kernel: DiscreteLaplaceKernel, grid: TimeGrid,
-                            ens: BrownianEnsemble, b_tab: np.ndarray,
-                            s_tab: np.ndarray) -> "GaussianMartingale":
+    def terminal_state_mean(cls, kernel: DiscreteLaplaceKernel, ens: BrownianEnsemble,
+                            b_tab: np.ndarray, s_tab: np.ndarray) -> "GaussianMartingale":
         """E_m[X_T] for the state-free scalar state equation without forcing.
 
         b_tab, s_tab are deterministic (N+1,) drift/diffusion content tables;
         without forcing the discrete terminal state is sum_j Kb(T-t_j) b_j dt
         + sum_j Ks(T-t_j) s_j dW_j, so the conditional mean is a Gaussian
-        martingale with vol_m = Ks(T - t_m) s_m.
+        martingale with vol_m = Ks(T - t_m) s_m, on the ensemble's grid.
         """
+        grid = ens.grid
         N = grid.n_steps
         ts = grid.T - grid.t[:-1]  # T - t_j >= dt
         kb = kernel.eval("b", ts)[:, 0, 0]
@@ -331,7 +331,7 @@ def assemble_first_adjoint(
         # Z_m = E_m[X_T]; the deterministic forcing offset is recovered from
         # the simulated terminal state, which must match Z_T pathwise.  The
         # first path's offset is the shift, so it does not depend on the path count.
-        Z = GaussianMartingale.terminal_state_mean(kernel, grid, ens, b_tab, s_tab)
+        Z = GaussianMartingale.terminal_state_mean(kernel, ens, b_tab, s_tab)
         offsets = x_hat[:, -1, 0] - Z.values[:, -1]
         shift = float(offsets[0])
         if float(np.max(np.abs(offsets - shift))) > 1e-8 * max(1.0, abs(shift)):
@@ -422,12 +422,11 @@ def _assemble_first_adjoint_lsmc(coeffs, u_hat, x_hat, kernel, ens) -> AdjointSo
 def assemble_second_adjoint(
     coeffs: CoefficientSet,
     first: AdjointSolution,
-    kernel: DiscreteLaplaceKernel,
-    ens: BrownianEnsemble,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> AdjointSolution:
-    """Attach the node-pair field (P, Q == 0) to a solved first-order field.
+    """Attach the node-pair field (P, Q == 0) to a solved first-order field,
+    on its decay grid and time grid.
 
     Requires x-free second state derivatives of b and sigma (linear-in-state
     or state-free dynamics) and constant cost Hessians, which keeps the pair
@@ -439,7 +438,7 @@ def assemble_second_adjoint(
         raise ValueError("pair field requires x-free state-derivative structure")
     if tags.h_degree > 2 or tags.f_state_degree > 2:
         raise ValueError("pair field requires cost Hessians constant in x")
-    grid = ens.grid
+    kernel, grid = first.kernel, first.grid
     n = coeffs.dim
     K = kernel.n_nodes
     (bx,), (sx,), (fxx,) = coeff_tables(coeffs, first.u_hat, grid, ("b_x", "sigma_x", "f_xx"))
@@ -479,4 +478,4 @@ def assemble_adjoints(
     """First- and second-order adjoint fields with cached contractions."""
     adj = assemble_first_adjoint(coeffs, u_hat, x_hat, kernel, ens,
                                  tol=tol, max_iter=max_iter, lsmc=lsmc)
-    return assemble_second_adjoint(coeffs, adj, kernel, ens, tol=tol, max_iter=max_iter)
+    return assemble_second_adjoint(coeffs, adj, tol=tol, max_iter=max_iter)

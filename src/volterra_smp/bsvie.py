@@ -152,10 +152,11 @@ def m_constraint_residual_first(tuple_: BSVIEFirstTuple, ens: BrownianEnsemble) 
     return worst
 
 
-def reconstruct_first_field(tuple_: BSVIEFirstTuple, kernel: DiscreteLaplaceKernel,
-                            grid: TimeGrid) -> np.ndarray:
-    """Rebuild the decay-grid field from the tuple (deterministic regime):
+def reconstruct_first_field(tuple_: BSVIEFirstTuple, kernel: DiscreteLaplaceKernel) -> np.ndarray:
+    """Rebuild the decay-grid field from the tuple (deterministic regime), on
+    the tuple's grid:
     p_rec_m(theta) = e^{-theta (T-t_m)} p1_m + sum_k omega e^{-theta (t_k-t_m)} p2_k."""
+    grid = tuple_.grid
     th, N, dt = kernel.nodes, grid.n_steps, grid.dt
     om = step_decay_weight(th, dt)
     P = np.exp(-th[None, :] * (grid.T - grid.t)[:, None]) * tuple_.p1_0[:, None]

@@ -329,19 +329,8 @@ def build_fractional_lift(
     )
 
 
-def _frobenius_profile(kernel, which: str):
-    """Scalar t -> |K(t)|_F together with an optional closed-form tag."""
-    ana = kernel.analytic(which)
-    if ana is None:
-        def profile(t):
-            return np.sqrt(np.sum(kernel.eval(which, t) ** 2, axis=(-2, -1)))
-        return profile, None
-    fnorm = np.sqrt(np.sum(ana.factor ** 2))
-    return (lambda t: ana.scalar(t) * fnorm), ana
-
-
 def knorm_eps(kernel, which: str, q: float, eps: float, closed_form: bool = True) -> float:
-    """Sliding L^q norm over windows of length eps.
+    """Sliding L^q norm of t -> |K(t)|_F over windows of length eps.
 
     For nonnegative, non-increasing scalar profiles (all families here) the
     supremum over windows is attained at [0, eps], so the value is
@@ -352,25 +341,28 @@ def knorm_eps(kernel, which: str, q: float, eps: float, closed_form: bool = True
         raise ValueError("q must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    profile, ana = _frobenius_profile(kernel, which)
-
-    if ana is not None and ana.family == "fractional":
-        ex = q * (ana.beta - 1.0) + 1.0
-        if ex <= 0:
-            raise ValueError(
-                f"kernel not in L^{q}: membership requires q*(beta-1)+1 > 0, "
-                f"i.e. beta > {1.0 - 1.0 / q:.6g} (beta = {ana.beta})"
-            )
-        if closed_form:
-            fnorm = np.sqrt(np.sum(ana.factor ** 2))
-            return float((eps ** ex / ex) ** (1.0 / q) * fnorm / math.gamma(ana.beta))
-    if ana is not None and closed_form:
-        fnorm = np.sqrt(np.sum(ana.factor ** 2))
-        if ana.family == "constant":
+    ana = kernel.analytic(which)
+    if ana is not None:
+        fnorm = np.sqrt(np.sum(ana.factor ** 2))   # |K(t)|_F = k(t) |factor|_F
+        if ana.family == "fractional":
+            ex = q * (ana.beta - 1.0) + 1.0
+            if ex <= 0:
+                raise ValueError(
+                    f"kernel not in L^{q}: membership requires q*(beta-1)+1 > 0, "
+                    f"i.e. beta > {1.0 - 1.0 / q:.6g} (beta = {ana.beta})"
+                )
+            if closed_form:
+                return float((eps ** ex / ex) ** (1.0 / q) * fnorm / math.gamma(ana.beta))
+        if closed_form and ana.family == "constant":
             return float(fnorm * eps ** (1.0 / q))
-        if ana.family == "exponential":
+        if closed_form and ana.family == "exponential":
             lam = ana.lam
             return float(fnorm * (-np.expm1(-q * lam * eps) / (q * lam)) ** (1.0 / q))
+
+    def profile(t):
+        if ana is None:
+            return np.sqrt(np.sum(kernel.eval(which, t) ** 2, axis=(-2, -1)))
+        return ana.scalar(t) * fnorm
 
     from scipy.integrate import quad   # a slow import that only this branch needs
     val, _ = quad(lambda t: profile(np.asarray(t)) ** q, 0.0, eps, epsabs=0.0, epsrel=1e-10, limit=400)

@@ -40,14 +40,6 @@ from .stats import mc_mean_se, mc_mean_se_rows
 from .variation import SpikeSpec, _spike_cosimulation
 
 
-def hamiltonian(coeffs: CoefficientSet, t: float, u, x, p, q) -> np.ndarray:
-    """<p, b> + <q, sigma> - f, vectorized over paths."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = np.broadcast_to(np.asarray(p, dtype=float), x.shape)
-    q = np.broadcast_to(np.asarray(q, dtype=float), x.shape)
-    return _hamiltonian_of(p, q, coeffs.b(t, u, x), coeffs.sigma(t, u, x), coeffs.f(t, u, x))
-
-
 def _hamiltonian_of(p, q, b, sigma, f) -> np.ndarray:
     """<p, b> + <q, sigma> - f over the last axis, from evaluated coefficients."""
     return np.sum(p * b, axis=-1) + np.sum(q * sigma, axis=-1) - f
@@ -347,9 +339,9 @@ def check_variational_inequality(coeffs: CoefficientSet, u_hat: ControlPath,
                     per_path=bool(tabs.state_degree) or ab_paths > 1)
 
 
-def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,
-                             grid: TimeGrid) -> ControlPath:
-    """Pointwise maximizer of the risk-adjusted Hamiltonian over the control grid.
+def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution) -> ControlPath:
+    """Pointwise maximizer of the risk-adjusted Hamiltonian over the control
+    grid, on the adjoints' time grid.
 
     Valid when the control-dependent part of the Hamiltonian is state-free
     (the bundled linear-cost problem), so the maximizer is deterministic: it
@@ -359,6 +351,7 @@ def construct_argmax_control(coeffs: CoefficientSet, adjoints: AdjointSolution,
     if adjoints.Ab1 is not None:
         raise ValueError("the argmax control needs deterministic adjoint contractions")
     u_pts = coeffs.control_domain.points
+    grid = adjoints.grid
     N = grid.n_steps
     tabs = coeff_tables(coeffs, [ControlPath.constant(v, grid, coeffs.du) for v in u_pts],
                         grid, _H_NAMES)

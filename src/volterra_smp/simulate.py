@@ -342,30 +342,15 @@ def simulate_sve(coeffs: CoefficientSet, control: ControlPath, kernel, xi,
     raise ValueError("mode must be 'auto', 'lift' or 'direct'")
 
 
-def simulate_lift(coeffs: CoefficientSet, control: ControlPath,
-                  kernel: DiscreteLaplaceKernel, xi, ens: BrownianEnsemble,
-                  self_test: bool = True):
-    """Simulate the lift fields; returns (Y, X) with Y (paths, N+1, K, n), a
-    view of the step-major table."""
-    if not isinstance(kernel, DiscreteLaplaceKernel):
-        raise TypeError("lift simulation requires an atom kernel")
-    if self_test:
-        coeffs.self_test()
-    grid = ens.grid
-    xi_tab = xi_table(xi, grid, coeffs.dim)
-    forcing = _forcing(coeffs, control, grid)
-    X, Y = run_lift(kernel, grid, ens.dW, forcing, xi_tab, store_lift=True)
-    return Y.transpose(3, 0, 1, 2), X
-
-
 def lift_along(coeffs: CoefficientSet, control: ControlPath,
                kernel: DiscreteLaplaceKernel, X: np.ndarray,
                ens: BrownianEnsemble) -> np.ndarray:
     """The lift of a given state path X (paths, N+1, n): Y driven by the
-    forcings at X, step-major (N+1, K, n, paths).  Where X is the simulated
-    state of this control and ensemble, Y equals ``simulate_lift``'s bit for
-    bit, whatever the forcing term xi.  The coefficients' self-test runs
-    first, as in ``simulate_lift``: the forcing tables rest on their tags."""
+    forcings at X, step-major (N+1, K, n, paths).  Where X is
+    ``simulate_sve``'s state of this control and ensemble, Y equals the lift
+    ``run_lift`` stores along it bit for bit, whatever the forcing term xi.
+    The coefficients' self-test runs first, as in ``simulate_sve``: the
+    forcing tables rest on their tags."""
     coeffs.self_test()
     grid = ens.grid
     forcing = _forcing(coeffs, control, grid)

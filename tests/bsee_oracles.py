@@ -22,7 +22,7 @@ import numpy as np
 from volterra_smp.coefficients import coeff_tables
 from volterra_smp.grids import hnorm_weight, weighted_norm
 from volterra_smp.kernels import discounted_sweep, step_decay_weight
-from volterra_smp.simulate import simulate_lift
+from volterra_smp.simulate import lift_along, simulate_sve
 
 
 def lsmc_first_adjoint(coeffs, u_hat, xi, kernel, ens) -> tuple:
@@ -31,7 +31,8 @@ def lsmc_first_adjoint(coeffs, u_hat, xi, kernel, ens) -> tuple:
     N, dt = grid.n_steps, grid.dt
     nodes = kernel.nodes
     K = nodes.size
-    Y, x_hat = simulate_lift(coeffs, u_hat, kernel, xi, ens, self_test=False)
+    x_hat = simulate_sve(coeffs, u_hat, kernel, xi, ens, self_test=False)
+    Y = lift_along(coeffs, u_hat, kernel, x_hat, ens)[:, :, 0]     # (N+1, K, paths)
     paths = ens.n_paths
     dec = np.exp(-nodes * dt)
     om = step_decay_weight(nodes, dt)
@@ -42,7 +43,7 @@ def lsmc_first_adjoint(coeffs, u_hat, xi, kernel, ens) -> tuple:
     mb = kernel.mb[:, 0, 0] * kernel.weights
     ms = kernel.msigma[:, 0, 0] * kernel.weights
     for m in range(N - 1, -1, -1):
-        basis = np.concatenate([np.ones((paths, 1)), Y[:, m, :, 0]], axis=1)
+        basis = np.concatenate([np.ones((paths, 1)), Y[m].T], axis=1)
         disc = p * dec[None, :]
         coef, *_ = np.linalg.lstsq(basis, np.concatenate(
             [disc, disc * ens.dW[:, m][:, None] / dt], axis=1), rcond=1e-8)

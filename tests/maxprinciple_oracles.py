@@ -19,8 +19,9 @@ processes with its adjoint representation (minus the mean spike integral of
 ``maxprinciple.duality_residuals``) over a spike-size sweep; only the tests
 use it.
 
-``hfunction`` is the risk-adjusted Hamiltonian at one grid time, the quantity
-whose gaps the variational-inequality check evaluates in blocks.
+``hamiltonian`` is <p, b> + <q, sigma> - f from one round of coefficient
+calls; ``hfunction`` is the risk-adjusted Hamiltonian at one grid time, the
+quantity whose gaps the variational-inequality check evaluates in blocks.
 
 ``duality_residuals`` is the loop form of ``maxprinciple.duality_residuals``:
 its observer recomputes every adjoint contraction at every step, reads the
@@ -33,9 +34,18 @@ from volterra_smp import maxprinciple
 from volterra_smp.bsee import AdjointSolution
 from volterra_smp.coefficients import CoefficientSet, ControlPath, horner
 from volterra_smp.kernels import step_decay_weight
-from volterra_smp.maxprinciple import MPReport, hamiltonian
+from volterra_smp.maxprinciple import MPReport
 from volterra_smp.stats import fit_loglog, mc_mean_se
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
+
+
+def hamiltonian(coeffs: CoefficientSet, t: float, u, x, p, q) -> np.ndarray:
+    """<p, b> + <q, sigma> - f, vectorized over paths."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p = np.broadcast_to(np.asarray(p, dtype=float), x.shape)
+    q = np.broadcast_to(np.asarray(q, dtype=float), x.shape)
+    return (np.sum(p * coeffs.b(t, u, x), axis=-1) + np.sum(q * coeffs.sigma(t, u, x), axis=-1)
+            - coeffs.f(t, u, x))
 
 
 def check_variational_inequality(coeffs, u_hat, adjoints, u_grid, ens, x_hat,

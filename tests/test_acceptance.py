@@ -236,7 +236,7 @@ def test_criterion_10_variational_inequality():
     u0 = ControlPath.constant(0.0, grid)
     adj0 = assemble_adjoints(lq, u0, simulate_sve(lq, u0, kernel, 0.4, ens),
                              kernel, ens, tol=1e-13)
-    uh = construct_argmax_control(lq, adj0, grid)
+    uh = construct_argmax_control(lq, adj0)
     xh = simulate_sve(lq, uh, kernel, 0.4, ens)
     adj = assemble_adjoints(lq, uh, xh, kernel, ens, tol=1e-13)
     rep = check_variational_inequality(lq, uh, adj, lq.control_domain.points, ens, xh)

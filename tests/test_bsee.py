@@ -13,7 +13,8 @@ from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPat
                                        StructuralTags, make_problem)
 from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift, step_decay_weight
-from volterra_smp.simulate import lift_along, sample_brownian, simulate_lift, simulate_sve
+from volterra_smp.simulate import (_forcing, lift_along, run_lift, sample_brownian, simulate_sve,
+                                   xi_table)
 
 
 def atoms(nodes, weights):
@@ -288,18 +289,20 @@ def test_retained_basis_of_zero_lift_projects_on_the_path_mean(paths, n_nodes):
 
 
 def test_lsmc_basis_is_the_lift_of_the_reference_state_table(bilinear):
-    # a forcing table: the lift along simulate_sve's state is simulate_lift's, bit for bit
+    # a forcing table: the lift along simulate_sve's state is the one run_lift
+    # stores while it simulates that state, bit for bit
     grid = TimeGrid(1.0, 16)
     k = build_fractional_lift(0.8, 0.9, None, 1e-2, 1e4, 8, alpha=1.0 / 3.0)
     e = sample_brownian(grid, 64, 17)
     uh, xi = ControlPath.constant(0.3, grid), np.linspace(0.4, 1.4, grid.n_steps + 1)
-    Y, X = simulate_lift(bilinear, uh, k, xi, e)
+    X, Y = run_lift(k, grid, e.dW, _forcing(bilinear, uh, grid), xi_table(xi, grid, 1),
+                    store_lift=True)
     xh = simulate_sve(bilinear, uh, k, xi, e)
     assert xh.tobytes() == X.tobytes()
-    along = lift_along(bilinear, uh, k, xh, e)
-    assert along.transpose(3, 0, 1, 2).tobytes() == Y.tobytes()
+    assert lift_along(bilinear, uh, k, xh, e).tobytes() == Y.tobytes()
     # the lift of the state started from the mean initial value is another basis
-    Y0, _ = simulate_lift(bilinear, uh, k, float(xh[:, 0, 0].mean()), e)
+    x0 = simulate_sve(bilinear, uh, k, float(xh[:, 0, 0].mean()), e)
+    Y0 = lift_along(bilinear, uh, k, x0, e)
     assert np.max(np.abs(Y0 - Y)) > 0.1 * np.max(np.abs(Y))
 
 
@@ -321,7 +324,7 @@ def test_pair_picard_matches_einsum_oracle(bilinear, n_steps, paths):
     first = assemble_first_adjoint(bilinear, uh, simulate_sve(bilinear, uh, k, 0.4, e), k, e,
                                    lsmc=True)
     ref = oracle.second_adjoint_einsum(bilinear, first, k, e, tol=1e-13)
-    sol = assemble_second_adjoint(bilinear, first, k, e, tol=1e-13).second
+    sol = assemble_second_adjoint(bilinear, first, tol=1e-13).second
     assert sol.iterations == ref["iterations"] > 10
     np.testing.assert_allclose(sol.distances, ref["distances"], rtol=0,
                                atol=1e-12 * ref["distances"][0])
@@ -357,7 +360,7 @@ def test_pair_picard_matches_einsum_oracle_for_vector_state():
                             first=FirstOrderField(grid=grid, P0=zero, Q0=zero, G0=zero),
                             u_hat=ControlPath.constant(0.0, grid))
     ref = oracle.second_adjoint_einsum(coeffs, first, k, e, tol=1e-13)
-    sol = assemble_second_adjoint(coeffs, first, k, e, tol=1e-13).second
+    sol = assemble_second_adjoint(coeffs, first, tol=1e-13).second
     assert sol.iterations == ref["iterations"] > 3
     np.testing.assert_allclose(sol.distances, ref["distances"], rtol=0,
                                atol=1e-12 * ref["distances"][0])

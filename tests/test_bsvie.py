@@ -51,7 +51,7 @@ def test_first_bridge_deterministic_oracle(grid, lq, kernel0, ens):
 def test_first_bridge_roundtrip(grid, lq, kernel0, ens):
     uh, xh, adj = solve(lq, kernel0, grid, ens)
     tup = bsee_to_bsvie_first(adj, kernel0)
-    rec = reconstruct_first_field(tup, kernel0, grid)
+    rec = reconstruct_first_field(tup, kernel0)
     assert np.max(np.abs(rec - adj.first.P0[:, :, 0])) <= 1e-8
 
 

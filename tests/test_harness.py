@@ -369,14 +369,16 @@ def test_config_samples_its_ensemble_once(monkeypatch):
         cfg.stage("x_hat")[0, 0, 0] = 1.0
 
 
-def test_duality_builds_its_own_stages_on_the_largest_ensemble(monkeypatch):
+def test_duality_builds_its_own_stages_on_the_largest_ensemble(monkeypatch, tmp_path):
     cfg = resolve_config({**MEMO, "grid": {"n_paths": 96, "n_steps": 16}})
     assert run_experiment("adjoint", cfg)["adjoint"].passed
     brownian = _counting(monkeypatch, "sample_brownian")
     sve = _counting(monkeypatch, "simulate_sve")
     adjoints = _counting(monkeypatch, "assemble_adjoints")
-    res = run_experiment("duality", cfg)["duality"]
-    assert res.passed and res.tables["duality"].provenance["config_hash"] == cfg.hash()
+    results = run_experiment("duality", cfg)
+    assert results["duality"].passed
+    write_results(results, cfg, tmp_path)
+    assert read_result_table(tmp_path / "duality.csv").provenance["config_hash"] == cfg.hash()
     # the deterministic solve reads no reference state, and the co-simulation
     # computes its own, so no state is simulated
     assert brownian == adjoints == [16000] and sve == []
@@ -1260,13 +1262,35 @@ def test_cli_ends_in_a_verdict_on_tiny_valid_configs(experiment, config):
      [("se_shrinks_sqrt_paths", True, "display SE 0.000e+00, 0.000e+00, 0.000e+00"),
       ("first_display_3se", True, "se 0 (no noise): |mean| / scale"),
       ("second_display_3se", True, "against the exact bound 1e-8")]),
-], ids=["mp_off_grid_interval", "mp_one_control_value", "duality_noise_free_display"])
+    ("kernels", {"kernel": {"n_nodes": 64}},
+     [("quadrature_error_decreases", True, "1.416e-04 -> ")]),
+    ("kernels", {"kernel": {"theta_min": 1.0, "theta_max": 1.0000000000000004, "n_nodes": 2}},
+     [("quadrature_error_decreases", True, "at 2x nodes")]),
+    ("kernels", {"kernel": {"theta_min": 1e306, "theta_max": 1e307, "n_nodes": 2}},
+     [("quadrature_error_decreases", False, "no 2x-node reference: constraint violated: the "
+       "range theta_min=1e+305 to theta_max=1e+308 overflows on 4 nodes")]),
+    ("simulate", {"kernel": {"n_nodes": 8}, "solver": {"xi": 1e6}},
+     [("lift_direct_identity", True, "max deviation ")]),
+    ("adjoint", {"kernel": {"n_nodes": 8},
+                 "problem": {"name": "lq_linear_cost", "params": {"ch": 1e6}}},
+     [("node_recursion_residual", True, "max ")]),
+], ids=["mp_off_grid_interval", "mp_one_control_value", "duality_noise_free_display",
+        "kernels_64_nodes", "kernels_narrow_range", "kernels_reference_overflows",
+        "simulate_state_near_1e6", "adjoint_field_near_1e6"])
 def test_degenerate_configs_end_in_a_named_check(experiment, raw, expected):
     """Inputs that once ended as a traceback or as a failure with no reason: an
     mp-check interval [T/4, 3T/8] off the grid nodes (a traceback), a one-point
     control domain with nothing to perturb with (violations on [nan, nan]), and
     a duality display residual without noise, whose SEs admit no log-log fit
-    (a traceback) and whose roundoff mean failed the 3-SE test at SE 0."""
+    (a traceback) and whose roundoff mean failed the 3-SE test at SE 0.
+
+    And inputs on which a check failed correct code: the 2x-node kernel
+    reference on the config's own theta range hit that range's error floor
+    from 64 nodes on, could not be built on a range that holds 2 nodes but not
+    4 (a traceback), and, on the widened range, overflows (a failed check
+    naming the builder's refusal).  The lift-direct identity and the node
+    recursion, exact up to rounding, were held to 1e-10 absolute and failed
+    on states and fields near 1e6, where the rounding alone is about 1e-10."""
     cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 16},
                           "kernel": {"family": "constant", "alpha": 0.0}, **raw})
     res = run_experiment(experiment, cfg)[experiment]

@@ -147,6 +147,18 @@ def test_node_doubling_halves_error():
     assert r2 <= 0.5 * r1
 
 
+@pytest.mark.parametrize("which", ["b", "sigma"])
+def test_bundled_lift_is_within_one_percent_in_both_channels(which):
+    # the fractional_lq lift; the kernels check's reference, 2x nodes on the
+    # range widened tenfold at each end, lowers the error in either channel
+    t = np.geomspace(0.01, 1.0, 128)
+    lift = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32, alpha=1.0 / 3.0)
+    ref = build_fractional_lift(0.8, 0.9, None, 1e-4, 1e6, 64, alpha=1.0 / 3.0)
+    err = quadrature_error(lift, t, which)["sup_rel"]
+    assert err <= 1e-2
+    assert quadrature_error(ref, t, which)["sup_rel"] < err
+
+
 def test_integrability_report_finite(frac_kernel):
     rep = kernels_oracles.integrability_report(frac_kernel)
     assert all(np.isfinite(v) and v > 0 for v in rep.values())

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import coefficients_oracles
 import maxprinciple_oracles as mp_oracle
+from maxprinciple_oracles import hamiltonian
 from volterra_smp.bsee import assemble_adjoints
 from volterra_smp.coefficients import (CoefficientSet, ControlDomain, ControlPath,
                                        StructuralTags, make_problem)
@@ -13,8 +14,7 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import DiscreteLaplaceKernel, build_fractional_lift
 from volterra_smp.maxprinciple import (check_variational_inequality, classical_adjoint_gaps,
                                        construct_argmax_control, duality_residuals,
-                                       duality_stats, gap_tables, hamiltonian,
-                                       perturb_control)
+                                       duality_stats, gap_tables, perturb_control)
 from volterra_smp.simulate import sample_brownian, simulate_sve
 from volterra_smp.stats import mc_mean_se, mc_mean_se_rows
 from volterra_smp.variation import SpikeSpec
@@ -172,7 +172,7 @@ def test_vi_argmax_passes_and_perturbation_fails(grid, lq, delta_kernel, ens):
     u0 = ControlPath.constant(0.0, grid)
     x0 = simulate_sve(lq, u0, delta_kernel, 0.4, ens)
     adj0 = assemble_adjoints(lq, u0, x0, delta_kernel, ens, tol=1e-13)
-    uh = construct_argmax_control(lq, adj0, grid)
+    uh = construct_argmax_control(lq, adj0)
     xh = simulate_sve(lq, uh, delta_kernel, 0.4, ens)
     adj = assemble_adjoints(lq, uh, xh, delta_kernel, ens, tol=1e-13)
     rep = check_variational_inequality(lq, uh, adj, lq.control_domain.points, ens, xh)
@@ -337,7 +337,7 @@ def test_vi_check_matches_loop_oracle_on_bundled_lq(grid, lq, frac_kernel, ens):
     u0 = ControlPath.constant(0.0, grid)
     x0 = simulate_sve(lq, u0, frac_kernel, 0.3, ens)
     adj0 = assemble_adjoints(lq, u0, x0, frac_kernel, ens, tol=1e-13)
-    uh = construct_argmax_control(lq, adj0, grid)
+    uh = construct_argmax_control(lq, adj0)
     for u in (uh, perturb_control(uh, grid, 0.25, 0.375, 1.0)):
         xh = simulate_sve(lq, u, frac_kernel, 0.3, ens)
         adj = assemble_adjoints(lq, u, xh, frac_kernel, ens, tol=1e-13)
@@ -379,7 +379,7 @@ def test_argmax_control_matches_loop_oracle(seed, fractional, grid, ens, frac_ke
                       ch=rng.uniform(-2, 2), u_grid=tuple(rng.uniform(-2, 2, rng.integers(1, 7))))
     u0 = ControlPath(rng.uniform(-1, 1, (grid.n_steps + 1, 1)))
     adj0 = assemble_adjoints(pr, u0, None, kernel, ens.first_paths(8))
-    uh = construct_argmax_control(pr, adj0, grid)
+    uh = construct_argmax_control(pr, adj0)
     assert np.array_equal(uh.values, mp_oracle.construct_argmax_control(pr, adj0, grid).values)
 
 
@@ -387,7 +387,7 @@ def test_argmax_control_first_control_point_wins_a_tie(grid, delta_kernel, ens):
     # every Hamiltonian of the zero problem is 0, so each step is a three-way tie
     pr = make_problem("zero", u_grid=(0.5, -1.0, 2.0))
     adj = assemble_adjoints(pr, ControlPath.constant(0.0, grid), None, delta_kernel, ens)
-    uh = construct_argmax_control(pr, adj, grid)
+    uh = construct_argmax_control(pr, adj)
     assert np.array_equal(uh.values, mp_oracle.construct_argmax_control(pr, adj, grid).values)
     assert np.all(uh.values == 0.5)
 
@@ -529,7 +529,7 @@ def test_gap_tables_name_an_untagged_evaluator(grid, lq, ens, delta_kernel):
             gap_tables(replace(lq, tags=tags), uh, pts, grid)
     adj = assemble_adjoints(lq, uh, None, delta_kernel, ens)
     with pytest.raises(ValueError, match="degree in x of b,"):
-        construct_argmax_control(replace(lq, tags=StructuralTags(f_state_degree=1)), adj, grid)
+        construct_argmax_control(replace(lq, tags=StructuralTags(f_state_degree=1)), adj)
 
 
 def test_classical_gaps_refuse_an_untagged_problem(grid, lq):

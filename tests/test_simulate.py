@@ -12,8 +12,8 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp.simulate import (LiftStep, block_steps, cnorm, run_lift, sample_brownian,
-                                   simulate_lift, simulate_sve, xi_table)
+from volterra_smp.simulate import (LiftStep, _forcing, block_steps, cnorm, lift_along, run_lift,
+                                   sample_brownian, simulate_sve, xi_table)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -176,8 +176,9 @@ def test_single_zero_atom_matches_euler_maruyama(grid, bilinear, delta_kernel):
 def test_lift_fields_zero_for_zero_coefficients(grid, delta_kernel):
     pr = autonomous(lambda t, u, x: 0.0 * x, lambda t, u, x: 0.0 * x)
     e = sample_brownian(grid, 4, 9)
-    Y, X = simulate_lift(pr, ControlPath.constant(0.0, grid), delta_kernel, 0.3, e)
-    assert np.all(Y == 0)
+    u = ControlPath.constant(0.0, grid)
+    X = simulate_sve(pr, u, delta_kernel, 0.3, e)
+    assert np.all(lift_along(pr, u, delta_kernel, X, e) == 0)
     assert np.allclose(X, 0.3)
 
 
@@ -248,7 +249,6 @@ def test_untagged_and_per_path_forcings_never_reach_the_tables(grid, monkeypatch
         Xl = simulate_sve(coeffs, u, kern, xi, e, mode="lift", self_test=False)
         Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
         assert np.max(np.abs(Xl - Xd)) <= 1e-10
-        assert np.array_equal(simulate_lift(coeffs, u, kern, xi, e, self_test=False)[1], Xl)
     per_path = ControlPath(np.full((8, grid.n_steps + 1, 1), 0.1), deterministic=False)
     assert all(rd.taylor is None for rd in readers(lq, per_path, grid, ("b", "sigma", "f")))
     assert simulate_sve(lq, per_path, constant_kernel(), 0.3, e).tobytes() == tabulated.tobytes()
@@ -291,9 +291,10 @@ def test_vector_lift_matches_direct(grid):
     Xd = simulate_sve(coeffs, u, kern, xi, e, mode="direct", self_test=False)
     assert Xl.shape == (32, grid.n_steps + 1, 2)
     assert np.max(np.abs(Xl - Xd)) <= 1e-10
-    Y, X = simulate_lift(coeffs, u, kern, xi, e, self_test=False)
+    X, Y = run_lift(kern, grid, e.dW, _forcing(coeffs, u, grid), xi_table(xi, grid, 2),
+                    store_lift=True)
     assert np.array_equal(X, Xl)
-    assert np.allclose(np.einsum("k,pmki->pmi", kern.weights, Y) + xi, Xl, rtol=0, atol=1e-14)
+    assert np.allclose(np.einsum("k,mkip->pmi", kern.weights, Y) + xi, Xl, rtol=0, atol=1e-14)
 
 
 @st.composite
