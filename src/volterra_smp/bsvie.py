@@ -118,19 +118,27 @@ def bsvie_residual_first(tuple_: BSVIEFirstTuple, coeffs, u_hat, kernel,
 
     if ens is None:
         raise ValueError("affine residuals need the ensemble")
-    Z = tuple_.Z.values
-    terminal = tuple_.p1_0[N] + tuple_.p1_1[N] * Z[:, N]
-    mart = np.zeros(ens.n_paths)  # sum_{k>=m} q1_k dW_k, accumulated backwards
+    q1, lvl0, lvl1 = tuple_.q1, tuple_.p1_0, tuple_.p1_1
+    # line 2 per step: rhs = -f_x + (b_x K_b(T - t)) p1 + (sigma_x K_s(T - t)) q1 + tail
+    slope, shift = bx * kb_pt[::-1], sx * ks_pt[::-1] * q1
     res1 = res2 = 0.0
-    for m in range(N, -1, -1):
-        if m < N:
-            mart += tuple_.q1[m] * ens.dW[:, m]
-        p1_m = tuple_.p1_0[m] + tuple_.p1_1[m] * Z[:, m]
-        res1 = max(res1, float(np.max(np.abs(p1_m - (terminal - mart)))))
-        rhs = (-fx[m] + bx[m] * kb_pt[N - m] * p1_m + sx[m] * ks_pt[N - m] * tuple_.q1[m]
-               + tail[m])
-        res2 = max(res2, float(np.max(np.abs(tuple_.p2_0[m] - rhs))))
-    return {"res_line1": res1, "res_line2": res2}
+    for p1, mart, work, blk in _path_blocks(ens.n_paths, N):
+        np.multiply(lvl1, tuple_.Z.values[blk], out=p1)
+        p1 += lvl0
+        # sum_{k>=m} q1_k dW_k, summed from k = N - 1 down to m
+        np.multiply(q1[:N], ens.dW[blk], out=mart[:, :N])
+        mart[:, N] = 0.0
+        np.cumsum(mart[:, N - 1::-1], axis=1, out=mart[:, N - 1::-1])
+        np.subtract(p1[:, N:], mart, out=mart)
+        np.subtract(p1, mart, out=mart)
+        res1 = np.maximum(res1, np.max(np.abs(mart, out=mart)))
+        np.multiply(slope, p1, out=work)
+        np.add(-fx, work, out=work)
+        work += shift
+        work += tail
+        np.subtract(tuple_.p2_0, work, out=work)
+        res2 = np.maximum(res2, np.max(np.abs(work, out=work)))
+    return {"res_line1": float(res1), "res_line2": float(res2)}
 
 
 def m_constraint_residual_first(tuple_: BSVIEFirstTuple, ens: BrownianEnsemble) -> float:
@@ -141,15 +149,33 @@ def m_constraint_residual_first(tuple_: BSVIEFirstTuple, ens: BrownianEnsemble) 
     N = tuple_.grid.n_steps
     Z, vol = tuple_.Z.values, tuple_.Z.vol
     lvl0, lvl1 = tuple_.p1_0, tuple_.p1_1
-    mart = np.zeros(ens.n_paths)  # sum_{t<s} vol_t dW_t, accumulated forwards
+    mean = lvl0 + lvl1 * Z[0, 0]
     worst = 0.0
-    for s in range(N + 1):
-        if s > 0:
-            mart += vol[s - 1] * ens.dW[:, s - 1]
-        val = lvl0[s] + lvl1[s] * Z[:, s]
-        dev = val - (lvl0[s] + lvl1[s] * Z[0, 0]) - lvl1[s] * mart
-        worst = max(worst, float(np.max(np.abs(dev))))
-    return worst
+    for dev, mart, _, blk in _path_blocks(ens.n_paths, N):
+        # sum_{t<s} vol_t dW_t, summed from t = 0 up
+        mart[:, 0] = 0.0
+        np.multiply(vol[:N], ens.dW[blk], out=mart[:, 1:])
+        np.cumsum(mart[:, 1:], axis=1, out=mart[:, 1:])
+        mart *= lvl1
+        np.multiply(lvl1, Z[blk], out=dev)
+        dev += lvl0
+        dev -= mean
+        dev -= mart
+        worst = np.maximum(worst, np.max(np.abs(dev, out=dev)))
+    return float(worst)
+
+
+def _path_blocks(n_paths: int, n_steps: int):
+    """Path slices of about 1 MB of (paths, n_steps + 1) table each, with
+    three such buffers for the slice's rows: (buf, buf, buf, slice).  The
+    residuals run their martingale sums along the steps of one block at a
+    time, in the order of a per-step running sum, so the bits do not depend
+    on the blocking."""
+    rows = min(n_paths, max(1, (1 << 17) // (n_steps + 1)))
+    bufs = np.empty((3, rows, n_steps + 1))
+    for p in range(0, n_paths, rows):
+        blk = slice(p, min(p + rows, n_paths))
+        yield (*bufs[:, :blk.stop - p], blk)
 
 
 def reconstruct_first_field(tuple_: BSVIEFirstTuple, kernel: DiscreteLaplaceKernel) -> np.ndarray:

@@ -94,9 +94,12 @@ class CoefficientSet:
 
     def self_test(self) -> None:
         """Check the first-derivative evaluators against central finite
-        differences at 16 random points (seed 7), relative tolerance 1e-6.
-        Raises ``SelfTestError`` naming the evaluator."""
-        n_points, rel_tol = 16, 1e-6
+        differences at 16 random points (seed 7), relative tolerance 1e-6
+        plus the difference quotient's rounding, 4 eps max|f(x +- h)| / h:
+        each evaluation rounds by a few eps |f|, and the quotient divides
+        their difference by 2 h.  Raises ``SelfTestError`` naming the
+        evaluator."""
+        n_points, rel_tol, rounding = 16, 1e-6, 4 * np.finfo(float).eps
         rng = scalar_rng(7, tag=101)
         n, du = self.dim, self.du
         t = rng.uniform(0.0, 1.0)
@@ -105,30 +108,26 @@ class CoefficientSet:
         eps = 1e-5
 
         def fd_grad(fn):
-            cols = []
+            """(quotients with the derivative axis last, max |fn(x +- h)|)"""
+            cols, size = [], 0.0
             for j in range(n):
                 dx = np.zeros((n_points, n))
                 dx[:, j] = eps
-                cols.append((fn(t, u, x + dx) - fn(t, u, x - dx)) / (2 * eps))
-            stacked = np.stack(cols, axis=-1)  # (..., n) derivative axis last
-            return stacked
+                up, down = fn(x + dx), fn(x - dx)
+                cols.append((up - down) / (2 * eps))
+                size = max(size, np.max(np.abs(up)), np.max(np.abs(down)))
+            return np.stack(cols, axis=-1), size
 
         checks = [
-            (fd_grad(self.b), self.b_x(t, u, x), "b_x"),
-            (fd_grad(self.sigma), self.sigma_x(t, u, x), "sigma_x"),
-            (fd_grad(self.f), self.f_x(t, u, x), "f_x"),
+            (fd_grad(lambda y: self.b(t, u, y)), self.b_x(t, u, x), "b_x"),
+            (fd_grad(lambda y: self.sigma(t, u, y)), self.sigma_x(t, u, x), "sigma_x"),
+            (fd_grad(lambda y: self.f(t, u, y)), self.f_x(t, u, x), "f_x"),
+            (fd_grad(self.h), self.h_x(x), "h_x"),
         ]
-        hx_fd = []
-        for j in range(n):
-            dx = np.zeros((n_points, n))
-            dx[:, j] = eps
-            hx_fd.append((self.h(x + dx) - self.h(x - dx)) / (2 * eps))
-        checks.append((np.stack(hx_fd, axis=-1), self.h_x(x), "h_x"))
-
-        for approx, exact, label in checks:
+        for (approx, size), exact, label in checks:
             scale = np.maximum(np.max(np.abs(exact)), 1.0)
             err = np.max(np.abs(approx - exact)) / scale
-            if err > rel_tol:
+            if err > rel_tol + rounding * size / eps / scale:
                 raise SelfTestError(f"derivative self-test failed for {label}: "
                                     f"rel err {err:.3e}")
 

@@ -293,7 +293,8 @@ def build_fractional_lift(
     edges = np.empty(n_nodes + 1)
     edges[1:-1] = nodes[:-1] * np.sqrt(rho)
     edges[0] = 0.0
-    edges[-1] = nodes[-1] * np.sqrt(rho)
+    with np.errstate(over="ignore"):   # an overflow is the ValueError below
+        edges[-1] = nodes[-1] * np.sqrt(rho)
     if not np.isfinite(edges[-1]):
         raise ValueError(f"constraint violated: the range theta_min={theta_min} to "
                          f"theta_max={theta_max} overflows on {n_nodes} nodes")

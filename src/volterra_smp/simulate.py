@@ -22,11 +22,20 @@ block that starts at m0, unrolling the recursion gives, for 0 <= i <= L,
 
 So inside a block X comes from the history terms rho_i (one gemm per slab
 when the block starts) and a direct convolution with the lag table
-K_hat(l dt), l < L; at the block end one scaling by D^L and one rank-2nL
-gemm over the stored drives move Y, and X_{m0+L} is rho_0 of the next
-block.  The first identity also serves readers of a mid-block Y, without
-moving the block.  The identities are exact; the
-blocked and the per-step forms differ by rounding only.  The step dt sits in
+K_hat(l dt), l < L; at the block end one rank-2nL gemm over the stored
+drives moves Y, and X_{m0+L} is rho_0 of the next block.  The first
+identity also serves readers of a mid-block Y, without moving the block.
+
+For L > 1 the lift keeps Y = s o Z: a running scale s, one entry per row
+k n + c, shared by every slab, times the stored Z.  A block end sets
+s <- d^L s and adds (ops / s)^T drive to Z, so D^L never passes over Z; the
+history terms read (s o hist)^T Z and a mid-block read scales Z by d^i o s.
+A row whose s falls below ``RESCALE`` = 2^-64 is folded into Z first
+(Z_k <- s_k Z_k, s_k <- 1), so |Z| <= 2^64 |Y| and ops / s stays finite even
+where d^L underflows to 0.  A one-node lift (L = 1) has no block to save a
+pass in and keeps the per-step recursion above, bit for bit.  The
+identities are exact; the blocked and the per-step forms differ by rounding
+only.  The step dt sits in
 the drift operators, not in the drives: where dt is a power of two (every
 bundled grid) that is the same arithmetic, bit for bit, as scaling F^b.
 """
@@ -113,7 +122,7 @@ def xi_table(xi, grid: TimeGrid, n: int) -> np.ndarray:
 def block_steps(n_nodes: int) -> int:
     """Lift block length L for a K-node kernel: min(K, 4).
 
-    A block trades L per-step passes over the K-row slabs for about three,
+    A block trades L per-step passes over the K-row slabs for about two,
     plus in-block lag sums that grow with L; four keeps the block buffers
     (3 L rows of P per slab) within a few percent of the stack.  A one-node
     lift (L = 1) is the per-step recursion, bit for bit.
@@ -121,18 +130,30 @@ def block_steps(n_nodes: int) -> int:
     return min(n_nodes, 4)
 
 
+RESCALE = 2.0 ** -64   # a row's running scale below this is folded into Z
+
+
 class LiftStep:
     """The blocked lift over a stack of co-simulated processes.
 
-    The lift state Y is (G, K n, P) in C order: one contiguous slab per
+    The lift state is (G, K n, P) in C order: one contiguous slab per
     co-simulated process, row k n + c holding coordinate c at node k over the
-    P paths.  Y is moved once per block of L = block_steps(K) steps; inside a
-    block the state comes from the atom-kernel lag table (see the module
-    docstring).  Per step the caller writes the forcings F^b and F^s into
+    P paths.  It is moved once per block of L = block_steps(K) steps; inside
+    a block the state comes from the atom-kernel lag table (see the module
+    docstring).  For L > 1 the stack ``Z`` holds Y / s, with the running
+    scale ``s`` (K n,) shared by every slab; for L = 1 it holds Y and ``s``
+    is None.  Per step the caller writes the forcings F^b and F^s into
     ``drives()`` and calls ``advance``, which scales F^s by dW; ``state(g)``
     reads a slab's lift state at the current step without moving the block.
     Each slab is computed alone, so no slab's bits depend on how many are
     stacked or advanced.
+
+    A block end that advances only the first G slabs still moves the shared
+    scale, and with it the state of every slab past G.  So a slab may sit out
+    a block end only while it is all zero (its state stays 0) or before
+    ``fork`` overwrites it, and it must not be read in between otherwise.
+    The co-simulation keeps to that: the spiked slabs are forked from X_hat
+    before they are read, and X1, X2 start from zero.
 
     The path axis of every buffer is padded to a multiple of 8 with paths
     whose increments and forcings stay 0.  OpenBLAS computes the last rows of
@@ -153,10 +174,12 @@ class LiftStep:
         opsK = ops.reshape(K * n, 2 * n)                                 # [M_b dt | M_s]
         dpow = np.exp(-np.outer(np.arange(L + 1), kernel.nodes) * dt)   # (L+1, K): d^i
         rows = np.repeat(dpow, n, axis=1)                                # (L+1, K n)
-        # block end: Y <- carry Y + sum_j D^{L-j} [M_b dt | M_s] drive_j.  The
-        # per-step lift (L = 1) decays after adding instead, as before.
-        self.carry = rows[L, :, None] if L > 1 else None
+        # block end: s <- d^L s, Z <- Z + (ops / s)^T drive, with ops the
+        # sum_j D^{L-j} [M_b dt | M_s] drive_j map.  The per-step lift (L = 1)
+        # adds to Y and then decays, as before.
+        self.carry = rows[L] if L > 1 else None
         self.decay = None if L > 1 else rows[1, :, None]
+        self.s = np.ones(K * n) if L > 1 else None
         lead = rows[L:0:-1] if L > 1 else rows[:1]
         self.ops = np.asfortranarray(np.concatenate([opsK.T * d for d in lead], 0))  # (2n L, K n)
         # history terms rho_i = (w o d^i)^T Y_{m0}, i = 0..L-1, as one (L n, K n) map
@@ -164,15 +187,17 @@ class LiftStep:
         for c in range(n):
             hist[:, c, :, c] = kernel.weights * dpow[:L]
         self.hist = np.asfortranarray(hist.reshape(L * n, K * n).T)   # (K n, L n)
+        # the two maps at the current scale: ops / s and s o hist
+        self.ops_s, self.hist_s = np.array(self.ops, order="F"), np.array(self.hist, order="F")
         # lag table K_hat(l dt) = sum_k w_k d_k^l [M_b,k dt | M_s,k], l < L; in-block
         # sums X_{m0+i+1} - rho_{i+1} = lags[i] . drive[:2n(i+1)], i = 0..L-2
         lag = np.einsum("lk,kab->lab", kernel.weights * dpow[:L], ops)   # (L, n, 2n)
         self.lags = [np.concatenate(lag[i + 1:0:-1], 1) for i in range(L - 1)]
-        # mid-block reads: Y_{m0+i} = D^i Y_{m0} + reads[i] . drive[:2n i]
+        # mid-block reads: Y_{m0+i} = d^i o s o Z_{m0} + reads[i] . drive[:2n i]
         self.rows = rows
         self.reads = [None] + [np.concatenate([opsK * d[:, None] for d in rows[i:0:-1]], 1)
                               for i in range(1, L)]              # (K n, 2n i)
-        self.Y = np.zeros((n_slabs, K * n, P8))
+        self.Z = np.zeros((n_slabs, K * n, P8))
         self.drive = np.zeros((n_slabs, 2 * n * L, P8))
         self.rho = np.zeros((n_slabs, L * n, P8))
         self.x = self.rho[:, :n, :P]   # X - xi lands here: rho_0 is only ever an output
@@ -196,7 +221,7 @@ class LiftStep:
         non-finite X raises FloatingPointError naming the step and the first
         bad paths.
         """
-        G = self.Y.shape[0] if n_slabs is None else n_slabs
+        G = self.Z.shape[0] if n_slabs is None else n_slabs
         n, L, m = self.n, self.L, self.m
         i = m % L
         if i == 0:
@@ -219,25 +244,34 @@ class LiftStep:
         return X
 
     def _end_block(self, G: int) -> None:
-        """Move Y to the block end and fill rho for the next block."""
-        dgemm = self._dgemm
+        """Move the lift to the block end and fill rho for the next block."""
+        dgemm, Z, s = self._dgemm, self.Z, self.s
+        folded = ()
+        if s is not None:
+            s *= self.carry
+            folded = np.flatnonzero(s < RESCALE)
+            for r in folded:   # in place, one row of the G slabs at a time
+                Z[:G, r] *= s[r]
+            s[folded] = 1.0
+            np.divide(self.ops, s, out=self.ops_s)
+            np.multiply(self.hist, s[:, None], out=self.hist_s)
         for g in range(G):
-            if self.carry is not None:
-                self.Y[g] *= self.carry
-            dgemm(1.0, self.drive[g].T, self.ops, beta=1.0, c=self.Y[g].T, overwrite_c=True)
+            dgemm(1.0, self.drive[g].T, self.ops_s, beta=1.0, c=Z[g].T, overwrite_c=True)
             if self.decay is not None:
-                self.Y[g] *= self.decay
-            dgemm(1.0, self.Y[g].T, self.hist, c=self.rho[g].T, overwrite_c=True)
+                Z[g] *= self.decay
+            dgemm(1.0, Z[g].T, self.hist_s, c=self.rho[g].T, overwrite_c=True)
         tally = _TALLY.get()
         if tally is not None:
             tally["block_steps"] = self.L
             tally["y_updates"] += G
+            tally["row_rescales"] += len(folded)
 
     def state(self, g: int) -> np.ndarray:
         """Slab g's lift state at the current step as a new (K n, P8) array in
         the slab's layout; the padding columns past P are 0."""
         i = self.m % self.L
-        Yi = self.Y[g] * self.rows[i, :, None]       # D^i Y_{m0}
+        scale = self.rows[i] if self.s is None else self.rows[i] * self.s
+        Yi = self.Z[g] * scale[:, None]       # d^i o s o Z_{m0} = D^i Y_{m0}
         if i:   # += reads[i] . drive, accumulated in place (the bits of a separate sum)
             self._dgemm(1.0, self.drive[g, :2 * self.n * i].T, self.reads[i].T, beta=1.0,
                         c=Yi.T, overwrite_c=True)
@@ -246,7 +280,7 @@ class LiftStep:
     def fork(self, src: int, dst: slice) -> None:
         """Give slabs ``dst`` the block state of slab ``src`` (lift, stored
         drives and history terms), as if they had advanced alongside it."""
-        for buf in (self.Y, self.drive, self.rho):
+        for buf in (self.Z, self.drive, self.rho):
             buf[dst] = buf[src]
 
 
@@ -257,10 +291,12 @@ _TALLY: ContextVar[dict | None] = ContextVar("lift_tally", default=None)
 def lift_tally():
     """Count the lift block updates made inside the ``with`` body.
 
-    Yields ``{"y_updates": slab updates, "block_steps": L}`` (no
-    ``block_steps`` when no block ended).
+    Yields ``{"y_updates": slab updates, "row_rescales": rows folded into Z,
+    "block_steps": L}`` (no ``block_steps`` when no block ended).  A block
+    end counts each row whose running scale fell below ``RESCALE`` once,
+    however many slabs it advances.
     """
-    tally = {"y_updates": 0}
+    tally = {"y_updates": 0, "row_rescales": 0}
     token = _TALLY.set(tally)
     try:
         yield tally

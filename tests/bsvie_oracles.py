@@ -9,7 +9,7 @@ lag-table contractions; the property tests compare the two.
 import numpy as np
 
 from volterra_smp.bsee import contract_pair_right
-from volterra_smp.bsvie import _kernel_scalar_tables
+from volterra_smp.bsvie import _kernel_scalar_tables, _lag_sums
 from volterra_smp.coefficients import coeff_tables
 from volterra_smp.kernels import step_decay_weight
 
@@ -146,3 +146,39 @@ def reconstruct_second_field(tuple2, kernel) -> np.ndarray:
             Gm += acc[:, None] + acc[None, :]
         P[m] = dec2 * P[m + 1] + om2 * Gm
     return P
+
+
+
+def running_sum_residuals_first(tuple_, coeffs, u_hat, kernel, ens) -> tuple:
+    """The affine regime's residuals (line 1, line 2, M-constraint) as per-step
+    loops over running martingale sums: line 1 sums q1_k dW_k from k = N - 1
+    down, the constraint vol_t dW_t from t = 0 up.  ``volterra_smp.bsvie``
+    runs the same sums along the steps of path blocks and must match these
+    bit for bit."""
+    grid = tuple_.grid
+    N = grid.n_steps
+    (bx,), (sx,), (fx, *_) = coeff_tables(coeffs, u_hat, grid, ("b_x", "sigma_x", "f_x"))
+    bx, sx, fx = bx[:, 0, 0], sx[:, 0, 0], fx[:, 0]
+    kb_pt, kb_int = _kernel_scalar_tables(kernel, grid, "b")
+    ks_pt, _ = _kernel_scalar_tables(kernel, grid, "sigma")
+    tail = bx * _lag_sums(kb_int, tuple_.p2_0, N)
+    Z, vol, q1 = tuple_.Z.values, tuple_.Z.vol, tuple_.q1
+    lvl0, lvl1 = tuple_.p1_0, tuple_.p1_1
+    terminal = lvl0[N] + lvl1[N] * Z[:, N]
+    mart = np.zeros(ens.n_paths)
+    res1 = res2 = 0.0
+    for m in range(N, -1, -1):
+        if m < N:
+            mart += q1[m] * ens.dW[:, m]
+        p1_m = lvl0[m] + lvl1[m] * Z[:, m]
+        res1 = max(res1, float(np.max(np.abs(p1_m - (terminal - mart)))))
+        rhs = -fx[m] + bx[m] * kb_pt[N - m] * p1_m + sx[m] * ks_pt[N - m] * q1[m] + tail[m]
+        res2 = max(res2, float(np.max(np.abs(tuple_.p2_0[m] - rhs))))
+    mart = np.zeros(ens.n_paths)
+    worst = 0.0
+    for s in range(N + 1):
+        if s > 0:
+            mart += vol[s - 1] * ens.dW[:, s - 1]
+        dev = lvl0[s] + lvl1[s] * Z[:, s] - (lvl0[s] + lvl1[s] * Z[0, 0]) - lvl1[s] * mart
+        worst = max(worst, float(np.max(np.abs(dev))))
+    return res1, res2, worst

@@ -91,6 +91,22 @@ def test_first_bridge_affine_regime(grid, state_free, kernel0, ens):
     assert m_constraint_residual_first(tup, ens) <= 1e-8
 
 
+@pytest.mark.parametrize("q1_scale", [1.0, 1.5], ids=["solved", "perturbed"])
+def test_affine_residuals_match_running_sums_bit_for_bit(state_free, q1_scale):
+    # 11000 paths at 24 steps span three path blocks of 5242; the blocked
+    # sums run in the loops' order, so every residual is the same float, at
+    # roundoff on the solved tuple and at O(1) with q1 off by half
+    grid = TimeGrid(1.0, 24)
+    kern, e = exponential_kernel(2.0, alpha=0.0), sample_brownian(grid, 11000, 5)
+    uh, _, adj = solve(state_free, kern, grid, e, u_val=0.2, xi=0.2)
+    tup = bsee_to_bsvie_first(adj, kern)
+    tup = replace(tup, q1=tup.q1 * q1_scale)
+    res = bsvie_residual_first(tup, state_free, uh, kern, e)
+    got = (res["res_line1"], res["res_line2"], m_constraint_residual_first(tup, e))
+    assert got == oracle.running_sum_residuals_first(tup, state_free, uh, kern, e)
+    assert (max(got) > 0.1) == (q1_scale != 1.0)
+
+
 def test_second_bridge_quadratic_h_oracle(grid, state_free, kernels0, ens):
     for k in kernels0.values():
         uh, xh, adj = solve(state_free, k, grid, ens, u_val=0.2, xi=0.2)

@@ -235,6 +235,28 @@ def test_self_test_fails_closed_on_wrong_tags(case):
         coefficients_oracles.tag_self_test(coeffs)
 
 
+NEAR_1E6 = [("lq_linear_cost", {"b2": 1e6}), ("lq_linear_cost", {"s0": 1e6}),
+            ("lq_linear_cost", {"r": 1e6}), ("bilinear_lq", {"s2": 1e6})]
+
+
+@pytest.mark.parametrize("name, params", NEAR_1E6, ids=["b2", "s0", "r", "s2"])
+def test_self_test_passes_correct_coefficients_near_1e6(name, params):
+    # the difference quotient's rounding, about eps |f| / h = 2e-11 |f|, read
+    # 3.5e-6 to 7.8e-6 against a bare 1e-6 here
+    make_problem(name, **params).self_test()
+
+
+@pytest.mark.parametrize("name, params", [("lq_linear_cost", {}), ("bilinear_lq", {})] + NEAR_1E6,
+                         ids=["lq", "bilinear", "lq_b2", "lq_s0", "lq_r", "bilinear_s2"])
+@pytest.mark.parametrize("label", ["b_x", "sigma_x", "f_x", "h_x"])
+def test_self_test_still_sees_a_derivative_off_by_a_thousandth(name, params, label):
+    coeffs = make_problem(name, **params)
+    exact = getattr(coeffs, label)
+    off = replace(coeffs, **{label: lambda *args: exact(*args) * (1 + 1e-3)})
+    with pytest.raises(SelfTestError, match=f"derivative self-test failed for {label}:"):
+        off.self_test()
+
+
 def _array(x_degree: int, terminal: bool = False):
     """Coefficient arrays of x_degree + 1 rows, each of degree <= 2 in u (an
     empty row is zero), with some entries exactly zero."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -575,10 +576,15 @@ def test_sidecar_records_solve_path_and_lift_size(tmp_path):
     assert adj["picard_iterations"]["first"] >= 4
     assert 0.0 < adj["worst_contraction_ratio"] <= 0.9
     assert all("lsmc" not in rec for name, rec in timings.items() if name != "bsde-check")
-    # blocks of 4 steps; slab 0 alone before the spikes at step 32, all 13 after
+    # blocks of 4 steps; slab 0 alone before the spikes at step 32, all 13 after.
+    # Of the nodes 1e-3, 0.46, 215 and 1e5, a block of 1/32 decays the last to
+    # 0 (a rescale at each of the 32 block ends) and 215 by e^{-6.7}, below
+    # 2^-64 every 7th block end (4 rescales); the others never fall below it
     assert timings["rates"]["lift"] == {"paths": 64, "steps": 128, "nodes": 4, "processes": 13,
-                                        "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13}
-    assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 128 // 4}
+                                        "block_steps": 4, "y_updates": 32 // 4 + 96 // 4 * 13,
+                                        "row_rescales": 32 + 4}
+    assert timings["simulate"]["lift"] == {"block_steps": 4, "y_updates": 128 // 4,
+                                           "row_rescales": 32 + 4}
     # lq_linear_cost: linear dynamics and a running cost linear in x
     assert timings["rates"]["tabulated"] == {"b": 1, "sigma": 1, "b_x": 0, "sigma_x": 0,
                                              "b_xx": 0, "sigma_xx": 0, "f": 1, "f_x": 0,
@@ -621,9 +627,10 @@ def test_cli_duality_records_one_lift_and_its_prefixes(tmp_path):
     assert "Traceback" not in proc.stderr + proc.stdout
     record = json.loads((tmp_path / "res" / "timings.json").read_text())["duality"]
     # blocks of 4 steps: slab 0 alone up to the spike at step 4 and all four
-    # slabs for the 12 steps after it
+    # slabs for the 12 steps after it; a block of 1/4 decays the nodes 215 and
+    # 1e5 below 2^-64 at each of the 4 block ends
     assert record["lift"] == {"paths": 16000, "steps": 16, "nodes": 4, "processes": 4,
-                              "block_steps": 4, "y_updates": 1 + 3 * 4}
+                              "block_steps": 4, "y_updates": 1 + 3 * 4, "row_rescales": 2 * 4}
     assert record["prefixes"] == {"checks": 64, "se_sweep": [1000, 4000, 16000]}
     # lq_linear_cost has h_xx = f_xx = 0, so its pair field and generator vanish
     assert record["pair_terms"] == "none"
@@ -1290,10 +1297,15 @@ def test_degenerate_configs_end_in_a_named_check(experiment, raw, expected):
     4 (a traceback), and, on the widened range, overflows (a failed check
     naming the builder's refusal).  The lift-direct identity and the node
     recursion, exact up to rounding, were held to 1e-10 absolute and failed
-    on states and fields near 1e6, where the rounding alone is about 1e-10."""
+    on states and fields near 1e6, where the rounding alone is about 1e-10.
+    None of them lets a RuntimeWarning escape: the overflowing range once
+    leaked one from the kernel builder on its way to the refusal."""
     cfg = resolve_config({"grid": {"n_paths": 32, "n_steps": 16},
                           "kernel": {"family": "constant", "alpha": 0.0}, **raw})
-    res = run_experiment(experiment, cfg)[experiment]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_experiment(experiment, cfg)[experiment]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     found = {name: (ok, text) for name, ok, text in res.checks}
     for check, passed, detail in expected:
         assert found[check][0] is passed and detail in found[check][1], found

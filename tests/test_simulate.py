@@ -12,8 +12,8 @@ from volterra_smp.grids import TimeGrid
 from volterra_smp.kernels import (AnalyticKernel, DiscreteLaplaceKernel, build_fractional_lift,
                                   constant_kernel)
 from volterra_smp.rng import normal_matrix
-from volterra_smp.simulate import (LiftStep, _forcing, block_steps, cnorm, lift_along, run_lift,
-                                   sample_brownian, simulate_sve, xi_table)
+from volterra_smp.simulate import (LiftStep, _forcing, block_steps, cnorm, lift_along, lift_tally,
+                                   run_lift, sample_brownian, simulate_sve, xi_table)
 from volterra_smp.variation import SpikeSpec, _spike_cosimulation
 
 
@@ -331,41 +331,103 @@ def _stack_forcing(X):
     return 0.3 - 0.5 * X + 0.2 * np.sin(X[:, ::-1]), 0.2 + 0.1 * np.cos(X)
 
 
+def _against_per_step(kern, grid, dW, j_start, G=4):
+    """Drive the blocked lift and the per-step oracle with the same forcings
+    of their own states, on the paths of ``dW``; at step ``j_start`` slabs 1-2
+    fork from slab 0 and slab 3 starts from zero, as X^eps and X1 do.  A slab
+    that has not advanced reads 0.  Returns the lift, and (blocked, oracle)
+    pairs of every X and every lift state read before a step, each
+    concatenated."""
+    P, Kn, n = dW.shape[0], kern.n_nodes * kern.dim, kern.dim
+    P8 = -(-P // 8) * 8
+    step = simulate_oracles.PerStepLift.of(kern, grid.dt)
+    lift, Y, X = LiftStep(kern, grid.dt, dW, G), np.zeros((G, Kn, P)), np.zeros((G, n, P))
+    xs, ys = [], []
+    for m in range(grid.n_steps):
+        if m == j_start:
+            lift.fork(0, slice(1, 3))
+            Y[1:3], X[1:3] = Y[0], X[0]
+        act = 1 if m < j_start else G
+        for g in range(G):
+            Yg = lift.state(g)
+            assert Yg.shape == (Kn, P8) and not Yg[:, P:].any()   # zero padding
+            if g < act:
+                ys.append((Yg[:, :P], Y[g].copy()))
+            else:
+                assert not Yg.any()
+        Fb, Fs = _stack_forcing(X[:act])
+        slot_b, slot_s = lift.drives()
+        slot_b[:act], slot_s[:act] = _stack_forcing(lift.x[:act])
+        xs.append((lift.advance(act).copy(), step(Y[:act], Fb, Fs, dW[:, m])))
+        X[:act] = xs[-1][1]
+    return lift, [tuple(np.concatenate(side, None) for side in zip(*pairs))
+                  for pairs in (xs, ys)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(kern=atom_kernels(), blocks=st.integers(1, 4), rest=st.integers(1, 3),
        seed=st.integers(0, 2 ** 31))
 def test_blocked_lift_equals_per_step_oracle(kern, blocks, rest, seed):
-    # N is not a multiple of L, and the fork (slabs 1-2 copy slab 0, slab 3
-    # starts from zero, as X^eps and X1 do) comes at every block phase; X and
+    # N is not a multiple of L, and the fork comes at every block phase; X and
     # the lift state read mid-block agree with the per-step lift, and a
     # one-node lift (L = 1) is the per-step lift bit for bit
     L = block_steps(kern.n_nodes)
     N = blocks * L + 1 + rest % max(L - 1, 1)
     grid = TimeGrid(1.0, N)
     e = sample_brownian(grid, 9, seed)
-    G, Kn, n = 4, kern.n_nodes * kern.dim, kern.dim
-    step = simulate_oracles.PerStepLift.of(kern, grid.dt)
     for j_start in range((blocks - 1) * L, blocks * L):
-        lift, Y, X = LiftStep(kern, grid.dt, e.dW, G), np.zeros((G, Kn, 9)), np.zeros((G, n, 9))
-        xs, ys = [], []
-        for m in range(N):
-            if m == j_start:
-                lift.fork(0, slice(1, 3))
-                Y[1:3], X[1:3] = Y[0], X[0]
-            act = 1 if m < j_start else G
-            for g in range(act):
-                Yg = lift.state(g)
-                assert Yg.shape == (Kn, 16) and not Yg[:, 9:].any()   # zero padding
-                ys.append((Yg[:, :9], Y[g].copy()))
-            Fb, Fs = _stack_forcing(X[:act])
-            slot_b, slot_s = lift.drives()
-            slot_b[:act], slot_s[:act] = _stack_forcing(lift.x[:act])
-            xs.append((lift.advance(act).copy(), step(Y[:act], Fb, Fs, e.dW[:, m])))
-            X[:act] = xs[-1][1]
-        for got, want in (zip(*xs), zip(*ys)):
-            got, want = np.concatenate(got, None), np.concatenate(want, None)
+        for got, want in _against_per_step(kern, grid, e.dW, j_start)[1]:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             assert L > 1 or got.tobytes() == want.tobytes()
+
+
+def _rescales_from_nodes(kern, dt, n_steps):
+    """Rows folded into Z over ``n_steps`` steps, from the nodes alone: a node
+    that decays by e^{-a} per block (a = theta L dt) falls below 2^-64 after
+    floor(64 ln 2 / a) + 1 blocks, and then starts over."""
+    L = block_steps(kern.n_nodes)
+    if L == 1:
+        return 0
+    a = kern.nodes[kern.nodes > 0] * L * dt
+    every = np.floor(64 * np.log(2) / a) + 1
+    return kern.dim * int(np.sum((n_steps // L) // every))
+
+
+@pytest.mark.parametrize("n_steps", [1024, 16], ids=["bundled_n1024", "dL_is_zero"])
+def test_lift_rescales_rows_and_keeps_the_per_step_oracle(n_steps):
+    # the bundled 32-node fractional lift folds about 5 rows a block into Z at
+    # N = 1024; at N = 16 a node of 3200 decays by e^{-800} = 0 per block
+    grid = TimeGrid(1.0, n_steps)
+    if n_steps == 1024:
+        kern = build_fractional_lift(0.8, 0.9, None, 1e-3, 1e5, 32, alpha=1 / 3)
+    else:
+        rng = np.random.default_rng(5)
+        kern = DiscreteLaplaceKernel(nodes=np.array([0.0, 1.0, 50.0, 3200.0]),
+                                     weights=rng.uniform(0.1, 1.0, 4),
+                                     mb=rng.uniform(-1, 1, (4, 1, 1)),
+                                     msigma=rng.uniform(-1, 1, (4, 1, 1)))
+        assert np.exp(-kern.nodes[-1] * 4 * grid.dt) == 0.0
+    e = sample_brownian(grid, 3, 17)
+    with lift_tally() as tally:
+        lift, pairs = _against_per_step(kern, grid, e.dW, j_start=n_steps // 2 - 3)
+    for got, want in pairs:
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    blocks = n_steps // block_steps(kern.n_nodes)
+    assert tally["row_rescales"] == _rescales_from_nodes(kern, grid.dt, n_steps)
+    assert tally["row_rescales"] >= (4 * blocks if n_steps == 1024 else blocks)
+    assert np.all((lift.s >= 2.0 ** -64) & (lift.s <= 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kern=atom_kernels(), n_steps=st.integers(4, 300))
+def test_row_rescales_follow_from_the_nodes(kern, n_steps):
+    grid = TimeGrid(1.0, n_steps)
+    e = sample_brownian(grid, 2, 3)
+    with lift_tally() as tally:
+        run_lift(kern, grid, e.dW, lambda m, x: (0.1 + 0 * x, 0.2 + 0 * x),
+                 np.zeros((n_steps + 1, kern.dim)))
+    assert tally["row_rescales"] == _rescales_from_nodes(kern, grid.dt, n_steps)
 
 
 def test_lift_and_cosimulation_are_prefix_exact():
